@@ -197,6 +197,15 @@ def cmd_train(args) -> int:
         if log_handle is not None:
             log_handle.close()
 
+    for em in bundle:
+        if em.model.converged is False:
+            print(
+                f"warning: {em.emotion}: the final solve stopped after {em.model.sweeps} "
+                f"sweeps without converging (violation {em.model.final_violation:.3g}, "
+                f"eps {args.eps:g}); raise --max-iters or --eps",
+                file=sys.stderr,
+            )
+
     save_bundle(bundle, args.out)
     report = evaluate_heldout(bundle, gold)
     report_path = args.report or f"{args.out}.report.csv"

@@ -27,6 +27,7 @@ from .errors import (
     CorpusIOError,
     DegenerateClass,
     DuplicateId,
+    FieldTooLarge,
     MalformedHeader,
     MalformedRecord,
     MissingLabel,
@@ -35,6 +36,10 @@ from .errors import (
 EMOTION_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 _INPUT_HEADER = ["id", "text"]
+
+# The csv module's message when a field outgrows csv.field_size_limit().  The
+# limit is left at its default (131,072 characters): it is process-wide.
+_FIELD_LIMIT_MESSAGE = "field larger than field limit"
 
 
 def validate_emotion_name(name: str) -> str:
@@ -67,6 +72,8 @@ class SplitResult:
     test: tuple[LabeledDocument, ...]
     seed: int
     train_fraction: float
+    train_index: tuple[int, ...]    # corpus positions of ``train``, increasing
+    test_index: tuple[int, ...]
 
 
 def _open_read(path):
@@ -74,6 +81,12 @@ def _open_read(path):
         return open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
+
+
+def _csv_failure(reader, exc: csv.Error) -> MalformedRecord:
+    if _FIELD_LIMIT_MESSAGE in str(exc):
+        return FieldTooLarge(reader.line_num, csv.field_size_limit())
+    return MalformedRecord(reader.line_num, f"unparseable CSV: {exc}")
 
 
 def _open_write(path):
@@ -109,7 +122,7 @@ def read_input_corpus(path) -> list[Document]:
                 seen[doc_id] = line
                 docs.append(Document(doc_id, text))
         except csv.Error as exc:
-            raise MalformedRecord(reader.line_num, f"unparseable CSV: {exc}") from exc
+            raise _csv_failure(reader, exc) from exc
     return docs
 
 
@@ -121,6 +134,8 @@ def read_gold_corpus(path) -> tuple[list[LabeledDocument], list[str]]:
             header = next(reader)
         except StopIteration:
             raise MalformedHeader("gold file is empty; expected an id,text,... header") from None
+        except csv.Error as exc:
+            raise _csv_failure(reader, exc) from exc
         if len(header) < 3 or [cell.strip().lower() for cell in header[:2]] != _INPUT_HEADER:
             raise MalformedHeader(
                 "gold header must be id,text,<emotion>[,<emotion>...], "
@@ -153,7 +168,7 @@ def read_gold_corpus(path) -> tuple[list[LabeledDocument], list[str]]:
                     labels[emotion] = int(value)
                 docs.append(LabeledDocument(Document(doc_id, text), labels))
         except csv.Error as exc:
-            raise MalformedRecord(reader.line_num, f"unparseable CSV: {exc}") from exc
+            raise _csv_failure(reader, exc) from exc
     return docs, emotions
 
 
@@ -229,6 +244,13 @@ def stratified_split(
         train_idx.extend(order[:cut])
         test_idx.extend(order[cut:])
 
-    train = tuple(corpus[i] for i in sorted(train_idx))
-    test = tuple(corpus[i] for i in sorted(test_idx))
-    return SplitResult(train=train, test=test, seed=seed, train_fraction=float(train_fraction))
+    train_idx.sort()
+    test_idx.sort()
+    return SplitResult(
+        train=tuple(corpus[i] for i in train_idx),
+        test=tuple(corpus[i] for i in test_idx),
+        seed=seed,
+        train_fraction=float(train_fraction),
+        train_index=tuple(train_idx),
+        test_index=tuple(test_idx),
+    )

@@ -26,6 +26,14 @@ class MalformedRecord(CorpusError):
         self.line = line
 
 
+class FieldTooLarge(MalformedRecord):
+    """A CSV field is longer than the csv module's field size limit."""
+
+    def __init__(self, line: int, limit: int):
+        super().__init__(line, f"field longer than the maximum of {limit} characters")
+        self.limit = limit
+
+
 class MalformedHeader(CorpusError):
     pass
 

@@ -9,14 +9,26 @@ The n-gram and category blocks carry tf-idf weights and are each L2-normalized
 on their own; the four scalar tails are standardized with training-set
 mean/stddev so the SVM sees commensurate scales.  Fitting happens once, on
 training documents only; transforming never mutates the extractor.
+
+Two paths compute the same vectors.  ``fit`` + ``assemble`` (or
+``FittedExtractor.vectorize``) handle one token stream at a time and are the
+reference.  The corpus path does the text work once per corpus
+(``count_texts``: strip, tokenize, count n-grams, category hits and cue
+scores), then fits (``fit_counts``) and transforms (``transform_counts``)
+any subset of its rows with array operations.  It reproduces the reference
+bit for bit: every value comes from the same scalar formulas, and each
+block's L2 norm is summed in the same order by the same ``sum``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -151,6 +163,30 @@ class FittedExtractor:
         """Raw text straight to a feature vector (strip, tokenize, assemble)."""
         return assemble(tokenize(strip_noise(text), self.emoticons), self)
 
+    def shares_text_work(self, other: "FittedExtractor") -> bool:
+        """True when both tokenize and count any text identically."""
+        return self.emoticons == other.emoticons and self.lexicons == other.lexicons
+
+    # Cached on first use, so loading a bundle stays cheap.
+    @cached_property
+    def ngram_idf(self) -> np.ndarray:
+        vocab = self.vocabulary
+        return np.array([idf(df, vocab.n_docs) for df in vocab.df], dtype=np.float64)
+
+    @cached_property
+    def category_idf(self) -> np.ndarray:
+        """idf per category slot; 0 where no training document hit the category."""
+        n_docs = self.vocabulary.n_docs
+        return np.array(
+            [idf(df, n_docs) if df else 0.0 for df in self.category_df], dtype=np.float64
+        )
+
+    def slots_for(self, terms: Sequence[str]) -> np.ndarray:
+        """Vocabulary slot of each term, -1 for out-of-vocabulary terms."""
+        return np.fromiter(
+            map(self.vocabulary.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms)
+        )
+
 
 def fit(
     train_docs: Sequence[TokenStream],
@@ -246,12 +282,12 @@ def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
     """
     tokens = doc.lowered
     cues = lexicons.politeness_cues
-    max_len = max((len(phrase) for phrase in cues), default=0)
+    longest = lexicons.politeness_lengths
     total = 0.0
     i = 0
     while i < len(tokens):
         matched = 0
-        for length in range(min(max_len, len(tokens) - i), 0, -1):
+        for length in range(min(longest.get(tokens[i], 0), len(tokens) - i), 0, -1):
             weight = cues.get(tuple(tokens[i : i + length]))
             if weight is not None:
                 total += weight
@@ -325,6 +361,309 @@ def assemble(doc: TokenStream, fitted: FittedExtractor) -> SparseVector:
             if z != 0.0:
                 pairs.append((v + k + slot, z))
     return sparse_from_pairs(pairs, fitted.dimension)
+
+
+# --- corpus path: text work once, then array operations per fit ------------
+
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indptr of the CSR rows ``rows`` and the source position of each entry."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    out_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out_ptr[1:])
+    source = np.repeat(starts - out_ptr[:-1], lengths) + np.arange(out_ptr[-1])
+    return out_ptr, source
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _indptr_of(row_ids: np.ndarray, n_rows: int) -> np.ndarray:
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids, minlength=n_rows), out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """Feature vectors as CSR rows; each row obeys the ``SparseVector`` contract."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dimension: int
+
+    def __post_init__(self):
+        ptr, idx, val = self.indptr, self.indices, self.data
+        if ptr.ndim != 1 or ptr.size < 1 or ptr[0] != 0 or ptr[-1] != idx.size:
+            raise ContractViolation("indptr must run from 0 to the number of entries")
+        if idx.shape != val.shape or idx.ndim != 1:
+            raise ContractViolation("indices and values must be parallel 1-d arrays")
+        if np.any(np.diff(ptr) < 0):
+            raise ContractViolation("indptr must be non-decreasing")
+        if idx.size:
+            if idx.min() < 0 or idx.max() >= self.dimension:
+                raise ContractViolation("feature index out of range")
+            rising = np.diff(idx) > 0
+            starts = ptr[1:-1]
+            rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True   # new row
+            if not np.all(rising):
+                raise ContractViolation("feature indices must be strictly increasing")
+            if np.any(val == 0.0):
+                raise ContractViolation("explicit zeros are not stored")
+
+    @classmethod
+    def from_vectors(cls, rows: Sequence[SparseVector], dimension: int) -> "FeatureMatrix":
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        if not rows:
+            return cls(indptr, np.zeros(0, np.int64), np.zeros(0), dimension)
+        np.cumsum([r.nnz for r in rows], out=indptr[1:])
+        return cls(
+            indptr,
+            np.concatenate([r.indices for r in rows]).astype(np.int64, copy=False),
+            np.concatenate([r.values for r in rows]).astype(np.float64, copy=False),
+            dimension,
+        )
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def row(self, i: int) -> SparseVector:
+        start, end = self.indptr[i], self.indptr[i + 1]
+        return SparseVector(self.indices[start:end], self.data[start:end], self.dimension)
+
+    def take(self, rows: Sequence[int]) -> "FeatureMatrix":
+        indptr, source = _gather_rows(self.indptr, np.asarray(rows, dtype=np.int64))
+        return FeatureMatrix(indptr, self.indices[source], self.data[source], self.dimension)
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusCounts:
+    """The text work of a corpus, done once: what every fit and transform needs.
+
+    Row i describes document i.  Columns are the corpus's n-gram terms in
+    sorted order, so mapping them onto any (sorted) vocabulary keeps each
+    row's slots increasing.  Only the lexicons and emoticon table recorded
+    here may be used to fit or transform from these counts.
+    """
+
+    terms: tuple[str, ...]
+    indptr: np.ndarray              # CSR over documents x terms
+    indices: np.ndarray             # term columns, increasing within a row
+    counts: np.ndarray              # occurrences of each term in the document
+    category_counts: np.ndarray     # documents x sorted categories: member-word hits
+    aux: np.ndarray                 # documents x AUX_FEATURES, raw cue scores
+    lexicons: LexiconSet
+    emoticons: frozenset[str]
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def categories(self) -> tuple[str, ...]:
+        return tuple(sorted(self.lexicons.emotion_categories))
+
+    def take(self, rows: Sequence[int]) -> "CorpusCounts":
+        """The counts of documents ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        indptr, source = _gather_rows(self.indptr, rows)
+        return CorpusCounts(
+            terms=self.terms,
+            indptr=indptr,
+            indices=self.indices[source],
+            counts=self.counts[source],
+            category_counts=self.category_counts[rows],
+            aux=self.aux[rows],
+            lexicons=self.lexicons,
+            emoticons=self.emoticons,
+        )
+
+
+def count_streams(
+    streams: Iterable[TokenStream],
+    lexicons: LexiconSet,
+    emoticons: frozenset[str] | None = None,
+) -> CorpusCounts:
+    """Count n-grams, category hits and cue scores of tokenized documents.
+
+    ``emoticons`` should be the table the streams were tokenized with.
+    Streams are consumed one at a time, so a generator keeps only one alive.
+    """
+    if emoticons is None:
+        emoticons = default_emoticons()
+    categories = sorted(lexicons.emotion_categories)
+    slots_of_word: dict[str, list[int]] = {}
+    for slot, category in enumerate(categories):
+        for word in lexicons.emotion_categories[category]:
+            slots_of_word.setdefault(word, []).append(slot)
+
+    term_ids: dict[str, int] = {}
+    indptr = array("q", [0])
+    ids = array("q")
+    tfs = array("q")
+    category_rows = []
+    aux_rows = []
+    for stream in streams:
+        for term, tf in Counter(ngram_occurrences(stream)).items():
+            ids.append(term_ids.setdefault(term, len(term_ids)))
+            tfs.append(tf)
+        indptr.append(len(ids))
+        hits = [0] * len(categories)
+        for token in stream.lowered:
+            for slot in slots_of_word.get(token, ()):
+                hits[slot] += 1
+        category_rows.append(hits)
+        aux_rows.append(_aux_scores(stream, lexicons))
+
+    # Renumber terms in sorted order, then sort each row by column.
+    terms = sorted(term_ids)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[np.fromiter((term_ids[t] for t in terms), np.int64, len(terms))] = np.arange(len(terms))
+    indptr_arr = np.array(indptr, dtype=np.int64)
+    columns = rank[np.frombuffer(ids, dtype=np.int64)]
+    order = np.lexsort((columns, _row_ids(indptr_arr)))
+    n_docs = len(indptr) - 1
+    return CorpusCounts(
+        terms=tuple(terms),
+        indptr=indptr_arr,
+        indices=columns[order],
+        counts=np.frombuffer(tfs, dtype=np.int64)[order],
+        category_counts=np.array(category_rows, dtype=np.int64).reshape(n_docs, len(categories)),
+        aux=np.array(aux_rows, dtype=np.float64).reshape(n_docs, len(AUX_FEATURES)),
+        lexicons=lexicons,
+        emoticons=emoticons,
+    )
+
+
+def count_texts(
+    texts: Iterable[str],
+    lexicons: LexiconSet,
+    emoticons: frozenset[str] | None = None,
+) -> CorpusCounts:
+    """Strip, tokenize and count raw texts; each text is processed once."""
+    if emoticons is None:
+        emoticons = default_emoticons()
+    streams = (tokenize(strip_noise(text), emoticons) for text in texts)
+    return count_streams(streams, lexicons, emoticons)
+
+
+def fit_counts(
+    counts: CorpusCounts, rows: Sequence[int], min_df: int = 2
+) -> tuple[FittedExtractor, np.ndarray]:
+    """``fit`` on documents ``rows`` of a counted corpus, without redoing text work.
+
+    Returns the extractor, equal field for field to ``fit`` on the same
+    streams in the same order, and the vocabulary slot of every counted term
+    (-1 where ``min_df`` drops it), ready for ``transform_counts``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise EmptyCorpus("cannot fit an extractor on zero documents")
+    _, source = _gather_rows(counts.indptr, rows)
+    df = np.bincount(counts.indices[source], minlength=len(counts.terms))
+    keep = df >= max(min_df, 1)
+    slots = np.full(len(counts.terms), -1, dtype=np.int64)
+    slots[keep] = np.arange(np.count_nonzero(keep))
+    vocabulary = Vocabulary(
+        terms=tuple(compress(counts.terms, keep.tolist())),
+        df=tuple(df[keep].tolist()),
+        n_docs=int(rows.size),
+        min_df=min_df,
+    )
+    category_df = np.count_nonzero(counts.category_counts[rows] > 0, axis=0)
+    aux_rows = counts.aux[rows]
+    fitted = FittedExtractor(
+        vocabulary=vocabulary,
+        lexicons=counts.lexicons,
+        categories=counts.categories,
+        category_df=tuple(category_df.tolist()),
+        aux_mean=tuple(float(m) for m in aux_rows.mean(axis=0)),
+        aux_std=tuple(float(s) for s in aux_rows.std(axis=0)),
+        emoticons=counts.emoticons,
+    )
+    return fitted, slots
+
+
+def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # Python's sum over each row in column order, exactly as _l2_normalized.
+    squares = values * values
+    bounds = indptr.tolist()
+    norms = np.array(
+        [math.sqrt(sum(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])],
+        dtype=np.float64,
+    )
+    norms[norms == 0.0] = 1.0
+    return values / np.repeat(norms, np.diff(indptr))
+
+
+def transform_counts(
+    counts: CorpusCounts,
+    fitted: FittedExtractor,
+    slots: np.ndarray,
+    rows: Sequence[int] | None = None,
+) -> FeatureMatrix:
+    """``assemble`` for documents ``rows`` (default: all) of a counted corpus.
+
+    ``slots`` maps each counted term to its slot in ``fitted``'s vocabulary
+    (``fit_counts`` or ``FittedExtractor.slots_for``); ``fitted`` must share
+    the lexicons and emoticon table the counts were made with.  Row i equals
+    ``assemble`` of document ``rows[i]``: same indices, same values.
+    """
+    if rows is None:
+        rows = np.arange(counts.n_docs)
+        indptr, source = counts.indptr, slice(None)
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        indptr, source = _gather_rows(counts.indptr, rows)
+    n = len(rows)
+    v, k = len(fitted.vocabulary), len(fitted.categories)
+
+    # n-gram block: tf * idf over in-vocabulary terms, L2 per row.
+    columns = slots[counts.indices[source]]
+    known = columns >= 0
+    ngram_rows = _row_ids(indptr)[known]
+    columns = columns[known]
+    ngram_ptr = _indptr_of(ngram_rows, n)
+    ngram_values = _l2_normalize_rows(
+        ngram_ptr, counts.counts[source][known] * fitted.ngram_idf[columns]
+    )
+
+    # Category block: hits * idf where the category has training df, L2 per row.
+    position = {category: j for j, category in enumerate(counts.categories)}
+    hits = counts.category_counts[rows][:, [position[c] for c in fitted.categories]]
+    category_df = np.array(fitted.category_df, dtype=np.int64).reshape(k)
+    category_rows, category_slots = np.nonzero((hits > 0) & (category_df > 0))
+    category_ptr = _indptr_of(category_rows, n)
+    category_values = _l2_normalize_rows(
+        category_ptr, hits[category_rows, category_slots] * fitted.category_idf[category_slots]
+    )
+
+    # Standardized cue scores; a zero stddev disables the feature.
+    std = np.array(fitted.aux_std, dtype=np.float64)
+    active = std > 0.0
+    z = (counts.aux[rows] - np.array(fitted.aux_mean)) / np.where(active, std, 1.0)
+    aux_rows, aux_slots = np.nonzero(active & (z != 0.0))
+    aux_ptr = _indptr_of(aux_rows, n)
+
+    # Each row is its n-gram, category and cue entries in that order: place
+    # every block's entries after the earlier blocks' entries of the same row.
+    out_ptr = ngram_ptr + category_ptr + aux_ptr
+    indices = np.empty(out_ptr[-1], dtype=np.int64)
+    data = np.empty(out_ptr[-1], dtype=np.float64)
+    for block_rows, shift, block_indices, block_values in (
+        (ngram_rows, category_ptr[:-1] + aux_ptr[:-1], columns, ngram_values),
+        (category_rows, ngram_ptr[1:] + aux_ptr[:-1], v + category_slots, category_values),
+        (aux_rows, ngram_ptr[1:] + category_ptr[1:], v + k + aux_slots, z[aux_rows, aux_slots]),
+    ):
+        at = np.arange(len(block_rows)) + shift[block_rows]
+        indices[at] = block_indices
+        data[at] = block_values
+    # No value is zero: tf, idf >= 1 and cue entries are kept only when
+    # nonzero, so nothing is left for sparse_from_pairs' zero filter to drop.
+    return FeatureMatrix(out_ptr, indices, data, fitted.dimension)
 
 
 # --- serialization ---------------------------------------------------------

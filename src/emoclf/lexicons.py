@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -69,6 +69,15 @@ class LexiconSet:
         for word, weight in self.modality_cues.items():
             if not -1.0 <= weight <= 1.0:
                 raise LexiconError(f"modality weight for {word!r} outside [-1, 1]")
+
+    @cached_property
+    def politeness_lengths(self) -> Mapping[str, int]:
+        """First word of the politeness cues -> word count of its longest cue."""
+        lengths: dict[str, int] = {}
+        for phrase in self.politeness_cues:
+            if phrase:
+                lengths[phrase[0]] = max(lengths.get(phrase[0], 0), len(phrase))
+        return lengths
 
 
 def _iter_lines(text: str):

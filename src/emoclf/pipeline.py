@@ -7,6 +7,12 @@ held-out documents never leak into document frequencies), pick the cost with
 the best pooled accuracy breaking ties toward the smallest value, refit the
 extractor on the whole train partition, and train the final model there.
 
+Text work happens once per corpus, not once per (fold, cost, emotion):
+``train_all`` counts every gold document once (``features.count_texts``),
+and each fold fits and transforms its rows of that count matrix.  Batch
+prediction likewise counts each document once for all emotions whose
+extractors tokenize and count alike.
+
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
 changes another's model.
@@ -18,7 +24,7 @@ import concurrent.futures
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,11 +41,13 @@ from .errors import (
     TooFewPositives,
 )
 from .features import (
+    CorpusCounts,
     FittedExtractor,
-    assemble,
+    count_texts,
     extractor_from_dict,
     extractor_to_dict,
-    fit,
+    fit_counts,
+    transform_counts,
 )
 from .lexicons import LexiconSet, default_lexicons
 from .svm import (
@@ -49,10 +57,10 @@ from .svm import (
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
-    predict,
+    predict_rows,
     train_dual_cd,
 )
-from .textprep import default_emoticons, strip_noise, tokenize
+from .textprep import default_emoticons
 
 BUNDLE_FORMAT = "emoclf-bundle"
 BUNDLE_VERSION = "1"
@@ -206,9 +214,44 @@ def confusion_metrics(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float,
     return precision, recall, f1, accuracy
 
 
-def _metrics_row(emotion: str, tp: int, fp: int, fn: int, tn: int) -> EmotionEval:
-    precision, recall, f1, accuracy = confusion_metrics(tp, fp, fn, tn)
-    return EmotionEval(emotion, tp, fp, fn, tn, precision, recall, f1, accuracy)
+@dataclass(frozen=True)
+class Confusion:
+    """Counts of 0/1 decisions against 0/1 gold labels; 1 is the positive class."""
+
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+    tn: int = 0
+
+    @classmethod
+    def of(cls, guesses: Sequence[int], golds: Sequence[int]) -> "Confusion":
+        guess = np.asarray(guesses, dtype=bool)
+        gold = np.asarray(golds, dtype=bool)
+        if guess.shape != gold.shape:
+            raise ContractViolation("need one gold label per decision")
+        tp = int(np.count_nonzero(guess & gold))
+        fp = int(np.count_nonzero(guess & ~gold))
+        fn = int(np.count_nonzero(~guess & gold))
+        return cls(tp, fp, fn, guess.size - tp - fp - fn)
+
+    def __add__(self, other: "Confusion") -> "Confusion":
+        return Confusion(
+            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
+        )
+
+    @property
+    def correct(self) -> int:
+        return self.tp + self.tn
+
+    def metrics(self) -> tuple[float, float, float, float]:
+        """Precision, recall, F1, accuracy (see ``confusion_metrics``)."""
+        return confusion_metrics(self.tp, self.fp, self.fn, self.tn)
+
+
+def _metrics_row(emotion: str, counts: Confusion) -> EmotionEval:
+    return EmotionEval(
+        emotion, counts.tp, counts.fp, counts.fn, counts.tn, *counts.metrics()
+    )
 
 
 # --- folds and cross-validation --------------------------------------------
@@ -234,8 +277,22 @@ def make_fold_plan(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignment=tuple(assignment), seed=seed)
 
 
-def _prepare_streams(docs: Sequence[LabeledDocument], emoticons: frozenset[str]):
-    return [tokenize(strip_noise(d.doc.text), emoticons) for d in docs]
+def _count_docs(docs: Sequence[LabeledDocument], config: TrainConfig) -> CorpusCounts:
+    return count_texts(
+        [d.doc.text for d in docs], config.resolved_lexicons(), config.resolved_emoticons()
+    )
+
+
+def _checked_counts(
+    docs: Sequence[LabeledDocument], counts: CorpusCounts | None, config: TrainConfig
+) -> CorpusCounts:
+    if counts is None:
+        return _count_docs(docs, config)
+    if counts.n_docs != len(docs):
+        raise ContractViolation(
+            f"counts cover {counts.n_docs} documents, expected {len(docs)}"
+        )
+    return counts
 
 
 def _labels_for(docs: Sequence[LabeledDocument], emotion: str) -> list[int]:
@@ -247,79 +304,52 @@ def _labels_for(docs: Sequence[LabeledDocument], emotion: str) -> list[int]:
     return labels
 
 
-@dataclass
-class _FoldOutcome:
-    correct: int = 0
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+def _signs(labels) -> list[int]:
+    return [1 if value else -1 for value in labels]
 
 
 def _evaluate_folds(
-    streams,
+    counts: CorpusCounts,
     labels: Sequence[int],
     plan: FoldPlan,
     c_values: Sequence[float],
     config: TrainConfig,
     emotion: str,
-) -> dict[float, _FoldOutcome]:
-    """Held-out tallies per cost value, one extractor fit per fold.
+) -> dict[float, Confusion]:
+    """Pooled held-out confusion counts per cost value.
 
-    The extractor depends only on the fold's training documents, so fitting
-    once per fold and reusing it across the grid is exactly equivalent to
-    refitting per (fold, C).
+    The extractor and the training problem depend only on the fold's
+    training documents, so each is built once per fold and only C varies
+    across the grid; this is exactly equivalent to refitting per (fold, C).
     """
-    lexicons = config.resolved_lexicons()
-    emoticons = config.resolved_emoticons()
-    outcomes = {c: _FoldOutcome() for c in c_values}
+    assignment = np.asarray(plan.assignment)
+    outcomes = {c: Confusion() for c in c_values}
     for fold in range(plan.k):
-        train_idx = [i for i, g in enumerate(plan.assignment) if g != fold]
-        held_idx = [i for i, g in enumerate(plan.assignment) if g == fold]
-        fitted = fit(
-            [streams[i] for i in train_idx], lexicons, config.min_df, emoticons
+        train_idx = np.flatnonzero(assignment != fold)
+        held_idx = np.flatnonzero(assignment == fold)
+        fitted, slots = fit_counts(counts, train_idx, config.min_df)
+        features = transform_counts(counts, fitted, slots)
+        problem = TrainingProblem.from_matrix(
+            features.take(train_idx),
+            _signs(labels[i] for i in train_idx),
+            C=c_values[0],
+            loss=config.loss,
+            pos_cost=config.positive_cost,
         )
-        rows_train = [assemble(streams[i], fitted) for i in train_idx]
-        rows_held = [assemble(streams[i], fitted) for i in held_idx]
-        y_train = [1 if labels[i] else -1 for i in train_idx]
+        held = features.take(held_idx)
         y_held = [labels[i] for i in held_idx]
-        solver_seed = derive_seed(plan.seed, "solver", fold)
+        params = SolverParams(
+            eps=config.eps,
+            max_outer_iters=config.max_outer_iters,
+            seed=derive_seed(plan.seed, "solver", fold),
+        )
         for c in c_values:
-            problem = TrainingProblem.from_vectors(
-                rows_train, y_train, C=c, loss=config.loss,
-                pos_cost=config.positive_cost,
-            )
-            model = train_dual_cd(
-                problem,
-                SolverParams(
-                    eps=config.eps,
-                    max_outer_iters=config.max_outer_iters,
-                    seed=solver_seed,
-                ),
-                monitor=config.monitor,
-            )
-            tally = outcomes[c]
-            hits = 0
-            for x, gold in zip(rows_held, y_held):
-                guess = predict(model, x)
-                hits += guess == gold
-                if guess and gold:
-                    tally.tp += 1
-                elif guess and not gold:
-                    tally.fp += 1
-                elif not guess and gold:
-                    tally.fn += 1
-            tally.correct += hits
+            model = train_dual_cd(replace(problem, C=float(c)), params, monitor=config.monitor)
+            tally = Confusion.of(predict_rows(model, held), y_held)
+            outcomes[c] += tally
             if config.fold_eval_hook is not None:
-                config.fold_eval_hook(emotion, fold, c, hits / len(held_idx))
+                config.fold_eval_hook(emotion, fold, c, tally.correct / len(held_idx))
     return outcomes
-
-
-def _selection_score(outcome: _FoldOutcome, metric: str) -> float:
-    if metric == "f1":
-        p = outcome.tp / (outcome.tp + outcome.fp) if outcome.tp + outcome.fp else 0.0
-        r = outcome.tp / (outcome.tp + outcome.fn) if outcome.tp + outcome.fn else 0.0
-        return 2 * p * r / (p + r) if p + r else 0.0
-    return float(outcome.correct)
 
 
 def select_best_cost(scores: Mapping[float, float]) -> float:
@@ -338,9 +368,9 @@ def cv_score(
     labels = _labels_for(train_docs, emotion)
     if len(plan.assignment) != len(train_docs):
         raise ContractViolation("fold plan does not cover the training documents")
-    streams = _prepare_streams(train_docs, config.resolved_emoticons())
-    outcomes = _evaluate_folds(streams, labels, plan, [C], config, emotion)
-    return outcomes[C].correct / len(train_docs)
+    counts = _count_docs(train_docs, config)
+    outcomes = _evaluate_folds(counts, labels, plan, [C], config, emotion)
+    return outcomes[C].metrics()[3]
 
 
 def grid_search_C(
@@ -350,15 +380,20 @@ def grid_search_C(
     k: int,
     seed: int,
     config: TrainConfig,
+    counts: CorpusCounts | None = None,
 ) -> tuple[float, float]:
-    """Cross-validate every cost over one shared fold plan; return (C, accuracy)."""
+    """Cross-validate every cost over one shared fold plan; return (C, accuracy).
+
+    ``counts`` are ``train_docs``'s counts, row for row, when already made.
+    """
     labels = _labels_for(train_docs, emotion)
     plan = make_fold_plan(labels, k, seed)
-    streams = _prepare_streams(train_docs, config.resolved_emoticons())
-    outcomes = _evaluate_folds(streams, labels, plan, grid.c_values, config, emotion)
-    scores = {c: _selection_score(outcomes[c], config.tune_metric) for c in grid.c_values}
+    counts = _checked_counts(train_docs, counts, config)
+    outcomes = _evaluate_folds(counts, labels, plan, grid.c_values, config, emotion)
+    score_at = 2 if config.tune_metric == "f1" else 3
+    scores = {c: outcomes[c].metrics()[score_at] for c in grid.c_values}
     best = select_best_cost(scores)
-    return best, outcomes[best].correct / len(train_docs)
+    return best, outcomes[best].metrics()[3]
 
 
 # --- per-emotion training ----------------------------------------------------
@@ -370,25 +405,30 @@ def split_seed_for(emotion: str, config: TrainConfig) -> int:
 
 
 def train_emotion_model(
-    gold: Sequence[LabeledDocument], emotion: str, config: TrainConfig
+    gold: Sequence[LabeledDocument],
+    emotion: str,
+    config: TrainConfig,
+    counts: CorpusCounts | None = None,
 ) -> EmotionModel:
-    """Grid-search C on ``gold`` (the train partition), then train the final model."""
+    """Grid-search C on ``gold`` (the train partition), then train the final model.
+
+    ``counts`` are ``gold``'s counts, row for row, when already made.
+    """
     labels = _labels_for(gold, emotion)
     if not any(labels) or all(labels):
         raise DegenerateClass(emotion)
+    counts = _checked_counts(gold, counts, config)
     emotion_seed = derive_seed(config.seed, "emotion", emotion)
 
     chosen_c, cv_accuracy = grid_search_C(
-        gold, emotion, config.grid, config.folds, derive_seed(emotion_seed, "grid"), config
+        gold, emotion, config.grid, config.folds, derive_seed(emotion_seed, "grid"), config,
+        counts=counts,
     )
 
-    streams = _prepare_streams(gold, config.resolved_emoticons())
-    fitted = fit(streams, config.resolved_lexicons(), config.min_df,
-                 config.resolved_emoticons())
-    rows = [assemble(s, fitted) for s in streams]
-    problem = TrainingProblem.from_vectors(
-        rows,
-        [1 if v else -1 for v in labels],
+    fitted, slots = fit_counts(counts, np.arange(len(gold)), config.min_df)
+    problem = TrainingProblem.from_matrix(
+        transform_counts(counts, fitted, slots),
+        _signs(labels),
         C=chosen_c,
         loss=config.loss,
         pos_cost=config.positive_cost,
@@ -425,10 +465,12 @@ def _config_snapshot(config: TrainConfig) -> dict:
 
 
 def _train_one(args) -> tuple[str, EmotionModel]:
-    gold, emotion, stratify_by, config = args
+    gold, counts, emotion, stratify_by, config = args
     split = stratified_split(gold, stratify_by, config.train_fraction,
                              split_seed_for(emotion, config))
-    return emotion, train_emotion_model(split.train, emotion, config)
+    return emotion, train_emotion_model(
+        split.train, emotion, config, counts=counts.take(split.train_index)
+    )
 
 
 def train_all(
@@ -443,6 +485,8 @@ def train_all(
     each train partition ever reaches the extractor and solver.  With
     ``jobs > 1`` emotions train in parallel processes and results are reduced
     in the input emotion order, so parallelism never changes the output.
+    Every gold document is stripped, tokenized and counted once, before any
+    split.
     """
     emotions = list(emotions)
     if not emotions:
@@ -455,10 +499,11 @@ def train_all(
         if emotion not in gold[0].labels:
             raise MissingLabel(emotion)
 
-    tasks = [
-        (gold, emotion, emotions[0] if config.shared_split else emotion, config)
+    counts = _count_docs(gold, config)
+    tasks = {
+        emotion: (gold, counts, emotion, emotions[0] if config.shared_split else emotion, config)
         for emotion in emotions
-    ]
+    }
     models: dict[str, EmotionModel] = {}
     failures: dict[str, Exception] = {}
 
@@ -470,18 +515,18 @@ def train_all(
     )
     if parallel:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(_train_one, task): task[1] for task in tasks}
-            for future, emotion in futures.items():
+            futures = {emotion: pool.submit(_train_one, task) for emotion, task in tasks.items()}
+            for emotion, future in futures.items():
                 try:
                     _, models[emotion] = future.result()
                 except Exception as exc:  # collected below, keyed by emotion
                     failures[emotion] = exc
     else:
-        for task in tasks:
+        for emotion, task in tasks.items():
             try:
-                _, models[task[1]] = _train_one(task)
+                _, models[emotion] = _train_one(task)
             except Exception as exc:
-                failures[task[1]] = exc
+                failures[emotion] = exc
 
     if failures:
         raise PipelineError(failures)
@@ -495,33 +540,44 @@ def train_all(
 
 # --- prediction and evaluation ----------------------------------------------
 
+def _text_work_groups(models: Sequence[EmotionModel]) -> list[list[EmotionModel]]:
+    """Models whose extractors tokenize and count text alike, in input order."""
+    groups: list[list[EmotionModel]] = []
+    for em in models:
+        for group in groups:
+            if group[0].extractor.shares_text_work(em.extractor):
+                group.append(em)
+                break
+        else:
+            groups.append([em])
+    return groups
+
+
+def _predictions(models: Sequence[EmotionModel], texts: Sequence[str]) -> dict[str, np.ndarray]:
+    """Each model's 0/1 prediction per text; each text is counted once per group.
+
+    Equal to ``predict(em.model, em.extractor.vectorize(text))`` for every
+    model and text.
+    """
+    bits = {}
+    for group in _text_work_groups(models):
+        head = group[0].extractor
+        counts = count_texts(texts, head.lexicons, head.emoticons)
+        for em in group:
+            rows = transform_counts(counts, em.extractor, em.extractor.slots_for(counts.terms))
+            bits[em.emotion] = predict_rows(em.model, rows)
+    return bits
+
+
 def classify(bundle: ModelBundle, docs) -> list[tuple[str, str, int]]:
     """(id, emotion, bit) rows, grouped by document in corpus order."""
-    rows = []
-    for doc in docs:
-        for emotion in bundle.emotions:
-            em = bundle.models[emotion]
-            x = em.extractor.vectorize(doc.text)
-            rows.append((doc.id, emotion, predict(em.model, x)))
-    return rows
-
-
-def _confusion_for(em: EmotionModel, docs: Sequence[LabeledDocument]):
-    tp = fp = fn = tn = 0
-    for labeled in docs:
-        if em.emotion not in labeled.labels:
-            raise MissingLabel(em.emotion)
-        gold = labeled.labels[em.emotion]
-        guess = predict(em.model, em.extractor.vectorize(labeled.doc.text))
-        if guess and gold:
-            tp += 1
-        elif guess and not gold:
-            fp += 1
-        elif not guess and gold:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+    docs = list(docs)
+    bits = _predictions(list(bundle), [doc.text for doc in docs])
+    return [
+        (doc.id, emotion, int(bits[emotion][i]))
+        for i, doc in enumerate(docs)
+        for emotion in bundle.emotions
+    ]
 
 
 def evaluate(
@@ -532,8 +588,11 @@ def evaluate(
     if isinstance(bundle_or_model, EmotionModel):
         models = [bundle_or_model]
     else:
-        models = [bundle_or_model.models[e] for e in bundle_or_model.emotions]
-    rows = [_metrics_row(em.emotion, *_confusion_for(em, test_docs)) for em in models]
+        models = list(bundle_or_model)
+    golds = {em.emotion: _labels_for(test_docs, em.emotion) for em in models}
+    bits = _predictions(models, [d.doc.text for d in test_docs])
+    rows = [_metrics_row(em.emotion, Confusion.of(bits[em.emotion], golds[em.emotion]))
+            for em in models]
     return EvalReport(rows=tuple(rows))
 
 
@@ -542,15 +601,23 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
 
     The per-emotion splits are recomputed from the seeds recorded in the
     bundle, so this sees exactly the documents the training never touched.
+    Documents in several test partitions are counted once.
     """
     fraction = float(bundle.config["train_fraction"])
     shared = bool(bundle.config.get("shared_split"))
-    rows = []
+    splits = {}
     for emotion in bundle.emotions:
-        em = bundle.models[emotion]
         stratify_by = bundle.emotions[0] if shared else emotion
-        split = stratified_split(gold, stratify_by, fraction, em.split_seed)
-        rows.append(_metrics_row(emotion, *_confusion_for(em, split.test)))
+        splits[emotion] = stratified_split(
+            gold, stratify_by, fraction, bundle.models[emotion].split_seed
+        )
+    tested = sorted(set().union(*(split.test_index for split in splits.values())))
+    position = {index: p for p, index in enumerate(tested)}
+    bits = _predictions(list(bundle), [gold[i].doc.text for i in tested])
+    rows = []
+    for emotion, split in splits.items():
+        guesses = bits[emotion][[position[i] for i in split.test_index]]
+        rows.append(_metrics_row(emotion, Confusion.of(guesses, _labels_for(split.test, emotion))))
     return EvalReport(rows=tuple(rows))
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, DegenerateClass, DimensionError, NumericError
-from .features import SparseVector
+from .features import FeatureMatrix, SparseVector
 
 L1_HINGE = "l1"
 L2_HINGE = "l2"
@@ -103,37 +103,61 @@ class TrainingProblem:
         pos_cost: float = 1.0,
         neg_cost: float = 1.0,
     ) -> "TrainingProblem":
+        """Build from one ``SparseVector`` per row: the reference for ``from_matrix``."""
         if len(rows) != len(y) or len(rows) < 2:
+            raise ContractViolation("need at least two rows with matching labels")
+        raw_dim = rows[0].dimension
+        for i, r in enumerate(rows):
+            if r.dimension != raw_dim:
+                raise DimensionError(
+                    f"row {i} has dimension {r.dimension}, expected {raw_dim}"
+                )
+        return cls.from_matrix(
+            FeatureMatrix.from_vectors(rows, raw_dim), y, C, loss, pos_cost, neg_cost
+        )
+
+    @classmethod
+    def from_matrix(
+        cls,
+        matrix: FeatureMatrix,
+        y: Sequence[int],
+        C: float,
+        loss: str = L2_HINGE,
+        pos_cost: float = 1.0,
+        neg_cost: float = 1.0,
+    ) -> "TrainingProblem":
+        """Append the bias column to every row; y > 0 is the positive class.
+
+        Only ``C`` differs between the problems of one cost grid, so build
+        once and vary it with ``dataclasses.replace``.
+        """
+        n = matrix.n_rows
+        if len(y) != n or n < 2:
             raise ContractViolation("need at least two rows with matching labels")
         if loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {loss!r}")
         if C <= 0 or pos_cost <= 0 or neg_cost <= 0:
             raise ContractViolation("C and the class cost multipliers must be positive")
 
-        signs = np.fromiter((1.0 if v > 0 else -1.0 for v in y), dtype=np.float64, count=len(y))
+        signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
         if np.all(signs > 0) or np.all(signs < 0):
             raise DegenerateClass("training labels", "both classes must be present")
+        finite = np.isfinite(matrix.data)
+        if not np.all(finite):
+            row = int(np.searchsorted(matrix.indptr, np.argmin(finite), side="right")) - 1
+            raise NumericError(f"row {row} contains non-finite feature values")
 
-        raw_dim = rows[0].dimension
-        nnz = sum(r.nnz for r in rows) + len(rows)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        cursor = 0
-        for i, r in enumerate(rows):
-            if r.dimension != raw_dim:
-                raise DimensionError(
-                    f"row {i} has dimension {r.dimension}, expected {raw_dim}"
-                )
-            if not np.all(np.isfinite(r.values)):
-                raise NumericError(f"row {i} contains non-finite feature values")
-            end = cursor + r.nnz
-            indices[cursor:end] = r.indices
-            data[cursor:end] = r.values
-            indices[end] = raw_dim          # trailing bias feature, value 1
-            data[end] = 1.0
-            cursor = end + 1
-            indptr[i + 1] = cursor
+        raw_dim = matrix.dimension
+        indptr = matrix.indptr + np.arange(n + 1)
+        bias = indptr[1:] - 1               # trailing bias feature, value 1
+        features = np.ones(indptr[-1], dtype=bool)
+        features[bias] = False
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        data = np.empty(indptr[-1], dtype=np.float64)
+        indices[features] = matrix.indices
+        data[features] = matrix.data
+        indices[bias] = raw_dim
+        data[bias] = 1.0
         return cls(
             indptr=indptr,
             indices=indices,
@@ -146,13 +170,15 @@ class TrainingProblem:
             neg_cost=float(neg_cost),
         )
 
-    def cost_of(self, i: int) -> float:
-        return self.C * (self.pos_cost if self.y[i] > 0 else self.neg_cost)
-
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Dense weights (bias in the last slot) plus training metadata."""
+    """Dense weights (bias in the last slot) plus training metadata.
+
+    ``sweeps``, ``final_violation`` and ``converged`` describe the solve that
+    produced the weights; they are None for a model loaded from a bundle,
+    which does not record them.
+    """
 
     w: np.ndarray
     C: float
@@ -160,6 +186,9 @@ class LinearModel:
     emotion: str = ""
     extractor_version: str = ""
     seed: int = 0
+    sweeps: int | None = None
+    final_violation: float | None = None   # largest projected gradient, last sweep
+    converged: bool | None = None          # final_violation < eps
 
     def with_identity(self, emotion: str, extractor_version: str) -> "LinearModel":
         return replace(self, emotion=emotion, extractor_version=extractor_version)
@@ -167,7 +196,7 @@ class LinearModel:
 
 def _bounds_and_diag(problem: TrainingProblem) -> tuple[np.ndarray, np.ndarray]:
     n = problem.n_rows
-    costs = np.fromiter((problem.cost_of(i) for i in range(n)), dtype=np.float64, count=n)
+    costs = problem.C * np.where(problem.y > 0, problem.pos_cost, problem.neg_cost)
     if problem.loss == L1_HINGE:
         upper = costs
         dcoef = np.zeros(n)
@@ -204,7 +233,8 @@ def train_dual_cd(
     if monitor is not None:
         monitor.trainings += 1
 
-    for _ in range(params.max_outer_iters):
+    max_violation = 0.0
+    for sweeps in range(1, params.max_outer_iters + 1):
         order = rng.permutation(n)
         max_violation = 0.0
         for i in order:
@@ -239,7 +269,15 @@ def train_dual_cd(
     _check_weight_consistency(problem, alpha, w)
     if monitor is not None:
         monitor.final_alpha = alpha.copy()
-    return LinearModel(w=w, C=problem.C, loss=problem.loss, seed=params.seed)
+    return LinearModel(
+        w=w,
+        C=problem.C,
+        loss=problem.loss,
+        seed=params.seed,
+        sweeps=sweeps,
+        final_violation=float(max_violation),
+        converged=bool(max_violation < params.eps),
+    )
 
 
 def _check_weight_consistency(problem: TrainingProblem, alpha: np.ndarray, w: np.ndarray) -> None:
@@ -290,3 +328,27 @@ def decision_value(model: LinearModel, x: SparseVector) -> float:
 def predict(model: LinearModel, x: SparseVector) -> int:
     """1 when the decision value is strictly positive; ties go negative."""
     return 1 if decision_value(model, x) > 0.0 else 0
+
+
+def decision_values(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
+    """``decision_value`` of every row, each summed exactly as the reference sums it."""
+    w = model.w
+    if rows.dimension != w.shape[0] - 1:
+        raise DimensionError(
+            f"row dimension {rows.dimension} does not match model "
+            f"dimension {w.shape[0] - 1}"
+        )
+    # One dot per row: a single sparse product would sum in another order and
+    # could flip a decision that sits within rounding of zero.
+    bias = float(w[-1])
+    indices, data = rows.indices, rows.data
+    bounds = rows.indptr.tolist()
+    return np.array(
+        [float(w[indices[a:b]] @ data[a:b]) + bias for a, b in zip(bounds, bounds[1:])],
+        dtype=np.float64,
+    )
+
+
+def predict_rows(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
+    """``predict`` of every row, as a 0/1 array."""
+    return (decision_values(model, rows) > 0.0).astype(np.int64)

@@ -54,11 +54,11 @@ class TokenStream:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        for token in self.tokens:
-            if not token or any(ch.isspace() for ch in token):
-                raise ContractViolation(
-                    f"token {token!r} is empty or contains whitespace"
-                )
+        # str.split() drops empty tokens and splits at exactly the characters
+        # str.isspace() flags, so any bad token changes the round trip.
+        if " ".join(self.tokens).split() != list(self.tokens):
+            bad = next(t for t in self.tokens if not t or any(ch.isspace() for ch in t))
+            raise ContractViolation(f"token {bad!r} is empty or contains whitespace")
 
     @cached_property
     def lowered(self) -> tuple[str, ...]:

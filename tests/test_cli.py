@@ -78,6 +78,20 @@ class TestTrain:
         assert result.returncode == 2
         assert "no_such_gold.csv" in result.stderr
 
+    def test_converged_run_prints_no_warning(self, trained):
+        _, _, result = trained
+        assert "warning" not in result.stderr
+
+    def test_unconverged_final_model_warns(self, tmp_path, gold_csv):
+        result = run_cli(
+            "train", "--gold", gold_csv, "--out", tmp_path / "m.emo",
+            "--emotions", "joy", "--max-iters", "1", "--eps", "1e-9", *FAST_FLAGS,
+        )
+        assert result.returncode == 0, result.stderr
+        warnings = [l for l in result.stderr.splitlines() if l.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "joy" in warnings[0] and "1 sweeps without converging" in warnings[0]
+
     def test_tuning_log(self, tmp_path, gold_csv):
         log = tmp_path / "tuning.csv"
         result = run_cli(
@@ -117,6 +131,17 @@ class TestClassify:
         result = run_cli("classify", "--model", bundle_path, "--input", input_path, "--out", out)
         assert result.returncode == 0
         assert out.read_text(encoding="utf-8") == "id,label\n"
+
+    def test_oversized_text_field_exits_2(self, tmp_path, trained):
+        bundle_path, _, _ = trained
+        input_path = tmp_path / "input.csv"
+        input_path.write_text(f"1,hello\n2,{'z' * 131073}\n", encoding="utf-8")
+        result = run_cli(
+            "classify", "--model", bundle_path, "--input", input_path,
+            "--out", tmp_path / "pred.csv",
+        )
+        assert result.returncode == 2
+        assert "line 2" in result.stderr and "131072" in result.stderr
 
     def test_corrupted_bundle_exits_3(self, tmp_path):
         bad = tmp_path / "bad.emo"

@@ -21,6 +21,7 @@ from emoclf.errors import (
     CorpusIOError,
     DegenerateClass,
     DuplicateId,
+    FieldTooLarge,
     MalformedHeader,
     MalformedRecord,
 )
@@ -142,6 +143,40 @@ class TestReadGoldCorpus:
             read_gold_corpus(path)
 
 
+class TestFieldLimit:
+    """Fields longer than the csv module's default limit fail with their own error."""
+
+    LIMIT = 131072
+
+    @pytest.mark.parametrize("length", [LIMIT, LIMIT + 1])
+    def test_input_corpus(self, tmp_path, length):
+        path = tmp_path / "in.csv"
+        path.write_text(f"id,text\n1,short\n2,{'x' * length}\n", encoding="utf-8")
+        if length <= self.LIMIT:
+            assert len(read_input_corpus(path)[1].text) == length
+            return
+        with pytest.raises(FieldTooLarge) as err:
+            read_input_corpus(path)
+        assert err.value.line == 3 and err.value.limit == self.LIMIT
+        assert "line 3" in str(err.value) and str(self.LIMIT) in str(err.value)
+
+    def test_gold_corpus(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text(
+            f"id,text,joy\n1,fine,1\n2,\"{'y' * (self.LIMIT + 1)}\",0\n", encoding="utf-8"
+        )
+        with pytest.raises(FieldTooLarge) as err:
+            read_gold_corpus(path)
+        assert err.value.line == 3 and err.value.limit == self.LIMIT
+
+    def test_gold_header(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text(f"id,text,{'j' * (self.LIMIT + 1)}\n", encoding="utf-8")
+        with pytest.raises(FieldTooLarge) as err:
+            read_gold_corpus(path)
+        assert err.value.line == 1
+
+
 class TestWritePredictions:
     def test_positive_and_negative_rows(self, tmp_path):
         path = tmp_path / "pred.csv"
@@ -259,6 +294,8 @@ class TestStratifiedSplit:
         assert not set(d.doc.id for d in result.train) & set(
             d.doc.id for d in result.test
         )
+        assert result.train == tuple(corpus[i] for i in result.train_index)
+        assert result.test == tuple(corpus[i] for i in result.test_index)
         for value, size in ((1, n_pos), (0, n_neg)):
             expected = round(size * Fraction(str(fraction)))
             assert sum(1 for d in result.train if d.labels["joy"] == value) == expected

@@ -1,0 +1,276 @@
+"""The corpus path against the single-document reference path.
+
+Training counts each gold document once and fits/transforms row subsets of
+that count matrix; batch prediction counts each document once for all
+emotions whose extractors tokenize and count alike.  Both must reproduce
+``fit`` + ``assemble`` and ``predict(model, extractor.vectorize(text))``
+exactly, not to a tolerance.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import emoclf.features as features
+from emoclf.cli import main
+from emoclf.corpus import Document, LabeledDocument, stratified_split, write_gold_corpus
+from emoclf.errors import ContractViolation, EmptyCorpus
+from emoclf.features import (
+    FeatureMatrix,
+    assemble,
+    count_streams,
+    count_texts,
+    extractor_to_dict,
+    fit,
+    fit_counts,
+    transform_counts,
+)
+from emoclf.lexicons import LexiconSet, default_lexicons
+from emoclf.pipeline import (
+    ModelBundle,
+    TrainConfig,
+    TuningGrid,
+    classify,
+    evaluate,
+    evaluate_heldout,
+    train_all,
+)
+from emoclf.svm import predict
+from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
+from emoclf.textprep import TokenStream, default_emoticons, strip_noise, tokenize
+
+# Tokens that hit every default inventory (categories, multi-word politeness
+# cues, sentiment with boosters and negations, modality), case variants,
+# out-of-vocabulary words, punctuation and emoticons.
+TOKENS = [
+    "angry", "Angry", "afraid", "amused", "admire", "crying", "amazed",
+    "thank", "THANK", "you", "very", "much", "would", "mind", "please", "could",
+    "not", "never", "absolutely", "maybe", "good", "bad", "love",
+    "zyblor", "quexal", "the", "it", "don't", "3.14",
+    "!", ",", "...", ":)", ":(", ":D", ":'(",
+]
+
+ANGER_KEYWORDS = ("grumblex", "snarlit", "vexopod")
+
+PROBE_TEXTS = [
+    "",
+    "   ",
+    "qqqq wwww eeee",                                   # out-of-vocabulary only
+    "<b>zyblor</b> :) <code>x = 1</code> see http://example.com/a?b=1",
+    "```\nquexal grumblex\n``` I am very happy :D thank you",
+    "<p>not good at all</p> snarlit!!! vexopod :(",
+    "    indented code line\nwould you mind, please? drazzle",
+    "ZYBLOR Quexal, vintrum... grumblex",
+]
+
+
+def _same_rows(matrix: FeatureMatrix, references) -> None:
+    assert matrix.n_rows == len(references)
+    for i, reference in enumerate(references):
+        row = matrix.row(i)
+        assert row.indices.tolist() == reference.indices.tolist()
+        assert row.values.tolist() == reference.values.tolist()
+
+
+@given(
+    docs=st.lists(st.lists(st.sampled_from(TOKENS), max_size=30), min_size=1, max_size=14),
+    min_df=st.sampled_from([0, 1, 2, 3]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fold_matrix_rows_equal_reference_assemble(docs, min_df, data):
+    streams = [TokenStream(tuple(doc)) for doc in docs]
+    lexicons, emoticons = default_lexicons(), default_emoticons()
+    counts = count_streams(streams, lexicons, emoticons)
+    train = sorted(data.draw(st.sets(st.integers(0, len(docs) - 1), min_size=1)))
+
+    reference = fit([streams[i] for i in train], lexicons, min_df, emoticons)
+    fitted, slots = fit_counts(counts, train, min_df)
+    assert extractor_to_dict(fitted) == extractor_to_dict(reference)
+
+    # Every row of the corpus, held out or not, as the folds transform it.
+    _same_rows(transform_counts(counts, fitted, slots),
+               [assemble(stream, reference) for stream in streams])
+
+    # A row subset, as training takes a split and prediction takes a batch.
+    picked = data.draw(st.lists(st.integers(0, len(docs) - 1)))
+    expected = [assemble(streams[i], reference) for i in picked]
+    _same_rows(transform_counts(counts, fitted, slots, rows=picked), expected)
+    _same_rows(transform_counts(counts, fitted, slots).take(picked), expected)
+    sub = counts.take(train)
+    assert extractor_to_dict(fit_counts(sub, range(len(train)), min_df)[0]) == (
+        extractor_to_dict(reference)
+    )
+    _same_rows(transform_counts(sub, fitted, fitted.slots_for(sub.terms)),
+               [assemble(streams[i], reference) for i in train])
+
+
+def test_counting_raw_text_matches_the_reference_preprocessing():
+    lexicons, emoticons = default_lexicons(), default_emoticons()
+    streams = [tokenize(strip_noise(text), emoticons) for text in PROBE_TEXTS]
+    reference = fit(streams, lexicons, 1, emoticons)
+    counts = count_texts(PROBE_TEXTS, lexicons, emoticons)
+    _same_rows(transform_counts(counts, reference, reference.slots_for(counts.terms)),
+               [reference.vectorize(text) for text in PROBE_TEXTS])
+
+
+def test_fit_counts_rejects_zero_documents():
+    counts = count_texts(["a b"], default_lexicons())
+    with pytest.raises(EmptyCorpus):
+        fit_counts(counts, [])
+
+
+class TestFeatureMatrixContract:
+    def _matrix(self, indptr, indices, data, dimension=4):
+        return FeatureMatrix(
+            np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64), dimension,
+        )
+
+    def test_valid_rows_with_empty_ones(self):
+        matrix = self._matrix([0, 0, 2, 2, 3], [1, 3, 0], [1.0, 2.0, 3.0])
+        assert matrix.n_rows == 4
+        assert matrix.row(1).pairs() == [(1, 1.0), (3, 2.0)]
+        assert matrix.row(0).nnz == 0
+
+    @pytest.mark.parametrize("indptr, indices, data", [
+        ([0, 2], [2, 1], [1.0, 1.0]),        # not increasing within a row
+        ([0, 2], [1, 1], [1.0, 1.0]),        # repeated index
+        ([0, 1], [4], [1.0]),                # out of range
+        ([0, 1], [0], [0.0]),                # stored zero
+        ([0, 2, 1], [0, 1], [1.0, 1.0]),     # decreasing indptr
+        ([0, 3], [0, 1], [1.0, 1.0]),        # indptr does not cover the entries
+    ])
+    def test_contract_violations_rejected(self, indptr, indices, data):
+        with pytest.raises(ContractViolation):
+            self._matrix(indptr, indices, data)
+
+    def test_rows_may_restart_lower_than_the_previous_row_ended(self):
+        matrix = self._matrix([0, 2, 3], [2, 3, 0], [1.0, 1.0, 1.0])
+        assert matrix.row(1).pairs() == [(0, 1.0)]
+
+
+def _reference_rows(bundle, docs):
+    return [
+        (doc.id, emotion, predict(bundle.models[emotion].model,
+                                  bundle.models[emotion].extractor.vectorize(doc.text)))
+        for doc in docs
+        for emotion in bundle.emotions
+    ]
+
+
+def _reference_confusion(em, docs):
+    tally = [0, 0, 0, 0]
+    for labeled in docs:
+        guess = predict(em.model, em.extractor.vectorize(labeled.doc.text))
+        gold = labeled.labels[em.emotion]
+        tally[{(1, 1): 0, (1, 0): 1, (0, 1): 2, (0, 0): 3}[(guess, gold)]] += 1
+    return tuple(tally)
+
+
+@pytest.fixture(scope="module")
+def gold():
+    docs = generate_planted_corpus(
+        90, {"joy": DEFAULT_KEYWORDS, "anger": ANGER_KEYWORDS}, noise=0.1, seed=12
+    )
+    extra = [
+        LabeledDocument(Document(f"probe{i}", text), {"joy": i % 2, "anger": (i // 2) % 2})
+        for i, text in enumerate(PROBE_TEXTS)
+    ]
+    return docs + extra
+
+
+@pytest.fixture(scope="module")
+def bundles(gold):
+    fast = dict(folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1)
+    shared = train_all(gold, ["joy", "anger"], TrainConfig(shared_split=True, **fast))
+    joy = train_all(gold, ["joy"], TrainConfig(**fast))
+    toy_lexicons = LexiconSet(
+        emotion_categories={"grr": frozenset({"grumblex", "angry"})},
+        politeness_cues={("please",): 1.0},
+        sentiment={"good": 2, "bad": -3},
+        boosters={"very": 1},
+        negations=frozenset({"not"}),
+        modality_cues={"maybe": -0.5},
+    )
+    anger = train_all(gold, ["anger"], TrainConfig(
+        lexicons=toy_lexicons, emoticons=frozenset({":)", "<3"}), **fast
+    ))
+    mixed = ModelBundle(
+        emotions=("joy", "anger"),
+        models={"joy": joy.models["joy"], "anger": anger.models["anger"]},
+        master_seed=joy.master_seed,
+        config=joy.config,
+    )
+    return {"shared_split": shared, "mixed_extractors": mixed}
+
+
+def _counting_tokenize(monkeypatch):
+    calls = []
+
+    def counted(text, emoticons=None):
+        calls.append(text)
+        return tokenize(text, emoticons)
+
+    monkeypatch.setattr(features, "tokenize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, passes", [("shared_split", 1), ("mixed_extractors", 2)])
+def test_batch_classify_equals_per_document_predict(bundles, gold, monkeypatch, kind, passes):
+    bundle = bundles[kind]
+    docs = [d.doc for d in gold]
+    calls = _counting_tokenize(monkeypatch)
+    rows = classify(bundle, docs)
+    # Text work is shared only between extractors that tokenize and count alike.
+    assert len(calls) == passes * len(docs)
+    monkeypatch.undo()
+    assert rows == _reference_rows(bundle, docs)
+    assert all(type(bit) is int for _, _, bit in rows)
+
+
+@pytest.mark.parametrize("kind", ["shared_split", "mixed_extractors"])
+def test_batch_evaluation_equals_per_document_tallies(bundles, gold, kind):
+    bundle = bundles[kind]
+    report = evaluate(bundle, gold)
+    for row, em in zip(report.rows, bundle):
+        assert (row.tp, row.fp, row.fn, row.tn) == _reference_confusion(em, gold)
+    heldout = evaluate_heldout(bundle, gold)
+    shared = bool(bundle.config.get("shared_split"))
+    for row, em in zip(heldout.rows, bundle):
+        split = stratified_split(gold, bundle.emotions[0] if shared else em.emotion,
+                                 float(bundle.config["train_fraction"]), em.split_seed)
+        assert (row.tp, row.fp, row.fn, row.tn) == _reference_confusion(em, split.test)
+
+
+def test_classify_accepts_an_iterator_and_no_documents(bundles):
+    bundle = bundles["shared_split"]
+    docs = [Document("a", "zyblor :)"), Document("b", "")]
+    assert classify(bundle, iter(docs)) == _reference_rows(bundle, docs)
+    assert classify(bundle, []) == []
+
+
+# sha256 of the bundle acceptance test C08 trains (`--jobs 1`), recorded with
+# the per-document reference pipeline on x86-64 with numpy's bundled
+# OpenBLAS.  The solver's dot products go through BLAS, so another BLAS
+# kernel may round differently and legitimately change these bytes.
+C08_BUNDLE_SHA256 = "8949dea4521dcee580ea0cf2e1674d3530a3e2420c63ae6896e428361f93466a"
+
+
+def test_c08_bundle_bytes_are_pinned(tmp_path, capsys):
+    gold_path = tmp_path / "gold.csv"
+    docs = generate_planted_corpus(
+        160, {"joy": DEFAULT_KEYWORDS, "anger": ANGER_KEYWORDS}, noise=0.05, seed=77
+    )
+    write_gold_corpus(gold_path, docs, ["joy", "anger"])
+    out = tmp_path / "c08.emo"
+    assert main([
+        "train", "--gold", str(gold_path), "--out", str(out),
+        "--report", str(tmp_path / "c08.csv"), "--folds", "5", "--grid", "0.25,1,4",
+        "--min-df", "1", "--seed", "7", "--jobs", "1",
+    ]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == C08_BUNDLE_SHA256

@@ -197,6 +197,11 @@ class TestPoliteness:
         score = politeness_score(TokenStream(("thank", "you")), lex)
         assert score == pytest.approx(1 / (1 + math.exp(-2.0)), abs=1e-12)
 
+    def test_longest_match_wins_whatever_the_cue_order(self):
+        lex = make_lexicons(politeness={("thank", "you"): 2.0, ("thank",): 0.5})
+        score = politeness_score(TokenStream(("thank", "you")), lex)
+        assert score == pytest.approx(1 / (1 + math.exp(-2.0)), abs=1e-12)
+
     def test_case_insensitive(self):
         lex = make_lexicons(politeness={("please",): 1.0})
         assert politeness_score(TokenStream(("PLEASE",)), lex) > 0.5

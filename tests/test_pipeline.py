@@ -18,6 +18,7 @@ from emoclf.errors import (
 )
 from emoclf.pipeline import (
     DEFAULT_C_GRID,
+    Confusion,
     TrainConfig,
     TuningGrid,
     bundle_from_dict,
@@ -148,6 +149,28 @@ class TestMetrics:
         assert accuracy == (tp + tn) / (tp + fp + fn + tn)
 
 
+class TestConfusion:
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1))
+    @settings(max_examples=100)
+    def test_counts_match_a_loop(self, pairs):
+        tally = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+        for guess, gold in pairs:
+            key = ("t" if guess == gold else "f") + ("p" if guess else "n")
+            tally[key] += 1
+        counts = Confusion.of([g for g, _ in pairs], [t for _, t in pairs])
+        assert counts == Confusion(**tally)
+        assert counts.correct == tally["tp"] + tally["tn"]
+        assert counts.metrics() == confusion_metrics(**tally)
+
+    def test_sums_pool_folds(self):
+        total = Confusion(1, 2, 3, 4) + Confusion(10, 20, 30, 40)
+        assert total == Confusion(11, 22, 33, 44)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ContractViolation):
+            Confusion.of([1, 0], [1])
+
+
 class TestSelection:
     def test_tie_goes_to_smallest(self):
         scores = {0.01: 5.0, 1.0: 5.0, 8.0: 5.0}
@@ -216,6 +239,20 @@ class TestCrossValidation:
 
         plan = make_fold_plan(_labels_for(docs, "joy"), 5, derive_seed(1, "base"))
         assert cv_score(docs, "joy", 1.0, plan, config) == 0.90
+
+    # Golden (C, cv accuracy) picks per metric on corpora where the metrics disagree.
+    @pytest.mark.parametrize("seed, by_accuracy, by_f1", [
+        (6, (1.0, 0.7), (4.0, 0.6916666666666667)),
+        (7, (0.01, 0.65), (1.0, 0.65)),
+    ])
+    def test_tuning_metric_picks_are_pinned(self, seed, by_accuracy, by_f1):
+        docs = generate_planted_corpus(
+            120, {"joy": DEFAULT_KEYWORDS}, noise=0.25, positive_rate=0.3, seed=seed
+        )
+        grid = TuningGrid((0.01, 0.05, 0.25, 1.0, 4.0))
+        for metric, expected in (("accuracy", by_accuracy), ("f1", by_f1)):
+            config = TrainConfig(folds=4, grid=grid, min_df=1, tune_metric=metric)
+            assert grid_search_C(docs, "joy", grid, 4, 11, config) == expected
 
     def test_noisy_corpus_avoids_the_largest_cost(self):
         docs = small_corpus(n=120, seed=13, noise=0.25)
@@ -390,6 +427,15 @@ class TestBundlePersistence:
         assert classify(bundle, probe) == classify(loaded, probe)
         em, em2 = bundle.models["joy"], loaded.models["joy"]
         assert np.array_equal(em.model.w, em2.model.w)
+
+    def test_solver_report_is_not_persisted(self, tmp_path):
+        bundle = self._bundle()
+        model = bundle.models["joy"].model
+        assert model.converged is True and model.sweeps >= 1
+        path = tmp_path / "model.emo"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path).models["joy"].model
+        assert (loaded.sweeps, loaded.final_violation, loaded.converged) == (None, None, None)
 
     def test_resave_is_byte_identical(self, tmp_path):
         bundle = self._bundle()

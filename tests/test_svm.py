@@ -10,7 +10,7 @@ from emoclf.errors import (
     DimensionError,
     NumericError,
 )
-from emoclf.features import sparse_from_pairs
+from emoclf.features import FeatureMatrix, sparse_from_pairs
 from emoclf.svm import (
     L1_HINGE,
     L2_HINGE,
@@ -18,8 +18,10 @@ from emoclf.svm import (
     TrainingMonitor,
     TrainingProblem,
     decision_value,
+    decision_values,
     dual_objective,
     predict,
+    predict_rows,
     train_dual_cd,
     weights_from_alpha,
 )
@@ -93,6 +95,43 @@ class TestPredictEdges:
             decision_value(model, sparse_from_pairs([(0, 1.0)], 4))
 
 
+class TestConvergenceReport:
+    def test_default_solve_converges(self):
+        model = train_dual_cd(two_point_problem(), SolverParams(seed=3))
+        assert model.converged is True
+        assert 1 <= model.sweeps < SolverParams().max_outer_iters
+        assert model.final_violation < SolverParams().eps
+
+    def test_running_out_of_sweeps_is_reported(self):
+        rng = np.random.RandomState(4)
+        rows, y, C, loss = random_problem(rng, n=20, d=5, loss=L1_HINGE, C=8.0)
+        problem = TrainingProblem.from_vectors(rows, y, C=C, loss=loss)
+        model = train_dual_cd(problem, SolverParams(eps=1e-9, max_outer_iters=2, seed=1))
+        assert model.converged is False
+        assert model.sweeps == 2
+        assert model.final_violation >= 1e-9
+
+
+class TestBatchDecisions:
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_score_exactly_like_single_vectors(self, seed):
+        rng = np.random.RandomState(seed)
+        rows, y, C, loss = random_problem(rng)
+        model = train_dual_cd(TrainingProblem.from_vectors(rows, y, C=C, loss=loss),
+                              SolverParams(seed=seed))
+        matrix = FeatureMatrix.from_vectors(rows, rows[0].dimension)
+        assert decision_values(model, matrix).tolist() == [
+            decision_value(model, x) for x in rows
+        ]
+        assert predict_rows(model, matrix).tolist() == [predict(model, x) for x in rows]
+
+    def test_dimension_mismatch(self):
+        model = train_dual_cd(two_point_problem(), SolverParams(seed=0))
+        with pytest.raises(DimensionError):
+            decision_values(model, FeatureMatrix.from_vectors([sparse_from_pairs([], 4)], 4))
+
+
 class TestProblemValidation:
     def test_single_class_rejected(self):
         rows = dense_rows([[1.0], [2.0]])
@@ -116,6 +155,28 @@ class TestProblemValidation:
         rows = dense_rows([[1.0], [-1.0]])
         with pytest.raises(ContractViolation):
             TrainingProblem.from_vectors(rows, [1, -1], C=0.0)
+
+    def test_matrix_and_vector_builds_agree(self):
+        rows = [sparse_from_pairs([(0, 1.5), (2, -1.0)], 3), sparse_from_pairs([], 3),
+                sparse_from_pairs([(1, 2.0)], 3)]
+        a = TrainingProblem.from_vectors(rows, [1, -1, 1], C=2.0, loss=L1_HINGE)
+        b = TrainingProblem.from_matrix(
+            FeatureMatrix.from_vectors(rows, 3), [1, -1, 1], C=2.0, loss=L1_HINGE
+        )
+        for name in ("indptr", "indices", "data", "y"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.C, a.loss, a.dimension) == (b.C, b.loss, b.dimension) == (2.0, L1_HINGE, 4)
+
+    def test_matrix_build_names_the_non_finite_row(self):
+        rows = [sparse_from_pairs([(0, 1.0)], 2), sparse_from_pairs([], 2),
+                sparse_from_pairs([(1, float("inf"))], 2)]
+        with pytest.raises(NumericError, match="row 2"):
+            TrainingProblem.from_matrix(FeatureMatrix.from_vectors(rows, 2), [1, -1, 1], C=1.0)
+
+    def test_matrix_build_needs_one_label_per_row(self):
+        matrix = FeatureMatrix.from_vectors(dense_rows([[1.0], [-1.0]]), 1)
+        with pytest.raises(ContractViolation):
+            TrainingProblem.from_matrix(matrix, [1, -1, 1], C=1.0)
 
     def test_bias_is_augmented(self):
         problem = two_point_problem()
