@@ -7,12 +7,14 @@ compatibility error, 1 anything unexpected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from . import __version__
 from .corpus import read_gold_corpus, read_input_corpus, write_predictions
 from .errors import (
+    ContractViolation,
     EmoclfError,
     IncompatibleModel,
     MissingLabel,
@@ -47,7 +49,10 @@ def _parse_grid(text: str) -> TuningGrid:
         raise argparse.ArgumentTypeError(f"bad cost grid {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("cost grid is empty")
-    return TuningGrid(tuple(values))
+    try:
+        return TuningGrid(tuple(values))
+    except ContractViolation as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
@@ -120,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--tune-metric", choices=("accuracy", "f1"), default="accuracy",
                        help="cross-validation selection metric")
     train.add_argument("--log-tuning", default=None,
-                       help="write every (emotion,fold,C,accuracy) evaluation to this CSV "
-                       "(forces serial training)")
+                       help="write every (emotion,fold,C,accuracy) evaluation to this CSV")
     _add_lexicon_flags(train)
     train.set_defaults(func=cmd_train)
 
@@ -149,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, hook=None) -> TrainConfig:
+def _config_from_args(args) -> TrainConfig:
     lexicons = load_lexicons(args.lexicon_dir) if args.lexicon_dir else None
     emoticons = load_emoticons(args.emoticons) if args.emoticons else None
     return TrainConfig(
@@ -167,7 +171,6 @@ def _config_from_args(args, hook=None) -> TrainConfig:
         tune_metric=args.tune_metric,
         lexicons=lexicons,
         emoticons=emoticons,
-        fold_eval_hook=hook,
     )
 
 
@@ -181,21 +184,16 @@ def cmd_train(args) -> int:
     else:
         emotions = header_emotions
 
-    log_handle = None
-    hook = None
-    if args.log_tuning:
-        log_handle = open(args.log_tuning, "w", encoding="utf-8", newline="")
-        log_handle.write("emotion,fold,C,accuracy\n")
-
-        def hook(emotion, fold, c, accuracy):
-            log_handle.write(f"{emotion},{fold},{c!r},{accuracy!r}\n")
-
-    try:
-        config = _config_from_args(args, hook)
-        bundle = train_all(gold, emotions, config)
-    finally:
-        if log_handle is not None:
-            log_handle.close()
+    # The log opens before training so that an unwritable path fails first.
+    with (open(args.log_tuning, "w", encoding="utf-8", newline="") if args.log_tuning
+          else contextlib.nullcontext()) as log:
+        bundle = train_all(gold, emotions, _config_from_args(args))
+        if log is not None:
+            log.write("emotion,fold,C,accuracy\n")
+            for em in bundle:
+                for score in em.cv_folds:
+                    accuracy = score.confusion.metrics()[3]
+                    log.write(f"{em.emotion},{score.fold},{score.C!r},{accuracy!r}\n")
 
     for em in bundle:
         if em.model.converged is False:

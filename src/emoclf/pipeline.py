@@ -23,9 +23,10 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,8 +68,6 @@ BUNDLE_VERSION = "1"
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.10, 0.20, 0.25, 0.50, 1.0, 2.0, 4.0, 8.0)
 
-FoldEvalHook = Callable[[str, int, float, float], None]
-
 
 def derive_seed(master: int, *parts) -> int:
     """Stable 63-bit seed from a master seed and a label path."""
@@ -85,6 +84,8 @@ class TuningGrid:
         values = self.c_values
         if not values:
             raise ContractViolation("the cost grid must be non-empty")
+        if not all(math.isfinite(c) for c in values):
+            raise ContractViolation("cost values must be finite")
         if any(c <= 0 for c in values):
             raise ContractViolation("cost values must be strictly positive")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -116,8 +117,7 @@ class TrainConfig:
     tune_metric: str = "accuracy"   # or "f1"
     lexicons: LexiconSet | None = None
     emoticons: frozenset[str] | None = None
-    fold_eval_hook: FoldEvalHook | None = None
-    monitor: TrainingMonitor | None = None
+    monitor: TrainingMonitor | None = None    # in-process only: needs one worker
 
     def __post_init__(self):
         if self.folds < 2:
@@ -128,6 +128,12 @@ class TrainConfig:
             raise ContractViolation(f"unknown tuning metric {self.tune_metric!r}")
         if self.loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {self.loss!r}")
+        if self.jobs < 1:
+            raise ContractViolation("jobs must be at least 1")
+        for name in ("positive_cost", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be positive and finite")
 
     def resolved_lexicons(self) -> LexiconSet:
         return self.lexicons if self.lexicons is not None else default_lexicons()
@@ -144,6 +150,9 @@ class EmotionModel:
     chosen_C: float
     cv_accuracy: float
     split_seed: int
+    # Cross-validation evaluations behind chosen_C, fold-major then C; not
+    # persisted, so a loaded bundle has ().
+    cv_folds: tuple[FoldScore, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -248,6 +257,15 @@ class Confusion:
         return confusion_metrics(self.tp, self.fp, self.fn, self.tn)
 
 
+@dataclass(frozen=True)
+class FoldScore:
+    """Held-out confusion counts of one cross-validation solve: ``fold`` at cost ``C``."""
+
+    fold: int
+    C: float
+    confusion: Confusion
+
+
 def _metrics_row(emotion: str, counts: Confusion) -> EmotionEval:
     return EmotionEval(
         emotion, counts.tp, counts.fp, counts.fn, counts.tn, *counts.metrics()
@@ -314,16 +332,15 @@ def _evaluate_folds(
     plan: FoldPlan,
     c_values: Sequence[float],
     config: TrainConfig,
-    emotion: str,
-) -> dict[float, Confusion]:
-    """Pooled held-out confusion counts per cost value.
+) -> tuple[FoldScore, ...]:
+    """Held-out confusion counts per (fold, cost value), fold-major.
 
     The extractor and the training problem depend only on the fold's
     training documents, so each is built once per fold and only C varies
     across the grid; this is exactly equivalent to refitting per (fold, C).
     """
     assignment = np.asarray(plan.assignment)
-    outcomes = {c: Confusion() for c in c_values}
+    scores = []
     for fold in range(plan.k):
         train_idx = np.flatnonzero(assignment != fold)
         held_idx = np.flatnonzero(assignment == fold)
@@ -345,32 +362,13 @@ def _evaluate_folds(
         )
         for c in c_values:
             model = train_dual_cd(replace(problem, C=float(c)), params, monitor=config.monitor)
-            tally = Confusion.of(predict_rows(model, held), y_held)
-            outcomes[c] += tally
-            if config.fold_eval_hook is not None:
-                config.fold_eval_hook(emotion, fold, c, tally.correct / len(held_idx))
-    return outcomes
+            scores.append(FoldScore(fold, c, Confusion.of(predict_rows(model, held), y_held)))
+    return tuple(scores)
 
 
 def select_best_cost(scores: Mapping[float, float]) -> float:
     """Highest score wins; exact ties go to the smallest cost."""
     return min(scores, key=lambda c: (-scores[c], c))
-
-
-def cv_score(
-    train_docs: Sequence[LabeledDocument],
-    emotion: str,
-    C: float,
-    plan: FoldPlan,
-    config: TrainConfig,
-) -> float:
-    """Pooled held-out accuracy of one cost value under a fixed fold plan."""
-    labels = _labels_for(train_docs, emotion)
-    if len(plan.assignment) != len(train_docs):
-        raise ContractViolation("fold plan does not cover the training documents")
-    counts = _count_docs(train_docs, config)
-    outcomes = _evaluate_folds(counts, labels, plan, [C], config, emotion)
-    return outcomes[C].metrics()[3]
 
 
 def grid_search_C(
@@ -381,19 +379,23 @@ def grid_search_C(
     seed: int,
     config: TrainConfig,
     counts: CorpusCounts | None = None,
-) -> tuple[float, float]:
-    """Cross-validate every cost over one shared fold plan; return (C, accuracy).
+) -> tuple[float, float, tuple[FoldScore, ...]]:
+    """Cross-validate every cost over one shared fold plan.
 
-    ``counts`` are ``train_docs``'s counts, row for row, when already made.
+    Returns the chosen C, its pooled accuracy, and every (fold, C)
+    evaluation.  ``counts`` are ``train_docs``'s counts, row for row, when
+    already made.
     """
     labels = _labels_for(train_docs, emotion)
     plan = make_fold_plan(labels, k, seed)
     counts = _checked_counts(train_docs, counts, config)
-    outcomes = _evaluate_folds(counts, labels, plan, grid.c_values, config, emotion)
+    folds = _evaluate_folds(counts, labels, plan, grid.c_values, config)
+    pooled = {c: Confusion() for c in grid.c_values}
+    for score in folds:
+        pooled[score.C] += score.confusion
     score_at = 2 if config.tune_metric == "f1" else 3
-    scores = {c: outcomes[c].metrics()[score_at] for c in grid.c_values}
-    best = select_best_cost(scores)
-    return best, outcomes[best].metrics()[3]
+    best = select_best_cost({c: pooled[c].metrics()[score_at] for c in grid.c_values})
+    return best, pooled[best].metrics()[3], folds
 
 
 # --- per-emotion training ----------------------------------------------------
@@ -420,7 +422,7 @@ def train_emotion_model(
     counts = _checked_counts(gold, counts, config)
     emotion_seed = derive_seed(config.seed, "emotion", emotion)
 
-    chosen_c, cv_accuracy = grid_search_C(
+    chosen_c, cv_accuracy, cv_folds = grid_search_C(
         gold, emotion, config.grid, config.folds, derive_seed(emotion_seed, "grid"), config,
         counts=counts,
     )
@@ -446,6 +448,7 @@ def train_emotion_model(
         chosen_C=chosen_c,
         cv_accuracy=cv_accuracy,
         split_seed=split_seed_for(emotion, config),
+        cv_folds=cv_folds,
     )
 
 
@@ -483,10 +486,11 @@ def train_all(
     Splits happen per emotion, or once when ``shared_split`` is set, in which
     case every emotion reuses the split stratified by the first one.  Only
     each train partition ever reaches the extractor and solver.  With
-    ``jobs > 1`` emotions train in parallel processes and results are reduced
-    in the input emotion order, so parallelism never changes the output.
-    Every gold document is stripped, tokenized and counted once, before any
-    split.
+    ``jobs > 1`` and several emotions, emotions train in up to ``jobs``
+    parallel processes and results are reduced in the input emotion order,
+    so parallelism never changes the output.  A ``monitor`` is updated in
+    this process, so it needs one worker.  Every gold document is stripped,
+    tokenized and counted once, before any split.
     """
     emotions = list(emotions)
     if not emotions:
@@ -498,6 +502,11 @@ def train_all(
     for emotion in emotions:
         if emotion not in gold[0].labels:
             raise MissingLabel(emotion)
+    workers = min(config.jobs, len(emotions))
+    if workers > 1 and config.monitor is not None:
+        raise ContractViolation(
+            "a training monitor counts in this process only; train with jobs=1 to use one"
+        )
 
     counts = _count_docs(gold, config)
     tasks = {
@@ -507,14 +516,8 @@ def train_all(
     models: dict[str, EmotionModel] = {}
     failures: dict[str, Exception] = {}
 
-    parallel = (
-        config.jobs > 1
-        and len(emotions) > 1
-        and config.fold_eval_hook is None
-        and config.monitor is None
-    )
-    if parallel:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {emotion: pool.submit(_train_one, task) for emotion, task in tasks.items()}
             for emotion, future in futures.items():
                 try:

@@ -19,6 +19,7 @@ component, so ``w``'s last slot is the intercept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -40,8 +41,8 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ContractViolation("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ContractViolation("eps must be positive and finite")
         if self.max_outer_iters < 1:
             raise ContractViolation("max_outer_iters must be at least 1")
 
@@ -136,8 +137,10 @@ class TrainingProblem:
             raise ContractViolation("need at least two rows with matching labels")
         if loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {loss!r}")
-        if C <= 0 or pos_cost <= 0 or neg_cost <= 0:
-            raise ContractViolation("C and the class cost multipliers must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (C, pos_cost, neg_cost)):
+            raise ContractViolation(
+                "C and the class cost multipliers must be positive and finite"
+            )
 
         signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
         if np.all(signs > 0) or np.all(signs < 0):

@@ -247,8 +247,7 @@ def test_c05_default_protocol_is_followed():
     """Defaults run a 70/30 stratified split and a 10-fold CV over exactly the
     ten-point cost grid: 100 logged (fold, C) evaluations per emotion."""
     docs = generate_planted_corpus(300, {"joy": DEFAULT_KEYWORDS}, noise=0.05, seed=55)
-    calls = []
-    config = TrainConfig(fold_eval_hook=lambda *args: calls.append(args))
+    config = TrainConfig()
     bundle = train_all(docs, ["joy"], config)
 
     assert config.train_fraction == 0.7 and config.folds == 10
@@ -260,7 +259,7 @@ def test_c05_default_protocol_is_followed():
     assert (args.train_fraction, args.folds, args.seed) == (0.7, 10, 42)
     assert args.grid.c_values == config.grid.c_values
 
-    evaluations = [(fold, c) for emotion, fold, c, _ in calls if emotion == "joy"]
+    evaluations = [(score.fold, score.C) for score in bundle.models["joy"].cv_folds]
     assert len(evaluations) == 100
     assert set(evaluations) == {
         (fold, c) for fold in range(10) for c in DEFAULT_C_GRID

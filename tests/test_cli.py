@@ -103,6 +103,41 @@ class TestTrain:
         assert lines[0] == "emotion,fold,C,accuracy"
         assert len(lines) - 1 == 3 * 2  # folds x grid points
 
+    def test_tuning_log_and_bundle_do_not_depend_on_jobs(self, tmp_path, gold_csv):
+        outputs = []
+        for jobs in (1, 2):
+            log, out = tmp_path / f"tuning{jobs}.csv", tmp_path / f"m{jobs}.emo"
+            result = run_cli(
+                "train", "--gold", gold_csv, "--out", out, "--log-tuning", log,
+                "--jobs", jobs, *FAST_FLAGS,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append((log.read_bytes(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode("utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["joy"] * 6 + ["anger"] * 6
+
+    def test_unwritable_tuning_log_exits_2_before_training(self, tmp_path, gold_csv):
+        out = tmp_path / "m.emo"
+        result = run_cli(
+            "train", "--gold", gold_csv, "--out", out,
+            "--log-tuning", tmp_path / "no_such_dir" / "tuning.csv", *FAST_FLAGS,
+        )
+        assert result.returncode == 2
+        assert "no_such_dir" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0,1", "strictly positive"), ("1,nan", "finite"),
+    ])
+    def test_invalid_grid_exits_2(self, tmp_path, gold_csv, grid, message):
+        result = run_cli(
+            "train", "--gold", gold_csv, "--out", tmp_path / "m.emo", "--grid", grid,
+        )
+        assert result.returncode == 2
+        assert "--grid" in result.stderr and message in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestClassify:
     def test_predictions_format(self, tmp_path, trained):

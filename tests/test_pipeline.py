@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from emoclf.pipeline import (
     bundle_to_dict,
     classify,
     confusion_metrics,
-    cv_score,
+    derive_seed,
     evaluate,
     evaluate_heldout,
     grid_search_C,
@@ -36,6 +37,7 @@ from emoclf.pipeline import (
     train_all,
     train_emotion_model,
 )
+from emoclf.svm import TrainingMonitor
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 
 SMALL_GRID = TuningGrid((0.25, 1.0))
@@ -64,6 +66,24 @@ class TestTuningGrid:
     def test_rejects_empty(self):
         with pytest.raises(ContractViolation):
             TuningGrid(())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ContractViolation, match="finite"):
+            TuningGrid((bad,))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ContractViolation, match="jobs"):
+            TrainConfig(jobs=jobs)
+
+    @pytest.mark.parametrize("name", ["positive_cost", "eps"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_rejects_non_finite_or_nonpositive_costs_and_tolerance(self, name, bad):
+        with pytest.raises(ContractViolation, match=name):
+            TrainConfig(**{name: bad})
 
 
 class TestFoldPlan:
@@ -188,27 +208,13 @@ class TestSelection:
 
 
 class TestCrossValidation:
-    def test_cv_score_matches_grid_search_accuracy(self):
-        docs = small_corpus(n=48)
-        config = TrainConfig(**FAST)
-        from emoclf.pipeline import derive_seed, _labels_for
-
-        seed = derive_seed(config.seed, "probe")
-        best_c, best_accuracy = grid_search_C(
-            docs, "joy", SMALL_GRID, config.folds, seed, config
-        )
-        plan = make_fold_plan(_labels_for(docs, "joy"), config.folds, seed)
-        assert cv_score(docs, "joy", best_c, plan, config) == best_accuracy
-
     def test_hook_sees_every_fold_and_cost(self):
         docs = small_corpus(n=48)
-        calls = []
-        config = TrainConfig(
-            **FAST, fold_eval_hook=lambda *args: calls.append(args)
-        )
-        grid_search_C(docs, "joy", SMALL_GRID, config.folds, 123, config)
+        config = TrainConfig(**FAST)
+        _, _, cv_folds = grid_search_C(docs, "joy", SMALL_GRID, config.folds, 123, config)
+        calls = [(score.fold, score.C) for score in cv_folds]
         assert len(calls) == config.folds * len(SMALL_GRID.c_values)
-        assert {(fold, c) for _, fold, c, _ in calls} == {
+        assert set(calls) == {
             (fold, c)
             for fold in range(config.folds)
             for c in SMALL_GRID.c_values
@@ -224,7 +230,7 @@ class TestCrossValidation:
     def test_singleton_grid(self):
         docs = small_corpus(n=48)
         config = TrainConfig(**FAST)
-        best_c, _ = grid_search_C(docs, "joy", TuningGrid((1.0,)), 3, 4, config)
+        best_c = grid_search_C(docs, "joy", TuningGrid((1.0,)), 3, 4, config)[0]
         assert best_c == 1.0
 
     def test_signal_free_corpus_scores_the_base_rate(self):
@@ -235,10 +241,10 @@ class TestCrossValidation:
             for i in range(100)
         ]
         config = TrainConfig(folds=5, grid=SMALL_GRID, min_df=1)
-        from emoclf.pipeline import derive_seed, _labels_for
-
-        plan = make_fold_plan(_labels_for(docs, "joy"), 5, derive_seed(1, "base"))
-        assert cv_score(docs, "joy", 1.0, plan, config) == 0.90
+        _, accuracy, _ = grid_search_C(
+            docs, "joy", TuningGrid((1.0,)), 5, derive_seed(1, "base"), config
+        )
+        assert accuracy == 0.90
 
     # Golden (C, cv accuracy) picks per metric on corpora where the metrics disagree.
     @pytest.mark.parametrize("seed, by_accuracy, by_f1", [
@@ -252,12 +258,12 @@ class TestCrossValidation:
         grid = TuningGrid((0.01, 0.05, 0.25, 1.0, 4.0))
         for metric, expected in (("accuracy", by_accuracy), ("f1", by_f1)):
             config = TrainConfig(folds=4, grid=grid, min_df=1, tune_metric=metric)
-            assert grid_search_C(docs, "joy", grid, 4, 11, config) == expected
+            assert grid_search_C(docs, "joy", grid, 4, 11, config)[:2] == expected
 
     def test_noisy_corpus_avoids_the_largest_cost(self):
         docs = small_corpus(n=120, seed=13, noise=0.25)
         config = TrainConfig(folds=5, min_df=1)
-        best_c, _ = grid_search_C(docs, "joy", config.grid, 5, 99, config)
+        best_c = grid_search_C(docs, "joy", config.grid, 5, 99, config)[0]
         assert best_c < max(config.grid.c_values)
 
 
@@ -283,6 +289,18 @@ class TestTrainEmotionModel:
         em = train_emotion_model(docs, "joy", TrainConfig(**FAST))
         assert em.chosen_C in SMALL_GRID.c_values
         assert 0.0 <= em.cv_accuracy <= 1.0
+
+    def test_cv_folds_pool_to_the_cv_accuracy(self):
+        docs = small_corpus(n=48)
+        em = train_emotion_model(docs, "joy", TrainConfig(**FAST))
+        assert [(s.fold, s.C) for s in em.cv_folds] == [
+            (fold, c) for fold in range(3) for c in SMALL_GRID.c_values
+        ]
+        pooled = sum((s.confusion for s in em.cv_folds if s.C == em.chosen_C), Confusion())
+        assert pooled.metrics()[3] == em.cv_accuracy
+        # Every fold's held-out documents are scored once per cost.
+        assert sum(s.confusion.tp + s.confusion.fp + s.confusion.fn + s.confusion.tn
+                   for s in em.cv_folds) == len(docs) * len(SMALL_GRID.c_values)
 
 
 class TestTrainAll:
@@ -342,6 +360,52 @@ class TestTrainAll:
         split_joy = stratified_split(docs, "joy", 0.7, seeds.pop())
         # Every emotion trained on exactly these documents.
         assert len(split_joy.train) == 56
+
+    def test_pool_is_capped_at_the_number_of_emotions(self, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            """Records the pool size asked for and runs each task here."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        docs = generate_planted_corpus(
+            80,
+            {"joy": DEFAULT_KEYWORDS, "anger": ("grumblex", "snarlit", "vexopod")},
+            seed=3,
+        )
+        serial = train_all(docs, ["joy", "anger"], TrainConfig(**FAST))
+        assert pools == []
+        pooled = train_all(docs, ["joy", "anger"], TrainConfig(**FAST, jobs=4))
+        assert pools == [2]
+        train_all(docs, ["joy"], TrainConfig(**FAST, jobs=4))
+        assert pools == [2]
+        assert bundle_to_dict(pooled) == bundle_to_dict(serial)
+        assert [em.cv_folds for em in pooled] == [em.cv_folds for em in serial]
+
+    def test_monitor_with_several_workers_rejected(self):
+        docs = generate_planted_corpus(
+            80,
+            {"joy": DEFAULT_KEYWORDS, "anger": ("grumblex", "snarlit", "vexopod")},
+            seed=3,
+        )
+        config = TrainConfig(**FAST, jobs=2, monitor=TrainingMonitor())
+        with pytest.raises(ContractViolation, match="monitor"):
+            train_all(docs, ["joy", "anger"], config)
+        assert config.monitor.trainings == 0
 
 
 class TestNoLeakage:
@@ -436,6 +500,13 @@ class TestBundlePersistence:
         save_bundle(bundle, path)
         loaded = load_bundle(path).models["joy"].model
         assert (loaded.sweeps, loaded.final_violation, loaded.converged) == (None, None, None)
+
+    def test_cv_folds_are_not_persisted(self, tmp_path):
+        bundle = self._bundle()
+        assert len(bundle.models["joy"].cv_folds) == 3 * len(SMALL_GRID.c_values)
+        path = tmp_path / "model.emo"
+        save_bundle(bundle, path)
+        assert load_bundle(path).models["joy"].cv_folds == ()
 
     def test_resave_is_byte_identical(self, tmp_path):
         bundle = self._bundle()

@@ -111,6 +111,11 @@ class TestConvergenceReport:
         assert model.sweeps == 2
         assert model.final_violation >= 1e-9
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
+    def test_tolerance_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ContractViolation, match="eps"):
+            SolverParams(eps=eps)
+
 
 class TestBatchDecisions:
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -172,6 +177,15 @@ class TestProblemValidation:
                 sparse_from_pairs([(1, float("inf"))], 2)]
         with pytest.raises(NumericError, match="row 2"):
             TrainingProblem.from_matrix(FeatureMatrix.from_vectors(rows, 2), [1, -1, 1], C=1.0)
+
+    @pytest.mark.parametrize("costs", [
+        {"C": float("nan")}, {"C": float("inf")},
+        {"pos_cost": float("nan")}, {"neg_cost": float("inf")},
+    ])
+    def test_matrix_build_rejects_non_finite_costs(self, costs):
+        matrix = FeatureMatrix.from_vectors(dense_rows([[1.0], [-1.0]]), 1)
+        with pytest.raises(ContractViolation, match="finite"):
+            TrainingProblem.from_matrix(matrix, [1, -1], **{"C": 1.0, **costs})
 
     def test_matrix_build_needs_one_label_per_row(self):
         matrix = FeatureMatrix.from_vectors(dense_rows([[1.0], [-1.0]]), 1)
