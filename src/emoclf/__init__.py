@@ -19,8 +19,8 @@ from .corpus import (
     write_predictions,
 )
 from .features import (
+    FeatureMatrix,
     FittedExtractor,
-    SparseVector,
     Vocabulary,
     assemble,
     fit,
@@ -48,7 +48,6 @@ from .svm import (
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
-    decision_value,
     dual_objective,
     predict,
     train_dual_cd,

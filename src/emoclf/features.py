@@ -1,7 +1,7 @@
 """Sparse feature extraction: tf-idf n-grams plus lexical cue scores.
 
-A fitted extractor turns one token stream into one sparse vector laid out as
-six contiguous blocks::
+A fitted extractor turns one token stream into one row laid out as six
+contiguous blocks::
 
     [ n-grams | emotion categories | politeness | pos sent | neg sent | uncertainty ]
 
@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EmptyCorpus, IncompatibleModel, ParseError
+from .errors import ContractViolation, EmptyCorpus, IncompatibleModel, LexiconError, ParseError
 from .lexicons import LexiconSet
 from .textprep import (
     TokenStream,
@@ -47,49 +47,6 @@ from .textprep import (
 EXTRACTOR_VERSION = "1"
 
 AUX_FEATURES = ("politeness", "sentiment_pos", "sentiment_neg", "uncertainty")
-
-
-@dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Strictly increasing indices, no stored zeros, fixed dimension."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dimension: int
-
-    def __post_init__(self):
-        idx, val = self.indices, self.values
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ContractViolation("indices and values must be parallel 1-d arrays")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dimension:
-                raise ContractViolation("feature index out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ContractViolation("feature indices must be strictly increasing")
-            if np.any(val == 0.0):
-                raise ContractViolation("explicit zeros are not stored")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def dot(self, dense: np.ndarray) -> float:
-        return float(dense[self.indices] @ self.values)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        out[self.indices] = self.values
-        return out
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
-
-
-def sparse_from_pairs(pairs: Iterable[tuple[int, float]], dimension: int) -> SparseVector:
-    kept = sorted((i, v) for i, v in pairs if v != 0.0)
-    idx = np.fromiter((i for i, _ in kept), dtype=np.int64, count=len(kept))
-    val = np.fromiter((v for _, v in kept), dtype=np.float64, count=len(kept))
-    return SparseVector(idx, val, dimension)
 
 
 @dataclass(frozen=True)
@@ -107,11 +64,14 @@ class Vocabulary:
             object.__setattr__(
                 self, "index", {term: i for i, term in enumerate(self.terms)}
             )
-        for term, count in zip(self.terms, self.df):
-            if not self.min_df <= count <= self.n_docs:
-                raise ContractViolation(
-                    f"df({term!r}) = {count} outside [{self.min_df}, {self.n_docs}]"
-                )
+        if len(self.df) != len(self.terms):
+            raise ContractViolation(f"{len(self.df)} frequencies for {len(self.terms)} terms")
+        low = max(self.min_df, 1)   # idf needs df >= 1
+        for i, (term, count) in enumerate(zip(self.terms, self.df)):
+            if i and not self.terms[i - 1] < term:
+                raise ContractViolation(f"vocabulary terms not strictly increasing at {term!r}")
+            if not low <= count <= self.n_docs:
+                raise ContractViolation(f"df({term!r}) = {count} outside [{low}, {self.n_docs}]")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -141,6 +101,21 @@ class FittedExtractor:
     emoticons: frozenset[str]
     version: str = EXTRACTOR_VERSION
 
+    def __post_init__(self):
+        if self.categories != tuple(sorted(self.lexicons.emotion_categories)):
+            raise ContractViolation("categories must be the lexicons' emotion categories, sorted")
+        n_docs = self.vocabulary.n_docs
+        if len(self.category_df) != len(self.categories) or not all(
+            0 <= df <= n_docs for df in self.category_df
+        ):
+            raise ContractViolation(f"category_df needs one value in [0, {n_docs}] per category")
+        for name in ("aux_mean", "aux_std"):
+            values = getattr(self, name)
+            if len(values) != len(AUX_FEATURES) or not all(map(math.isfinite, values)):
+                raise ContractViolation(f"{name} needs {len(AUX_FEATURES)} finite values")
+        if min(self.aux_std) < 0.0:
+            raise ContractViolation("aux_std must not be negative")
+
     @property
     def dimension(self) -> int:
         return len(self.vocabulary) + len(self.categories) + len(AUX_FEATURES)
@@ -159,8 +134,8 @@ class FittedExtractor:
         names.extend(AUX_FEATURES)
         return names
 
-    def vectorize(self, text: str) -> SparseVector:
-        """Raw text straight to a feature vector (strip, tokenize, assemble)."""
+    def vectorize(self, text: str) -> FeatureMatrix:
+        """Raw text straight to a one-row feature matrix (strip, tokenize, assemble)."""
         return assemble(tokenize(strip_noise(text), self.emoticons), self)
 
     def shares_text_work(self, other: "FittedExtractor") -> bool:
@@ -248,8 +223,8 @@ def _l2_normalized(pairs: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return [(i, v / norm) for i, v in pairs]
 
 
-def ngram_block(doc: TokenStream, fitted: FittedExtractor) -> SparseVector:
-    """tf-idf over in-vocabulary uni/bi-grams, L2-normalized; OOV terms ignored."""
+def ngram_block(doc: TokenStream, fitted: FittedExtractor) -> list[tuple[int, float]]:
+    """Sorted (slot, tf-idf) pairs of in-vocabulary uni/bi-grams, L2-normalized."""
     vocab = fitted.vocabulary
     counts = Counter(ngram_occurrences(doc))
     pairs = []
@@ -258,11 +233,11 @@ def ngram_block(doc: TokenStream, fitted: FittedExtractor) -> SparseVector:
         if slot is not None:
             pairs.append((slot, tf * idf(vocab.df[slot], vocab.n_docs)))
     pairs.sort()
-    return sparse_from_pairs(_l2_normalized(pairs), len(vocab))
+    return _l2_normalized(pairs)
 
 
-def emotion_category_block(doc: TokenStream, fitted: FittedExtractor) -> SparseVector:
-    """tf-idf per emotion category, counting occurrences of its member words."""
+def emotion_category_block(doc: TokenStream, fitted: FittedExtractor) -> list[tuple[int, float]]:
+    """Sorted (slot, tf-idf) pairs per emotion category, counting its member words."""
     n_docs = fitted.vocabulary.n_docs
     token_counts = Counter(doc.lowered)
     pairs = []
@@ -271,7 +246,7 @@ def emotion_category_block(doc: TokenStream, fitted: FittedExtractor) -> SparseV
         tf = sum(count for token, count in token_counts.items() if token in words)
         if tf and fitted.category_df[slot]:
             pairs.append((slot, tf * idf(fitted.category_df[slot], n_docs)))
-    return sparse_from_pairs(_l2_normalized(pairs), len(fitted.categories))
+    return _l2_normalized(pairs)
 
 
 def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
@@ -349,18 +324,18 @@ def _aux_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[float, float, f
     )
 
 
-def assemble(doc: TokenStream, fitted: FittedExtractor) -> SparseVector:
-    """Concatenate all blocks into one vector over the full feature space."""
+def assemble(doc: TokenStream, fitted: FittedExtractor) -> FeatureMatrix:
+    """Concatenate all blocks into one row over the full feature space."""
     v, k = len(fitted.vocabulary), len(fitted.categories)
-    pairs: list[tuple[int, float]] = list(ngram_block(doc, fitted).pairs())
-    pairs.extend((v + i, value) for i, value in emotion_category_block(doc, fitted).pairs())
+    pairs = ngram_block(doc, fitted)
+    pairs.extend((v + i, value) for i, value in emotion_category_block(doc, fitted))
     for slot, raw in enumerate(_aux_scores(doc, fitted.lexicons)):
         std = fitted.aux_std[slot]
         if std > 0.0:
             z = (raw - fitted.aux_mean[slot]) / std
             if z != 0.0:
                 pairs.append((v + k + slot, z))
-    return sparse_from_pairs(pairs, fitted.dimension)
+    return FeatureMatrix.from_pairs([pairs], fitted.dimension)
 
 
 # --- corpus path: text work once, then array operations per fit ------------
@@ -387,7 +362,11 @@ def _indptr_of(row_ids: np.ndarray, n_rows: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Feature vectors as CSR rows; each row obeys the ``SparseVector`` contract."""
+    """Feature rows in CSR form, one row per document.
+
+    Within a row, indices are strictly increasing and below ``dimension``,
+    and no stored value is zero.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -414,25 +393,29 @@ class FeatureMatrix:
                 raise ContractViolation("explicit zeros are not stored")
 
     @classmethod
-    def from_vectors(cls, rows: Sequence[SparseVector], dimension: int) -> "FeatureMatrix":
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        if not rows:
-            return cls(indptr, np.zeros(0, np.int64), np.zeros(0), dimension)
-        np.cumsum([r.nnz for r in rows], out=indptr[1:])
+    def from_pairs(
+        cls, rows: Iterable[Iterable[tuple[int, float]]], dimension: int
+    ) -> "FeatureMatrix":
+        """One row per sequence of (index, value) pairs, given in any order.
+
+        Each row is sorted by index and its zero values are dropped.
+        """
+        indptr, indices, data = [0], [], []
+        for pairs in rows:
+            kept = sorted((i, v) for i, v in pairs if v != 0.0)
+            indices.extend(i for i, _ in kept)
+            data.extend(v for _, v in kept)
+            indptr.append(len(indices))
         return cls(
-            indptr,
-            np.concatenate([r.indices for r in rows]).astype(np.int64, copy=False),
-            np.concatenate([r.values for r in rows]).astype(np.float64, copy=False),
+            np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64),
             dimension,
         )
 
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
-
-    def row(self, i: int) -> SparseVector:
-        start, end = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(self.indices[start:end], self.data[start:end], self.dimension)
 
     def take(self, rows: Sequence[int]) -> "FeatureMatrix":
         indptr, source = _gather_rows(self.indptr, np.asarray(rows, dtype=np.int64))
@@ -632,8 +615,7 @@ def transform_counts(
     )
 
     # Category block: hits * idf where the category has training df, L2 per row.
-    position = {category: j for j, category in enumerate(counts.categories)}
-    hits = counts.category_counts[rows][:, [position[c] for c in fitted.categories]]
+    hits = counts.category_counts[rows]
     category_df = np.array(fitted.category_df, dtype=np.int64).reshape(k)
     category_rows, category_slots = np.nonzero((hits > 0) & (category_df > 0))
     category_ptr = _indptr_of(category_rows, n)
@@ -662,7 +644,7 @@ def transform_counts(
         indices[at] = block_indices
         data[at] = block_values
     # No value is zero: tf, idf >= 1 and cue entries are kept only when
-    # nonzero, so nothing is left for sparse_from_pairs' zero filter to drop.
+    # nonzero, so nothing is left for from_pairs' zero filter to drop.
     return FeatureMatrix(out_ptr, indices, data, fitted.dimension)
 
 
@@ -744,7 +726,8 @@ def extractor_from_dict(payload: dict) -> FittedExtractor:
         )
     except (IncompatibleModel, ParseError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ContractViolation, LexiconError) as exc:
         raise ParseError(f"malformed extractor payload: {exc}") from exc
 
 

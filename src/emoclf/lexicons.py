@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import LexiconError
 
@@ -164,22 +164,8 @@ def _read(directory, name: str) -> str:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
 
 
-def load_lexicons(directory) -> LexiconSet:
-    """Load all six scorer inventories from one directory (fixed file names)."""
-    return LexiconSet(
-        emotion_categories=parse_emotion_lexicon(_read(directory, EMOTION_LEXICON_FILE)),
-        politeness_cues=parse_politeness(_read(directory, POLITENESS_FILE)),
-        sentiment=parse_sentiment(_read(directory, SENTIMENT_FILE)),
-        boosters=parse_boosters(_read(directory, BOOSTERS_FILE)),
-        negations=parse_negations(_read(directory, NEGATIONS_FILE)),
-        modality_cues=parse_modality(_read(directory, MODALITY_FILE)),
-    )
-
-
-@lru_cache(maxsize=1)
-def default_lexicons() -> LexiconSet:
-    data = resources.files("emoclf.data")
-    read = lambda name: data.joinpath(name).read_text("utf-8")
+def _lexicon_set(read: Callable[[str], str]) -> LexiconSet:
+    """Parse the six inventories; ``read`` maps a file name to its text."""
     return LexiconSet(
         emotion_categories=parse_emotion_lexicon(read(EMOTION_LEXICON_FILE)),
         politeness_cues=parse_politeness(read(POLITENESS_FILE)),
@@ -188,3 +174,14 @@ def default_lexicons() -> LexiconSet:
         negations=parse_negations(read(NEGATIONS_FILE)),
         modality_cues=parse_modality(read(MODALITY_FILE)),
     )
+
+
+def load_lexicons(directory) -> LexiconSet:
+    """Load all six scorer inventories from one directory (fixed file names)."""
+    return _lexicon_set(lambda name: _read(directory, name))
+
+
+@lru_cache(maxsize=1)
+def default_lexicons() -> LexiconSet:
+    data = resources.files("emoclf.data")
+    return _lexicon_set(lambda name: data.joinpath(name).read_text("utf-8"))

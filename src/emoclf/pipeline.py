@@ -128,8 +128,9 @@ class TrainConfig:
             raise ContractViolation(f"unknown tuning metric {self.tune_metric!r}")
         if self.loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {self.loss!r}")
-        if self.jobs < 1:
-            raise ContractViolation("jobs must be at least 1")
+        for name in ("jobs", "min_df", "max_outer_iters"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be at least 1")
         for name in ("positive_cost", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, DegenerateClass, DimensionError, NumericError
-from .features import FeatureMatrix, SparseVector
+from .features import FeatureMatrix
 
 L1_HINGE = "l1"
 L2_HINGE = "l2"
@@ -93,29 +93,6 @@ class TrainingProblem:
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         start, end = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:end], self.data[start:end]
-
-    @classmethod
-    def from_vectors(
-        cls,
-        rows: Sequence[SparseVector],
-        y: Sequence[int],
-        C: float,
-        loss: str = L2_HINGE,
-        pos_cost: float = 1.0,
-        neg_cost: float = 1.0,
-    ) -> "TrainingProblem":
-        """Build from one ``SparseVector`` per row: the reference for ``from_matrix``."""
-        if len(rows) != len(y) or len(rows) < 2:
-            raise ContractViolation("need at least two rows with matching labels")
-        raw_dim = rows[0].dimension
-        for i, r in enumerate(rows):
-            if r.dimension != raw_dim:
-                raise DimensionError(
-                    f"row {i} has dimension {r.dimension}, expected {raw_dim}"
-                )
-        return cls.from_matrix(
-            FeatureMatrix.from_vectors(rows, raw_dim), y, C, loss, pos_cost, neg_cost
-        )
 
     @classmethod
     def from_matrix(
@@ -318,23 +295,8 @@ def dual_objective(alpha: Sequence[float], problem: TrainingProblem) -> float:
     return float(a.sum()) - 0.5 * quadratic
 
 
-def decision_value(model: LinearModel, x: SparseVector) -> float:
-    """w . [x; 1] — the bias slot is appended automatically."""
-    if x.dimension != model.w.shape[0] - 1:
-        raise DimensionError(
-            f"vector dimension {x.dimension} does not match model "
-            f"dimension {model.w.shape[0] - 1}"
-        )
-    return x.dot(model.w) + float(model.w[-1])
-
-
-def predict(model: LinearModel, x: SparseVector) -> int:
-    """1 when the decision value is strictly positive; ties go negative."""
-    return 1 if decision_value(model, x) > 0.0 else 0
-
-
 def decision_values(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
-    """``decision_value`` of every row, each summed exactly as the reference sums it."""
+    """w . [x; 1] for every row x; the bias slot is appended automatically."""
     w = model.w
     if rows.dimension != w.shape[0] - 1:
         raise DimensionError(
@@ -353,5 +315,12 @@ def decision_values(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
 
 
 def predict_rows(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
-    """``predict`` of every row, as a 0/1 array."""
+    """1 where a row's decision value is strictly positive; ties go negative."""
     return (decision_values(model, rows) > 0.0).astype(np.int64)
+
+
+def predict(model: LinearModel, x: FeatureMatrix) -> int:
+    """The 0/1 prediction for a one-row matrix, such as ``FittedExtractor.vectorize``'s."""
+    if x.n_rows != 1:
+        raise ContractViolation(f"predict scores one row, got {x.n_rows}")
+    return int(predict_rows(model, x)[0])

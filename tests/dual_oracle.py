@@ -72,8 +72,9 @@ def solve_dual_reference(
 
 def augmented_dense(rows, raw_dim):
     """Dense matrix with the trailing bias column the trainer appends."""
-    X = np.zeros((len(rows), raw_dim + 1))
-    for i, vector in enumerate(rows):
-        X[i, vector.indices] = vector.values
+    X = np.zeros((rows.n_rows, raw_dim + 1))
+    for i in range(rows.n_rows):
+        start, end = rows.indptr[i], rows.indptr[i + 1]
+        X[i, rows.indices[start:end]] = rows.data[start:end]
         X[i, raw_dim] = 1.0
     return X

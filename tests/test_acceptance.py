@@ -22,7 +22,7 @@ from emoclf.corpus import (
     stratified_split,
     write_gold_corpus,
 )
-from emoclf.features import assemble, emotion_category_block, fit, ngram_block, sparse_from_pairs
+from emoclf.features import FeatureMatrix, assemble, emotion_category_block, fit, ngram_block
 from emoclf.lexicons import LexiconSet
 from emoclf.pipeline import (
     DEFAULT_C_GRID,
@@ -64,10 +64,10 @@ def test_c01_solver_matches_independent_oracle():
         y[rng.permutation(n)[: max(1, n // 2)]] = -1
         C = float(DEFAULT_C_GRID[rng.randint(len(DEFAULT_C_GRID))])
         loss = L1_HINGE if trial % 2 else L2_HINGE
-        rows = [
-            sparse_from_pairs([(j, X[i, j]) for j in range(d)], d) for i in range(n)
-        ]
-        problem = TrainingProblem.from_vectors(rows, y, C=C, loss=loss)
+        rows = FeatureMatrix.from_pairs(
+            [[(j, X[i, j]) for j in range(d)] for i in range(n)], d
+        )
+        problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
         monitor = TrainingMonitor()
         train_dual_cd(
             problem,
@@ -86,8 +86,8 @@ def test_c01_solver_matches_independent_oracle():
 
 def test_c02_two_point_analytic_solution():
     """x1=(1,1) y=+1, x2=(-1,1) y=-1, C=1, squared hinge -> w=(0.8, 0)."""
-    rows = [sparse_from_pairs([(0, 1.0)], 1), sparse_from_pairs([(0, -1.0)], 1)]
-    problem = TrainingProblem.from_vectors(rows, [1, -1], C=1.0, loss=L2_HINGE)
+    rows = FeatureMatrix.from_pairs([[(0, 1.0)], [(0, -1.0)]], 1)
+    problem = TrainingProblem.from_matrix(rows, [1, -1], C=1.0, loss=L2_HINGE)
     model = train_dual_cd(problem, SolverParams(eps=1e-10, seed=0))
     assert abs(model.w[0] - 0.8) <= 1e-6
     assert abs(model.w[1] - 0.0) <= 1e-6
@@ -224,18 +224,19 @@ def test_c04_tfidf_values_match_hand_computation():
 
     checked = 0
     for stream, want in zip(streams, expected):
-        got = dict(assemble(stream, fitted).pairs())
+        row = assemble(stream, fitted)
+        got = dict(zip(row.indices.tolist(), row.data.tolist()))
         assert set(got) == set(want)
         for index, value in want.items():
             assert abs(got[index] - value) <= 1e-9, f"feature {index}"
             checked += 1
         # The two tf-idf blocks also agree in isolation.
         v = len(fitted.vocabulary)
-        ngrams = dict(ngram_block(stream, fitted).pairs())
+        ngrams = dict(ngram_block(stream, fitted))
         for index, value in want.items():
             if index < v:
                 assert abs(ngrams[index] - value) <= 1e-9
-        cats = dict(emotion_category_block(stream, fitted).pairs())
+        cats = dict(emotion_category_block(stream, fitted))
         for index, value in want.items():
             if v <= index < v + len(fitted.categories):
                 assert abs(cats[index - v] - value) <= 1e-9

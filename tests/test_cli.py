@@ -1,15 +1,34 @@
+import json
 import subprocess
 import sys
 
 import pytest
 
 from emoclf.corpus import write_gold_corpus, write_input_corpus
+from emoclf.errors import ParseError
 from emoclf.pipeline import load_bundle
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 
 ANGER_KEYWORDS = ("grumblex", "snarlit", "vexopod", "irktron", "fumeply")
 
 FAST_FLAGS = ["--folds", "3", "--grid", "0.25,1", "--min-df", "1"]
+
+# Edits that break a bundled extractor: path to a field -> new value from old.
+EXTRACTOR_DEFECTS = {
+    "unknown category": {("categories",): lambda v: ["no_such_category"] + v[1:]},
+    "short category_df": {("category_df",): lambda v: v[:-1]},
+    "category_df above n_docs": {("category_df",): lambda v: [10**6] + v[1:]},
+    "short aux_mean": {("aux_mean",): lambda v: v[:-1]},
+    "nan aux_mean": {("aux_mean",): lambda v: [float("nan")] + v[1:]},
+    "short aux_std": {("aux_std",): lambda v: v[:-1]},
+    "negative aux_std": {("aux_std",): lambda v: [-1.0] + v[1:]},
+    "short vocabulary df": {("vocabulary", "df"): lambda v: v[:-1]},
+    "zero df under min_df 0": {
+        ("vocabulary", "min_df"): lambda v: 0,
+        ("vocabulary", "df"): lambda v: [0] + v[1:],
+    },
+    "reversed terms": {("vocabulary", "terms"): lambda v: v[::-1]},
+}
 
 
 def run_cli(*args):
@@ -138,6 +157,15 @@ class TestTrain:
         assert "--grid" in result.stderr and message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("flag", ["--min-df", "--max-iters"])
+    def test_min_df_and_max_iters_below_one_exit_2(self, tmp_path, gold_csv, flag):
+        out = tmp_path / "m.emo"
+        result = run_cli("train", "--gold", gold_csv, "--out", out, *FAST_FLAGS, flag, "-3")
+        assert result.returncode == 2
+        assert "must be at least 1" in result.stderr
+        assert "training failed" not in result.stderr   # rejected before training
+        assert not out.exists()
+
 
 class TestClassify:
     def test_predictions_format(self, tmp_path, trained):
@@ -188,6 +216,29 @@ class TestClassify:
             "--out", tmp_path / "pred.csv",
         )
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("defect", sorted(EXTRACTOR_DEFECTS))
+    def test_malformed_extractor_fails_at_load_with_exit_3(self, tmp_path, trained, defect):
+        bundle_path, _, _ = trained
+        payload = json.loads(bundle_path.read_text(encoding="utf-8"))
+        for (*parents, name), broken in EXTRACTOR_DEFECTS[defect].items():
+            field = payload["models"]["joy"]["extractor"]
+            for key in parents:
+                field = field[key]
+            field[name] = broken(field[name])
+        bad = tmp_path / "bad.emo"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed extractor payload"):
+            load_bundle(bad)
+
+        input_path = tmp_path / "input.csv"
+        input_path.write_text("1,hello\n", encoding="utf-8")
+        result = run_cli(
+            "classify", "--model", bad, "--input", input_path,
+            "--out", tmp_path / "pred.csv",
+        )
+        assert result.returncode == 3, result.stderr
+        assert "malformed extractor payload" in result.stderr
 
 
 class TestEvaluate:

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from emoclf.errors import ContractViolation, EmptyCorpus, IncompatibleModel, ParseError
 from emoclf.features import (
     AUX_FEATURES,
-    SparseVector,
+    FeatureMatrix,
     assemble,
     emotion_category_block,
     fit,
@@ -19,7 +18,6 @@ from emoclf.features import (
     politeness_score,
     save_extractor,
     sentiment_scores,
-    sparse_from_pairs,
     uncertainty_score,
 )
 from emoclf.lexicons import LexiconSet
@@ -47,25 +45,36 @@ def streams(*docs):
     return [TokenStream(tuple(doc)) for doc in docs]
 
 
-class TestSparseVector:
+def row_pairs(matrix, i=0):
+    """Row ``i`` of a FeatureMatrix as (index, value) pairs."""
+    start, end = matrix.indptr[i], matrix.indptr[i + 1]
+    return list(zip(matrix.indices[start:end].tolist(), matrix.data[start:end].tolist()))
+
+
+class TestFromPairs:
     def test_valid(self):
-        v = sparse_from_pairs([(3, 1.0), (0, 2.0)], 5)
-        assert v.pairs() == [(0, 2.0), (3, 1.0)]
+        m = FeatureMatrix.from_pairs([[(3, 1.0), (0, 2.0)], [(4, -1.0), (1, 5.0)]], 5)
+        assert m.n_rows == 2 and m.dimension == 5
+        assert row_pairs(m, 0) == [(0, 2.0), (3, 1.0)]
+        assert row_pairs(m, 1) == [(1, 5.0), (4, -1.0)]
 
     def test_zero_values_dropped(self):
-        assert sparse_from_pairs([(1, 0.0), (2, 3.0)], 4).pairs() == [(2, 3.0)]
+        assert row_pairs(FeatureMatrix.from_pairs([[(1, 0.0), (2, 3.0)]], 4)) == [(2, 3.0)]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ContractViolation):
-            SparseVector(np.array([5]), np.array([1.0]), 5)
+        for pairs in ([(5, 1.0)], [(-1, 1.0)]):
+            with pytest.raises(ContractViolation, match="out of range"):
+                FeatureMatrix.from_pairs([pairs], 5)
 
     def test_duplicate_index_rejected(self):
-        with pytest.raises(ContractViolation):
-            SparseVector(np.array([1, 1]), np.array([1.0, 2.0]), 4)
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            FeatureMatrix.from_pairs([[(1, 1.0), (1, 2.0)]], 4)
 
-    def test_dot(self):
-        v = sparse_from_pairs([(0, 2.0), (2, -1.0)], 3)
-        assert v.dot(np.array([1.0, 10.0, 4.0])) == -2.0
+    def test_empty_rows(self):
+        m = FeatureMatrix.from_pairs([[], [(2, 1.0)], [(0, 0.0)]], 3)
+        assert m.indptr.tolist() == [0, 0, 1, 1]
+        assert row_pairs(m, 0) == row_pairs(m, 2) == []
+        assert FeatureMatrix.from_pairs([], 3).n_rows == 0
 
 
 class TestIdf:
@@ -124,12 +133,12 @@ class TestFit:
 class TestNgramBlock:
     def test_out_of_vocabulary_doc_is_all_zero(self):
         fitted = fit(streams(["a"], ["a"]), EMPTY_LEXICONS, min_df=1)
-        assert ngram_block(TokenStream(("z", "q")), fitted).nnz == 0
+        assert len(ngram_block(TokenStream(("z", "q")), fitted)) == 0
 
     def test_single_term_normalizes_to_one(self):
         fitted = fit(streams(["a"], ["b"]), EMPTY_LEXICONS, min_df=1)
         block = ngram_block(TokenStream(("a", "a")), fitted)
-        (pair,) = block.pairs()
+        (pair,) = block
         assert pair[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_term_hand_computed_values(self):
@@ -137,7 +146,7 @@ class TestNgramBlock:
         # Training docs chosen so the probe's "a b" bigram stays out of vocab.
         fitted = fit(streams(["a"], ["b", "a"]), EMPTY_LEXICONS, min_df=1)
         block = ngram_block(TokenStream(("a", "b")), fitted)
-        values = dict(block.pairs())
+        values = dict(block)
         vocab = fitted.vocabulary
         assert "a b" not in vocab.index
         assert values[vocab.index["a"]] == pytest.approx(0.5797386715376657, abs=1e-9)
@@ -146,7 +155,7 @@ class TestNgramBlock:
     def test_block_norm_is_one(self):
         fitted = fit(streams(["a", "b", "c"], ["a", "c"]), EMPTY_LEXICONS, min_df=1)
         block = ngram_block(TokenStream(("a", "b", "c", "c")), fitted)
-        assert math.sqrt(sum(v * v for _, v in block.pairs())) == pytest.approx(
+        assert math.sqrt(sum(v * v for _, v in block)) == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -156,13 +165,13 @@ class TestCategoryBlock:
         lex = make_lexicons(categories={"joy": frozenset({"glad"})})
         fitted = fit(streams(["glad"], ["sad"]), lex, min_df=1)
         block = emotion_category_block(TokenStream(("glad", "glad")), fitted)
-        (pair,) = block.pairs()
+        (pair,) = block
         assert pair[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_lexicon_word_empty_block(self):
         lex = make_lexicons(categories={"joy": frozenset({"glad"})})
         fitted = fit(streams(["glad"], ["sad"]), lex, min_df=1)
-        assert emotion_category_block(TokenStream(("dull",)), fitted).nnz == 0
+        assert len(emotion_category_block(TokenStream(("dull",)), fitted)) == 0
 
     def test_two_equal_categories_split_evenly(self):
         lex = make_lexicons(
@@ -170,13 +179,13 @@ class TestCategoryBlock:
         )
         fitted = fit(streams(["glad", "dear"], ["x"]), lex, min_df=1)
         block = emotion_category_block(TokenStream(("glad", "dear")), fitted)
-        values = [v for _, v in block.pairs()]
+        values = [v for _, v in block]
         assert values == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-12)
 
     def test_matching_is_case_insensitive_on_doc_side(self):
         lex = make_lexicons(categories={"joy": frozenset({"glad"})})
         fitted = fit(streams(["glad"], ["x"]), lex, min_df=1)
-        assert emotion_category_block(TokenStream(("GLAD",)), fitted).nnz == 1
+        assert len(emotion_category_block(TokenStream(("GLAD",)), fitted)) == 1
 
 
 class TestPoliteness:
@@ -306,6 +315,7 @@ class TestAssemble:
         vec = assemble(TokenStream(("good", "glad", "please", "maybe")), fitted)
         idx = vec.indices
         assert all(b > a for a, b in zip(idx, idx[1:]))
+        assert vec.n_rows == 1
         assert idx[-1] < vec.dimension
 
     def test_empty_doc_has_only_standardized_aux(self):
@@ -320,27 +330,27 @@ class TestAssemble:
                 z = (default - fitted.aux_mean[slot]) / std
                 if z != 0:
                     expected[v + k + slot] = z
-        assert dict(vec.pairs()) == pytest.approx(expected)
+        assert dict(row_pairs(vec)) == pytest.approx(expected)
 
     def test_deterministic(self):
         fitted = self._fitted()
         doc = TokenStream(("good", "glad", "please"))
         a, b = assemble(doc, fitted), assemble(doc, fitted)
-        assert a.pairs() == b.pairs()
+        assert row_pairs(a) == row_pairs(b)
 
     def test_sparsity_bound(self):
         fitted = self._fitted()
         doc = TokenStream(("good", "stuff", "glad"))
         vec = assemble(doc, fitted)
         unigrams, bigrams = len(doc), max(0, len(doc) - 1)
-        assert vec.nnz <= unigrams + bigrams + len(fitted.categories) + 4
+        assert vec.indices.size <= unigrams + bigrams + len(fitted.categories) + 4
 
     def test_zero_std_feature_emitted_as_zero(self):
         # Identical training docs give stddev 0 on every auxiliary.
         fitted = fit(streams(["a", "b"], ["a", "b"]), EMPTY_LEXICONS, min_df=1)
         assert all(s == 0.0 for s in fitted.aux_std)
         vec = assemble(TokenStream(("a",)), fitted)
-        assert all(i < len(fitted.vocabulary) for i, _ in vec.pairs())
+        assert all(i < len(fitted.vocabulary) for i, _ in row_pairs(vec))
 
 
 class TestExtractorSerialization:
@@ -351,7 +361,7 @@ class TestExtractorSerialization:
         loaded = load_extractor(path)
         probe = ["good glad please maybe", "bad news", "", "glad glad ok :)"]
         for text in probe:
-            assert fitted.vectorize(text).pairs() == loaded.vectorize(text).pairs()
+            assert row_pairs(fitted.vectorize(text)) == row_pairs(loaded.vectorize(text))
 
     def test_unknown_version_rejected(self, tmp_path):
         fitted = TestAssemble()._fitted()

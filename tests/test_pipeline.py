@@ -85,6 +85,12 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match=name):
             TrainConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["min_df", "max_outer_iters"])
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_rejects_min_df_and_sweep_limit_below_one(self, name, bad):
+        with pytest.raises(ContractViolation, match=f"{name} must be at least 1"):
+            TrainConfig(**{name: bad})
+
 
 class TestFoldPlan:
     def test_balanced_two_class(self):
