@@ -70,8 +70,6 @@ class LabeledDocument:
 class SplitResult:
     train: tuple[LabeledDocument, ...]
     test: tuple[LabeledDocument, ...]
-    seed: int
-    train_fraction: float
     train_index: tuple[int, ...]    # corpus positions of ``train``, increasing
     test_index: tuple[int, ...]
 
@@ -249,8 +247,6 @@ def stratified_split(
     return SplitResult(
         train=tuple(corpus[i] for i in train_idx),
         test=tuple(corpus[i] for i in test_idx),
-        seed=seed,
-        train_fraction=float(train_fraction),
         train_index=tuple(train_idx),
         test_index=tuple(test_idx),
     )

@@ -15,9 +15,10 @@ Two paths compute the same vectors.  ``fit`` + ``assemble`` (or
 reference.  The corpus path does the text work once per corpus
 (``count_texts``: strip, tokenize, count n-grams, category hits and cue
 scores), then fits (``fit_counts``) and transforms (``transform_counts``)
-any subset of its rows with array operations.  It reproduces the reference
-bit for bit: every value comes from the same scalar formulas, and each
-block's L2 norm is summed in the same order by the same ``sum``.
+every row of a ``CorpusCounts`` with array operations; ``CorpusCounts.take``
+is how a caller picks the rows to fit or transform.  It reproduces the
+reference bit for bit: every value comes from the same scalar formulas, and
+each block's L2 norm is summed in the same order by the same ``sum``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
@@ -57,13 +58,8 @@ class Vocabulary:
     df: tuple[int, ...]             # aligned document frequencies
     n_docs: int
     min_df: int
-    index: Mapping[str, int] = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.index is None:
-            object.__setattr__(
-                self, "index", {term: i for i, term in enumerate(self.terms)}
-            )
         if len(self.df) != len(self.terms):
             raise ContractViolation(f"{len(self.df)} frequencies for {len(self.terms)} terms")
         low = max(self.min_df, 1)   # idf needs df >= 1
@@ -75,6 +71,11 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        """term -> slot."""
+        return {term: i for i, term in enumerate(self.terms)}
 
 
 def idf(df: int, n_docs: int) -> float:
@@ -94,16 +95,12 @@ class FittedExtractor:
 
     vocabulary: Vocabulary
     lexicons: LexiconSet
-    categories: tuple[str, ...]     # block order, sorted
-    category_df: tuple[int, ...]
+    category_df: tuple[int, ...]    # aligned with ``categories``
     aux_mean: tuple[float, ...]     # politeness, pos, neg, uncertainty
     aux_std: tuple[float, ...]
     emoticons: frozenset[str]
-    version: str = EXTRACTOR_VERSION
 
     def __post_init__(self):
-        if self.categories != tuple(sorted(self.lexicons.emotion_categories)):
-            raise ContractViolation("categories must be the lexicons' emotion categories, sorted")
         n_docs = self.vocabulary.n_docs
         if len(self.category_df) != len(self.categories) or not all(
             0 <= df <= n_docs for df in self.category_df
@@ -115,6 +112,11 @@ class FittedExtractor:
                 raise ContractViolation(f"{name} needs {len(AUX_FEATURES)} finite values")
         if min(self.aux_std) < 0.0:
             raise ContractViolation("aux_std must not be negative")
+
+    @cached_property
+    def categories(self) -> tuple[str, ...]:
+        """The lexicons' emotion categories, sorted: the category block's order."""
+        return tuple(sorted(self.lexicons.emotion_categories))
 
     @property
     def dimension(self) -> int:
@@ -208,7 +210,6 @@ def fit(
     return FittedExtractor(
         vocabulary=vocabulary,
         lexicons=lexicons,
-        categories=categories,
         category_df=tuple(category_df),
         aux_mean=tuple(float(m) for m in aux_mean),
         aux_std=tuple(float(s) for s in aux_std),
@@ -445,10 +446,6 @@ class CorpusCounts:
     def n_docs(self) -> int:
         return len(self.indptr) - 1
 
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(sorted(self.lexicons.emotion_categories))
-
     def take(self, rows: Sequence[int]) -> "CorpusCounts":
         """The counts of documents ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -533,41 +530,30 @@ def count_texts(
     return count_streams(streams, lexicons, emoticons)
 
 
-def fit_counts(
-    counts: CorpusCounts, rows: Sequence[int], min_df: int = 2
-) -> tuple[FittedExtractor, np.ndarray]:
-    """``fit`` on documents ``rows`` of a counted corpus, without redoing text work.
+def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
+    """``fit`` on every document of a counted corpus, without redoing text work.
 
-    Returns the extractor, equal field for field to ``fit`` on the same
-    streams in the same order, and the vocabulary slot of every counted term
-    (-1 where ``min_df`` drops it), ready for ``transform_counts``.
+    The extractor equals ``fit``'s on the same streams in the same order,
+    field for field.  Fit on a subset with ``fit_counts(counts.take(rows))``.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
+    if counts.n_docs == 0:
         raise EmptyCorpus("cannot fit an extractor on zero documents")
-    _, source = _gather_rows(counts.indptr, rows)
-    df = np.bincount(counts.indices[source], minlength=len(counts.terms))
+    df = np.bincount(counts.indices, minlength=len(counts.terms))
     keep = df >= max(min_df, 1)
-    slots = np.full(len(counts.terms), -1, dtype=np.int64)
-    slots[keep] = np.arange(np.count_nonzero(keep))
     vocabulary = Vocabulary(
         terms=tuple(compress(counts.terms, keep.tolist())),
         df=tuple(df[keep].tolist()),
-        n_docs=int(rows.size),
+        n_docs=counts.n_docs,
         min_df=min_df,
     )
-    category_df = np.count_nonzero(counts.category_counts[rows] > 0, axis=0)
-    aux_rows = counts.aux[rows]
-    fitted = FittedExtractor(
+    return FittedExtractor(
         vocabulary=vocabulary,
         lexicons=counts.lexicons,
-        categories=counts.categories,
-        category_df=tuple(category_df.tolist()),
-        aux_mean=tuple(float(m) for m in aux_rows.mean(axis=0)),
-        aux_std=tuple(float(s) for s in aux_rows.std(axis=0)),
+        category_df=tuple(np.count_nonzero(counts.category_counts > 0, axis=0).tolist()),
+        aux_mean=tuple(float(m) for m in counts.aux.mean(axis=0)),
+        aux_std=tuple(float(s) for s in counts.aux.std(axis=0)),
         emoticons=counts.emoticons,
     )
-    return fitted, slots
 
 
 def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -582,40 +568,28 @@ def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return values / np.repeat(norms, np.diff(indptr))
 
 
-def transform_counts(
-    counts: CorpusCounts,
-    fitted: FittedExtractor,
-    slots: np.ndarray,
-    rows: Sequence[int] | None = None,
-) -> FeatureMatrix:
-    """``assemble`` for documents ``rows`` (default: all) of a counted corpus.
+def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMatrix:
+    """``assemble`` for every document of a counted corpus.
 
-    ``slots`` maps each counted term to its slot in ``fitted``'s vocabulary
-    (``fit_counts`` or ``FittedExtractor.slots_for``); ``fitted`` must share
-    the lexicons and emoticon table the counts were made with.  Row i equals
-    ``assemble`` of document ``rows[i]``: same indices, same values.
+    ``fitted`` must share the lexicons and emoticon table the counts were
+    made with.  Row i equals ``assemble`` of document i: same indices, same
+    values.  Transform a subset with ``transform_counts(counts.take(rows), fitted)``.
     """
-    if rows is None:
-        rows = np.arange(counts.n_docs)
-        indptr, source = counts.indptr, slice(None)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-        indptr, source = _gather_rows(counts.indptr, rows)
-    n = len(rows)
+    n = counts.n_docs
     v, k = len(fitted.vocabulary), len(fitted.categories)
 
     # n-gram block: tf * idf over in-vocabulary terms, L2 per row.
-    columns = slots[counts.indices[source]]
+    columns = fitted.slots_for(counts.terms)[counts.indices]
     known = columns >= 0
-    ngram_rows = _row_ids(indptr)[known]
+    ngram_rows = _row_ids(counts.indptr)[known]
     columns = columns[known]
     ngram_ptr = _indptr_of(ngram_rows, n)
     ngram_values = _l2_normalize_rows(
-        ngram_ptr, counts.counts[source][known] * fitted.ngram_idf[columns]
+        ngram_ptr, counts.counts[known] * fitted.ngram_idf[columns]
     )
 
     # Category block: hits * idf where the category has training df, L2 per row.
-    hits = counts.category_counts[rows]
+    hits = counts.category_counts
     category_df = np.array(fitted.category_df, dtype=np.int64).reshape(k)
     category_rows, category_slots = np.nonzero((hits > 0) & (category_df > 0))
     category_ptr = _indptr_of(category_rows, n)
@@ -626,7 +600,7 @@ def transform_counts(
     # Standardized cue scores; a zero stddev disables the feature.
     std = np.array(fitted.aux_std, dtype=np.float64)
     active = std > 0.0
-    z = (counts.aux[rows] - np.array(fitted.aux_mean)) / np.where(active, std, 1.0)
+    z = (counts.aux - np.array(fitted.aux_mean)) / np.where(active, std, 1.0)
     aux_rows, aux_slots = np.nonzero(active & (z != 0.0))
     aux_ptr = _indptr_of(aux_rows, n)
 
@@ -654,7 +628,7 @@ def extractor_to_dict(fitted: FittedExtractor) -> dict:
     lex = fitted.lexicons
     return {
         "kind": "emoclf-extractor",
-        "version": fitted.version,
+        "version": EXTRACTOR_VERSION,
         "lowercase_ngrams": True,
         "idf": "ln((1+n_docs)/(1+df))+1",
         "aux_standardized": True,
@@ -714,16 +688,17 @@ def extractor_from_dict(payload: dict) -> FittedExtractor:
             n_docs=int(vocab_raw["n_docs"]),
             min_df=int(vocab_raw["min_df"]),
         )
-        return FittedExtractor(
+        fitted = FittedExtractor(
             vocabulary=vocabulary,
             lexicons=lexicons,
-            categories=tuple(payload["categories"]),
             category_df=tuple(int(c) for c in payload["category_df"]),
             aux_mean=tuple(float(m) for m in payload["aux_mean"]),
             aux_std=tuple(float(s) for s in payload["aux_std"]),
             emoticons=frozenset(payload["emoticons"]),
-            version=version,
         )
+        if tuple(payload["categories"]) != fitted.categories:
+            raise ContractViolation("categories must be the lexicons' emotion categories, sorted")
+        return fitted
     except (IncompatibleModel, ParseError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError,

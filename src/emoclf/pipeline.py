@@ -30,12 +30,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledDocument, stratified_split
+from .corpus import LabeledDocument, stratified_split, validate_emotion_name
 from .errors import (
     ContractViolation,
     DegenerateClass,
+    EmptyCorpus,
     EmptyEmotionSet,
     IncompatibleModel,
+    MalformedHeader,
     MissingLabel,
     ParseError,
     PipelineError,
@@ -345,8 +347,7 @@ def _evaluate_folds(
     for fold in range(plan.k):
         train_idx = np.flatnonzero(assignment != fold)
         held_idx = np.flatnonzero(assignment == fold)
-        fitted, slots = fit_counts(counts, train_idx, config.min_df)
-        features = transform_counts(counts, fitted, slots)
+        features = transform_counts(counts, fit_counts(counts.take(train_idx), config.min_df))
         problem = TrainingProblem.from_matrix(
             features.take(train_idx),
             _signs(labels[i] for i in train_idx),
@@ -428,9 +429,9 @@ def train_emotion_model(
         counts=counts,
     )
 
-    fitted, slots = fit_counts(counts, np.arange(len(gold)), config.min_df)
+    fitted = fit_counts(counts, config.min_df)
     problem = TrainingProblem.from_matrix(
-        transform_counts(counts, fitted, slots),
+        transform_counts(counts, fitted),
         _signs(labels),
         C=chosen_c,
         loss=config.loss,
@@ -441,7 +442,7 @@ def train_emotion_model(
         problem,
         SolverParams(eps=config.eps, max_outer_iters=config.max_outer_iters, seed=final_seed),
         monitor=config.monitor,
-    ).with_identity(emotion, fitted.version)
+    )
     return EmotionModel(
         emotion=emotion,
         extractor=fitted,
@@ -568,8 +569,7 @@ def _predictions(models: Sequence[EmotionModel], texts: Sequence[str]) -> dict[s
         head = group[0].extractor
         counts = count_texts(texts, head.lexicons, head.emoticons)
         for em in group:
-            rows = transform_counts(counts, em.extractor, em.extractor.slots_for(counts.terms))
-            bits[em.emotion] = predict_rows(em.model, rows)
+            bits[em.emotion] = predict_rows(em.model, transform_counts(counts, em.extractor))
     return bits
 
 
@@ -584,15 +584,11 @@ def classify(bundle: ModelBundle, docs) -> list[tuple[str, str, int]]:
     ]
 
 
-def evaluate(
-    bundle_or_model: ModelBundle | EmotionModel,
-    test_docs: Sequence[LabeledDocument],
-) -> EvalReport:
+def evaluate(bundle: ModelBundle, test_docs: Sequence[LabeledDocument]) -> EvalReport:
     """Per-emotion confusion counts and metrics on labeled documents."""
-    if isinstance(bundle_or_model, EmotionModel):
-        models = [bundle_or_model]
-    else:
-        models = list(bundle_or_model)
+    if not test_docs:
+        raise EmptyCorpus(f"{bundle.emotions[0]}: no documents to score: the gold corpus is empty")
+    models = list(bundle)
     golds = {em.emotion: _labels_for(test_docs, em.emotion) for em in models}
     bits = _predictions(models, [d.doc.text for d in test_docs])
     rows = [_metrics_row(em.emotion, Confusion.of(bits[em.emotion], golds[em.emotion]))
@@ -615,6 +611,11 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
         splits[emotion] = stratified_split(
             gold, stratify_by, fraction, bundle.models[emotion].split_seed
         )
+        if not splits[emotion].test_index:
+            raise EmptyCorpus(
+                f"{emotion}: no documents to score: train_fraction {fraction} "
+                "keeps every document of both classes for training"
+            )
     tested = sorted(set().union(*(split.test_index for split in splits.values())))
     position = {index: p for p, index in enumerate(tested)}
     bits = _predictions(list(bundle), [gold[i].doc.text for i in tested])
@@ -666,8 +667,12 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                 f"(expected {BUNDLE_VERSION!r})"
             )
         emotions = tuple(payload["emotions"])
+        if not emotions or len(set(emotions)) != len(emotions):
+            raise ValueError(f"emotions must be distinct and non-empty, got {list(emotions)}")
         models = {}
         for emotion in emotions:
+            if validate_emotion_name(emotion) != emotion:
+                raise ValueError(f"emotion name {emotion!r} is not lowercase and stripped")
             raw = payload["models"][emotion]
             extractor = extractor_from_dict(raw["extractor"])
             weights = np.asarray(raw["weights"], dtype=np.float64)
@@ -678,18 +683,12 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                 )
             if not np.all(np.isfinite(weights)):
                 raise IncompatibleModel(f"{emotion}: non-finite weights")
-            model = LinearModel(
-                w=weights,
-                C=float(raw["chosen_C"]),
-                loss=raw["loss"],
-                emotion=emotion,
-                extractor_version=extractor.version,
-                seed=int(raw["solver_seed"]),
-            )
+            if raw["loss"] not in (L1_HINGE, L2_HINGE):
+                raise ValueError(f"{emotion}: unknown loss {raw['loss']!r}")
             models[emotion] = EmotionModel(
                 emotion=emotion,
                 extractor=extractor,
-                model=model,
+                model=LinearModel(w=weights, loss=raw["loss"], seed=int(raw["solver_seed"])),
                 chosen_C=float(raw["chosen_C"]),
                 cv_accuracy=float(raw["cv_accuracy"]),
                 split_seed=int(raw["split_seed"]),
@@ -702,7 +701,7 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         )
     except (ParseError, IncompatibleModel):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, MalformedHeader) as exc:
         raise ParseError(f"malformed bundle payload: {exc}") from exc
 
 

@@ -20,7 +20,7 @@ component, so ``w``'s last slot is the intercept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +83,7 @@ class TrainingProblem:
     C: float
     loss: str
     dimension: int                 # includes the bias slot
-    pos_cost: float = 1.0          # per-class multipliers on C
-    neg_cost: float = 1.0
+    pos_cost: float = 1.0          # multiplier on C for positive rows
 
     @property
     def n_rows(self) -> int:
@@ -102,7 +101,6 @@ class TrainingProblem:
         C: float,
         loss: str = L2_HINGE,
         pos_cost: float = 1.0,
-        neg_cost: float = 1.0,
     ) -> "TrainingProblem":
         """Append the bias column to every row; y > 0 is the positive class.
 
@@ -114,10 +112,8 @@ class TrainingProblem:
             raise ContractViolation("need at least two rows with matching labels")
         if loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {loss!r}")
-        if not all(math.isfinite(v) and v > 0 for v in (C, pos_cost, neg_cost)):
-            raise ContractViolation(
-                "C and the class cost multipliers must be positive and finite"
-            )
+        if not all(math.isfinite(v) and v > 0 for v in (C, pos_cost)):
+            raise ContractViolation("C and pos_cost must be positive and finite")
 
         signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
         if np.all(signs > 0) or np.all(signs < 0):
@@ -147,7 +143,6 @@ class TrainingProblem:
             loss=loss,
             dimension=raw_dim + 1,
             pos_cost=float(pos_cost),
-            neg_cost=float(neg_cost),
         )
 
 
@@ -161,22 +156,16 @@ class LinearModel:
     """
 
     w: np.ndarray
-    C: float
     loss: str
-    emotion: str = ""
-    extractor_version: str = ""
     seed: int = 0
     sweeps: int | None = None
     final_violation: float | None = None   # largest projected gradient, last sweep
     converged: bool | None = None          # final_violation < eps
 
-    def with_identity(self, emotion: str, extractor_version: str) -> "LinearModel":
-        return replace(self, emotion=emotion, extractor_version=extractor_version)
-
 
 def _bounds_and_diag(problem: TrainingProblem) -> tuple[np.ndarray, np.ndarray]:
     n = problem.n_rows
-    costs = problem.C * np.where(problem.y > 0, problem.pos_cost, problem.neg_cost)
+    costs = problem.C * np.where(problem.y > 0, problem.pos_cost, 1.0)
     if problem.loss == L1_HINGE:
         upper = costs
         dcoef = np.zeros(n)
@@ -251,7 +240,6 @@ def train_dual_cd(
         monitor.final_alpha = alpha.copy()
     return LinearModel(
         w=w,
-        C=problem.C,
         loss=problem.loss,
         seed=params.seed,
         sweeps=sweeps,

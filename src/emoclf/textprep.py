@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ContractViolation, LexiconError
 
@@ -115,33 +115,27 @@ def _bears_term(token: str) -> bool:
     return any(ch.isalnum() for ch in token)
 
 
-def ngram_occurrences(stream: TokenStream, orders: Iterable[int] = (1, 2)) -> list[str]:
+def ngram_occurrences(stream: TokenStream) -> list[str]:
     """Every n-gram occurrence, duplicates kept: all unigrams, then all bigrams.
 
     Terms are lowercased.  Tokens without any alphanumeric character (bare
     punctuation, emoticons) never become terms, and a bigram never bridges
     such a token: clause-boundary punctuation cuts the pair.
     """
-    wanted = set(orders)
-    if not wanted or not wanted <= {1, 2}:
-        raise ContractViolation(f"n-gram orders must be a subset of {{1, 2}}, got {sorted(wanted)}")
     low = stream.lowered
     termable = [_bears_term(token) for token in stream.tokens]
-    occurrences: list[str] = []
-    if 1 in wanted:
-        occurrences.extend(low[i] for i in range(len(low)) if termable[i])
-    if 2 in wanted:
-        occurrences.extend(
-            f"{low[i]} {low[i + 1]}"
-            for i in range(len(low) - 1)
-            if termable[i] and termable[i + 1]
-        )
+    occurrences = [low[i] for i in range(len(low)) if termable[i]]
+    occurrences.extend(
+        f"{low[i]} {low[i + 1]}"
+        for i in range(len(low) - 1)
+        if termable[i] and termable[i + 1]
+    )
     return occurrences
 
 
-def ngram_terms(stream: TokenStream, orders: Iterable[int] = (1, 2)) -> list[str]:
+def ngram_terms(stream: TokenStream) -> list[str]:
     """Distinct n-gram terms in first-occurrence order."""
-    return list(dict.fromkeys(ngram_occurrences(stream, orders)))
+    return list(dict.fromkeys(ngram_occurrences(stream)))
 
 
 def parse_emoticon_table(text: str) -> frozenset[str]:

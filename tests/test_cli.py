@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from emoclf.corpus import write_gold_corpus, write_input_corpus
+from emoclf.corpus import Document, LabeledDocument, write_gold_corpus, write_input_corpus
 from emoclf.errors import ParseError
 from emoclf.pipeline import load_bundle
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
@@ -28,6 +28,24 @@ EXTRACTOR_DEFECTS = {
         ("vocabulary", "df"): lambda v: [0] + v[1:],
     },
     "reversed terms": {("vocabulary", "terms"): lambda v: v[::-1]},
+}
+
+
+def _renamed_joy(name):
+    """Edits that rename the emotion joy, in the list and in the models alike."""
+    return {
+        ("emotions",): lambda v: [name if e == "joy" else e for e in v],
+        ("models",): lambda v: {(name if e == "joy" else e): m for e, m in v.items()},
+    }
+
+
+# Edits that break a bundle's manifest: path from the bundle root -> new value.
+MANIFEST_DEFECTS = {
+    "no emotions": {("emotions",): lambda v: []},
+    "repeated emotion": {("emotions",): lambda v: [v[0], v[0]]},
+    "emotion name not lowercase": _renamed_joy("Joy"),
+    "invalid emotion name": _renamed_joy("1joy"),
+    "unknown loss": {("models", "joy", "loss"): lambda v: "l3"},
 }
 
 
@@ -171,8 +189,6 @@ class TestClassify:
     def test_predictions_format(self, tmp_path, trained):
         bundle_path, _, _ = trained
         input_path = tmp_path / "input.csv"
-        from emoclf.corpus import Document
-
         write_input_corpus(
             input_path,
             [Document("1", "zyblor quexal drazzle stuff"), Document("2", "plain text")],
@@ -217,18 +233,24 @@ class TestClassify:
         )
         assert result.returncode == 3
 
-    @pytest.mark.parametrize("defect", sorted(EXTRACTOR_DEFECTS))
+    @pytest.mark.parametrize("defect", sorted(EXTRACTOR_DEFECTS) + sorted(MANIFEST_DEFECTS))
     def test_malformed_extractor_fails_at_load_with_exit_3(self, tmp_path, trained, defect):
+        # Manifest defects share this test: both fail at load as ParseError, exit 3.
+        if defect in EXTRACTOR_DEFECTS:
+            edits, at = EXTRACTOR_DEFECTS[defect], ("models", "joy", "extractor")
+            message = "malformed extractor payload"
+        else:
+            edits, at, message = MANIFEST_DEFECTS[defect], (), "malformed bundle payload"
         bundle_path, _, _ = trained
         payload = json.loads(bundle_path.read_text(encoding="utf-8"))
-        for (*parents, name), broken in EXTRACTOR_DEFECTS[defect].items():
-            field = payload["models"]["joy"]["extractor"]
-            for key in parents:
+        for (*parents, name), broken in edits.items():
+            field = payload
+            for key in (*at, *parents):
                 field = field[key]
             field[name] = broken(field[name])
         bad = tmp_path / "bad.emo"
         bad.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ParseError, match="malformed extractor payload"):
+        with pytest.raises(ParseError, match=message):
             load_bundle(bad)
 
         input_path = tmp_path / "input.csv"
@@ -238,7 +260,7 @@ class TestClassify:
             "--out", tmp_path / "pred.csv",
         )
         assert result.returncode == 3, result.stderr
-        assert "malformed extractor payload" in result.stderr
+        assert message in result.stderr
 
 
 class TestEvaluate:
@@ -259,6 +281,31 @@ class TestEvaluate:
         write_gold_corpus(gold, docs, ["joy"])
         result = run_cli("evaluate", "--model", bundle_path, "--gold", gold)
         assert result.returncode == 2
+
+    def test_header_only_gold_exits_2_naming_the_emotion(self, tmp_path, trained):
+        bundle_path, _, _ = trained
+        gold = tmp_path / "empty.csv"
+        gold.write_text("id,text,joy,anger\n", encoding="utf-8")
+        result = run_cli("evaluate", "--model", bundle_path, "--gold", gold)
+        assert result.returncode == 2
+        assert "joy: no documents to score: the gold corpus is empty" in result.stderr
+
+    def test_empty_heldout_partition_exits_2_naming_the_emotion(self, tmp_path):
+        gold = tmp_path / "tiny.csv"
+        docs = [
+            LabeledDocument(Document(str(i), f"{'zyblor happy' if i < 4 else 'plain'} text {i}"),
+                            {"joy": int(i < 4)})
+            for i in range(8)
+        ]
+        write_gold_corpus(gold, docs, ["joy"])
+        out = tmp_path / "tiny.emo"
+        result = run_cli(
+            "train", "--gold", gold, "--out", out, "--folds", "2",
+            "--train-fraction", "0.9", "--min-df", "1", "--grid", "1",
+        )
+        assert result.returncode == 2
+        assert "joy: no documents to score: train_fraction 0.9" in result.stderr
+        assert out.exists()    # the bundle is written before the held-out report
 
 
 class TestLexiconOverrides:

