@@ -25,6 +25,7 @@ from .pipeline import (
     DEFAULT_C_GRID,
     TrainConfig,
     TuningGrid,
+    check_heldout_partitions,
     classify,
     evaluate,
     evaluate_heldout,
@@ -183,11 +184,14 @@ def cmd_train(args) -> int:
                 raise MissingLabel(emotion)
     else:
         emotions = header_emotions
+    config = _config_from_args(args)
+    # An empty held-out partition would fail the report; find out before training.
+    check_heldout_partitions(gold, emotions, config)
 
     # The log opens before training so that an unwritable path fails first.
     with (open(args.log_tuning, "w", encoding="utf-8", newline="") if args.log_tuning
           else contextlib.nullcontext()) as log:
-        bundle = train_all(gold, emotions, _config_from_args(args))
+        bundle = train_all(gold, emotions, config)
         if log is not None:
             log.write("emotion,fold,C,accuracy\n")
             for em in bundle:

@@ -7,6 +7,13 @@ held-out documents never leak into document frequencies), pick the cost with
 the best pooled accuracy breaking ties toward the smallest value, refit the
 extractor on the whole train partition, and train the final model there.
 
+The (fold, cost) solves of cross-validation run in lockstep
+(``svm.LockstepGroup``), consecutive folds at once in groups whose solver
+state stays within ``LOCKSTEP_STATE_BYTES``: wider groups are faster, but
+the state adds to peak memory.  The final model is trained alone by
+``train_dual_cd``, so a bundle could change only if a cross-validation
+decision flipped.
+
 Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
 and each fold fits and transforms its rows of that count matrix.  Batch
@@ -25,12 +32,12 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledDocument, stratified_split, validate_emotion_name
+from .corpus import LabeledDocument, _train_count, stratified_split, validate_emotion_name
 from .errors import (
     ContractViolation,
     DegenerateClass,
@@ -45,6 +52,7 @@ from .errors import (
 )
 from .features import (
     CorpusCounts,
+    FeatureMatrix,
     FittedExtractor,
     count_texts,
     extractor_from_dict,
@@ -57,6 +65,7 @@ from .svm import (
     L1_HINGE,
     L2_HINGE,
     LinearModel,
+    LockstepGroup,
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
@@ -69,6 +78,12 @@ BUNDLE_FORMAT = "emoclf-bundle"
 BUNDLE_VERSION = "1"
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.10, 0.20, 0.25, 0.50, 1.0, 2.0, 4.0, 8.0)
+
+# Cross-validation solves consecutive folds together, each at every cost, in
+# groups whose solver state (``LockstepGroup.state_bytes``: padded rows,
+# weights, multipliers) stays within this many bytes.  Wider groups solve
+# faster but raise peak memory; the width follows from the input shapes.
+LOCKSTEP_STATE_BYTES = 4 * 2**20
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -262,11 +277,16 @@ class Confusion:
 
 @dataclass(frozen=True)
 class FoldScore:
-    """Held-out confusion counts of one cross-validation solve: ``fold`` at cost ``C``."""
+    """Held-out confusion counts of one cross-validation solve: ``fold`` at cost ``C``.
+
+    ``sweeps`` and ``final_violation`` describe that solve, as on ``LinearModel``.
+    """
 
     fold: int
     C: float
     confusion: Confusion
+    sweeps: int
+    final_violation: float
 
 
 def _metrics_row(emotion: str, counts: Confusion) -> EmotionEval:
@@ -329,6 +349,28 @@ def _signs(labels) -> list[int]:
     return [1 if value else -1 for value in labels]
 
 
+def _fold_problem(
+    counts: CorpusCounts,
+    labels: Sequence[int],
+    assignment: np.ndarray,
+    fold: int,
+    c_values: Sequence[float],
+    config: TrainConfig,
+) -> tuple[TrainingProblem, FeatureMatrix, list[int]]:
+    """The fold's training problem, and its held-out rows and labels."""
+    train_idx = np.flatnonzero(assignment != fold)
+    held_idx = np.flatnonzero(assignment == fold)
+    features = transform_counts(counts, fit_counts(counts.take(train_idx), config.min_df))
+    problem = TrainingProblem.from_matrix(
+        features.take(train_idx),
+        _signs(labels[i] for i in train_idx),
+        C=c_values[0],
+        loss=config.loss,
+        pos_cost=config.positive_cost,
+    )
+    return problem, features.take(held_idx), [labels[i] for i in held_idx]
+
+
 def _evaluate_folds(
     counts: CorpusCounts,
     labels: Sequence[int],
@@ -341,31 +383,44 @@ def _evaluate_folds(
     The extractor and the training problem depend only on the fold's
     training documents, so each is built once per fold and only C varies
     across the grid; this is exactly equivalent to refitting per (fold, C).
+    Consecutive folds are solved together at every cost by a
+    ``LockstepGroup``, as many as fit ``LOCKSTEP_STATE_BYTES`` and at least
+    one; each solve gives what ``train_dual_cd`` would for that (fold, C).
     """
     assignment = np.asarray(plan.assignment)
-    scores = []
+    scores: list[FoldScore] = []
+    group = LockstepGroup(c_values)
+    held_out: list[tuple[int, FeatureMatrix, list[int]]] = []   # per fold in the group
     for fold in range(plan.k):
-        train_idx = np.flatnonzero(assignment != fold)
-        held_idx = np.flatnonzero(assignment == fold)
-        features = transform_counts(counts, fit_counts(counts.take(train_idx), config.min_df))
-        problem = TrainingProblem.from_matrix(
-            features.take(train_idx),
-            _signs(labels[i] for i in train_idx),
-            C=c_values[0],
-            loss=config.loss,
-            pos_cost=config.positive_cost,
-        )
-        held = features.take(held_idx)
-        y_held = [labels[i] for i in held_idx]
-        params = SolverParams(
+        problem, *held = _fold_problem(counts, labels, assignment, fold, c_values, config)
+        if len(group) and group.state_bytes(problem) > LOCKSTEP_STATE_BYTES:
+            scores += _score_group(group, held_out, c_values, config.monitor)
+            held_out = []
+        group.add(problem, SolverParams(
             eps=config.eps,
             max_outer_iters=config.max_outer_iters,
             seed=derive_seed(plan.seed, "solver", fold),
-        )
-        for c in c_values:
-            model = train_dual_cd(replace(problem, C=float(c)), params, monitor=config.monitor)
-            scores.append(FoldScore(fold, c, Confusion.of(predict_rows(model, held), y_held)))
+        ))
+        held_out.append((fold, *held))
+        del problem     # the group drops its rows once they are packed
+    scores += _score_group(group, held_out, c_values, config.monitor)
     return tuple(scores)
+
+
+def _score_group(
+    group: LockstepGroup,
+    held_out: Sequence[tuple[int, FeatureMatrix, list[int]]],
+    c_values: Sequence[float],
+    monitor: TrainingMonitor | None,
+) -> list[FoldScore]:
+    scores = {}
+    for index, cost, model in group.solve(monitor):
+        fold, rows, golds = held_out[index]
+        confusion = Confusion.of(predict_rows(model, rows), golds)
+        scores[index, cost] = FoldScore(
+            fold, c_values[cost], confusion, model.sweeps, model.final_violation
+        )
+    return [scores[key] for key in sorted(scores)]     # fold-major, then C
 
 
 def select_best_cost(scores: Mapping[float, float]) -> float:
@@ -596,6 +651,29 @@ def evaluate(bundle: ModelBundle, test_docs: Sequence[LabeledDocument]) -> EvalR
     return EvalReport(rows=tuple(rows))
 
 
+def _no_heldout(emotion: str, fraction: float) -> EmptyCorpus:
+    return EmptyCorpus(
+        f"{emotion}: no documents to score: train_fraction {fraction} "
+        "keeps every document of both classes for training"
+    )
+
+
+def check_heldout_partitions(
+    gold: Sequence[LabeledDocument], emotions: Sequence[str], config: TrainConfig
+) -> None:
+    """Raise ``EmptyCorpus`` when an emotion's split would hold out no documents.
+
+    Split sizes follow from the class sizes alone (see ``stratified_split``),
+    so this needs no training; ``evaluate_heldout`` would raise the same
+    error after it.  A split with an empty class is left to fail in training.
+    """
+    for emotion in emotions:
+        labels = _labels_for(gold, emotions[0] if config.shared_split else emotion)
+        sizes = (sum(1 for value in labels if value), sum(1 for value in labels if not value))
+        if all(sizes) and all(_train_count(n, config.train_fraction) == n for n in sizes):
+            raise _no_heldout(emotion, config.train_fraction)
+
+
 def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> EvalReport:
     """Score every model on its own held-out test partition.
 
@@ -612,10 +690,7 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
             gold, stratify_by, fraction, bundle.models[emotion].split_seed
         )
         if not splits[emotion].test_index:
-            raise EmptyCorpus(
-                f"{emotion}: no documents to score: train_fraction {fraction} "
-                "keeps every document of both classes for training"
-            )
+            raise _no_heldout(emotion, fraction)
     tested = sorted(set().union(*(split.test_index for split in splits.values())))
     position = {index: p for p, index in enumerate(tested)}
     bits = _predictions(list(bundle), [gold[i].doc.text for i in tested])

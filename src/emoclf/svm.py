@@ -15,13 +15,21 @@ optional monitor asserts.
 
 The bias is feature augmentation: every row gets a trailing constant-1
 component, so ``w``'s last slot is the intercept.
+
+Cross-validation solves many problems that share rows: each fold at every
+cost of a grid.  ``LockstepGroup`` runs a group of such folds together, one
+numpy step per coordinate step for every (fold, cost) pair, and each pair
+ends where ``train_dual_cd`` would.  Its state (padded rows, a weight matrix
+and a multiplier matrix) grows with the group, so callers bound it by
+``LockstepGroup.state_bytes``.  Single problems, such as final models, run
+on ``train_dual_cd``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -235,7 +243,7 @@ def train_dual_cd(
         if max_violation < params.eps:
             break
 
-    _check_weight_consistency(problem, alpha, w)
+    _check_weight_consistency(w, weights_from_alpha(problem, alpha))
     if monitor is not None:
         monitor.final_alpha = alpha.copy()
     return LinearModel(
@@ -248,10 +256,260 @@ def train_dual_cd(
     )
 
 
-def _check_weight_consistency(problem: TrainingProblem, alpha: np.ndarray, w: np.ndarray) -> None:
+# --- lockstep: many problems, one step at a time ---------------------------
+
+_LOCKSTEP_CHUNK = 64     # sweep steps whose rows are gathered together
+
+
+class LockstepGroup:
+    """Dual coordinate descent on several problems x one cost grid at once.
+
+    Each added problem (a cross-validation fold) is solved at every cost in
+    ``c_values``; its own ``C`` is ignored.  The costs of one problem share
+    its rows and its seed, so every step visits the same row of the problem
+    at all of them, and one numpy step advances every (problem, cost) pair.
+    Fold f at cost c ends where ``train_dual_cd(replace(problem_f, C=c),
+    params_f)`` does: the same sweeps, and weights equal up to the
+    summation order of the row dot products (about 1e-15).  The state is
+    the problems' rows padded to one shape, a weight matrix and a
+    multiplier matrix with one column per cost, and a live mask: a pair
+    that converges stops at the end of its sweep and its results are read
+    out.  Padded rows and stopped pairs get infinite curvature, so their
+    steps are exactly zero.  The memory this takes is ``state_bytes``.
+    """
+
+    def __init__(self, c_values: Sequence[float]):
+        if not c_values or not all(math.isfinite(c) and c > 0 for c in c_values):
+            raise ContractViolation("costs must be a non-empty run of positive finite values")
+        self.c_values = tuple(float(c) for c in c_values)
+        self._problems: list[TrainingProblem] = []
+        self._params: list[SolverParams] = []
+
+    def __len__(self) -> int:
+        return len(self._problems)
+
+    def state_bytes(self, extra: TrainingProblem | None = None) -> int:
+        """Bytes of the solver state for the added problems, plus ``extra`` if given.
+
+        That is the padded rows (an int32 index and a float64 value per
+        slot, every row as long as the longest), one weight matrix and one
+        multiplier matrix, all padded to the largest problem.
+        """
+        problems = self._problems + ([] if extra is None else [extra])
+        rows, nnz, dimension = _padded_shape(problems)
+        return len(problems) * (rows * nnz * 12 + (dimension + rows) * len(self.c_values) * 8)
+
+    def add(self, problem: TrainingProblem, params: SolverParams) -> None:
+        if self._problems:
+            first = self._params[0]
+            if problem.loss != self._problems[0].loss:
+                raise ContractViolation("lockstep problems must share one loss")
+            if (params.eps, params.max_outer_iters) != (first.eps, first.max_outer_iters):
+                raise ContractViolation("lockstep problems must share eps and max_outer_iters")
+        self._problems.append(problem)
+        self._params.append(params)
+
+    def solve(
+        self, monitor: TrainingMonitor | None = None
+    ) -> Iterator[tuple[int, int, LinearModel]]:
+        """Yield ``(problem index, cost index, model)`` as each pair stops.
+
+        The rows are packed on the call, and the group drops its problems
+        and is empty afterwards; the solving happens as the result is
+        iterated.  Yielding each model as it stops, rather than all at the
+        end, keeps one weight vector per pair from piling up beside the
+        state.
+        """
+        if not self._problems:
+            raise ContractViolation("no problems to solve")
+        params, self._params = self._params, []
+        return _Lockstep(self._problems, self.c_values).run(params, monitor)
+
+
+def _padded_shape(problems: Sequence[TrainingProblem]) -> tuple[int, int, int]:
+    """Rows, slots per row and dimension that every problem is padded to."""
+    return (max(p.n_rows for p in problems),
+            max(int(np.diff(p.indptr).max()) for p in problems),
+            max(p.dimension for p in problems))
+
+
+class _Lockstep:
+    """Packed rows and solver state of one ``LockstepGroup.solve``."""
+
+    def __init__(self, problems: list[TrainingProblem], c_values: tuple[float, ...]):
+        """Pack ``problems``, then empty the list so their CSR rows can go."""
+        folds = len(problems)
+        self.loss = problems[0].loss
+        self.n_rows = np.array([p.n_rows for p in problems])
+        self.dims = [p.dimension for p in problems]
+        n, nnz, d = _padded_shape(problems)
+        self.rows_per_fold, self.dim_per_fold = n, d
+
+        # Row f*n + i is row i of fold f; its slots index the weight table,
+        # whose row f*d + j is feature j of fold f.  Padded slots point at
+        # the table's last row with value 0, so that row stays 0.  Values
+        # carry the row's sign y_i.  Padded rows get an infinite norm, so
+        # their steps are exactly zero.
+        self.cols = np.full((folds * n, nnz), folds * d, dtype=np.int32)
+        self.vals = np.zeros((folds * n, nnz))
+        self.norms = np.full(folds * n, np.inf)     # ||x_i||^2
+        self.scale = np.ones(folds * n)             # row i's multiplier on C
+        for f in range(folds):
+            self._pack(f, problems[f])
+        problems.clear()
+
+        self.costs = np.asarray(c_values)           # of the state's columns
+        self.cost_of = np.arange(len(c_values))     # state column -> cost index
+        self.w = np.zeros((folds * d + 1, len(c_values)))
+        self.alpha = np.zeros((folds * n, 1, len(c_values)))
+        self.live = np.ones((folds, len(c_values)), dtype=bool)
+
+    def _pack(self, f: int, p: TrainingProblem) -> None:
+        n, d = self.rows_per_fold, self.dim_per_fold
+        lengths = np.diff(p.indptr)
+        row = np.repeat(np.arange(p.n_rows), lengths)
+        slot = np.arange(len(p.indices)) - p.indptr[row]
+        self.cols[f * n + row, slot] = p.indices + f * d
+        self.vals[f * n + row, slot] = p.y[row] * p.data
+        bounds = p.indptr.tolist()
+        self.norms[f * n:f * n + p.n_rows] = [p.data[a:b] @ p.data[a:b]
+                                              for a, b in zip(bounds, bounds[1:])]
+        self.scale[f * n:f * n + p.n_rows] = np.where(p.y > 0, p.pos_cost, 1.0)
+
+    def run(self, params: Sequence[SolverParams], monitor: TrainingMonitor | None):
+        folds, costs = self.live.shape
+        n = self.rows_per_fold
+        eps, max_sweeps = params[0].eps, params[0].max_outer_iters
+        rngs = [np.random.RandomState(p.seed & 0xFFFFFFFF) for p in params]
+        if monitor is not None:
+            monitor.trainings += folds * costs
+        for sweep in range(1, max_sweeps + 1):
+            active = np.flatnonzero(self.live.any(axis=1))
+            order = np.empty((n, len(active)), dtype=np.intp)   # step x fold -> row
+            for j, f in enumerate(active):
+                m = self.n_rows[f]
+                order[:m, j] = rngs[f].permutation(m)
+                order[m:, j] = np.arange(m, n)
+            order += active * n
+            real = np.arange(n)[:, None] < self.n_rows[active]
+            violation = np.zeros((len(active), 1, len(self.costs)))
+            for start in range(0, n, _LOCKSTEP_CHUNK):
+                chunk = slice(start, start + _LOCKSTEP_CHUNK)
+                self._steps(active, order[chunk], real[chunk], violation, monitor)
+
+            alive = self.live[active]
+            if monitor is not None:
+                monitor.sweeps += int(alive.sum())
+            violation = violation[:, 0, :]
+            stop = alive & ((violation < eps) | (sweep == max_sweeps))
+            for j, col in zip(*np.nonzero(stop)):
+                f = int(active[j])
+                model = self._finish(f, col, params[f].seed, sweep, float(violation[j, col]), eps)
+                yield f, int(self.cost_of[col]), model
+            if not self.live.any():
+                break
+            self._drop_dead_columns()
+        if monitor is not None:
+            monitor.final_alpha = self._last_alpha
+
+    def _steps(self, active, rows, real, violation, monitor) -> None:
+        """One step per row of ``rows`` (steps x folds), at every cost of the state."""
+        cols = self.cols[rows]
+        vals = self.vals[rows][:, :, None, :]            # (steps, folds, 1, nnz)
+        vals_t = vals.transpose(0, 1, 3, 2)              # (steps, folds, nnz, 1)
+        # Bounds and curvature per (step, fold, 1, cost), computed as
+        # _bounds_and_diag and train_dual_cd do; stopped pairs get an
+        # infinite curvature, so their steps are exactly zero.
+        row_costs = self.costs * self.scale[rows][:, :, None, None]
+        norms = self.norms[rows][:, :, None, None]
+        live = self.live[active][None, :, None, :]
+        if self.loss == L1_HINGE:
+            upper, dcoef = row_costs, None
+            qdiag = np.where(live, norms, np.inf)
+        else:
+            upper, dcoef = None, 1.0 / (2.0 * row_costs)
+            qdiag = np.where(live, norms + dcoef, np.inf)
+        before = np.empty_like(qdiag)
+        gradient = np.empty_like(qdiag)
+        delta = np.empty_like(qdiag)
+        w, alpha = self.w, self.alpha
+        for t in range(len(rows)):
+            r, c = rows[t], cols[t]
+            wg = w.take(c, axis=0)                       # (folds, nnz, costs)
+            a = alpha.take(r, axis=0, out=before[t])
+            g = np.subtract(np.matmul(vals[t], wg), 1.0, out=gradient[t])
+            if dcoef is not None:
+                g += dcoef[t] * a
+            new_a = a - g / qdiag[t]
+            np.maximum(new_a, 0.0, out=new_a)
+            if upper is not None:
+                np.minimum(new_a, upper[t], out=new_a)
+            d = np.subtract(new_a, a, out=delta[t])
+            alpha[r] = new_a
+            wg += vals_t[t] * d
+            w[c] = wg
+
+        projected = np.where(before <= 0.0, np.minimum(gradient, 0.0), gradient)
+        if upper is not None:
+            projected = np.where(before >= upper, np.maximum(projected, 0.0), projected)
+        projected = np.abs(projected) * real[:, :, None, None]
+        np.maximum(violation, projected.max(axis=0), out=violation)
+        if monitor is not None:
+            moved = delta != 0.0
+            d = delta[moved]
+            gain = -(gradient[moved] * d + 0.5 * qdiag[moved] * d * d)
+            monitor.steps += int(d.size)
+            monitor.objective_decreases += int(np.count_nonzero(gain < 0.0))
+            monitor.dual_objective += float(gain.sum())
+
+    def _finish(self, f, col, seed, sweeps, violation, eps) -> LinearModel:
+        """Read out and check one stopped (fold, cost) pair, and stop it."""
+        n, d, dim = self.rows_per_fold, self.dim_per_fold, self.dims[f]
+        rows = slice(f * n, f * n + self.n_rows[f])
+        w = self.w[f * d:f * d + dim, col].copy()
+        alpha = self._last_alpha = self.alpha[rows, 0, col].copy()
+        reference = np.bincount((self.cols[rows] - f * d).ravel(),
+                                weights=(alpha[:, None] * self.vals[rows]).ravel(),
+                                minlength=dim)[:dim]
+        _check_weight_consistency(w, reference)
+        self.live[f, col] = False
+        return LinearModel(w=w, loss=self.loss, seed=seed, sweeps=sweeps,
+                           final_violation=violation, converged=violation < eps)
+
+    def _drop_dead_columns(self) -> None:
+        keep = self.live.any(axis=0)
+        if keep.all():
+            return
+        self.live = self.live[:, keep]
+        self.costs = self.costs[keep]
+        self.cost_of = self.cost_of[keep]
+        self.w = _compress_in_place(self.w, keep)
+        self.alpha = _compress_in_place(self.alpha, keep)
+
+
+def _compress_in_place(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``a.compress(keep, axis=-1)``, written over ``a``'s own buffer.
+
+    A copy would briefly hold the weight matrix twice, which shows in peak
+    memory.  Row r moves to offset r * kept, never past its old offset
+    r * width, so a block of rows can be copied out and written back in
+    order without touching rows not yet read.  The result is C-contiguous,
+    as ``take`` needs to gather rows without copying the whole array.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    kept = int(np.count_nonzero(keep))
+    flat = a.reshape(-1)
+    block = 1024
+    for start in range(0, len(rows), block):
+        part = rows[start:start + block].compress(keep, axis=1)
+        flat[start * kept:start * kept + part.size] = part.ravel()
+    return flat[:len(rows) * kept].reshape(a.shape[:-1] + (kept,))
+
+
+def _check_weight_consistency(w: np.ndarray, reference: np.ndarray) -> None:
+    """``w`` is finite and within tolerance of ``reference``, its value recomputed from alpha."""
     if not np.all(np.isfinite(w)):
         raise NumericError("weight vector became non-finite during training")
-    reference = weights_from_alpha(problem, alpha)
     drift = float(np.max(np.abs(w - reference), initial=0.0))
     if drift > _W_CONSISTENCY_TOL:
         raise NumericError(
@@ -260,16 +518,17 @@ def _check_weight_consistency(problem: TrainingProblem, alpha: np.ndarray, w: np
 
 
 def weights_from_alpha(problem: TrainingProblem, alpha: Sequence[float]) -> np.ndarray:
-    """Recompute ``w = sum_i alpha_i y_i x_i`` from scratch."""
+    """Recompute ``w = sum_i alpha_i y_i x_i`` from scratch.
+
+    One ``bincount`` over the CSR entries; it adds them in row order, as a
+    loop over the rows would.
+    """
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != (problem.n_rows,):
         raise DimensionError("alpha length must match the number of rows")
-    w = np.zeros(problem.dimension)
-    for i in range(problem.n_rows):
-        if a[i] != 0.0:
-            cols, vals = problem.row(i)
-            w[cols] += (a[i] * problem.y[i]) * vals
-    return w
+    scale = np.repeat(a * problem.y, np.diff(problem.indptr))
+    return np.bincount(problem.indices, weights=scale * problem.data,
+                       minlength=problem.dimension)
 
 
 def dual_objective(alpha: Sequence[float], problem: TrainingProblem) -> float:

@@ -305,7 +305,32 @@ class TestEvaluate:
         )
         assert result.returncode == 2
         assert "joy: no documents to score: train_fraction 0.9" in result.stderr
-        assert out.exists()    # the bundle is written before the held-out report
+        assert not out.exists()    # rejected before training, so no bundle is written
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_heldout_check_follows_the_shared_split(self, tmp_path, shared):
+        # Split by itself, joy (4 + 4 documents) keeps everything for training;
+        # split by anger (2 + 6), one document is held out for every emotion.
+        gold = tmp_path / "two.csv"
+        docs = [
+            LabeledDocument(Document(str(i), f"{'zyblor' if i < 4 else 'plain'} "
+                                             f"{'grr' if i % 4 == 0 else 'calm'} text {i}"),
+                            {"anger": int(i % 4 == 0), "joy": int(i < 4)})
+            for i in range(8)
+        ]
+        write_gold_corpus(gold, docs, ["anger", "joy"])
+        out = tmp_path / "two.emo"
+        result = run_cli(
+            "train", "--gold", gold, "--out", out, "--folds", "2", "--train-fraction", "0.9",
+            "--min-df", "1", "--grid", "1", *(["--shared-split"] if shared else []),
+        )
+        if shared:
+            assert result.returncode == 0, result.stderr
+            assert out.exists()
+        else:
+            assert result.returncode == 2
+            assert "joy: no documents to score: train_fraction 0.9" in result.stderr
+            assert not out.exists()
 
 
 class TestLexiconOverrides:

@@ -1,15 +1,18 @@
 import concurrent.futures
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoclf import pipeline
 from emoclf.corpus import Document, LabeledDocument, stratified_split
 from emoclf.errors import (
     ContractViolation,
     DegenerateClass,
+    EmptyCorpus,
     EmptyEmotionSet,
     IncompatibleModel,
     MissingLabel,
@@ -17,13 +20,16 @@ from emoclf.errors import (
     PipelineError,
     TooFewPositives,
 )
+from emoclf.features import fit_counts, transform_counts
 from emoclf.pipeline import (
     DEFAULT_C_GRID,
     Confusion,
+    FoldScore,
     TrainConfig,
     TuningGrid,
     bundle_from_dict,
     bundle_to_dict,
+    check_heldout_partitions,
     classify,
     confusion_metrics,
     derive_seed,
@@ -37,7 +43,14 @@ from emoclf.pipeline import (
     train_all,
     train_emotion_model,
 )
-from emoclf.svm import TrainingMonitor
+from emoclf.svm import (
+    LockstepGroup,
+    SolverParams,
+    TrainingMonitor,
+    TrainingProblem,
+    predict_rows,
+    train_dual_cd,
+)
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 
 SMALL_GRID = TuningGrid((0.25, 1.0))
@@ -211,6 +224,96 @@ class TestSelection:
         scores = {0.01: 2.0, 0.1: 5.0, 0.5: 5.0, 1.0: 4.0, 4.0: 1.0}
         shuffled = {c: scores[c] for c in order}
         assert select_best_cost(shuffled) == 0.1
+
+
+def scalar_fold_scores(counts, labels, plan, c_values, config):
+    """Cross-validation as one ``train_dual_cd`` per (fold, C), fold-major.
+
+    The reference for the lockstep solves in ``pipeline._evaluate_folds``.
+    """
+    assignment = np.asarray(plan.assignment)
+    scores = []
+    for fold in range(plan.k):
+        train_idx = np.flatnonzero(assignment != fold)
+        held_idx = np.flatnonzero(assignment == fold)
+        features = transform_counts(counts, fit_counts(counts.take(train_idx), config.min_df))
+        problem = TrainingProblem.from_matrix(
+            features.take(train_idx),
+            [1 if labels[i] else -1 for i in train_idx],
+            C=c_values[0],
+            loss=config.loss,
+            pos_cost=config.positive_cost,
+        )
+        held = features.take(held_idx)
+        y_held = [labels[i] for i in held_idx]
+        params = SolverParams(
+            eps=config.eps,
+            max_outer_iters=config.max_outer_iters,
+            seed=derive_seed(plan.seed, "solver", fold),
+        )
+        for c in c_values:
+            model = train_dual_cd(replace(problem, C=float(c)), params)
+            scores.append(FoldScore(fold, c, Confusion.of(predict_rows(model, held), y_held),
+                                    model.sweeps, model.final_violation))
+    return scores
+
+
+class TestLockstepCrossValidation:
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    # The state budget is given in units of one fold's state.
+    @pytest.mark.parametrize("budget_in_folds, widths", [
+        (0, [1, 1, 1, 1, 1]),      # below one fold's state: a group still holds one
+        (2.5, [2, 2, 1]),
+        (100, [5]),
+    ])
+    def test_fold_scores_equal_the_scalar_loop(self, monkeypatch, loss, budget_in_folds, widths):
+        docs = small_corpus(n=150, seed=9, noise=0.1)
+        config = TrainConfig(folds=5, grid=TuningGrid((0.05, 0.5, 4.0)), min_df=1, loss=loss,
+                             positive_cost=1.5)
+        labels = [d.labels["joy"] for d in docs]
+        plan = make_fold_plan(labels, config.folds, 17)
+        counts = pipeline._count_docs(docs, config)
+        c_values = config.grid.c_values
+        first = pipeline._fold_problem(counts, labels, np.asarray(plan.assignment), 0,
+                                       c_values, config)[0]
+        budget = budget_in_folds * LockstepGroup(c_values).state_bytes(first)
+        monkeypatch.setattr(pipeline, "LOCKSTEP_STATE_BYTES", budget)
+        seen = []
+        score_group = pipeline._score_group
+
+        def recording(group, *rest):
+            seen.append(len(group))
+            return score_group(group, *rest)
+
+        monkeypatch.setattr(pipeline, "_score_group", recording)
+
+        got = pipeline._evaluate_folds(counts, labels, plan, c_values, config)
+        expected = scalar_fold_scores(counts, labels, plan, c_values, config)
+        assert seen == widths
+        assert [(s.fold, s.C, s.confusion, s.sweeps) for s in got] == [
+            (s.fold, s.C, s.confusion, s.sweeps) for s in expected
+        ]
+        # The row dots sum in another order, so violations agree to rounding.
+        assert [s.final_violation for s in got] == pytest.approx(
+            [s.final_violation for s in expected], rel=1e-9, abs=1e-12)
+
+
+class TestHeldoutCheck:
+    @given(
+        positives=st.integers(min_value=1, max_value=12),
+        negatives=st.integers(min_value=1, max_value=12),
+        fraction=st.sampled_from([0.5, 0.7, 0.8, 0.9, 0.95]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raises_exactly_when_the_split_holds_out_nothing(self, positives, negatives, fraction):
+        docs = [LabeledDocument(Document(str(i), "text"), {"joy": int(i < positives)})
+                for i in range(positives + negatives)]
+        config = TrainConfig(train_fraction=fraction)
+        if stratified_split(docs, "joy", fraction, 0).test_index:
+            check_heldout_partitions(docs, ["joy"], config)
+        else:
+            with pytest.raises(EmptyCorpus, match=f"joy: no documents to score: train_fraction {fraction}"):
+                check_heldout_partitions(docs, ["joy"], config)
 
 
 class TestCrossValidation:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from emoclf.features import FeatureMatrix
 from emoclf.svm import (
     L1_HINGE,
     L2_HINGE,
+    LockstepGroup,
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
@@ -21,6 +24,7 @@ from emoclf.svm import (
     dual_objective,
     predict,
     predict_rows,
+    _compress_in_place,
     train_dual_cd,
     weights_from_alpha,
 )
@@ -48,6 +52,30 @@ def random_problem(rng, n=None, d=None, loss=None, C=None):
     loss = loss or (L1_HINGE if rng.rand() < 0.5 else L2_HINGE)
     C = C or float(10 ** rng.uniform(-2, 1))
     return dense_rows(X), y, C, loss
+
+
+def sparse_problem(rng, n, d, loss, pos_cost=1.0):
+    """A problem whose rows differ in length: each entry is kept with probability 0.6."""
+    X = rng.randn(n, d) * (rng.rand(n, d) < 0.6)
+    rows = FeatureMatrix.from_pairs([[(j, X[i, j]) for j in range(d)] for i in range(n)], d)
+    y = np.ones(n, dtype=int)
+    y[rng.permutation(n)[: max(1, n // 2)]] = -1
+    return TrainingProblem.from_matrix(rows, y, C=1.0, loss=loss, pos_cost=pos_cost), rows, y
+
+
+def lockstep_models(problems, c_values, params, monitor=None):
+    """{(problem index, cost index): model} from one LockstepGroup."""
+    group = LockstepGroup(c_values)
+    for problem, p in zip(problems, params):
+        group.add(problem, p)
+    return {(index, cost): model for index, cost, model in group.solve(monitor)}
+
+
+def primal_objective(w, X, y, C, loss, pos_cost):
+    """0.5 ||w||^2 + sum_i cost_i * loss_i, dense; X carries the bias column."""
+    slack = np.maximum(0.0, 1.0 - np.asarray(y, float) * (X @ w))
+    costs = C * np.where(np.asarray(y) > 0, pos_cost, 1.0)
+    return 0.5 * w @ w + costs @ (slack if loss == L1_HINGE else slack * slack)
 
 
 class TestTwoPointAnalyticCase:
@@ -299,3 +327,114 @@ class TestDualObjective:
             Q = Q + np.eye(8) / (2 * C)
         expected = alpha.sum() - 0.5 * alpha @ Q @ alpha
         assert dual_objective(alpha, problem) == pytest.approx(expected, rel=1e-12)
+
+
+class TestWeightsFromAlpha:
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_row_by_row_sum(self, seed):
+        rng = np.random.RandomState(seed)
+        problem, _, _ = sparse_problem(rng, int(rng.randint(2, 30)), int(rng.randint(1, 8)),
+                                       L2_HINGE)
+        alpha = rng.rand(problem.n_rows) * (rng.rand(problem.n_rows) < 0.7)
+        expected = np.zeros(problem.dimension)
+        for i in range(problem.n_rows):
+            if alpha[i] != 0.0:
+                cols, vals = problem.row(i)
+                expected[cols] += (alpha[i] * problem.y[i]) * vals
+        assert np.max(np.abs(weights_from_alpha(problem, alpha) - expected)) <= 1e-12
+
+
+class TestLockstep:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        loss=st.sampled_from([L1_HINGE, L2_HINGE]),
+        pos_cost=st.sampled_from([1.0, 2.5]),
+        max_outer_iters=st.sampled_from([1, 1000]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_pair_matches_the_scalar_solver(self, seed, loss, pos_cost, max_outer_iters):
+        rng = np.random.RandomState(seed)
+        # Folds differ in row count and dimension, so rows and weights are padded.
+        problems = [
+            sparse_problem(rng, int(rng.randint(2, 16)), int(rng.randint(1, 6)), loss, pos_cost)[0]
+            for _ in range(rng.randint(1, 4))
+        ]
+        c_values = tuple(sorted({round(float(c), 4) for c in 10 ** rng.uniform(-2, 1, 3)}))
+        params = [SolverParams(eps=1e-3, max_outer_iters=max_outer_iters,
+                               seed=int(rng.randint(2**31))) for _ in problems]
+        monitor, scalar = TrainingMonitor(), TrainingMonitor()
+        models = lockstep_models(problems, c_values, params, monitor)
+        assert sorted(models) == [(f, g) for f in range(len(problems))
+                                  for g in range(len(c_values))]
+        for (f, g), model in sorted(models.items()):
+            reference = train_dual_cd(replace(problems[f], C=c_values[g]), params[f], scalar)
+            assert (model.sweeps, model.converged) == (reference.sweeps, reference.converged)
+            assert np.max(np.abs(model.w - reference.w)) <= 1e-9
+            assert model.final_violation == pytest.approx(
+                reference.final_violation, rel=1e-9, abs=1e-12)
+            assert (model.loss, model.seed) == (loss, params[f].seed)
+        # Steps are not compared: a step of about 1e-16 can round to zero on
+        # one path and not the other, since the row dots sum in another order.
+        assert (monitor.trainings, monitor.sweeps) == (scalar.trainings, scalar.sweeps)
+        assert monitor.objective_decreases == 0
+        assert monitor.dual_objective == pytest.approx(scalar.dual_objective, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("loss", [L1_HINGE, L2_HINGE])
+    def test_objectives_match_the_reference_solver(self, loss):
+        rng = np.random.RandomState(11)
+        built = [sparse_problem(rng, n, d, loss, pos_cost=2.0) for n, d in ((9, 3), (14, 5), (6, 2))]
+        c_values = (0.1, 1.0, 5.0)
+        params = [SolverParams(eps=1e-8, max_outer_iters=50_000, seed=f) for f in range(3)]
+        monitor = TrainingMonitor()
+        models = lockstep_models([problem for problem, _, _ in built], c_values, params, monitor)
+        total = 0.0
+        for (f, g), model in models.items():
+            _, rows, y = built[f]
+            X = augmented_dense(rows, rows.dimension)
+            _, reference = solve_dual_reference(X, y, c_values[g], loss, pos_cost=2.0)
+            assert model.converged
+            # Strong duality: the primal objective at w is the dual optimum.
+            assert primal_objective(model.w, X, y, c_values[g], loss, 2.0) == pytest.approx(
+                reference, rel=1e-4, abs=1e-8)
+            total += reference
+        assert monitor.dual_objective == pytest.approx(total, rel=1e-4, abs=1e-8)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_dropping_stopped_costs_in_place_equals_compress(self, seed):
+        rng = np.random.RandomState(seed)
+        a = rng.randn(int(rng.randint(1, 3000)), 1, int(rng.randint(1, 6)))  # > 1 block
+        keep = rng.rand(a.shape[-1]) < 0.6
+        expected = a.compress(keep, axis=-1)
+        got = _compress_in_place(a.copy(), keep)
+        assert np.array_equal(got, expected)
+        assert got.flags.c_contiguous
+
+    def test_state_bytes_counts_padded_rows_weights_and_multipliers(self):
+        rng = np.random.RandomState(2)
+        small = TrainingProblem.from_matrix(dense_rows(rng.randn(4, 2)), [1, -1, 1, -1], C=1.0)
+        large = TrainingProblem.from_matrix(dense_rows(rng.randn(6, 5)), [1, -1] * 3, C=1.0)
+        group = LockstepGroup((0.5, 1.0, 2.0))
+        group.add(small, SolverParams())
+        # Two folds padded to 6 rows of 6 slots (5 features + bias), dimension 6.
+        assert group.state_bytes(large) == 2 * (6 * 6 * 12 + (6 + 6) * 3 * 8)
+        assert group.state_bytes() == 4 * 3 * 12 + (3 + 4) * 3 * 8
+
+    def test_solving_empties_the_group(self):
+        problem = two_point_problem()
+        group = LockstepGroup((1.0,))
+        group.add(problem, SolverParams(eps=1e-10, seed=3))
+        models = list(group.solve())
+        assert len(group) == 0 and len(models) == 1
+        assert models[0][2].w == pytest.approx([0.8, 0.0], abs=1e-6)
+        with pytest.raises(ContractViolation, match="no problems"):
+            group.solve()
+
+    def test_problems_must_share_loss_and_stopping_rule(self):
+        group = LockstepGroup((1.0,))
+        group.add(two_point_problem(loss=L2_HINGE), SolverParams())
+        with pytest.raises(ContractViolation, match="loss"):
+            group.add(two_point_problem(loss=L1_HINGE), SolverParams())
+        with pytest.raises(ContractViolation, match="eps"):
+            group.add(two_point_problem(), SolverParams(eps=0.01))
