@@ -14,12 +14,15 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import random
 import re
+import uuid
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
     BadLabel,
@@ -87,9 +90,36 @@ def _csv_failure(reader, exc: csv.Error) -> MalformedRecord:
     return MalformedRecord(reader.line_num, f"unparseable CSV: {exc}")
 
 
-def _open_write(path):
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose contents replace ``path`` when the block succeeds.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` moves onto ``path`` at the end of the block.  If the block
+    or the move raises, the temporary file is deleted and any earlier file at
+    ``path`` is left as it was.  Newlines are written as given.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    # Mode "x" creates the file with the permissions a plain open would give;
+    # tempfile.mkstemp would make it readable by its owner only.
+    handle = open(temp, "x", encoding="utf-8", newline="")
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
+@contextlib.contextmanager
+def _open_write(path) -> Iterator[TextIO]:
+    try:
+        with atomic_write(path) as handle:
+            yield handle
     except OSError as exc:
         raise CorpusIOError(f"cannot write {path}: {exc}") from exc
 

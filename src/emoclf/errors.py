@@ -34,6 +34,19 @@ class FieldTooLarge(MalformedRecord):
         self.limit = limit
 
 
+class DocumentTooLarge(EmoclfError):
+    """A document is longer than ``features.MAX_DOCUMENT_CHARS``."""
+
+    def __init__(self, position: int, length: int, limit: int):
+        super().__init__(
+            f"document {position} (counting from 0) has {length} characters, "
+            f"more than the maximum of {limit}"
+        )
+        self.position = position
+        self.length = length
+        self.limit = limit
+
+
 class MalformedHeader(CorpusError):
     pass
 

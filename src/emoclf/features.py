@@ -34,7 +34,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EmptyCorpus, IncompatibleModel, LexiconError, ParseError
+from .errors import (
+    ContractViolation,
+    DocumentTooLarge,
+    EmptyCorpus,
+    IncompatibleModel,
+    LexiconError,
+    ParseError,
+)
 from .lexicons import LexiconSet
 from .textprep import (
     TokenStream,
@@ -46,6 +53,11 @@ from .textprep import (
 )
 
 EXTRACTOR_VERSION = "1"
+
+# The longest text ``count_texts`` accepts.  It equals the csv module's
+# default field size limit, which bounds a document read from a corpus file,
+# so the library and the command line refuse the same documents.
+MAX_DOCUMENT_CHARS = 131_072
 
 AUX_FEATURES = ("politeness", "sentiment_pos", "sentiment_neg", "uncertainty")
 
@@ -523,11 +535,23 @@ def count_texts(
     lexicons: LexiconSet,
     emoticons: frozenset[str] | None = None,
 ) -> CorpusCounts:
-    """Strip, tokenize and count raw texts; each text is processed once."""
+    """Strip, tokenize and count raw texts; each text is processed once.
+
+    Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
+    """
     if emoticons is None:
         emoticons = default_emoticons()
-    streams = (tokenize(strip_noise(text), emoticons) for text in texts)
+    streams = (
+        tokenize(strip_noise(_within_limit(position, text)), emoticons)
+        for position, text in enumerate(texts)
+    )
     return count_streams(streams, lexicons, emoticons)
+
+
+def _within_limit(position: int, text: str) -> str:
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise DocumentTooLarge(position, len(text), MAX_DOCUMENT_CHARS)
+    return text
 
 
 def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:

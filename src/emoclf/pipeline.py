@@ -37,7 +37,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledDocument, _train_count, stratified_split, validate_emotion_name
+from .corpus import (
+    LabeledDocument,
+    _train_count,
+    atomic_write,
+    stratified_split,
+    validate_emotion_name,
+)
 from .errors import (
     ContractViolation,
     DegenerateClass,
@@ -213,7 +219,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with atomic_write(path) as handle:
             handle.write(self.to_csv_text())
 
     def table(self) -> str:
@@ -727,7 +733,7 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(bundle_to_dict(bundle), handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
 

@@ -6,6 +6,54 @@ removes them; ``tokenize`` splits the remainder into surface tokens that keep
 their case (the lexicon scorers want it) while ``ngram_terms`` exposes the
 lowercased n-gram view.  No stemming or lemmatization happens anywhere:
 inflected forms stay distinct vocabulary entries.
+
+``strip_noise`` reads the text once, left to right.  One compiled pattern
+finds the next place where markup can begin ("<", ">", "```", "://" or
+"www."), so plain text between two such places is copied at C speed.  Each
+removed region becomes one space.  At each place:
+
+* A fence "```" opens a fenced block that the next fence closes.  A fence
+  with no later fence stays as text.
+* ``<code…>`` (any case) opens a code span that the first later
+  ``</code>`` closes; the span goes with its contents.  With no later
+  ``</code>`` the opener is an ordinary tag and its contents stay.
+* "://" is a URL when a scheme (a letter at a word boundary, then letters,
+  digits, "+", "." or "-") runs up to it and an address follows.  The scheme
+  is found by walking back from "://".  "www." at a word boundary starts a
+  URL too.  An address runs up to whitespace, "<" or ">", or up to a fence
+  that a later fence closes.
+* "<" opens a tag.  Open tags form a stack: ">" closes the innermost one,
+  with everything removed inside it, unless nothing at all lies between
+  them.  Such a "<>" stays as text and ends every open tag, so
+  ``a < b <> c > d`` keeps all its text, unless the "<>" sits on an
+  indented-code line (below), which will be blanked out with it.  Nested
+  ``<<…a>>`` brackets thus collapse to one space, and a ">" with no open
+  tag stays as text.
+
+Last, every line that starts with four or more spaces and then a
+non-whitespace character is indented code and becomes one space.  Lines are
+judged on the text after all other removals, each removed region counting as
+one space: ``<p>    x`` is an indented line.
+
+Every step is linear in the text, so a hostile post costs time in
+proportion to its length, and ``features.count_texts`` refuses texts longer
+than ``features.MAX_DOCUMENT_CHARS`` with ``DocumentTooLarge``.  Stripping
+is idempotent.
+
+This scan replaced a fixpoint that applied one regex per construct, in the
+order above, until the text stopped changing, and that took quadratic time
+on unclosed code spans, deep nesting and long scheme-like runs.  On
+well-formed markup the two give the same words.  The known differences:
+
+* Runs of spaces can differ.  The fixpoint judged indentation on
+  intermediate text, so ``www.b.com/p <code>x=1</code> <<a>>`` gave one
+  space where the scan keeps five; a URL whose address holds a second URL
+  was two regions, not one.
+* Where constructs overlap instead of nesting, such as a ``</code>`` inside
+  a fenced block, or brackets that span an indented-code line around
+  another tag, the scan takes constructs in the order it meets them, where
+  the fixpoint went by construct type and pass, so the words kept can
+  differ.
 """
 
 from __future__ import annotations
@@ -18,33 +66,149 @@ from typing import Iterator
 
 from .errors import ContractViolation, LexiconError
 
-# Applied in order, and the whole pass repeats until the text stops changing,
-# which makes stripping idempotent even for nested or overlapping markup.
-# Code spans run before bare-tag removal so their contents vanish with them;
-# URLs run before tags so "<http://x>"-style links lose the address too.
-_NOISE_PATTERNS = (
-    re.compile(r"```.*?```", re.DOTALL),                            # fenced code
-    re.compile(r"<code\b[^>]*>.*?</code>", re.IGNORECASE | re.DOTALL),
-    re.compile(r"\b[A-Za-z][A-Za-z0-9+.\-]*://[^\s<>]+"),           # scheme://…
-    re.compile(r"\bwww\.[^\s<>]+"),                                 # bare www.…
-    re.compile(r"<[^<>]+>"),                                        # leftover tags
-    re.compile(r"^[ ]{4,}\S.*$", re.MULTILINE),                     # indented code
-)
+# Where a construct can begin; the text between two matches is plain.
+_NEXT = re.compile(r"[<>]|```|://|www\.")
+_SCHEME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+.-"
+_SCHEME_RUN = re.compile(r"[A-Za-z0-9+.\-]*://")
+_SCHEME_START = re.compile(r"\b[A-Za-z]")
+_WWW = re.compile(r"\bwww\.[^\s<>]")
+_ADDRESS = re.compile(r"[^\s<>]+")
+_CODE_OPEN = re.compile(r"<code\b", re.IGNORECASE)
+_CODE_CLOSE = re.compile(r"</code>", re.IGNORECASE)
+# A tag with no "<", ">" or "`" inside: nothing in it can reach past its ">",
+# so it goes in one step.
+_SIMPLE_TAG = re.compile(r"<[^<>`]+>")
+_INDENTED_LINE = re.compile(r"^[ ]{4,}\S.*$", re.MULTILINE)
+
+# What is known about the output line being built: its count of leading
+# spaces so far, or one of these once its first other character is out.
+_INDENTED = -1      # four or more spaces, then a non-whitespace character
+_NOT_INDENTED = -2
+
+
+def _line_state(state: int, chunk: str) -> int:
+    """The output line's state after ``chunk`` is appended to it."""
+    newline = chunk.rfind("\n")
+    if newline >= 0:
+        state, chunk = 0, chunk[newline + 1:]
+    if state < 0:
+        return state
+    rest = chunk.lstrip(" ")
+    if not rest:
+        return state + len(chunk)
+    lead = state + len(chunk) - len(rest)
+    return _INDENTED if lead >= 4 and not rest[0].isspace() else _NOT_INDENTED
+
+
+def _address_end(text: str, at: int, last_fence: int) -> int:
+    """Where a URL address starting at ``at`` ends; ``at`` itself if it is empty."""
+    address = _ADDRESS.match(text, at)
+    if address is None:
+        return at
+    fence = text.find("```", at, address.end())
+    return fence if 0 <= fence <= last_fence - 3 else address.end()
+
+
+def _url_span(text: str, at: int, lo: int, last_fence: int) -> tuple[int, int] | None:
+    """The URL that the "://" or "www." at ``at`` belongs to, if any.
+
+    The scheme is looked for back to ``lo`` at most.  A "www." inside a
+    scheme, as in ``www.x://y``, belongs to that URL.
+    """
+    sep = at
+    if text[at] == "w":
+        if not _WWW.match(text, at):
+            return None
+        run = _SCHEME_RUN.match(text, at)
+        sep = -1 if run is None else run.end() - 3
+    if sep >= 0:
+        head = text[lo:sep].rstrip(_SCHEME_CHARS)
+        scheme = _SCHEME_START.search(text, lo + len(head), sep)
+        if scheme is not None:
+            end = _address_end(text, sep + 3, last_fence)
+            if end > sep + 3:
+                return scheme.start(), end
+    if text[at] == "w":
+        end = _address_end(text, at + 4, last_fence)
+        if end > at + 4:
+            return at, end
+    return None
 
 
 def strip_noise(text: str) -> str:
-    """Blank out HTML/XML tags, code fragments, and URLs.
+    """Blank out HTML/XML tags, code fragments, and URLs in one linear pass.
 
     Each removed region becomes a single space; all other characters are left
-    untouched, so surviving words keep their exact spelling and spacing.
+    untouched, so surviving words keep their exact spelling and spacing.  The
+    module docstring gives the rules.
     """
-    while True:
-        cleaned = text
-        for pattern in _NOISE_PATTERNS:
-            cleaned = pattern.sub(" ", cleaned)
-        if cleaned == text:
-            return cleaned
-        text = cleaned
+    out: list[str] = []
+    state = 0           # _line_state of "".join(out)
+    opens: list[tuple[int, int]] = []   # each open "<": its index in out, state before it
+    pos = 0             # text[:pos] is in out or removed
+    floor = 0           # no URL scheme starts before this
+    closers_left = True
+    last_fence = text.rfind("```")
+    search = _NEXT.search
+    match = search(text)
+    while match is not None:
+        start = match.start()
+        char = text[start]
+        end = -1        # set when text[start:end] is to be removed
+        if char == "<":
+            if closers_left and _CODE_OPEN.match(text, start):
+                gt = text.find(">", start)
+                closer = _CODE_CLOSE.search(text, gt + 1) if gt >= 0 else None
+                # Without a closer here, no later code opener has one either.
+                closers_left = closer is not None
+                if closers_left:
+                    end = closer.end()
+            if end < 0:
+                tag = _SIMPLE_TAG.match(text, start)
+                if tag is not None:
+                    end = tag.end()
+        elif char == "`":
+            if start <= last_fence - 3:
+                end = text.find("```", start + 3) + 3
+        elif char != ">":
+            url = _url_span(text, start, max(pos, floor), last_fence)
+            if url is None:
+                if char == ":":
+                    floor = start + 3   # ":" ends every scheme
+                match = search(text, start + 1)
+                continue
+            start, end = url
+        if start > pos:
+            chunk = text[pos:start]
+            out.append(chunk)
+            if state >= 0 or "\n" in chunk:
+                state = _line_state(state, chunk)
+            pos = start
+        if end >= 0:
+            out.append(" ")
+            if state >= 0:
+                state += 1
+            pos = end
+        elif char == "<":
+            opens.append((len(out), state))
+            out.append("<")
+            state = _INDENTED if state >= 4 or state == _INDENTED else _NOT_INDENTED
+            pos = start + 1
+        elif char == ">" and opens:
+            mark, before = opens.pop()
+            if mark < len(out) - 1:
+                del out[mark:]
+                out.append(" ")
+                state = before + 1 if before >= 0 else before
+                pos = start + 1
+            elif before < 4 and before != _INDENTED:
+                # "<>" stays, and ends every open tag unless its line is
+                # indented code that will be blanked out with it.
+                opens.clear()
+        match = search(text, pos if pos > start else start + 1)
+    if pos < len(text):
+        out.append(text[pos:])
+    return _INDENTED_LINE.sub(" ", "".join(out))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from emoclf import features
+from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, write_gold_corpus, write_input_corpus
 from emoclf.errors import ParseError
 from emoclf.pipeline import load_bundle
@@ -222,6 +224,19 @@ class TestClassify:
         assert result.returncode == 2
         assert "line 2" in result.stderr and "131072" in result.stderr
 
+    def test_document_over_the_library_limit_exits_2(self, tmp_path, trained, monkeypatch, capsys):
+        # A CSV field cannot exceed the limit, so lower it to reach the library's check.
+        monkeypatch.setattr(features, "MAX_DOCUMENT_CHARS", 20)
+        bundle_path, _, _ = trained
+        input_path = tmp_path / "input.csv"
+        write_input_corpus(input_path, [Document("1", "short"), Document("2", "x" * 21)])
+        out = tmp_path / "pred.csv"
+        code = main(["classify", "--model", str(bundle_path), "--input", str(input_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert "document 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupted_bundle_exits_3(self, tmp_path):
         bad = tmp_path / "bad.emo"
         bad.write_text("{broken", encoding="utf-8")
@@ -273,6 +288,17 @@ class TestEvaluate:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "emotion,tp,fp,fn,tn,precision,recall,f1,accuracy"
         assert len(lines) == 3
+
+    def test_document_over_the_library_limit_exits_2(self, tmp_path, trained, monkeypatch, capsys):
+        monkeypatch.setattr(features, "MAX_DOCUMENT_CHARS", 20)
+        bundle_path, _, _ = trained
+        gold = tmp_path / "gold.csv"
+        docs = [LabeledDocument(Document("1", "x" * 21), {"joy": 1, "anger": 0})]
+        write_gold_corpus(gold, docs, ["joy", "anger"])
+        code = main(["evaluate", "--model", str(bundle_path), "--gold", str(gold)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "document 0" in err and "maximum of 20" in err
 
     def test_gold_missing_column_exits_2(self, tmp_path, trained):
         bundle_path, _, _ = trained

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from emoclf.corpus import (
     Document,
     LabeledDocument,
+    atomic_write,
     read_gold_corpus,
     read_input_corpus,
     stratified_split,
@@ -187,6 +189,51 @@ class TestWritePredictions:
         path = tmp_path / "pred.csv"
         write_predictions(path, [])
         assert path.read_text(encoding="utf-8") == "id,label\n"
+
+    def test_failure_partway_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        write_predictions(path, [("1", "joy", 1)])
+
+        def rows():
+            yield ("2", "joy", 0)
+            raise RuntimeError("scoring failed")
+
+        with pytest.raises(RuntimeError):
+            write_predictions(path, rows())
+        assert path.read_text(encoding="utf-8") == "id,label\n1,JOY\n"
+        assert os.listdir(tmp_path) == ["pred.csv"]
+
+    def test_missing_directory_raises_corpus_io_error(self, tmp_path):
+        with pytest.raises(CorpusIOError):
+            write_predictions(tmp_path / "missing" / "pred.csv", [])
+
+
+class TestAtomicWrite:
+    def test_replaces_the_target_with_exactly_what_was_written(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write("new\r\nline\n")
+        assert path.read_bytes() == b"new\r\nline\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failure_partway_keeps_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as handle:
+                handle.write("half of the new")
+                handle.flush()
+                raise RuntimeError("serializer failed")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failure_creates_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "out.txt") as handle:
+                handle.write("x")
+                raise RuntimeError("serializer failed")
+        assert os.listdir(tmp_path) == []
 
 
 class TestRoundTrips:

@@ -7,6 +7,7 @@ emotions whose extractors tokenize and count alike.  Both must reproduce
 exactly, not to a tolerance.
 """
 
+import csv
 import hashlib
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 import emoclf.features as features
 from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, stratified_split, write_gold_corpus
-from emoclf.errors import ContractViolation, EmptyCorpus
+from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus
 from emoclf.features import (
+    MAX_DOCUMENT_CHARS,
     FeatureMatrix,
     assemble,
     count_streams,
@@ -116,6 +118,29 @@ def test_counting_raw_text_matches_the_reference_preprocessing():
     counts = count_texts(PROBE_TEXTS, lexicons, emoticons)
     _same_rows(transform_counts(counts, reference),
                [reference.vectorize(text) for text in PROBE_TEXTS])
+
+
+class TestDocumentSizeLimit:
+    def test_limit_is_the_csv_field_limit(self):
+        assert MAX_DOCUMENT_CHARS == csv.field_size_limit()
+
+    def test_document_at_the_limit_is_counted(self):
+        counts = count_texts(["ok", "ab " * (MAX_DOCUMENT_CHARS // 3)], default_lexicons())
+        assert counts.n_docs == 2
+
+    def test_longer_document_names_its_position_and_the_limit(self):
+        texts = ["ok", "fine", "<code>x " * (MAX_DOCUMENT_CHARS // 8 + 1)]
+        with pytest.raises(DocumentTooLarge) as err:
+            count_texts(texts, default_lexicons())
+        assert (err.value.position, err.value.limit) == (2, MAX_DOCUMENT_CHARS)
+        assert err.value.length == len(texts[2])
+        assert "document 2" in str(err.value) and str(MAX_DOCUMENT_CHARS) in str(err.value)
+
+    def test_classify_refuses_an_oversized_document(self, bundles):
+        docs = [Document("a", "zyblor"), Document("b", "z" * (MAX_DOCUMENT_CHARS + 1))]
+        with pytest.raises(DocumentTooLarge) as err:
+            classify(bundles["shared_split"], docs)
+        assert err.value.position == 1
 
 
 def test_fit_counts_rejects_zero_documents():

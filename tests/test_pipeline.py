@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -561,6 +562,23 @@ class TestEvaluate:
         tp, fp, fn, tn = map(int, cells[1:5])
         assert float(cells[5]) == pytest.approx(tp / (tp + fp) if tp + fp else 0.0)
 
+    def test_report_write_failure_keeps_the_previous_report(self, tmp_path):
+        docs = small_corpus(n=60)
+        report = evaluate_heldout(train_all(docs, ["joy"], TrainConfig(**FAST)), docs)
+        path = tmp_path / "report.csv"
+        report.to_csv(path)
+        before = path.read_bytes()
+
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("serializer failed")
+
+        broken = replace(report, rows=(replace(report.rows[0], f1=Unprintable(0.5)),))
+        with pytest.raises(RuntimeError):
+            broken.to_csv(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.csv"]
+
     def test_table_columns(self):
         docs = small_corpus(n=60)
         bundle = train_all(docs, ["joy"], TrainConfig(**FAST))
@@ -616,6 +634,19 @@ class TestBundlePersistence:
         path = tmp_path / "model.emo"
         save_bundle(bundle, path)
         assert load_bundle(path).models["joy"].cv_folds == ()
+
+    def test_save_failure_partway_keeps_the_previous_bundle(self, tmp_path, monkeypatch):
+        bundle = self._bundle()
+        path = tmp_path / "model.emo"
+        save_bundle(bundle, path)
+        before = path.read_bytes()
+        payload = bundle_to_dict(bundle)
+        payload["zz_unserializable"] = object()    # sorted last: written after the rest
+        monkeypatch.setattr(pipeline, "bundle_to_dict", lambda _: payload)
+        with pytest.raises(TypeError):
+            save_bundle(bundle, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.emo"]
 
     def test_resave_is_byte_identical(self, tmp_path):
         bundle = self._bundle()

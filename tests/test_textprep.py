@@ -1,6 +1,11 @@
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strip_oracle import strip_noise_fixpoint
 
 from emoclf.errors import ContractViolation
 from emoclf.textprep import (
@@ -60,6 +65,144 @@ class TestStripNoise:
         text = " ".join(pieces)
         once = strip_noise(text)
         assert strip_noise(once) == once
+
+
+# Well-formed markup, one construct at a time, for comparison with the oracle.
+_WORDS = st.sampled_from(["thanks", "works", "value", "zyblor", "don't", "3.14", "foo_bar"])
+_EMOTICONS = st.sampled_from([":)", ":(", ":D", ";)", ":-(", ":P", "^_^"])
+_CODE_TEXT = st.lists(
+    st.sampled_from(["x", "=", "f(1);", "y", "\n", "return", "i++"]), min_size=1, max_size=6
+).map(" ".join)
+_URLS = st.builds(
+    lambda scheme, host, path: f"{scheme}://{host}{path}",
+    st.sampled_from(["http", "https", "ftp", "git+ssh"]),
+    st.sampled_from(["a.io", "example.org", "x.y-z.com"]),
+    st.sampled_from(["", "/", "/p?q=1", "/q/42#a7"]),
+)
+_WWW_LINKS = st.builds(
+    lambda host, path: f"www.{host}{path}",
+    st.sampled_from(["b.com", "example.com"]), st.sampled_from(["", "/page", "/p?x=1"]),
+)
+_TAGS = st.one_of(
+    st.sampled_from(["<b>", "</b>", "<p>", "</p>", "<br/>", '<div class="post">', "</div>"]),
+    st.builds(lambda depth, name: "<" * depth + name + ">" * depth,
+              st.integers(1, 4), st.sampled_from(["a", "b x=1"])),
+)
+_CODE_SPANS = st.builds(
+    lambda opener, body, closer: f"{opener}{body}{closer}",
+    st.sampled_from(["<code>", "<CODE>", '<code class="py">', "<code\nlang=c>"]),
+    _CODE_TEXT, st.sampled_from(["</code>", "</CODE>", "</Code>"]),
+)
+_CONSTRUCTS = st.one_of(
+    _WORDS, _EMOTICONS, _TAGS, _CODE_SPANS, _URLS, _WWW_LINKS,
+    _CODE_TEXT.map(lambda body: f"```{body}```"),
+    st.builds(lambda url, word: f'<a href="{url}">{word}</a>', _URLS, _WORDS),
+    st.builds(lambda indent, body: f"\n{indent}{body}\n",
+              st.sampled_from(["    ", "      "]), _CODE_TEXT.map(lambda b: b.replace("\n", " "))),
+)
+_WELL_FORMED = st.lists(
+    st.tuples(_CONSTRUCTS, st.sampled_from([" ", "\n", "  "])), max_size=12
+).map(lambda parts: "".join(piece + gap for piece, gap in parts))
+
+
+@pytest.fixture(scope="module")
+def workload_inputs():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    return inputs
+
+
+class TestStripAgainstOracle:
+    """The one-pass scan against the regex fixpoint it replaced (tests/strip_oracle.py)."""
+
+    @given(_WELL_FORMED)
+    @settings(max_examples=400, deadline=None)
+    def test_same_words_as_the_fixpoint_on_well_formed_markup(self, text):
+        once = strip_noise(text)
+        assert once.split() == strip_noise_fixpoint(text).split()
+        assert strip_noise(once) == once
+
+    @pytest.mark.parametrize("workload", ["train-c07", "multi-6emo", "forum-markup"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_byte_equal_to_the_fixpoint_on_benchmark_texts(self, workload_inputs, workload, seed):
+        spec = workload_inputs.WORKLOADS[workload]
+        texts = [text for _, text, _ in workload_inputs.gold_corpus(spec, seed)]
+        texts += [text for _, text in workload_inputs.classify_stream(spec, seed)]
+        assert [strip_noise(t) for t in texts] == [strip_noise_fixpoint(t) for t in texts]
+
+    def test_documented_whitespace_difference(self):
+        # The fixpoint judged indentation before the nested tag was gone.
+        text = "www.b.com/p <code>x=1</code> <<a>>"
+        assert strip_noise_fixpoint(text) == " "
+        assert strip_noise(text) == "     "
+
+
+class TestStripRules:
+    def test_nested_brackets_collapse_to_one_space(self):
+        assert strip_noise("a <<<<b>>>> c") == "a   c"
+
+    def test_empty_brackets_end_open_tags(self):
+        text = "if (a < b) { xs = new ArrayList<>(); } c > d"
+        assert strip_noise(text) == text
+
+    def test_stray_close_bracket_stays(self):
+        assert strip_noise("a > b <i>c</i>") == "a > b  c "
+
+    def test_empty_brackets_on_an_indented_line_go_with_the_line(self):
+        # The line is blanked out, so the outer tag closes across it.
+        text = "<a\n    <>\nb>"
+        assert strip_noise(text) == " "
+        assert strip_noise_fixpoint(text) == " "
+
+    def test_fence_opened_inside_a_tag_runs_past_its_bracket(self):
+        assert strip_noise("<a ```> b``` c") == "<a   c"
+
+    def test_code_span_closes_at_the_first_closer(self):
+        assert strip_noise("<code>a</code> b </code>") == "  b  "
+
+    def test_url_scheme_found_by_walking_back(self):
+        assert strip_noise("go x.www.a://b now") == "go   now"
+        assert strip_noise("1a.b://x") == "1a. "
+        assert strip_noise("foo_bar://x") == "foo_bar://x"
+
+    def test_www_needs_a_word_boundary_and_an_address(self):
+        assert strip_noise("awww.b www. c") == "awww.b www. c"
+
+    def test_url_address_stops_at_a_fence_that_pairs(self):
+        assert strip_noise("http://x```code``` y") == "   y"
+        assert strip_noise("http://x``` y") == "  y"
+
+    def test_indentation_judged_after_removals(self):
+        assert strip_noise("<p>    x = 1\nkeep") == " \nkeep"
+        assert strip_noise("\n   <b>x") == "\n "     # three spaces and a removed tag
+        assert strip_noise("\n  <b>x") == "\n   x"
+
+    def test_unpaired_fence_stays(self):
+        assert strip_noise("a ```b ``` c ```d") == "a   c ```d"
+
+
+# Hostile shapes, 1 MiB each.  A quadratic path takes minutes at this size;
+# the linear scan takes a few seconds at most.
+_HOSTILE = {
+    "unclosed code spans": lambda n: "<code>x " * (n // 8),
+    "nested brackets": lambda n: "<" * (n // 2) + "a" + ">" * (n // 2),
+    "scheme-like run": lambda n: "a." * (n // 2),
+    "unclosed tags": lambda n: "<a" * (n // 2),
+    "odd fence count": lambda n: "```" * ((n // 3) | 1),
+    "www run": lambda n: "www." * (n // 4),
+    "separators without a scheme": lambda n: "1://" * (n // 4),
+    "indented lines": lambda n: "     x\n" * (n // 7),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_HOSTILE))
+def test_hostile_megabyte_is_stripped_in_linear_time(family):
+    text = _HOSTILE[family](1 << 20)
+    started = time.perf_counter()
+    once = strip_noise(text)
+    assert time.perf_counter() - started < 10.0
+    assert len(once) <= len(text)
 
 
 class TestTokenize:
