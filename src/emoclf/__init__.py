@@ -25,8 +25,6 @@ from .features import (
     assemble,
     fit,
     idf,
-    load_extractor,
-    save_extractor,
 )
 from .lexicons import LexiconSet, default_lexicons, load_lexicons
 from .pipeline import (

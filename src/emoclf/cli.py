@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .corpus import read_gold_corpus, read_input_corpus, write_predictions
+from .corpus import atomic_write, read_gold_corpus, read_input_corpus, write_predictions
 from .errors import (
     ContractViolation,
     EmoclfError,
@@ -188,8 +188,9 @@ def cmd_train(args) -> int:
     # An empty held-out partition would fail the report; find out before training.
     check_heldout_partitions(gold, emotions, config)
 
-    # The log opens before training so that an unwritable path fails first.
-    with (open(args.log_tuning, "w", encoding="utf-8", newline="") if args.log_tuning
+    # The log opens before training so that an unwritable path fails first; it
+    # replaces an earlier log only once training has succeeded.
+    with (atomic_write(args.log_tuning) if args.log_tuning
           else contextlib.nullcontext()) as log:
         bundle = train_all(gold, emotions, config)
         if log is not None:

@@ -104,7 +104,10 @@ def atomic_write(path) -> Iterator[TextIO]:
     temp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
     # Mode "x" creates the file with the permissions a plain open would give;
     # tempfile.mkstemp would make it readable by its owner only.
-    handle = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:      # name the file asked for, not the hidden temporary
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with handle:
             yield handle

@@ -109,11 +109,11 @@ class MissingLabel(EmoclfError):
 
 
 class IncompatibleModel(EmoclfError):
-    """Model or extractor file has a version/shape this build cannot use."""
+    """A bundle, or the extractor payload in one, has a version/shape this build cannot use."""
 
 
 class ParseError(EmoclfError):
-    """Model, extractor, or bundle file is unreadable as its declared format."""
+    """A bundle, or the extractor payload in one, is unreadable as its declared format."""
 
 
 class PipelineError(EmoclfError):

@@ -23,7 +23,6 @@ each block's L2 norm is summed in the same order by the same ``sum``.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections import Counter
@@ -728,22 +727,3 @@ def extractor_from_dict(payload: dict) -> FittedExtractor:
     except (KeyError, TypeError, ValueError, AttributeError,
             ContractViolation, LexiconError) as exc:
         raise ParseError(f"malformed extractor payload: {exc}") from exc
-
-
-def save_extractor(fitted: FittedExtractor, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(extractor_to_dict(fitted), handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-
-
-def load_extractor(path) -> FittedExtractor:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read extractor file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"extractor file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"extractor file {path} does not hold an object")
-    return extractor_from_dict(payload)

@@ -103,37 +103,28 @@ def parse_emotion_lexicon(text: str) -> dict[str, frozenset[str]]:
     return {category: frozenset(words) for category, words in sets.items()}
 
 
-def parse_politeness(text: str) -> dict[tuple[str, ...], float]:
-    cues: dict[tuple[str, ...], float] = {}
+def _parse_values(text: str, what: str, noun: str, key, convert) -> dict:
+    """``key(left) -> convert(right)`` per "left TAB right" line of the ``what`` lexicon."""
+    values = {}
     for lineno, line in _iter_lines(text):
-        phrase, weight = _split_tab(line, lineno, "politeness lexicon")
+        left, right = _split_tab(line, lineno, f"{what} lexicon")
         try:
-            cues[tuple(phrase.lower().split())] = float(weight)
+            values[key(left)] = convert(right)
         except ValueError:
-            raise LexiconError(f"politeness line {lineno}: bad weight {weight!r}") from None
-    return cues
+            raise LexiconError(f"{what} line {lineno}: bad {noun} {right!r}") from None
+    return values
+
+
+def parse_politeness(text: str) -> dict[tuple[str, ...], float]:
+    return _parse_values(text, "politeness", "weight", lambda p: tuple(p.lower().split()), float)
 
 
 def parse_sentiment(text: str) -> dict[str, int]:
-    strengths: dict[str, int] = {}
-    for lineno, line in _iter_lines(text):
-        word, value = _split_tab(line, lineno, "sentiment lexicon")
-        try:
-            strengths[word.lower()] = int(value)
-        except ValueError:
-            raise LexiconError(f"sentiment line {lineno}: bad strength {value!r}") from None
-    return strengths
+    return _parse_values(text, "sentiment", "strength", str.lower, int)
 
 
 def parse_boosters(text: str) -> dict[str, int]:
-    shifts: dict[str, int] = {}
-    for lineno, line in _iter_lines(text):
-        word, value = _split_tab(line, lineno, "booster lexicon")
-        try:
-            shifts[word.lower()] = int(value)
-        except ValueError:
-            raise LexiconError(f"booster line {lineno}: bad shift {value!r}") from None
-    return shifts
+    return _parse_values(text, "booster", "shift", str.lower, int)
 
 
 def parse_negations(text: str) -> frozenset[str]:
@@ -146,14 +137,7 @@ def parse_negations(text: str) -> frozenset[str]:
 
 
 def parse_modality(text: str) -> dict[str, float]:
-    cues: dict[str, float] = {}
-    for lineno, line in _iter_lines(text):
-        word, weight = _split_tab(line, lineno, "modality lexicon")
-        try:
-            cues[word.lower()] = float(weight)
-        except ValueError:
-            raise LexiconError(f"modality line {lineno}: bad weight {weight!r}") from None
-    return cues
+    return _parse_values(text, "modality", "weight", str.lower, float)
 
 
 def _read(directory, name: str) -> str:

@@ -7,12 +7,11 @@ held-out documents never leak into document frequencies), pick the cost with
 the best pooled accuracy breaking ties toward the smallest value, refit the
 extractor on the whole train partition, and train the final model there.
 
-The (fold, cost) solves of cross-validation run in lockstep
-(``svm.LockstepGroup``), consecutive folds at once in groups whose solver
-state stays within ``LOCKSTEP_STATE_BYTES``: wider groups are faster, but
-the state adds to peak memory.  The final model is trained alone by
-``train_dual_cd``, so a bundle could change only if a cross-validation
-decision flipped.
+The (fold, cost) solves of cross-validation run in lockstep: one
+``svm.solve_folds`` call takes the folds as they are built and solves
+consecutive ones together at every cost, as many as its memory bound
+allows.  The final model is trained alone by ``train_dual_cd``, so a bundle
+could change only if a cross-validation decision flipped.
 
 Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
@@ -71,11 +70,11 @@ from .svm import (
     L1_HINGE,
     L2_HINGE,
     LinearModel,
-    LockstepGroup,
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
     predict_rows,
+    solve_folds,
     train_dual_cd,
 )
 from .textprep import default_emoticons
@@ -84,12 +83,6 @@ BUNDLE_FORMAT = "emoclf-bundle"
 BUNDLE_VERSION = "1"
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.10, 0.20, 0.25, 0.50, 1.0, 2.0, 4.0, 8.0)
-
-# Cross-validation solves consecutive folds together, each at every cost, in
-# groups whose solver state (``LockstepGroup.state_bytes``: padded rows,
-# weights, multipliers) stays within this many bytes.  Wider groups solve
-# faster but raise peak memory; the width follows from the input shapes.
-LOCKSTEP_STATE_BYTES = 4 * 2**20
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -324,24 +317,6 @@ def make_fold_plan(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignment=tuple(assignment), seed=seed)
 
 
-def _count_docs(docs: Sequence[LabeledDocument], config: TrainConfig) -> CorpusCounts:
-    return count_texts(
-        [d.doc.text for d in docs], config.resolved_lexicons(), config.resolved_emoticons()
-    )
-
-
-def _checked_counts(
-    docs: Sequence[LabeledDocument], counts: CorpusCounts | None, config: TrainConfig
-) -> CorpusCounts:
-    if counts is None:
-        return _count_docs(docs, config)
-    if counts.n_docs != len(docs):
-        raise ContractViolation(
-            f"counts cover {counts.n_docs} documents, expected {len(docs)}"
-        )
-    return counts
-
-
 def _labels_for(docs: Sequence[LabeledDocument], emotion: str) -> list[int]:
     labels = []
     for d in docs:
@@ -360,7 +335,6 @@ def _fold_problem(
     labels: Sequence[int],
     assignment: np.ndarray,
     fold: int,
-    c_values: Sequence[float],
     config: TrainConfig,
 ) -> tuple[TrainingProblem, FeatureMatrix, list[int]]:
     """The fold's training problem, and its held-out rows and labels."""
@@ -370,7 +344,7 @@ def _fold_problem(
     problem = TrainingProblem.from_matrix(
         features.take(train_idx),
         _signs(labels[i] for i in train_idx),
-        C=c_values[0],
+        C=1.0,      # solve_folds solves at every cost of the grid
         loss=config.loss,
         pos_cost=config.positive_cost,
     )
@@ -378,55 +352,36 @@ def _fold_problem(
 
 
 def _evaluate_folds(
-    counts: CorpusCounts,
-    labels: Sequence[int],
-    plan: FoldPlan,
-    c_values: Sequence[float],
-    config: TrainConfig,
+    counts: CorpusCounts, labels: Sequence[int], plan: FoldPlan, config: TrainConfig
 ) -> tuple[FoldScore, ...]:
     """Held-out confusion counts per (fold, cost value), fold-major.
 
     The extractor and the training problem depend only on the fold's
     training documents, so each is built once per fold and only C varies
     across the grid; this is exactly equivalent to refitting per (fold, C).
-    Consecutive folds are solved together at every cost by a
-    ``LockstepGroup``, as many as fit ``LOCKSTEP_STATE_BYTES`` and at least
-    one; each solve gives what ``train_dual_cd`` would for that (fold, C).
+    Each lockstep solve gives what ``train_dual_cd`` would for that (fold, C).
     """
     assignment = np.asarray(plan.assignment)
-    scores: list[FoldScore] = []
-    group = LockstepGroup(c_values)
-    held_out: list[tuple[int, FeatureMatrix, list[int]]] = []   # per fold in the group
-    for fold in range(plan.k):
-        problem, *held = _fold_problem(counts, labels, assignment, fold, c_values, config)
-        if len(group) and group.state_bytes(problem) > LOCKSTEP_STATE_BYTES:
-            scores += _score_group(group, held_out, c_values, config.monitor)
-            held_out = []
-        group.add(problem, SolverParams(
-            eps=config.eps,
-            max_outer_iters=config.max_outer_iters,
-            seed=derive_seed(plan.seed, "solver", fold),
-        ))
-        held_out.append((fold, *held))
-        del problem     # the group drops its rows once they are packed
-    scores += _score_group(group, held_out, c_values, config.monitor)
-    return tuple(scores)
+    c_values = config.grid.c_values
+    held_out = {}       # fold -> held-out rows and labels, until all its costs are scored
 
+    def problems():
+        for fold in range(plan.k):
+            problem, *held_out[fold] = _fold_problem(counts, labels, assignment, fold, config)
+            yield problem, derive_seed(plan.seed, "solver", fold)
 
-def _score_group(
-    group: LockstepGroup,
-    held_out: Sequence[tuple[int, FeatureMatrix, list[int]]],
-    c_values: Sequence[float],
-    monitor: TrainingMonitor | None,
-) -> list[FoldScore]:
     scores = {}
-    for index, cost, model in group.solve(monitor):
-        fold, rows, golds = held_out[index]
+    for fold, cost, model in solve_folds(
+        problems(), c_values, config.eps, config.max_outer_iters, config.monitor
+    ):
+        rows, golds = held_out[fold]
         confusion = Confusion.of(predict_rows(model, rows), golds)
-        scores[index, cost] = FoldScore(
+        scores[fold, cost] = FoldScore(
             fold, c_values[cost], confusion, model.sweeps, model.final_violation
         )
-    return [scores[key] for key in sorted(scores)]     # fold-major, then C
+        if all((fold, c) in scores for c in range(len(c_values))):
+            del held_out[fold]
+    return tuple(scores[key] for key in sorted(scores))
 
 
 def select_best_cost(scores: Mapping[float, float]) -> float:
@@ -435,29 +390,24 @@ def select_best_cost(scores: Mapping[float, float]) -> float:
 
 
 def grid_search_C(
-    train_docs: Sequence[LabeledDocument],
-    emotion: str,
-    grid: TuningGrid,
-    k: int,
-    seed: int,
-    config: TrainConfig,
-    counts: CorpusCounts | None = None,
+    counts: CorpusCounts, labels: Sequence[int], seed: int, config: TrainConfig
 ) -> tuple[float, float, tuple[FoldScore, ...]]:
-    """Cross-validate every cost over one shared fold plan.
+    """Cross-validate every cost of ``config.grid`` over one ``config.folds``-fold plan.
 
-    Returns the chosen C, its pooled accuracy, and every (fold, C)
-    evaluation.  ``counts`` are ``train_docs``'s counts, row for row, when
-    already made.
+    ``counts`` and ``labels`` hold the training documents' counts and 0/1
+    labels, row for row; ``seed`` draws the folds.  Returns the chosen C,
+    its pooled accuracy, and every (fold, C) evaluation.
     """
-    labels = _labels_for(train_docs, emotion)
-    plan = make_fold_plan(labels, k, seed)
-    counts = _checked_counts(train_docs, counts, config)
-    folds = _evaluate_folds(counts, labels, plan, grid.c_values, config)
-    pooled = {c: Confusion() for c in grid.c_values}
+    if counts.n_docs != len(labels):
+        raise ContractViolation(f"counts cover {counts.n_docs} documents, expected {len(labels)}")
+    plan = make_fold_plan(labels, config.folds, seed)
+    folds = _evaluate_folds(counts, labels, plan, config)
+    c_values = config.grid.c_values
+    pooled = {c: Confusion() for c in c_values}
     for score in folds:
         pooled[score.C] += score.confusion
     score_at = 2 if config.tune_metric == "f1" else 3
-    best = select_best_cost({c: pooled[c].metrics()[score_at] for c in grid.c_values})
+    best = select_best_cost({c: pooled[c].metrics()[score_at] for c in c_values})
     return best, pooled[best].metrics()[3], folds
 
 
@@ -482,12 +432,13 @@ def train_emotion_model(
     labels = _labels_for(gold, emotion)
     if not any(labels) or all(labels):
         raise DegenerateClass(emotion)
-    counts = _checked_counts(gold, counts, config)
+    if counts is None:
+        counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
+                             config.resolved_emoticons())
     emotion_seed = derive_seed(config.seed, "emotion", emotion)
 
     chosen_c, cv_accuracy, cv_folds = grid_search_C(
-        gold, emotion, config.grid, config.folds, derive_seed(emotion_seed, "grid"), config,
-        counts=counts,
+        counts, labels, derive_seed(emotion_seed, "grid"), config
     )
 
     fitted = fit_counts(counts, config.min_df)
@@ -571,7 +522,8 @@ def train_all(
             "a training monitor counts in this process only; train with jobs=1 to use one"
         )
 
-    counts = _count_docs(gold, config)
+    counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
+                         config.resolved_emoticons())
     tasks = {
         emotion: (gold, counts, emotion, emotions[0] if config.shared_split else emotion, config)
         for emotion in emotions

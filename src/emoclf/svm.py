@@ -17,19 +17,19 @@ The bias is feature augmentation: every row gets a trailing constant-1
 component, so ``w``'s last slot is the intercept.
 
 Cross-validation solves many problems that share rows: each fold at every
-cost of a grid.  ``LockstepGroup`` runs a group of such folds together, one
-numpy step per coordinate step for every (fold, cost) pair, and each pair
-ends where ``train_dual_cd`` would.  Its state (padded rows, a weight matrix
-and a multiplier matrix) grows with the group, so callers bound it by
-``LockstepGroup.state_bytes``.  Single problems, such as final models, run
-on ``train_dual_cd``.
+cost of a grid.  ``solve_folds`` runs consecutive folds together, one numpy
+step per coordinate step for every (fold, cost) pair, and each pair ends
+where ``train_dual_cd`` would.  The solver state (padded rows, a weight
+matrix and a multiplier matrix) grows with the group, so a group takes
+folds only while ``state_bytes`` stays within ``LOCKSTEP_STATE_BYTES``.
+Single problems, such as final models, run on ``train_dual_cd``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,69 +261,59 @@ def train_dual_cd(
 _LOCKSTEP_CHUNK = 64     # sweep steps whose rows are gathered together
 
 
-class LockstepGroup:
-    """Dual coordinate descent on several problems x one cost grid at once.
+# Folds are solved together, each at every cost, in groups whose solver state
+# (``state_bytes``) stays within this many bytes.  Wider groups solve faster
+# but raise peak memory; the width follows from the input shapes.
+LOCKSTEP_STATE_BYTES = 4 * 2**20
 
-    Each added problem (a cross-validation fold) is solved at every cost in
-    ``c_values``; its own ``C`` is ignored.  The costs of one problem share
-    its rows and its seed, so every step visits the same row of the problem
-    at all of them, and one numpy step advances every (problem, cost) pair.
-    Fold f at cost c ends where ``train_dual_cd(replace(problem_f, C=c),
-    params_f)`` does: the same sweeps, and weights equal up to the
-    summation order of the row dot products (about 1e-15).  The state is
-    the problems' rows padded to one shape, a weight matrix and a
-    multiplier matrix with one column per cost, and a live mask: a pair
-    that converges stops at the end of its sweep and its results are read
-    out.  Padded rows and stopped pairs get infinite curvature, so their
-    steps are exactly zero.  The memory this takes is ``state_bytes``.
+
+def solve_folds(
+    problems: Iterable[tuple[TrainingProblem, int]],
+    c_values: Sequence[float],
+    eps: float,
+    max_outer_iters: int,
+    monitor: TrainingMonitor | None = None,
+) -> Iterator[tuple[int, int, LinearModel]]:
+    """Solve every ``(problem, seed)`` at every cost; yield ``(problem index, cost index, model)``.
+
+    A problem's own ``C`` is ignored.  The costs of one problem share its
+    rows and its seed, so one numpy step advances every (problem, cost)
+    pair, and problem f at cost c ends where ``train_dual_cd(replace(
+    problem_f, C=c), SolverParams(eps, max_outer_iters, seed_f))`` does: the
+    same sweeps, and weights equal up to the summation order of the row dot
+    products (about 1e-15).  Problems are pulled one at a time and packed
+    into groups of consecutive ones, each solved once the next problem would
+    take its state past ``LOCKSTEP_STATE_BYTES`` or none is left; a group
+    holds at least one.  Each model is yielded as its pair stops, so the
+    weight vectors do not pile up beside the state.
     """
+    if not c_values or not all(math.isfinite(c) and c > 0 for c in c_values):
+        raise ContractViolation("costs must be a non-empty run of positive finite values")
+    SolverParams(eps=eps, max_outer_iters=max_outer_iters)     # checks the stopping rule
+    c_values = tuple(float(c) for c in c_values)
+    group: list[TrainingProblem] = []       # emptied as each group is packed
+    seeds: list[int] = []
+    first = 0                               # index of the group's first problem
+    for index, (problem, seed) in enumerate(problems):
+        if group and state_bytes(group + [problem], len(c_values)) > LOCKSTEP_STATE_BYTES:
+            yield from _Lockstep(group, c_values).run(first, seeds, eps, max_outer_iters, monitor)
+            first, seeds = index, []
+        group.append(problem)
+        seeds.append(seed)
+        del problem     # packing empties the group, so its rows can go
+    if group:
+        yield from _Lockstep(group, c_values).run(first, seeds, eps, max_outer_iters, monitor)
 
-    def __init__(self, c_values: Sequence[float]):
-        if not c_values or not all(math.isfinite(c) and c > 0 for c in c_values):
-            raise ContractViolation("costs must be a non-empty run of positive finite values")
-        self.c_values = tuple(float(c) for c in c_values)
-        self._problems: list[TrainingProblem] = []
-        self._params: list[SolverParams] = []
 
-    def __len__(self) -> int:
-        return len(self._problems)
+def state_bytes(problems: Sequence[TrainingProblem], n_costs: int) -> int:
+    """Bytes of the lockstep solver state for ``problems`` at ``n_costs`` costs.
 
-    def state_bytes(self, extra: TrainingProblem | None = None) -> int:
-        """Bytes of the solver state for the added problems, plus ``extra`` if given.
-
-        That is the padded rows (an int32 index and a float64 value per
-        slot, every row as long as the longest), one weight matrix and one
-        multiplier matrix, all padded to the largest problem.
-        """
-        problems = self._problems + ([] if extra is None else [extra])
-        rows, nnz, dimension = _padded_shape(problems)
-        return len(problems) * (rows * nnz * 12 + (dimension + rows) * len(self.c_values) * 8)
-
-    def add(self, problem: TrainingProblem, params: SolverParams) -> None:
-        if self._problems:
-            first = self._params[0]
-            if problem.loss != self._problems[0].loss:
-                raise ContractViolation("lockstep problems must share one loss")
-            if (params.eps, params.max_outer_iters) != (first.eps, first.max_outer_iters):
-                raise ContractViolation("lockstep problems must share eps and max_outer_iters")
-        self._problems.append(problem)
-        self._params.append(params)
-
-    def solve(
-        self, monitor: TrainingMonitor | None = None
-    ) -> Iterator[tuple[int, int, LinearModel]]:
-        """Yield ``(problem index, cost index, model)`` as each pair stops.
-
-        The rows are packed on the call, and the group drops its problems
-        and is empty afterwards; the solving happens as the result is
-        iterated.  Yielding each model as it stops, rather than all at the
-        end, keeps one weight vector per pair from piling up beside the
-        state.
-        """
-        if not self._problems:
-            raise ContractViolation("no problems to solve")
-        params, self._params = self._params, []
-        return _Lockstep(self._problems, self.c_values).run(params, monitor)
+    That is the padded rows (an int32 index and a float64 value per slot,
+    every row as long as the longest), one weight matrix and one multiplier
+    matrix, all padded to the largest problem.
+    """
+    rows, nnz, dimension = _padded_shape(problems)
+    return len(problems) * (rows * nnz * 12 + (dimension + rows) * n_costs * 8)
 
 
 def _padded_shape(problems: Sequence[TrainingProblem]) -> tuple[int, int, int]:
@@ -334,12 +324,14 @@ def _padded_shape(problems: Sequence[TrainingProblem]) -> tuple[int, int, int]:
 
 
 class _Lockstep:
-    """Packed rows and solver state of one ``LockstepGroup.solve``."""
+    """Packed rows and solver state of one ``solve_folds`` group."""
 
     def __init__(self, problems: list[TrainingProblem], c_values: tuple[float, ...]):
         """Pack ``problems``, then empty the list so their CSR rows can go."""
         folds = len(problems)
         self.loss = problems[0].loss
+        if any(p.loss != self.loss for p in problems):
+            raise ContractViolation("lockstep problems must share one loss")
         self.n_rows = np.array([p.n_rows for p in problems])
         self.dims = [p.dimension for p in problems]
         n, nnz, d = _padded_shape(problems)
@@ -376,11 +368,11 @@ class _Lockstep:
                                               for a, b in zip(bounds, bounds[1:])]
         self.scale[f * n:f * n + p.n_rows] = np.where(p.y > 0, p.pos_cost, 1.0)
 
-    def run(self, params: Sequence[SolverParams], monitor: TrainingMonitor | None):
+    def run(self, first: int, seeds: Sequence[int], eps: float, max_sweeps: int,
+            monitor: TrainingMonitor | None):
         folds, costs = self.live.shape
         n = self.rows_per_fold
-        eps, max_sweeps = params[0].eps, params[0].max_outer_iters
-        rngs = [np.random.RandomState(p.seed & 0xFFFFFFFF) for p in params]
+        rngs = [np.random.RandomState(seed & 0xFFFFFFFF) for seed in seeds]
         if monitor is not None:
             monitor.trainings += folds * costs
         for sweep in range(1, max_sweeps + 1):
@@ -404,8 +396,8 @@ class _Lockstep:
             stop = alive & ((violation < eps) | (sweep == max_sweeps))
             for j, col in zip(*np.nonzero(stop)):
                 f = int(active[j])
-                model = self._finish(f, col, params[f].seed, sweep, float(violation[j, col]), eps)
-                yield f, int(self.cost_of[col]), model
+                model = self._finish(f, col, seeds[f], sweep, float(violation[j, col]), eps)
+                yield first + f, int(self.cost_of[col]), model
             if not self.live.any():
                 break
             self._drop_dead_columns()

@@ -166,6 +166,19 @@ class TestTrain:
         assert "no_such_dir" in result.stderr
         assert not out.exists()
 
+    def test_failed_training_keeps_the_previous_tuning_log(self, tmp_path, gold_csv):
+        log = tmp_path / "tuning.csv"
+        log.write_bytes(b"emotion,fold,C,accuracy\r\nearlier,0,1.0,0.5\n")
+        before = log.read_bytes()
+        # 30 folds need 30 documents of each class in the 42-document train partition.
+        result = run_cli(
+            "train", "--gold", gold_csv, "--out", tmp_path / "m.emo",
+            "--log-tuning", log, "--folds", "30", "--grid", "1", "--min-df", "1",
+        )
+        assert result.returncode == 2, result.stderr
+        assert log.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["tuning.csv"]   # no temporary file
+
     @pytest.mark.parametrize("grid, message", [
         ("0,1", "strictly positive"), ("1,nan", "finite"),
     ])

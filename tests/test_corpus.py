@@ -235,6 +235,13 @@ class TestAtomicWrite:
                 raise RuntimeError("serializer failed")
         assert os.listdir(tmp_path) == []
 
+    def test_unwritable_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "no_such_dir" / "out.txt"
+        with pytest.raises(FileNotFoundError) as raised:
+            with atomic_write(path):
+                pass
+        assert raised.value.filename == str(path)
+
 
 class TestRoundTrips:
     # \r is normalized by universal newlines and \x00 is unreadable for the

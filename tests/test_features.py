@@ -11,12 +11,12 @@ from emoclf.features import (
     FeatureMatrix,
     assemble,
     emotion_category_block,
+    extractor_from_dict,
+    extractor_to_dict,
     fit,
     idf,
-    load_extractor,
     ngram_block,
     politeness_score,
-    save_extractor,
     sentiment_scores,
     uncertainty_score,
 )
@@ -354,30 +354,23 @@ class TestAssemble:
 
 
 class TestExtractorSerialization:
-    def test_round_trip_identical_vectors(self, tmp_path):
+    """The extractor payload a bundle stores, through a JSON round trip as in a bundle file."""
+
+    def test_round_trip_identical_vectors(self):
         fitted = TestAssemble()._fitted()
-        path = tmp_path / "extractor.json"
-        save_extractor(fitted, path)
-        loaded = load_extractor(path)
+        loaded = extractor_from_dict(json.loads(json.dumps(extractor_to_dict(fitted))))
         probe = ["good glad please maybe", "bad news", "", "glad glad ok :)"]
         for text in probe:
             assert row_pairs(fitted.vectorize(text)) == row_pairs(loaded.vectorize(text))
 
-    def test_unknown_version_rejected(self, tmp_path):
-        fitted = TestAssemble()._fitted()
-        path = tmp_path / "extractor.json"
-        save_extractor(fitted, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    def test_unknown_version_rejected(self):
+        payload = extractor_to_dict(TestAssemble()._fitted())
         payload["version"] = "99"
-        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(IncompatibleModel):
-            load_extractor(path)
+            extractor_from_dict(payload)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        fitted = TestAssemble()._fitted()
-        path = tmp_path / "extractor.json"
-        save_extractor(fitted, path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: len(text) // 2], encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_extractor(path)
+    def test_truncated_payload_rejected(self):
+        payload = extractor_to_dict(TestAssemble()._fitted())
+        kept = list(payload)[: len(payload) // 2]      # the first half, in written order
+        with pytest.raises(ParseError, match="malformed extractor payload"):
+            extractor_from_dict({key: payload[key] for key in kept})

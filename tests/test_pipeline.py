@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import os
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoclf import pipeline
+from emoclf import pipeline, svm
 from emoclf.corpus import Document, LabeledDocument, stratified_split
 from emoclf.errors import (
     ContractViolation,
@@ -21,7 +22,7 @@ from emoclf.errors import (
     PipelineError,
     TooFewPositives,
 )
-from emoclf.features import fit_counts, transform_counts
+from emoclf.features import count_texts, fit_counts, transform_counts
 from emoclf.pipeline import (
     DEFAULT_C_GRID,
     Confusion,
@@ -45,11 +46,11 @@ from emoclf.pipeline import (
     train_emotion_model,
 )
 from emoclf.svm import (
-    LockstepGroup,
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
     predict_rows,
+    state_bytes,
     train_dual_cd,
 )
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
@@ -62,6 +63,17 @@ def small_corpus(n=60, seed=5, noise=0.0, emotion="joy"):
     return generate_planted_corpus(
         n, {emotion: DEFAULT_KEYWORDS}, noise=noise, seed=seed
     )
+
+
+def counts_for(docs, config):
+    return count_texts([d.doc.text for d in docs], config.resolved_lexicons(),
+                       config.resolved_emoticons())
+
+
+def cross_validate(docs, seed, config, emotion="joy"):
+    """``grid_search_C`` on ``docs``' counts and ``emotion`` labels."""
+    labels = [d.labels[emotion] for d in docs]
+    return grid_search_C(counts_for(docs, config), labels, seed, config)
 
 
 class TestTuningGrid:
@@ -273,24 +285,37 @@ class TestLockstepCrossValidation:
                              positive_cost=1.5)
         labels = [d.labels["joy"] for d in docs]
         plan = make_fold_plan(labels, config.folds, 17)
-        counts = pipeline._count_docs(docs, config)
+        counts = counts_for(docs, config)
         c_values = config.grid.c_values
-        first = pipeline._fold_problem(counts, labels, np.asarray(plan.assignment), 0,
-                                       c_values, config)[0]
-        budget = budget_in_folds * LockstepGroup(c_values).state_bytes(first)
-        monkeypatch.setattr(pipeline, "LOCKSTEP_STATE_BYTES", budget)
-        seen = []
-        score_group = pipeline._score_group
+        first = pipeline._fold_problem(counts, labels, np.asarray(plan.assignment), 0, config)[0]
+        budget = budget_in_folds * state_bytes([first], len(c_values))
+        monkeypatch.setattr(svm, "LOCKSTEP_STATE_BYTES", budget)
+        first_seen = {}     # fold -> problems pulled (plus the final empty pull) at its first model
+        solve_folds = pipeline.solve_folds
 
-        def recording(group, *rest):
-            seen.append(len(group))
-            return score_group(group, *rest)
+        def recording(problems, *rest):
+            pulled = 0
 
-        monkeypatch.setattr(pipeline, "_score_group", recording)
+            def counted():
+                nonlocal pulled
+                for item in problems:
+                    pulled += 1
+                    yield item
+                pulled += 1
 
-        got = pipeline._evaluate_folds(counts, labels, plan, c_values, config)
+            for fold, cost, model in solve_folds(counted(), *rest):
+                first_seen.setdefault(fold, pulled)
+                yield fold, cost, model
+
+        monkeypatch.setattr(pipeline, "solve_folds", recording)
+
+        got = pipeline._evaluate_folds(counts, labels, plan, config)
         expected = scalar_fold_scores(counts, labels, plan, c_values, config)
-        assert seen == widths
+        # A group is solved once the fold after it has been pulled, so its
+        # folds share one pull count; the last group's includes the empty pull.
+        pulls = [first_seen[fold] for fold in range(config.folds)]
+        assert [len(list(run)) for _, run in itertools.groupby(pulls)] == widths
+        assert pulls[-1] == config.folds + 1
         assert [(s.fold, s.C, s.confusion, s.sweeps) for s in got] == [
             (s.fold, s.C, s.confusion, s.sweeps) for s in expected
         ]
@@ -321,7 +346,7 @@ class TestCrossValidation:
     def test_hook_sees_every_fold_and_cost(self):
         docs = small_corpus(n=48)
         config = TrainConfig(**FAST)
-        _, _, cv_folds = grid_search_C(docs, "joy", SMALL_GRID, config.folds, 123, config)
+        _, _, cv_folds = cross_validate(docs, 123, config)
         calls = [(score.fold, score.C) for score in cv_folds]
         assert len(calls) == config.folds * len(SMALL_GRID.c_values)
         assert set(calls) == {
@@ -333,14 +358,14 @@ class TestCrossValidation:
     def test_deterministic_accuracy(self):
         docs = small_corpus(n=48)
         config = TrainConfig(**FAST)
-        a = grid_search_C(docs, "joy", SMALL_GRID, config.folds, 9, config)
-        b = grid_search_C(docs, "joy", SMALL_GRID, config.folds, 9, config)
+        a = cross_validate(docs, 9, config)
+        b = cross_validate(docs, 9, config)
         assert a == b
 
     def test_singleton_grid(self):
         docs = small_corpus(n=48)
-        config = TrainConfig(**FAST)
-        best_c = grid_search_C(docs, "joy", TuningGrid((1.0,)), 3, 4, config)[0]
+        config = TrainConfig(**{**FAST, "grid": TuningGrid((1.0,))})
+        best_c = cross_validate(docs, 4, config)[0]
         assert best_c == 1.0
 
     def test_signal_free_corpus_scores_the_base_rate(self):
@@ -350,10 +375,8 @@ class TestCrossValidation:
             LabeledDocument(Document(str(i), "same words every time"), {"joy": int(i < 10)})
             for i in range(100)
         ]
-        config = TrainConfig(folds=5, grid=SMALL_GRID, min_df=1)
-        _, accuracy, _ = grid_search_C(
-            docs, "joy", TuningGrid((1.0,)), 5, derive_seed(1, "base"), config
-        )
+        config = TrainConfig(folds=5, grid=TuningGrid((1.0,)), min_df=1)
+        _, accuracy, _ = cross_validate(docs, derive_seed(1, "base"), config)
         assert accuracy == 0.90
 
     # Golden (C, cv accuracy) picks per metric on corpora where the metrics disagree.
@@ -368,12 +391,19 @@ class TestCrossValidation:
         grid = TuningGrid((0.01, 0.05, 0.25, 1.0, 4.0))
         for metric, expected in (("accuracy", by_accuracy), ("f1", by_f1)):
             config = TrainConfig(folds=4, grid=grid, min_df=1, tune_metric=metric)
-            assert grid_search_C(docs, "joy", grid, 4, 11, config)[:2] == expected
+            assert cross_validate(docs, 11, config)[:2] == expected
+
+    def test_counts_must_cover_one_document_per_label(self):
+        docs = small_corpus(n=48)
+        config = TrainConfig(**FAST)
+        with pytest.raises(ContractViolation, match="counts cover 47 documents, expected 48"):
+            grid_search_C(counts_for(docs[1:], config), [d.labels["joy"] for d in docs], 4,
+                          config)
 
     def test_noisy_corpus_avoids_the_largest_cost(self):
         docs = small_corpus(n=120, seed=13, noise=0.25)
         config = TrainConfig(folds=5, min_df=1)
-        best_c = grid_search_C(docs, "joy", config.grid, 5, 99, config)[0]
+        best_c = cross_validate(docs, 99, config)[0]
         assert best_c < max(config.grid.c_values)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dual_oracle import augmented_dense, solve_dual_reference
+from emoclf import svm
 from emoclf.errors import (
     ContractViolation,
     DegenerateClass,
@@ -16,7 +17,6 @@ from emoclf.features import FeatureMatrix
 from emoclf.svm import (
     L1_HINGE,
     L2_HINGE,
-    LockstepGroup,
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
@@ -25,6 +25,8 @@ from emoclf.svm import (
     predict,
     predict_rows,
     _compress_in_place,
+    solve_folds,
+    state_bytes,
     train_dual_cd,
     weights_from_alpha,
 )
@@ -64,11 +66,13 @@ def sparse_problem(rng, n, d, loss, pos_cost=1.0):
 
 
 def lockstep_models(problems, c_values, params, monitor=None):
-    """{(problem index, cost index): model} from one LockstepGroup."""
-    group = LockstepGroup(c_values)
-    for problem, p in zip(problems, params):
-        group.add(problem, p)
-    return {(index, cost): model for index, cost, model in group.solve(monitor)}
+    """{(problem index, cost index): model} from one ``solve_folds`` call.
+
+    ``params`` share eps and max_outer_iters and give each problem its seed.
+    """
+    solved = solve_folds([(problem, p.seed) for problem, p in zip(problems, params)], c_values,
+                         params[0].eps, params[0].max_outer_iters, monitor)
+    return {(index, cost): model for index, cost, model in solved}
 
 
 def primal_objective(w, X, y, C, loss, pos_cost):
@@ -415,26 +419,55 @@ class TestLockstep:
         rng = np.random.RandomState(2)
         small = TrainingProblem.from_matrix(dense_rows(rng.randn(4, 2)), [1, -1, 1, -1], C=1.0)
         large = TrainingProblem.from_matrix(dense_rows(rng.randn(6, 5)), [1, -1] * 3, C=1.0)
-        group = LockstepGroup((0.5, 1.0, 2.0))
-        group.add(small, SolverParams())
         # Two folds padded to 6 rows of 6 slots (5 features + bias), dimension 6.
-        assert group.state_bytes(large) == 2 * (6 * 6 * 12 + (6 + 6) * 3 * 8)
-        assert group.state_bytes() == 4 * 3 * 12 + (3 + 4) * 3 * 8
+        assert state_bytes([small, large], 3) == 2 * (6 * 6 * 12 + (6 + 6) * 3 * 8)
+        assert state_bytes([small], 3) == 4 * 3 * 12 + (3 + 4) * 3 * 8
 
-    def test_solving_empties_the_group(self):
-        problem = two_point_problem()
-        group = LockstepGroup((1.0,))
-        group.add(problem, SolverParams(eps=1e-10, seed=3))
-        models = list(group.solve())
-        assert len(group) == 0 and len(models) == 1
+    def test_solves_one_problem_and_nothing_for_none(self):
+        models = list(solve_folds([(two_point_problem(), 3)], (1.0,), 1e-10, 1000))
+        assert [(index, cost) for index, cost, _ in models] == [(0, 0)]
         assert models[0][2].w == pytest.approx([0.8, 0.0], abs=1e-6)
-        with pytest.raises(ContractViolation, match="no problems"):
-            group.solve()
+        assert list(solve_folds([], (1.0,), 0.1, 1000)) == []
 
-    def test_problems_must_share_loss_and_stopping_rule(self):
-        group = LockstepGroup((1.0,))
-        group.add(two_point_problem(loss=L2_HINGE), SolverParams())
+    @pytest.mark.parametrize("budget_in_problems, pulls", [
+        (0, [2, 3, 4, 5, 6]),       # below one problem's state: a group still holds one
+        (2.5, [3, 3, 5, 5, 6]),
+        (100, [6, 6, 6, 6, 6]),
+    ])
+    def test_pulls_at_most_one_problem_past_the_group(self, monkeypatch, budget_in_problems,
+                                                      pulls):
+        rng = np.random.RandomState(5)
+        # Dense rows of one shape: every problem's state is the same size.
+        problems = [TrainingProblem.from_matrix(dense_rows(rng.randn(8, 4)), [1, -1] * 4, C=1.0)
+                    for _ in range(5)]
+        monkeypatch.setattr(svm, "LOCKSTEP_STATE_BYTES",
+                            budget_in_problems * state_bytes(problems[:1], 2))
+        pulled = 0
+
+        def counted():
+            nonlocal pulled
+            for seed, problem in enumerate(problems):
+                pulled += 1
+                yield problem, seed
+            pulled += 1     # the pull that finds no problem left
+
+        first_seen = {}
+        for index, _, _ in solve_folds(counted(), (0.5, 2.0), 0.1, 1000):
+            first_seen.setdefault(index, pulled)
+        assert [first_seen[i] for i in range(5)] == pulls
+
+    def test_problems_must_share_one_loss(self):
+        problems = [(two_point_problem(loss=L2_HINGE), 0), (two_point_problem(loss=L1_HINGE), 1)]
         with pytest.raises(ContractViolation, match="loss"):
-            group.add(two_point_problem(loss=L1_HINGE), SolverParams())
-        with pytest.raises(ContractViolation, match="eps"):
-            group.add(two_point_problem(), SolverParams(eps=0.01))
+            list(solve_folds(problems, (1.0,), 0.1, 1000))
+
+    @pytest.mark.parametrize("c_values, eps, max_outer_iters, message", [
+        ((), 0.1, 1000, "costs"),
+        ((0.0,), 0.1, 1000, "costs"),
+        ((float("nan"),), 0.1, 1000, "costs"),
+        ((1.0,), 0.0, 1000, "eps"),
+        ((1.0,), 0.1, 0, "max_outer_iters"),
+    ])
+    def test_rejects_bad_costs_and_stopping_rule(self, c_values, eps, max_outer_iters, message):
+        with pytest.raises(ContractViolation, match=message):
+            next(solve_folds([(two_point_problem(), 0)], c_values, eps, max_outer_iters))
