@@ -21,7 +21,8 @@ import argparse
 import csv
 import sys
 
-from emoclf.corpus import read_gold_corpus
+from emoclf.corpus import read_gold_corpus, select_emotions
+from emoclf.errors import EmoclfError
 from emoclf.pipeline import TrainConfig, evaluate_heldout, save_bundle, train_all
 
 INFO_BAND = 0.10
@@ -40,6 +41,14 @@ def read_reference(path):
 
 
 def main() -> int:
+    try:
+        return run()
+    except EmoclfError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gold", required=True, help="gold CSV: id,text,<emotion>,...")
     parser.add_argument("--emotions", default=None,
@@ -56,10 +65,7 @@ def main() -> int:
     args = parser.parse_args()
 
     gold, header_emotions = read_gold_corpus(args.gold)
-    if args.emotions:
-        emotions = [e.strip().lower() for e in args.emotions.split(",") if e.strip()]
-    else:
-        emotions = header_emotions
+    emotions = select_emotions(args.emotions, header_emotions)
     print(f"{len(gold)} documents, emotions: {', '.join(emotions)}")
 
     config = TrainConfig(

@@ -12,15 +12,20 @@ import os
 import sys
 
 from . import __version__
-from .corpus import atomic_write, read_gold_corpus, read_input_corpus, write_predictions
+from .corpus import (
+    atomic_write,
+    read_gold_corpus,
+    read_input_corpus,
+    select_emotions,
+    write_predictions,
+)
 from .errors import (
     ContractViolation,
     EmoclfError,
     IncompatibleModel,
-    MissingLabel,
     ParseError,
 )
-from .lexicons import load_lexicons
+from .lexicons import load_emoticons, load_lexicons
 from .pipeline import (
     DEFAULT_C_GRID,
     TrainConfig,
@@ -33,7 +38,6 @@ from .pipeline import (
     save_bundle,
     train_all,
 )
-from .textprep import load_emoticons
 
 LEXICON_DIR_ENV = "EMOCLF_LEXICONS"
 
@@ -177,13 +181,7 @@ def _config_from_args(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     gold, header_emotions = read_gold_corpus(args.gold)
-    if args.emotions:
-        emotions = [name.strip().lower() for name in args.emotions.split(",") if name.strip()]
-        for emotion in emotions:
-            if emotion not in header_emotions:
-                raise MissingLabel(emotion)
-    else:
-        emotions = header_emotions
+    emotions = select_emotions(args.emotions, header_emotions)
     config = _config_from_args(args)
     # An empty held-out partition would fail the report; find out before training.
     check_heldout_partitions(gold, emotions, config)

@@ -2,11 +2,15 @@
 
 Three RFC 4180 file shapes, all UTF-8 with comma delimiters:
 
-* input corpus  — ``id,text`` rows; header optional (detected by a literal
-  ``id,text`` first record)
+* input corpus  — ``id,text`` rows; header optional
 * gold corpus   — ``id,text,<emotion>,...`` with a mandatory header and 0/1
   label cells
 * predictions   — ``id,label`` where label is ``EMOTION`` or ``NO_EMOTION``
+
+Both corpora go through one reader: it drops a byte order mark, skips blank
+records, and takes a first record whose first two cells are ``id,text``
+(ignoring case and surrounding spaces) as the header.  A file that is not
+UTF-8 fails as ``CorpusIOError``.
 
 Everything parsed here is immutable afterwards and safe to share across
 threads.
@@ -77,17 +81,32 @@ class SplitResult:
     test_index: tuple[int, ...]
 
 
-def _open_read(path):
+def _records(path) -> Iterator[tuple[int, list[str]]]:
+    """``(line, fields)`` of each non-blank record of a UTF-8 CSV, any BOM dropped."""
     try:
-        return open(path, encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            for fields in reader:
+                if fields:
+                    yield reader.line_num, fields
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        if _FIELD_LIMIT_MESSAGE in str(exc):
+            raise FieldTooLarge(reader.line_num, csv.field_size_limit()) from exc
+        raise MalformedRecord(reader.line_num, f"unparseable CSV: {exc}") from exc
 
 
-def _csv_failure(reader, exc: csv.Error) -> MalformedRecord:
-    if _FIELD_LIMIT_MESSAGE in str(exc):
-        return FieldTooLarge(reader.line_num, csv.field_size_limit())
-    return MalformedRecord(reader.line_num, f"unparseable CSV: {exc}")
+def _is_header(fields: Sequence[str]) -> bool:
+    """Whether a record opens with ``id,text``, ignoring case and surrounding spaces."""
+    return [cell.strip().lower() for cell in fields[:2]] == _INPUT_HEADER
+
+
+def _document(seen: set[str], line: int, doc_id: str, text: str) -> Document:
+    if doc_id in seen:
+        raise DuplicateId(doc_id, line)
+    seen.add(doc_id)
+    return Document(doc_id, text)
 
 
 @contextlib.contextmanager
@@ -118,11 +137,14 @@ def atomic_write(path) -> Iterator[TextIO]:
         raise
 
 
-@contextlib.contextmanager
-def _open_write(path) -> Iterator[TextIO]:
+def _write_rows(path, header: list[str] | None, rows: Iterable[list]) -> None:
+    """Write ``header`` (unless None) and ``rows`` as a CSV file, atomically."""
     try:
         with atomic_write(path) as handle:
-            yield handle
+            writer = csv.writer(handle, lineterminator="\n")
+            if header is not None:
+                writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise CorpusIOError(f"cannot write {path}: {exc}") from exc
 
@@ -130,108 +152,83 @@ def _open_write(path) -> Iterator[TextIO]:
 def read_input_corpus(path) -> list[Document]:
     """Parse an ``id,text`` corpus, order preserved.
 
-    A first record that is literally ``id,text`` is treated as a header.
+    A first record that opens with ``id,text`` is treated as a header.
     Records with extra unquoted commas fold the surplus fields back into the
     text.
     """
     docs: list[Document] = []
-    seen: dict[str, int] = {}
-    with _open_read(path) as handle:
-        reader = csv.reader(handle)
-        try:
-            for row_index, row in enumerate(reader):
-                if not row:
-                    continue  # stray blank line
-                if row_index == 0 and row == _INPUT_HEADER:
-                    continue
-                line = reader.line_num
-                if len(row) < 2:
-                    raise MalformedRecord(line)
-                doc_id, text = row[0], ",".join(row[1:])
-                if doc_id in seen:
-                    raise DuplicateId(doc_id, line)
-                seen[doc_id] = line
-                docs.append(Document(doc_id, text))
-        except csv.Error as exc:
-            raise _csv_failure(reader, exc) from exc
+    seen: set[str] = set()
+    for index, (line, row) in enumerate(_records(path)):
+        if index == 0 and _is_header(row):
+            continue
+        if len(row) < 2:
+            raise MalformedRecord(line)
+        docs.append(_document(seen, line, row[0], ",".join(row[1:])))
     return docs
 
 
 def read_gold_corpus(path) -> tuple[list[LabeledDocument], list[str]]:
     """Parse a labeled corpus; returns the documents and the header's emotions."""
-    with _open_read(path) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeader("gold file is empty; expected an id,text,... header") from None
-        except csv.Error as exc:
-            raise _csv_failure(reader, exc) from exc
-        if len(header) < 3 or [cell.strip().lower() for cell in header[:2]] != _INPUT_HEADER:
-            raise MalformedHeader(
-                "gold header must be id,text,<emotion>[,<emotion>...], "
-                f"got {','.join(header)!r}"
-            )
-        emotions = [validate_emotion_name(cell) for cell in header[2:]]
-        if len(set(emotions)) != len(emotions):
-            raise MalformedHeader(f"duplicate emotion column in {emotions}")
+    records = _records(path)
+    _, header = next(records, (0, []))
+    if len(header) < 3 or not _is_header(header):
+        raise MalformedHeader(
+            "gold header must be id,text,<emotion>[,<emotion>...], "
+            f"got {','.join(header)!r}"
+        )
+    emotions = [validate_emotion_name(cell) for cell in header[2:]]
+    if len(set(emotions)) != len(emotions):
+        raise MalformedHeader(f"duplicate emotion column in {emotions}")
 
-        docs: list[LabeledDocument] = []
-        seen: dict[str, int] = {}
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != 2 + len(emotions):
-                    raise MalformedRecord(
-                        line, f"expected {2 + len(emotions)} fields, got {len(row)}"
-                    )
-                doc_id, text = row[0], row[1]
-                if doc_id in seen:
-                    raise DuplicateId(doc_id, line)
-                seen[doc_id] = line
-                labels = {}
-                for column, (emotion, cell) in enumerate(zip(emotions, row[2:]), start=3):
-                    value = cell.strip()
-                    if value not in ("0", "1"):
-                        raise BadLabel(line, column, cell)
-                    labels[emotion] = int(value)
-                docs.append(LabeledDocument(Document(doc_id, text), labels))
-        except csv.Error as exc:
-            raise _csv_failure(reader, exc) from exc
+    docs: list[LabeledDocument] = []
+    seen: set[str] = set()
+    for line, row in records:
+        if len(row) != 2 + len(emotions):
+            raise MalformedRecord(line, f"expected {2 + len(emotions)} fields, got {len(row)}")
+        doc = _document(seen, line, row[0], row[1])
+        labels = {}
+        for column, (emotion, cell) in enumerate(zip(emotions, row[2:]), start=3):
+            value = cell.strip()
+            if value not in ("0", "1"):
+                raise BadLabel(line, column, cell)
+            labels[emotion] = int(value)
+        docs.append(LabeledDocument(doc, labels))
     return docs, emotions
 
 
+def select_emotions(spec: str | None, header_emotions: Sequence[str]) -> list[str]:
+    """The comma-separated emotions of ``spec``, lowercased, or else all the header's."""
+    if not spec:
+        return list(header_emotions)
+    emotions = [name.strip().lower() for name in spec.split(",") if name.strip()]
+    for emotion in emotions:
+        if emotion not in header_emotions:
+            raise MissingLabel(emotion)
+    return emotions
+
+
 def write_input_corpus(path, docs: Iterable[Document], header: bool = True) -> None:
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        if header:
-            writer.writerow(_INPUT_HEADER)
-        for doc in docs:
-            writer.writerow([doc.id, doc.text])
+    _write_rows(path, _INPUT_HEADER if header else None, ([doc.id, doc.text] for doc in docs))
 
 
 def write_gold_corpus(path, docs: Iterable[LabeledDocument], emotions: Sequence[str]) -> None:
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_INPUT_HEADER + list(emotions))
+    def rows():
         for labeled in docs:
             try:
                 cells = [labeled.labels[emotion] for emotion in emotions]
             except KeyError as exc:
                 raise MissingLabel(exc.args[0]) from None
-            writer.writerow([labeled.doc.id, labeled.doc.text] + cells)
+            yield [labeled.doc.id, labeled.doc.text] + cells
+
+    _write_rows(path, _INPUT_HEADER + list(emotions), rows())
 
 
 def write_predictions(path, rows: Iterable[tuple[str, str, int]]) -> None:
     """Write ``id,label`` rows: ``EMOTION`` when the bit is 1, else ``NO_EMOTION``."""
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label"])
-        for doc_id, emotion, bit in rows:
-            tag = emotion.upper() if bit else f"NO_{emotion.upper()}"
-            writer.writerow([doc_id, tag])
+    _write_rows(path, ["id", "label"], (
+        [doc_id, emotion.upper() if bit else f"NO_{emotion.upper()}"]
+        for doc_id, emotion, bit in rows
+    ))
 
 
 def _train_count(class_size: int, train_fraction) -> int:

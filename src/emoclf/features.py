@@ -41,10 +41,9 @@ from .errors import (
     LexiconError,
     ParseError,
 )
-from .lexicons import LexiconSet
+from .lexicons import LexiconSet, default_emoticons
 from .textprep import (
     TokenStream,
-    default_emoticons,
     ngram_occurrences,
     ngram_terms,
     strip_noise,
@@ -538,8 +537,6 @@ def count_texts(
 
     Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
     """
-    if emoticons is None:
-        emoticons = default_emoticons()
     streams = (
         tokenize(strip_noise(_within_limit(position, text)), emoticons)
         for position, text in enumerate(texts)

@@ -1,7 +1,7 @@
 """Lexicon resources backing the auxiliary lexical features.
 
-Four scorer inventories plus the sentiment modifiers, all plain UTF-8 text and
-user-replaceable:
+Four scorer inventories plus the sentiment modifiers, and the tokenizer's
+emoticon table, all plain UTF-8 text and user-replaceable:
 
 * emotion categories  — ``category<TAB>word`` (one pair per line)
 * politeness cues     — ``phrase<TAB>weight`` (phrases may span words)
@@ -9,6 +9,10 @@ user-replaceable:
 * modality cues       — ``word<TAB>weight`` in [-1,1]
 * boosters            — ``word<TAB>+1|-1`` (intensify / tone down)
 * negations           — one word per line
+* emoticons           — one emoticon per line, case kept
+
+Blank lines and "#" comments are skipped.  A malformed line, or a file that
+is missing or not UTF-8, fails as ``LexiconError`` naming the line or file.
 
 The shipped defaults are small curated lists meant to be useful out of the
 box; swap in bigger inventories with the CLI lexicon flags.
@@ -16,16 +20,13 @@ box; swap in bigger inventories with the CLI lexicon flags.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import LexiconError
-
-_WORD_RE = re.compile(r"\S+\Z")
 
 EMOTION_LEXICON_FILE = "emotion_categories.txt"
 POLITENESS_FILE = "politeness.txt"
@@ -127,45 +128,61 @@ def parse_boosters(text: str) -> dict[str, int]:
     return _parse_values(text, "booster", "shift", str.lower, int)
 
 
-def parse_negations(text: str) -> frozenset[str]:
+def _parse_words(text: str, what: str) -> set[str]:
     words = set()
     for lineno, line in _iter_lines(text):
-        if not _WORD_RE.match(line):
-            raise LexiconError(f"negation line {lineno}: expected a single word")
-        words.add(line.lower())
-    return frozenset(words)
+        if any(ch.isspace() for ch in line):
+            raise LexiconError(f"{what} line {lineno}: expected a single word")
+        words.add(line)
+    return words
+
+
+def parse_negations(text: str) -> frozenset[str]:
+    return frozenset(word.lower() for word in _parse_words(text, "negation"))
+
+
+def parse_emoticons(text: str) -> frozenset[str]:
+    """One emoticon per line, case kept (``:D`` and ``:d`` differ)."""
+    return frozenset(_parse_words(text, "emoticon"))
 
 
 def parse_modality(text: str) -> dict[str, float]:
     return _parse_values(text, "modality", "weight", str.lower, float)
 
 
-def _read(directory, name: str) -> str:
-    path = Path(directory) / name
+def _read(path) -> str:
     try:
         return path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
 
 
-def _lexicon_set(read: Callable[[str], str]) -> LexiconSet:
-    """Parse the six inventories; ``read`` maps a file name to its text."""
+def _lexicon_set(directory) -> LexiconSet:
+    """Parse the six inventories from their fixed file names in ``directory``."""
     return LexiconSet(
-        emotion_categories=parse_emotion_lexicon(read(EMOTION_LEXICON_FILE)),
-        politeness_cues=parse_politeness(read(POLITENESS_FILE)),
-        sentiment=parse_sentiment(read(SENTIMENT_FILE)),
-        boosters=parse_boosters(read(BOOSTERS_FILE)),
-        negations=parse_negations(read(NEGATIONS_FILE)),
-        modality_cues=parse_modality(read(MODALITY_FILE)),
+        emotion_categories=parse_emotion_lexicon(_read(directory / EMOTION_LEXICON_FILE)),
+        politeness_cues=parse_politeness(_read(directory / POLITENESS_FILE)),
+        sentiment=parse_sentiment(_read(directory / SENTIMENT_FILE)),
+        boosters=parse_boosters(_read(directory / BOOSTERS_FILE)),
+        negations=parse_negations(_read(directory / NEGATIONS_FILE)),
+        modality_cues=parse_modality(_read(directory / MODALITY_FILE)),
     )
 
 
 def load_lexicons(directory) -> LexiconSet:
     """Load all six scorer inventories from one directory (fixed file names)."""
-    return _lexicon_set(lambda name: _read(directory, name))
+    return _lexicon_set(Path(directory))
 
 
 @lru_cache(maxsize=1)
 def default_lexicons() -> LexiconSet:
-    data = resources.files("emoclf.data")
-    return _lexicon_set(lambda name: data.joinpath(name).read_text("utf-8"))
+    return _lexicon_set(resources.files("emoclf.data"))
+
+
+def load_emoticons(path) -> frozenset[str]:
+    return parse_emoticons(_read(Path(path)))
+
+
+@lru_cache(maxsize=1)
+def default_emoticons() -> frozenset[str]:
+    return parse_emoticons(_read(resources.files("emoclf.data") / EMOTICONS_FILE))

@@ -65,7 +65,7 @@ from .features import (
     fit_counts,
     transform_counts,
 )
-from .lexicons import LexiconSet, default_lexicons
+from .lexicons import LexiconSet, default_emoticons, default_lexicons
 from .svm import (
     L1_HINGE,
     L2_HINGE,
@@ -77,7 +77,6 @@ from .svm import (
     solve_folds,
     train_dual_cd,
 )
-from .textprep import default_emoticons
 
 BUNDLE_FORMAT = "emoclf-bundle"
 BUNDLE_VERSION = "1"
@@ -742,10 +741,8 @@ def load_bundle(path) -> ModelBundle:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # unreadable, not UTF-8, or not JSON
         raise ParseError(f"cannot read bundle {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bundle {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"bundle {path} does not hold an object")
     return bundle_from_dict(payload)

@@ -5,7 +5,8 @@ fragments, and URLs that add nothing but vocabulary noise.  ``strip_noise``
 removes them; ``tokenize`` splits the remainder into surface tokens that keep
 their case (the lexicon scorers want it) while ``ngram_terms`` exposes the
 lowercased n-gram view.  No stemming or lemmatization happens anywhere:
-inflected forms stay distinct vocabulary entries.
+inflected forms stay distinct vocabulary entries.  This module reads no
+files: the emoticon table ``tokenize`` keeps whole comes from ``lexicons``.
 
 ``strip_noise`` reads the text once, left to right.  One compiled pattern
 finds the next place where markup can begin ("<", ">", "```", "://" or
@@ -60,11 +61,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import cached_property
 from typing import Iterator
 
-from .errors import ContractViolation, LexiconError
+from .errors import ContractViolation
+from .lexicons import default_emoticons
 
 # Where a construct can begin; the text between two matches is plain.
 _NEXT = re.compile(r"[<>]|```|://|www\.")
@@ -300,27 +301,3 @@ def ngram_occurrences(stream: TokenStream) -> list[str]:
 def ngram_terms(stream: TokenStream) -> list[str]:
     """Distinct n-gram terms in first-occurrence order."""
     return list(dict.fromkeys(ngram_occurrences(stream)))
-
-
-def parse_emoticon_table(text: str) -> frozenset[str]:
-    """One emoticon per line; blank lines and #-comments ignored."""
-    table = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if any(ch.isspace() for ch in line):
-            raise LexiconError(f"emoticon contains whitespace: {line!r}")
-        table.add(line)
-    return frozenset(table)
-
-
-def load_emoticons(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_emoticon_table(handle.read())
-
-
-@lru_cache(maxsize=1)
-def default_emoticons() -> frozenset[str]:
-    text = resources.files("emoclf.data").joinpath("emoticons.txt").read_text("utf-8")
-    return parse_emoticon_table(text)

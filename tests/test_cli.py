@@ -402,6 +402,65 @@ class TestLexiconOverrides:
         assert result.returncode == 2
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input or model error naming the file."""
+
+    @pytest.mark.parametrize("case, status", [
+        ("gold", 2), ("input", 2), ("emoticons", 2), ("lexicon-dir", 2), ("model", 3),
+    ])
+    def test_exit_status_names_the_file(self, tmp_path, gold_csv, trained, case, status):
+        import importlib.resources as resources
+
+        from emoclf.lexicons import LEXICON_FILES
+
+        bundle_path, _, _ = trained
+        train = ["train", "--gold", gold_csv, "--out", tmp_path / "m.emo", *FAST_FLAGS]
+        classify = ["--input", tmp_path / "input.csv", "--out", tmp_path / "pred.csv"]
+        (tmp_path / "input.csv").write_text("1,hello\n", encoding="utf-8")
+        latin1 = "caf\xe9".encode("latin-1")
+        if case == "gold":
+            bad = tmp_path / "gold.csv"
+            bad.write_bytes(b"id,text,joy\n1," + latin1 + b",1\n")
+            args = ["train", "--gold", bad, "--out", tmp_path / "m.emo", *FAST_FLAGS]
+        elif case == "input":
+            bad = tmp_path / "input.csv"
+            bad.write_bytes(b"1," + latin1 + b"\n")
+            args = ["classify", "--model", bundle_path, *classify]
+        elif case == "emoticons":
+            bad = tmp_path / "emoticons.txt"
+            bad.write_bytes(b":)\n" + latin1 + b"\n")
+            args = [*train, "--emoticons", bad]
+        elif case == "lexicon-dir":
+            data = resources.files("emoclf.data")
+            for name in LEXICON_FILES:
+                (tmp_path / name).write_text(data.joinpath(name).read_text("utf-8"),
+                                             encoding="utf-8")
+            bad = tmp_path / "negations.txt"
+            bad.write_bytes(bad.read_bytes() + latin1 + b"\n")
+            args = [*train, "--lexicon-dir", tmp_path]
+        else:
+            bad = tmp_path / "model.emo"
+            bad.write_bytes(b'{"format": "' + latin1 + b'"}\n')
+            args = ["classify", "--model", bad, *classify]
+        result = run_cli(*args)
+        assert result.returncode == status, result.stderr
+        assert str(bad) in result.stderr
+        assert "internal error" not in result.stderr
+
+
+class TestReplicationScript:
+    def test_unknown_emotion_exits_2(self, gold_csv):
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parent.parent / "scripts" / "replicate_benchmarks.py"
+        result = subprocess.run(
+            [sys.executable, str(script), "--gold", str(gold_csv), "--emotions", "joy,Sadness"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: gold data lacks a label column for 'sadness'\n"
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
     def test_help_exits_zero(self, command):

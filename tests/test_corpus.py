@@ -56,8 +56,12 @@ class TestReadInputCorpus:
 
     def test_header_detected(self, tmp_path):
         path = tmp_path / "in.csv"
-        path.write_text("id,text\n5,hello\n", encoding="utf-8")
-        assert read_input_corpus(path) == [Document("5", "hello")]
+        # A byte order mark, blank lines, case and spaces around the cells
+        # do not hide the header.
+        for text in ("id,text\n5,hello\n", "\ufeffid,text\n5,hello\n",
+                     "\n\r\nid,text\n\n5,hello\n", "ID, Text \n5,hello\n"):
+            path.write_text(text, encoding="utf-8")
+            assert read_input_corpus(path) == [Document("5", "hello")], text
 
     def test_headerless_accepted(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -104,13 +108,16 @@ class TestReadGoldCorpus:
 
     def test_six_emotion_header_order(self, tmp_path):
         path = tmp_path / "gold.csv"
-        path.write_text(
-            "id,text,love,joy,surprise,anger,sadness,fear\n"
-            "1,hello,0,1,0,0,0,0\n",
-            encoding="utf-8",
-        )
-        _, emotions = read_gold_corpus(path)
-        assert emotions == ["love", "joy", "surprise", "anger", "sadness", "fear"]
+        for prefix in ("", "\ufeff", "\n\n", "\ufeff\n"):
+            for id_text in ("id,text", " ID,Text "):
+                path.write_text(
+                    f"{prefix}{id_text},love,joy,surprise,anger,sadness,fear\n"
+                    "1,hello,0,1,0,0,0,0\n",
+                    encoding="utf-8",
+                )
+                docs, emotions = read_gold_corpus(path)
+                assert emotions == ["love", "joy", "surprise", "anger", "sadness", "fear"]
+                assert [labeled.doc for labeled in docs] == [Document("1", "hello")]
 
     def test_bad_label_cell(self, tmp_path):
         path = tmp_path / "gold.csv"
@@ -249,6 +256,9 @@ class TestRoundTrips:
     _FIELD_TEXT = st.text(
         st.characters(codec="utf-8", exclude_characters="\r\x00"), max_size=40
     )
+    # What a spreadsheet or an editor may put ahead of the header: a UTF-8
+    # byte order mark and blank lines.
+    _PREFIXES = (b"", b"\xef\xbb\xbf", b"\n", b"\r\n\n", b"\xef\xbb\xbf\n")
 
     @given(
         st.lists(
@@ -261,10 +271,11 @@ class TestRoundTrips:
                 _FIELD_TEXT,
             ),
             max_size=8,
-        )
+        ),
+        st.sampled_from(_PREFIXES),
     )
     @settings(max_examples=100)
-    def test_input_corpus_round_trip(self, tmp_path_factory, pairs):
+    def test_input_corpus_round_trip(self, tmp_path_factory, pairs, prefix):
         seen = set()
         docs = []
         for i, (suffix, text) in enumerate(pairs):
@@ -275,6 +286,7 @@ class TestRoundTrips:
             docs.append(Document(doc_id, text))
         path = tmp_path_factory.mktemp("rt") / "corpus.csv"
         write_input_corpus(path, docs)
+        path.write_bytes(prefix + path.read_bytes())
         assert read_input_corpus(path) == docs
 
     def test_gold_round_trip_with_tricky_text(self, tmp_path):
@@ -284,9 +296,12 @@ class TestRoundTrips:
         ]
         path = tmp_path / "gold.csv"
         write_gold_corpus(path, docs, ["joy"])
-        back, emotions = read_gold_corpus(path)
-        assert emotions == ["joy"]
-        assert back == docs
+        written = path.read_bytes()
+        for prefix in self._PREFIXES:
+            path.write_bytes(prefix + written)
+            back, emotions = read_gold_corpus(path)
+            assert emotions == ["joy"]
+            assert back == docs
 
 
 class TestStratifiedSplit:

@@ -4,9 +4,12 @@ from emoclf.errors import LexiconError
 from emoclf.lexicons import (
     LEXICON_FILES,
     LexiconSet,
+    default_emoticons,
     default_lexicons,
+    load_emoticons,
     load_lexicons,
     parse_boosters,
+    parse_emoticons,
     parse_emotion_lexicon,
     parse_modality,
     parse_negations,
@@ -50,6 +53,15 @@ class TestParsers:
     def test_missing_tab_rejected(self):
         with pytest.raises(LexiconError):
             parse_sentiment("good 2\n")
+
+    def test_emoticons_keep_case(self):
+        assert parse_emoticons(":D\n:d\n# note\n\n  :)  \n") == frozenset({":D", ":d", ":)"})
+
+    @pytest.mark.parametrize("parse, what", [(parse_negations, "negation"),
+                                             (parse_emoticons, "emoticon")])
+    def test_word_list_line_with_two_words_rejected(self, parse, what):
+        with pytest.raises(LexiconError, match=f"^{what} line 3: expected a single word$"):
+            parse("# header\nnot\n:) :(\n")
 
 
 class TestLexiconSetValidation:
@@ -95,3 +107,17 @@ class TestDefaults:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(LexiconError):
             load_lexicons(tmp_path / "absent")
+
+    def test_emoticon_file_round_trips(self, tmp_path):
+        import importlib.resources as resources
+
+        from emoclf import textprep
+
+        path = tmp_path / "emoticons.txt"
+        path.write_text(resources.files("emoclf.data").joinpath("emoticons.txt")
+                        .read_text("utf-8"), encoding="utf-8")
+        assert load_emoticons(path) == default_emoticons() == textprep.default_emoticons()
+
+    def test_missing_emoticon_file_rejected(self, tmp_path):
+        with pytest.raises(LexiconError, match="absent.txt"):
+            load_emoticons(tmp_path / "absent.txt")
