@@ -12,31 +12,62 @@ so deviations are expected and nothing fails on a miss.
     python scripts/replicate_benchmarks.py --gold so_gold.csv \
         --reference so_reference.csv --out so_report.csv
 
-Reference CSV columns: emotion,precision,recall,f1
+Reference CSV columns: emotion,precision,recall,f1 (UTF-8, an optional byte
+order mark, finite numbers).  The reference file and the held-out partitions
+are checked before any training; a bad reference file, like any other input
+error, exits 2 with a message naming the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from emoclf.corpus import read_gold_corpus, select_emotions
 from emoclf.errors import EmoclfError
-from emoclf.pipeline import TrainConfig, evaluate_heldout, save_bundle, train_all
+from emoclf.pipeline import (
+    TrainConfig,
+    check_heldout_partitions,
+    evaluate_heldout,
+    save_bundle,
+    train_all,
+)
 
 INFO_BAND = 0.10
+METRICS = ("precision", "recall", "f1")
+
+
+class BadReference(EmoclfError):
+    """The reference CSV cannot be read or breaks its format."""
 
 
 def read_reference(path):
+    """``{emotion: {metric: value}}`` from the reference CSV, checked in full."""
     reference = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            reference[row["emotion"].strip().lower()] = {
-                "precision": float(row["precision"]),
-                "recall": float(row["recall"]),
-                "f1": float(row["f1"]),
-            }
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.DictReader(handle)
+            reader.fieldnames = [name.strip().lower() for name in reader.fieldnames or []]
+            for column in ("emotion", *METRICS):
+                if column not in reader.fieldnames:
+                    raise BadReference(f"reference file {path} has no {column!r} column "
+                                       f"(need emotion,{','.join(METRICS)})")
+            for row in reader:
+                values = {}
+                for column in METRICS:
+                    cell = row[column]
+                    try:
+                        values[column] = float(cell)
+                    except (TypeError, ValueError):
+                        values[column] = math.nan
+                    if not math.isfinite(values[column]):
+                        raise BadReference(f"reference file {path}, line {reader.line_num}: "
+                                           f"{column!r} must be a finite number, got {cell!r}")
+                reference[row["emotion"].strip().lower()] = values
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise BadReference(f"cannot read reference file {path}: {exc}") from exc
     return reference
 
 
@@ -75,6 +106,9 @@ def run() -> int:
         min_df=args.min_df,
         jobs=args.jobs,
     )
+    # Input errors surface before the training they would otherwise follow.
+    check_heldout_partitions(gold, emotions, config)
+    reference = read_reference(args.reference) if args.reference else None
     bundle = train_all(gold, emotions, config)
     report = evaluate_heldout(bundle, gold)
 
@@ -87,8 +121,7 @@ def run() -> int:
         save_bundle(bundle, args.save_model)
         print(f"bundle written to {args.save_model}")
 
-    if args.reference:
-        reference = read_reference(args.reference)
+    if reference is not None:
         print("\ncomparison against reference (informational):")
         for row in report.rows:
             ref = reference.get(row.emotion)

@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one train/test split shared by all emotions "
                        "(stratified by the first) instead of one per emotion")
     train.add_argument("--jobs", type=int, default=1,
-                       help="emotions trained in parallel processes")
+                       help="parallel processes; the emotions are cut into this many "
+                       "contiguous runs, one process each, never more than the emotions")
     train.add_argument("--positive-cost", type=float, default=1.0,
                        help="cost multiplier for positive examples")
     train.add_argument("--tune-metric", choices=("accuracy", "f1"), default="accuracy",

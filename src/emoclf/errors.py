@@ -4,6 +4,19 @@
 class EmoclfError(Exception):
     """Base class for every error this package raises on purpose."""
 
+    def __reduce__(self):
+        # Rebuilt from the message and attributes rather than by calling the
+        # constructor, whose arguments differ per class, so that an error
+        # raised in a worker process reaches the parent intact.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class CorpusError(EmoclfError):
     """A corpus file violates its format contract."""

@@ -8,10 +8,15 @@ the best pooled accuracy breaking ties toward the smallest value, refit the
 extractor on the whole train partition, and train the final model there.
 
 The (fold, cost) solves of cross-validation run in lockstep: one
-``svm.solve_folds`` call takes the folds as they are built and solves
-consecutive ones together at every cost, as many as its memory bound
-allows.  The final model is trained alone by ``train_dual_cd``, so a bundle
-could change only if a cross-validation decision flipped.
+``svm.solve_folds`` call takes the folds of every emotion of a run as they
+are built, emotion after emotion, and solves consecutive ones together at
+every cost, as many as its memory bound allows, so one group can hold the
+folds of several emotions.  Each emotion is planned (split, labels, class
+checks, fold plan) before that stream and picks its cost and trains its
+final model after it; a failure at any stage is reported under its own
+emotion.  The final model is trained alone by ``train_dual_cd``, so a bundle
+could change only if a cross-validation decision flipped.  With ``jobs``
+above 1, the emotions are cut into contiguous runs, one process each.
 
 Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
@@ -32,7 +37,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -350,42 +355,80 @@ def _fold_problem(
     return problem, features.take(held_idx), [labels[i] for i in held_idx]
 
 
-def _evaluate_folds(
-    counts: CorpusCounts, labels: Sequence[int], plan: FoldPlan, config: TrainConfig
-) -> tuple[FoldScore, ...]:
-    """Held-out confusion counts per (fold, cost value), fold-major.
+def _cross_validate(
+    tasks: Sequence[tuple[CorpusCounts, Sequence[int], FoldPlan]], config: TrainConfig
+) -> list[tuple[FoldScore, ...] | Exception]:
+    """Held-out confusion counts per (fold, cost value) of every (counts, labels, plan) task.
 
-    The extractor and the training problem depend only on the fold's
-    training documents, so each is built once per fold and only C varies
-    across the grid; this is exactly equivalent to refitting per (fold, C).
-    Each lockstep solve gives what ``train_dual_cd`` would for that (fold, C).
+    Each task's scores come back fold-major.  The extractor and the training
+    problem depend only on the fold's training documents, so each is built
+    once per fold and only C varies across the grid; this is exactly
+    equivalent to refitting per (fold, C).  Every task's folds go through one
+    ``solve_folds`` stream, task after task, so the folds of several tasks
+    share a lockstep group whenever its state fits.  Each lockstep solve
+    gives what ``train_dual_cd`` would for that (fold, C), whatever the group.
+
+    A task whose fold problem cannot be built gets that exception in place
+    of its scores, and the stream goes on with the next task.
     """
-    assignment = np.asarray(plan.assignment)
     c_values = config.grid.c_values
-    held_out = {}       # fold -> held-out rows and labels, until all its costs are scored
+    owner = []          # problem index -> (task, fold)
+    held_out = {}       # problem index -> held-out rows and labels, until all its costs are scored
+    failed: dict[int, Exception] = {}
+    scores = [{} for _ in tasks]
 
     def problems():
-        for fold in range(plan.k):
-            problem, *held_out[fold] = _fold_problem(counts, labels, assignment, fold, config)
-            yield problem, derive_seed(plan.seed, "solver", fold)
+        for task, (counts, labels, plan) in enumerate(tasks):
+            assignment = np.asarray(plan.assignment)
+            for fold in range(plan.k):
+                try:
+                    problem, *rows_and_golds = _fold_problem(
+                        counts, labels, assignment, fold, config)
+                except Exception as exc:    # reported under this task only
+                    failed[task] = exc
+                    break
+                held_out[len(owner)] = rows_and_golds
+                owner.append((task, fold))
+                yield problem, derive_seed(plan.seed, "solver", fold)
 
-    scores = {}
-    for fold, cost, model in solve_folds(
+    for index, cost, model in solve_folds(
         problems(), c_values, config.eps, config.max_outer_iters, config.monitor
     ):
-        rows, golds = held_out[fold]
+        task, fold = owner[index]
+        rows, golds = held_out[index]
+        scored = scores[task]
         confusion = Confusion.of(predict_rows(model, rows), golds)
-        scores[fold, cost] = FoldScore(
+        scored[fold, cost] = FoldScore(
             fold, c_values[cost], confusion, model.sweeps, model.final_violation
         )
-        if all((fold, c) in scores for c in range(len(c_values))):
-            del held_out[fold]
-    return tuple(scores[key] for key in sorted(scores))
+        if all((fold, c) in scored for c in range(len(c_values))):
+            del held_out[index]
+    return [failed.get(task) or tuple(scored[key] for key in sorted(scored))
+            for task, scored in enumerate(scores)]
 
 
 def select_best_cost(scores: Mapping[float, float]) -> float:
     """Highest score wins; exact ties go to the smallest cost."""
     return min(scores, key=lambda c: (-scores[c], c))
+
+
+def _choose_cost(folds: Sequence[FoldScore], config: TrainConfig) -> tuple[float, float]:
+    """The cost with the best pooled ``config.tune_metric``, and its pooled accuracy."""
+    c_values = config.grid.c_values
+    pooled = {c: Confusion() for c in c_values}
+    for score in folds:
+        pooled[score.C] += score.confusion
+    score_at = 2 if config.tune_metric == "f1" else 3
+    best = select_best_cost({c: pooled[c].metrics()[score_at] for c in c_values})
+    return best, pooled[best].metrics()[3]
+
+
+def _plan_folds(
+    counts: CorpusCounts, labels: Sequence[int], seed: int, config: TrainConfig
+) -> FoldPlan:
+    if counts.n_docs != len(labels):
+        raise ContractViolation(f"counts cover {counts.n_docs} documents, expected {len(labels)}")
+    return make_fold_plan(labels, config.folds, seed)
 
 
 def grid_search_C(
@@ -397,17 +440,11 @@ def grid_search_C(
     labels, row for row; ``seed`` draws the folds.  Returns the chosen C,
     its pooled accuracy, and every (fold, C) evaluation.
     """
-    if counts.n_docs != len(labels):
-        raise ContractViolation(f"counts cover {counts.n_docs} documents, expected {len(labels)}")
-    plan = make_fold_plan(labels, config.folds, seed)
-    folds = _evaluate_folds(counts, labels, plan, config)
-    c_values = config.grid.c_values
-    pooled = {c: Confusion() for c in c_values}
-    for score in folds:
-        pooled[score.C] += score.confusion
-    score_at = 2 if config.tune_metric == "f1" else 3
-    best = select_best_cost({c: pooled[c].metrics()[score_at] for c in c_values})
-    return best, pooled[best].metrics()[3], folds
+    [folds] = _cross_validate([(counts, labels, _plan_folds(counts, labels, seed, config))],
+                              config)
+    if isinstance(folds, Exception):
+        raise folds
+    return (*_choose_cost(folds, config), folds)
 
 
 # --- per-emotion training ----------------------------------------------------
@@ -416,6 +453,90 @@ def split_seed_for(emotion: str, config: TrainConfig) -> int:
     if config.shared_split:
         return derive_seed(config.seed, "shared-split")
     return derive_seed(config.seed, "emotion", emotion, "split")
+
+
+def _emotion_task(
+    emotion: str, gold: Sequence[LabeledDocument], counts: CorpusCounts | None,
+    config: TrainConfig,
+) -> tuple[CorpusCounts, list[int], FoldPlan]:
+    """One emotion's train partition, ready for ``_cross_validate``."""
+    labels = _labels_for(gold, emotion)
+    if not any(labels) or all(labels):
+        raise DegenerateClass(emotion)
+    if counts is None:
+        counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
+                             config.resolved_emoticons())
+    seed = derive_seed(derive_seed(config.seed, "emotion", emotion), "grid")
+    return counts, labels, _plan_folds(counts, labels, seed, config)
+
+
+def _final_model(
+    emotion: str, counts: CorpusCounts, labels: list[int], folds: tuple[FoldScore, ...],
+    config: TrainConfig,
+) -> EmotionModel:
+    """Pick the cost from ``folds`` and train on the whole train partition at it."""
+    chosen_c, cv_accuracy = _choose_cost(folds, config)
+    fitted = fit_counts(counts, config.min_df)
+    problem = TrainingProblem.from_matrix(
+        transform_counts(counts, fitted),
+        _signs(labels),
+        C=chosen_c,
+        loss=config.loss,
+        pos_cost=config.positive_cost,
+    )
+    emotion_seed = derive_seed(config.seed, "emotion", emotion)
+    model = train_dual_cd(
+        problem,
+        SolverParams(eps=config.eps, max_outer_iters=config.max_outer_iters,
+                     seed=derive_seed(emotion_seed, "final")),
+        monitor=config.monitor,
+    )
+    return EmotionModel(
+        emotion=emotion,
+        extractor=fitted,
+        model=model,
+        chosen_C=chosen_c,
+        cv_accuracy=cv_accuracy,
+        split_seed=split_seed_for(emotion, config),
+        cv_folds=folds,
+    )
+
+
+def _train_emotions(
+    emotions: Sequence[str],
+    partition: Callable[[str], tuple[Sequence[LabeledDocument], CorpusCounts | None]],
+    config: TrainConfig,
+) -> tuple[dict[str, EmotionModel], dict[str, Exception]]:
+    """Train each emotion on ``partition(emotion)``: models and failures, keyed by emotion.
+
+    ``partition`` gives an emotion's train partition and its counts (or
+    None).  Every emotion is planned first (partition, labels, class checks,
+    fold plan), then all of their cross-validation problems go through one
+    ``_cross_validate`` stream, and then each emotion picks its cost and
+    trains its final model.  An exception fails only the emotion it belongs
+    to, except one from the solver, which ends the stream and so fails every
+    emotion in it.
+    """
+    failures: dict[str, Exception] = {}
+    tasks = {}
+    for emotion in emotions:
+        try:
+            tasks[emotion] = _emotion_task(emotion, *partition(emotion), config)
+        except Exception as exc:    # collected, keyed by emotion
+            failures[emotion] = exc
+    try:
+        results = _cross_validate(list(tasks.values()), config)
+    except Exception as exc:
+        results = [exc] * len(tasks)
+    models: dict[str, EmotionModel] = {}
+    for (emotion, (counts, labels, _)), folds in zip(tasks.items(), results):
+        try:
+            if isinstance(folds, Exception):
+                raise folds
+            models[emotion] = _final_model(emotion, counts, labels, folds, config)
+        except Exception as exc:
+            failures[emotion] = exc
+    return models, failures
 
 
 def train_emotion_model(
@@ -428,41 +549,10 @@ def train_emotion_model(
 
     ``counts`` are ``gold``'s counts, row for row, when already made.
     """
-    labels = _labels_for(gold, emotion)
-    if not any(labels) or all(labels):
-        raise DegenerateClass(emotion)
-    if counts is None:
-        counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
-                             config.resolved_emoticons())
-    emotion_seed = derive_seed(config.seed, "emotion", emotion)
-
-    chosen_c, cv_accuracy, cv_folds = grid_search_C(
-        counts, labels, derive_seed(emotion_seed, "grid"), config
-    )
-
-    fitted = fit_counts(counts, config.min_df)
-    problem = TrainingProblem.from_matrix(
-        transform_counts(counts, fitted),
-        _signs(labels),
-        C=chosen_c,
-        loss=config.loss,
-        pos_cost=config.positive_cost,
-    )
-    final_seed = derive_seed(emotion_seed, "final")
-    model = train_dual_cd(
-        problem,
-        SolverParams(eps=config.eps, max_outer_iters=config.max_outer_iters, seed=final_seed),
-        monitor=config.monitor,
-    )
-    return EmotionModel(
-        emotion=emotion,
-        extractor=fitted,
-        model=model,
-        chosen_C=chosen_c,
-        cv_accuracy=cv_accuracy,
-        split_seed=split_seed_for(emotion, config),
-        cv_folds=cv_folds,
-    )
+    models, failures = _train_emotions([emotion], lambda _: (gold, counts), config)
+    if failures:
+        raise failures[emotion]
+    return models[emotion]
 
 
 def _config_snapshot(config: TrainConfig) -> dict:
@@ -480,13 +570,23 @@ def _config_snapshot(config: TrainConfig) -> dict:
     }
 
 
-def _train_one(args) -> tuple[str, EmotionModel]:
-    gold, counts, emotion, stratify_by, config = args
-    split = stratified_split(gold, stratify_by, config.train_fraction,
-                             split_seed_for(emotion, config))
-    return emotion, train_emotion_model(
-        split.train, emotion, config, counts=counts.take(split.train_index)
-    )
+def _runs(emotions: Sequence[str], count: int) -> list[list[str]]:
+    """``emotions`` cut into ``count`` contiguous runs, in order, sized within one of each other."""
+    size, extra = divmod(len(emotions), count)
+    cuts = [run * size + min(run, extra) for run in range(count + 1)]
+    return [list(emotions[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _train_run(args) -> tuple[dict[str, EmotionModel], dict[str, Exception]]:
+    """Split and train one run of emotions: ``(models, failures)``, keyed by emotion."""
+    gold, counts, emotions, shared_by, config = args
+
+    def partition(emotion):
+        split = stratified_split(gold, shared_by or emotion, config.train_fraction,
+                                 split_seed_for(emotion, config))
+        return split.train, counts.take(split.train_index)
+
+    return _train_emotions(emotions, partition, config)
 
 
 def train_all(
@@ -498,12 +598,18 @@ def train_all(
 
     Splits happen per emotion, or once when ``shared_split`` is set, in which
     case every emotion reuses the split stratified by the first one.  Only
-    each train partition ever reaches the extractor and solver.  With
-    ``jobs > 1`` and several emotions, emotions train in up to ``jobs``
-    parallel processes and results are reduced in the input emotion order,
-    so parallelism never changes the output.  A ``monitor`` is updated in
-    this process, so it needs one worker.  Every gold document is stripped,
-    tokenized and counted once, before any split.
+    each train partition ever reaches the extractor and solver.  Every gold
+    document is stripped, tokenized and counted once, before any split.
+
+    The emotions are cut into ``min(jobs, len(emotions))`` contiguous runs
+    of near-equal size.  Each run trains in one process (this one when there
+    is a single run), and all cross-validation problems of a run share one
+    lockstep stream.  Results are reduced in the input emotion order.  The
+    runs change only the order in which cross-validation sums its row dot
+    products, so ``jobs`` changes a bundle only if a held-out decision or a
+    stopping test lies within rounding of its threshold.  A ``monitor`` is
+    updated in this process, so it needs one worker.  Failures are collected per emotion into one
+    ``PipelineError``.
     """
     emotions = list(emotions)
     if not emotions:
@@ -523,30 +629,27 @@ def train_all(
 
     counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
                          config.resolved_emoticons())
-    tasks = {
-        emotion: (gold, counts, emotion, emotions[0] if config.shared_split else emotion, config)
-        for emotion in emotions
-    }
+    shared_by = emotions[0] if config.shared_split else None
+    runs = _runs(emotions, workers)
+    tasks = [(gold, counts, run, shared_by, config) for run in runs]
     models: dict[str, EmotionModel] = {}
     failures: dict[str, Exception] = {}
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {emotion: pool.submit(_train_one, task) for emotion, task in tasks.items()}
-            for emotion, future in futures.items():
+            futures = [pool.submit(_train_run, task) for task in tasks]
+            for run, future in zip(runs, futures):
                 try:
-                    _, models[emotion] = future.result()
-                except Exception as exc:  # collected below, keyed by emotion
-                    failures[emotion] = exc
+                    got, failed = future.result()
+                except Exception as exc:  # the whole run's process failed
+                    got, failed = {}, dict.fromkeys(run, exc)
+                models.update(got)
+                failures.update(failed)
     else:
-        for emotion, task in tasks.items():
-            try:
-                _, models[emotion] = _train_one(task)
-            except Exception as exc:
-                failures[emotion] = exc
+        models, failures = _train_run(tasks[0])
 
     if failures:
-        raise PipelineError(failures)
+        raise PipelineError({e: failures[e] for e in emotions if e in failures})
     return ModelBundle(
         emotions=tuple(emotions),
         models={e: models[e] for e in emotions},

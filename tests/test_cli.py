@@ -460,6 +460,55 @@ class TestReplicationScript:
         assert result.returncode == 2
         assert result.stderr == "error: gold data lacks a label column for 'sadness'\n"
 
+    @staticmethod
+    def replicate(gold_csv, *flags):
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parent.parent / "scripts" / "replicate_benchmarks.py"
+        return subprocess.run(
+            [sys.executable, str(script), "--gold", str(gold_csv), "--folds", "3", *flags],
+            capture_output=True, text=True,
+        )
+
+    @pytest.mark.parametrize("content, complaint", [
+        (b"emotion,precision\njoy,0.5\n", "has no 'recall' column"),
+        (b"", "has no 'emotion' column"),
+        (b"emotion,precision,recall,f1\njoy,0.5,0.5,high\n", "line 2: 'f1' must be a finite number, got 'high'"),
+        (b"emotion,precision,recall,f1\njoy,0.5,nan,0.5\n", "line 2: 'recall' must be a finite number"),
+        (b"emotion,precision,recall,f1\njoy,0.5\n", "line 2: 'recall' must be a finite number"),
+        (b"emotion,precision,recall,f1\ncaf\xe9,0.5,0.5,0.5\n", "cannot read reference file"),
+    ])
+    def test_bad_reference_exits_2_before_training(self, gold_csv, tmp_path, content, complaint):
+        reference = tmp_path / "ref.csv"
+        reference.write_bytes(content)
+        result = self.replicate(gold_csv, "--reference", str(reference))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert str(reference) in result.stderr and complaint in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Prec" not in result.stdout      # no report table: nothing was trained
+
+    def test_missing_reference_exits_2(self, gold_csv, tmp_path):
+        missing = tmp_path / "absent.csv"
+        result = self.replicate(gold_csv, "--reference", str(missing))
+        assert result.returncode == 2
+        assert f"cannot read reference file {missing}" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_reference_with_byte_order_mark_and_spaced_header(self, gold_csv, tmp_path):
+        reference = tmp_path / "ref.csv"
+        reference.write_bytes(b"\xef\xbb\xbfEmotion, precision ,recall,F1\nJoy,0.9,0.8,0.85\n")
+        result = self.replicate(gold_csv, "--emotions", "joy", "--reference", str(reference))
+        assert result.returncode == 0, result.stderr
+        assert "joy: F1 " in result.stdout and " vs 0.85 " in result.stdout
+
+    def test_empty_heldout_partition_exits_2_before_training(self, gold_csv, tmp_path):
+        bundle = tmp_path / "model.emo"
+        result = self.replicate(gold_csv, "--train-fraction", "0.99", "--save-model", str(bundle))
+        assert result.returncode == 2
+        assert "no documents to score: train_fraction 0.99" in result.stderr
+        assert not bundle.exists()
+
 
 class TestHelp:
     @pytest.mark.parametrize("command", ["train", "classify", "evaluate"])

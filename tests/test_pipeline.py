@@ -76,6 +76,34 @@ def cross_validate(docs, seed, config, emotion="joy"):
     return grid_search_C(counts_for(docs, config), labels, seed, config)
 
 
+THREE_EMOTIONS = {
+    "joy": DEFAULT_KEYWORDS,
+    "anger": ("grumblex", "snarlit", "vexopod"),
+    "fear": ("shivrak", "dreadlo", "quavex"),
+}
+FOUR_EMOTIONS = {**THREE_EMOTIONS, "calm": ("serenix", "placido", "tranqot")}
+
+
+def assert_same_fold_scores(got, expected):
+    """Equal fold, cost, confusion counts and sweeps; violations equal to rounding.
+
+    A fold's final violation is summed in an order that depends on the
+    lockstep group it was solved in, so it can differ in its last bits.
+    """
+    assert [(s.fold, s.C, s.confusion, s.sweeps) for s in got] == [
+        (s.fold, s.C, s.confusion, s.sweeps) for s in expected
+    ]
+    assert [s.final_violation for s in got] == pytest.approx(
+        [s.final_violation for s in expected], rel=1e-9, abs=1e-12)
+
+
+def with_failing_emotions(docs):
+    """``docs`` plus "surprise" (3 positives: too few for 3 folds after a 70%
+    split) and "calm" (no positives)."""
+    return [LabeledDocument(d.doc, {**d.labels, "surprise": int(i < 3), "calm": 0})
+            for i, d in enumerate(docs)]
+
+
 class TestTuningGrid:
     def test_default_matches_protocol(self):
         assert TuningGrid().c_values == DEFAULT_C_GRID
@@ -242,7 +270,7 @@ class TestSelection:
 def scalar_fold_scores(counts, labels, plan, c_values, config):
     """Cross-validation as one ``train_dual_cd`` per (fold, C), fold-major.
 
-    The reference for the lockstep solves in ``pipeline._evaluate_folds``.
+    The reference for the lockstep solves in ``pipeline._cross_validate``.
     """
     assignment = np.asarray(plan.assignment)
     scores = []
@@ -309,7 +337,7 @@ class TestLockstepCrossValidation:
 
         monkeypatch.setattr(pipeline, "solve_folds", recording)
 
-        got = pipeline._evaluate_folds(counts, labels, plan, config)
+        [got] = pipeline._cross_validate([(counts, labels, plan)], config)
         expected = scalar_fold_scores(counts, labels, plan, c_values, config)
         # A group is solved once the fold after it has been pulled, so its
         # folds share one pull count; the last group's includes the empty pull.
@@ -474,6 +502,56 @@ class TestTrainAll:
             train_all(docs, ["joy", "fear"], TrainConfig(**FAST))
         assert set(err.value.failures) == {"fear"}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_plan_time_failures_name_only_their_emotions(self, jobs):
+        # With jobs=2 the runs are [joy, surprise] and [anger, calm]: each failing
+        # emotion shares a run, and so a stream, with one that trains.
+        docs = with_failing_emotions(generate_planted_corpus(60, THREE_EMOTIONS, seed=4))
+        config = TrainConfig(**FAST, jobs=jobs)
+        with pytest.raises(PipelineError) as err:
+            train_all(docs, ["joy", "surprise", "anger", "calm"], config)
+        failures = err.value.failures
+        assert list(failures) == ["surprise", "calm"]
+        assert type(failures["surprise"]) is TooFewPositives
+        assert str(failures["surprise"]) == (
+            "label class 1 has 2 members, fewer than the 3 folds requested")
+        assert type(failures["calm"]) is DegenerateClass
+        assert str(failures["calm"]) == "calm: needs at least one positive and one negative example"
+
+    def test_emotions_beside_a_failure_still_train(self):
+        docs = with_failing_emotions(generate_planted_corpus(60, THREE_EMOTIONS, seed=4))
+        config = TrainConfig(**FAST)
+        counts = counts_for(docs, config)
+        models, failures = pipeline._train_run((docs, counts, ["joy", "surprise", "anger"], None,
+                                                config))
+        assert list(failures) == ["surprise"] and list(models) == ["joy", "anger"]
+        alone = train_all(docs, ["joy", "anger"], config)
+        for emotion in ("joy", "anger"):
+            assert np.array_equal(models[emotion].model.w, alone.models[emotion].model.w)
+
+    def test_fold_problem_failure_is_reported_under_its_emotion(self, monkeypatch):
+        docs = generate_planted_corpus(60, THREE_EMOTIONS, seed=4)
+        config = TrainConfig(**FAST)
+        fold_problem = pipeline._fold_problem
+        built = []
+
+        class Broken(Exception):
+            pass
+
+        def breaking(*args):
+            built.append(args[3])
+            if len(built) == 5:     # anger's second fold: joy's three came first
+                raise Broken("fold problem")
+            return fold_problem(*args)
+
+        monkeypatch.setattr(pipeline, "_fold_problem", breaking)
+        with pytest.raises(PipelineError) as err:
+            train_all(docs, ["joy", "anger", "fear"], config)
+        assert list(err.value.failures) == ["anger"]
+        assert type(err.value.failures["anger"]) is Broken
+        # The stream went on past anger to fear's folds.
+        assert built == [0, 1, 2, 0, 1, 0, 1, 2]
+
     def test_binary_relevance_independence(self):
         docs = generate_planted_corpus(
             80,
@@ -502,10 +580,10 @@ class TestTrainAll:
         assert len(split_joy.train) == 56
 
     def test_pool_is_capped_at_the_number_of_emotions(self, monkeypatch):
-        pools = []
+        pools, runs = [], []
 
         class InProcessPool:
-            """Records the pool size asked for and runs each task here."""
+            """Records the pool size and the runs asked for, and runs each task here."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -516,25 +594,86 @@ class TestTrainAll:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, *args):
+            def submit(self, fn, task):
+                runs.append(task[2])
                 future = concurrent.futures.Future()
-                future.set_result(fn(*args))
+                future.set_result(fn(task))
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        docs = generate_planted_corpus(
-            80,
-            {"joy": DEFAULT_KEYWORDS, "anger": ("grumblex", "snarlit", "vexopod")},
-            seed=3,
-        )
+        docs = generate_planted_corpus(80, THREE_EMOTIONS, seed=3)
         serial = train_all(docs, ["joy", "anger"], TrainConfig(**FAST))
         assert pools == []
         pooled = train_all(docs, ["joy", "anger"], TrainConfig(**FAST, jobs=4))
-        assert pools == [2]
+        assert pools == [2] and runs == [["joy"], ["anger"]]
         train_all(docs, ["joy"], TrainConfig(**FAST, jobs=4))
         assert pools == [2]
+        train_all(docs, ["joy", "anger", "fear"], TrainConfig(**FAST, jobs=2))
+        assert pools == [2, 2] and runs[2:] == [["joy", "anger"], ["fear"]]
         assert bundle_to_dict(pooled) == bundle_to_dict(serial)
-        assert [em.cv_folds for em in pooled] == [em.cv_folds for em in serial]
+        for a, b in zip(pooled, serial):
+            assert_same_fold_scores(a.cv_folds, b.cv_folds)
+
+    @pytest.mark.parametrize("emotions, count, runs", [
+        ("abcdef", 2, ["abc", "def"]),
+        ("abcde", 2, ["abc", "de"]),
+        ("abcde", 3, ["ab", "cd", "e"]),
+        ("ab", 2, ["a", "b"]),
+        ("abc", 1, ["abc"]),
+    ])
+    def test_runs_are_contiguous_and_near_equal(self, emotions, count, runs):
+        assert pipeline._runs(list(emotions), count) == [list(run) for run in runs]
+
+    @pytest.mark.parametrize("jobs, shared_split", [(1, False), (2, False), (2, True)])
+    def test_each_emotion_matches_training_it_alone(self, jobs, shared_split):
+        # The reference path: train_emotion_model on one emotion's train
+        # partition, with its own cross-validation stream.
+        docs = generate_planted_corpus(90, FOUR_EMOTIONS, noise=0.1, seed=8)
+        emotions = list(FOUR_EMOTIONS)
+        config = TrainConfig(**FAST, jobs=jobs, shared_split=shared_split)
+        bundle = train_all(docs, emotions, config)
+        payload = bundle_to_dict(bundle)
+        for emotion in emotions:
+            em = bundle.models[emotion]
+            split = stratified_split(docs, emotions[0] if shared_split else emotion,
+                                     config.train_fraction, em.split_seed)
+            alone = train_emotion_model(list(split.train), emotion, config)
+            assert_same_fold_scores(em.cv_folds, alone.cv_folds)
+            assert (em.chosen_C, em.cv_accuracy) == (alone.chosen_C, alone.cv_accuracy)
+            assert np.array_equal(em.model.w, alone.model.w)
+            assert payload["models"][emotion] == bundle_to_dict(
+                replace(bundle, emotions=(emotion,), models={emotion: alone})
+            )["models"][emotion]
+
+    def test_one_stream_mixes_the_folds_of_both_emotions(self, monkeypatch):
+        docs = generate_planted_corpus(80, THREE_EMOTIONS, seed=3)
+        config = TrainConfig(**FAST)
+        calls = []
+        first_seen = {}     # problem index -> problems pulled at its first model
+        solve_folds = pipeline.solve_folds
+
+        def recording(problems, *rest):
+            calls.append(rest)
+            pulled = 0
+
+            def counted():
+                nonlocal pulled
+                for item in problems:
+                    pulled += 1
+                    yield item
+
+            for index, cost, model in solve_folds(counted(), *rest):
+                first_seen.setdefault(index, pulled)
+                yield index, cost, model
+
+        monkeypatch.setattr(pipeline, "solve_folds", recording)
+        train_all(docs, ["joy", "anger"], config)
+        assert len(calls) == 1
+        # Problems 0-2 are joy's folds and 3-5 anger's; a group is solved
+        # once no problem is left to pull or the next would not fit.
+        first_group = [index for index in sorted(first_seen)
+                       if first_seen[index] == first_seen[0]]
+        assert {index // config.folds for index in first_group} == {0, 1}
 
     def test_monitor_with_several_workers_rejected(self):
         docs = generate_planted_corpus(
