@@ -12,23 +12,28 @@ training documents only; transforming never mutates the extractor.
 
 Two paths compute the same vectors.  ``fit`` + ``assemble`` (or
 ``FittedExtractor.vectorize``) handle one token stream at a time and are the
-reference.  The corpus path does the text work once per corpus
-(``count_texts``: strip, tokenize, count n-grams, category hits and cue
-scores), then fits (``fit_counts``) and transforms (``transform_counts``)
-every row of a ``CorpusCounts`` with array operations; ``CorpusCounts.take``
-is how a caller picks the rows to fit or transform.  It reproduces the
-reference bit for bit: every value comes from the same scalar formulas, and
-each block's L2 norm is summed in the same order by the same ``sum``.
+reference.  The corpus path does the text work once per corpus, then fits
+(``fit_counts``) and transforms (``transform_counts``) every row of a
+``CorpusCounts`` with array operations; ``CorpusCounts.take`` is how a
+caller picks the rows to fit or transform.  ``count_texts`` makes one pass
+per document: ``strip_noise``, then ``textprep.term_tokens`` for the tokens
+and which of them bear terms.  One counting core, shared with
+``count_streams``, gives every n-gram occurrence of the corpus a term id and
+counts all (document, term) cells with one ``np.unique``; category hits and
+cue scores read the lowered tokens.  It reproduces the reference bit for
+bit: every value comes from the same scalar formulas, and each block's L2
+norm is summed in the same order by the same ``sum``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, count, repeat
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,9 +49,11 @@ from .errors import (
 from .lexicons import LexiconSet, default_emoticons
 from .textprep import (
     TokenStream,
+    bears_term,
     ngram_occurrences,
     ngram_terms,
     strip_noise,
+    term_tokens,
     tokenize,
 )
 
@@ -270,16 +277,16 @@ def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
     cues = lexicons.politeness_cues
     longest = lexicons.politeness_lengths
     total = 0.0
-    i = 0
-    while i < len(tokens):
-        matched = 0
-        for length in range(min(longest.get(tokens[i], 0), len(tokens) - i), 0, -1):
+    free = 0        # tokens before this one belong to a matched cue
+    for i in compress(range(len(tokens)), map(longest.__contains__, tokens)):
+        if i < free:
+            continue
+        for length in range(min(longest[tokens[i]], len(tokens) - i), 0, -1):
             weight = cues.get(tuple(tokens[i : i + length]))
             if weight is not None:
                 total += weight
-                matched = length
+                free = i + length
                 break
-        i += matched or 1
     return 1.0 / (1.0 + math.exp(-total))
 
 
@@ -293,10 +300,8 @@ def sentiment_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[int, int]:
     """
     tokens = doc.lowered
     pos, neg = 1, -1
-    for i, token in enumerate(tokens):
-        strength = lexicons.sentiment.get(token)
-        if strength is None:
-            continue
+    for i in compress(range(len(tokens)), map(lexicons.sentiment.__contains__, tokens)):
+        strength = lexicons.sentiment[tokens[i]]
         magnitude = abs(strength)
         sign = 1 if strength > 0 else -1
         if i > 0:
@@ -472,6 +477,51 @@ class CorpusCounts:
         )
 
 
+def _count(
+    docs: Iterable[tuple[TokenStream, Sequence[bool]]],
+    lexicons: LexiconSet,
+    emoticons: frozenset[str],
+) -> CorpusCounts:
+    """The one counting core: each document is its tokens and ``bears_term`` flags."""
+    categories = [lexicons.emotion_categories[c] for c in sorted(lexicons.emotion_categories)]
+    term_ids: defaultdict[str, int] = defaultdict(count().__next__)   # next id per new term
+    ids = array("q")                                # term id of every n-gram occurrence
+    ends = array("q", [0])                          # where each document's ids end
+    category_rows = []
+    aux_rows = []
+    for stream, termable in docs:
+        low = stream.lowered
+        ids.extend(map(term_ids.__getitem__, compress(low, termable)))
+        bigrams = compress(zip(low, low[1:]), map(and_, termable, termable[1:]))
+        ids.extend(map(term_ids.__getitem__, map(" ".join, bigrams)))
+        ends.append(len(ids))
+        category_rows.append([sum(map(words.__contains__, low)) for words in categories])
+        aux_rows.append(_aux_scores(stream, lexicons))
+
+    # Renumber terms in sorted order; one np.unique over (document, column)
+    # keys then counts each cell, sorted by document and column.
+    terms = sorted(term_ids)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[np.fromiter((term_ids[t] for t in terms), np.int64, len(terms))] = np.arange(len(terms))
+    width = max(len(terms), 1)
+    keys = _row_ids(np.frombuffer(ends, dtype=np.int64))
+    keys *= width
+    keys += rank[np.frombuffer(ids, dtype=np.int64)]
+    cells, tfs = np.unique(keys, return_counts=True)
+    rows, columns = np.divmod(cells, width)
+    n_docs = len(ends) - 1
+    return CorpusCounts(
+        terms=tuple(terms),
+        indptr=_indptr_of(rows, n_docs),
+        indices=columns,
+        counts=tfs.astype(np.int64),
+        category_counts=np.array(category_rows, dtype=np.int64).reshape(n_docs, len(categories)),
+        aux=np.array(aux_rows, dtype=np.float64).reshape(n_docs, len(AUX_FEATURES)),
+        lexicons=lexicons,
+        emoticons=emoticons,
+    )
+
+
 def count_streams(
     streams: Iterable[TokenStream],
     lexicons: LexiconSet,
@@ -482,50 +532,8 @@ def count_streams(
     ``emoticons`` should be the table the streams were tokenized with.
     Streams are consumed one at a time, so a generator keeps only one alive.
     """
-    if emoticons is None:
-        emoticons = default_emoticons()
-    categories = sorted(lexicons.emotion_categories)
-    slots_of_word: dict[str, list[int]] = {}
-    for slot, category in enumerate(categories):
-        for word in lexicons.emotion_categories[category]:
-            slots_of_word.setdefault(word, []).append(slot)
-
-    term_ids: dict[str, int] = {}
-    indptr = array("q", [0])
-    ids = array("q")
-    tfs = array("q")
-    category_rows = []
-    aux_rows = []
-    for stream in streams:
-        for term, tf in Counter(ngram_occurrences(stream)).items():
-            ids.append(term_ids.setdefault(term, len(term_ids)))
-            tfs.append(tf)
-        indptr.append(len(ids))
-        hits = [0] * len(categories)
-        for token in stream.lowered:
-            for slot in slots_of_word.get(token, ()):
-                hits[slot] += 1
-        category_rows.append(hits)
-        aux_rows.append(_aux_scores(stream, lexicons))
-
-    # Renumber terms in sorted order, then sort each row by column.
-    terms = sorted(term_ids)
-    rank = np.empty(len(terms), dtype=np.int64)
-    rank[np.fromiter((term_ids[t] for t in terms), np.int64, len(terms))] = np.arange(len(terms))
-    indptr_arr = np.array(indptr, dtype=np.int64)
-    columns = rank[np.frombuffer(ids, dtype=np.int64)]
-    order = np.lexsort((columns, _row_ids(indptr_arr)))
-    n_docs = len(indptr) - 1
-    return CorpusCounts(
-        terms=tuple(terms),
-        indptr=indptr_arr,
-        indices=columns[order],
-        counts=np.frombuffer(tfs, dtype=np.int64)[order],
-        category_counts=np.array(category_rows, dtype=np.int64).reshape(n_docs, len(categories)),
-        aux=np.array(aux_rows, dtype=np.float64).reshape(n_docs, len(AUX_FEATURES)),
-        lexicons=lexicons,
-        emoticons=emoticons,
-    )
+    docs = ((stream, list(map(bears_term, stream.tokens))) for stream in streams)
+    return _count(docs, lexicons, default_emoticons() if emoticons is None else emoticons)
 
 
 def count_texts(
@@ -537,11 +545,12 @@ def count_texts(
 
     Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
     """
-    streams = (
-        tokenize(strip_noise(_within_limit(position, text)), emoticons)
+    table = default_emoticons() if emoticons is None else emoticons
+    docs = (
+        term_tokens(strip_noise(_within_limit(position, text)), table)
         for position, text in enumerate(texts)
     )
-    return count_streams(streams, lexicons, emoticons)
+    return _count(docs, lexicons, table)
 
 
 def _within_limit(position: int, text: str) -> str:

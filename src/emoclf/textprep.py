@@ -4,7 +4,12 @@ Raw corpus text (forum posts, issue comments) carries HTML tags, code
 fragments, and URLs that add nothing but vocabulary noise.  ``strip_noise``
 removes them; ``tokenize`` splits the remainder into surface tokens that keep
 their case (the lexicon scorers want it) while ``ngram_terms`` exposes the
-lowercased n-gram view.  No stemming or lemmatization happens anywhere:
+lowercased n-gram view.  ``term_tokens`` is the corpus path's tokenizer: the
+same tokens, plus ``bears_term`` of each, in one pass.  A whitespace chunk
+whose first and last characters are alphanumeric is a single term-bearing
+token, so only the other chunks go through the splitter; a test over
+generated text and a sweep of every code point check it against
+``tokenize``.  No stemming or lemmatization happens anywhere:
 inflected forms stay distinct vocabulary entries.  This module reads no
 files: the emoticon table ``tokenize`` keeps whole comes from ``lexicons``.
 
@@ -227,7 +232,10 @@ class TokenStream:
 
     @cached_property
     def lowered(self) -> tuple[str, ...]:
-        return tuple(token.lower() for token in self.tokens)
+        # From a list: tuple() of an iterator allocates a guessed size and
+        # resizes, and the freed tuples then pile up on CPython's per-size
+        # free lists, raising peak memory pass after pass.
+        return tuple([token.lower() for token in self.tokens])
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -276,8 +284,29 @@ def tokenize(text: str, emoticons: frozenset[str] | None = None) -> TokenStream:
     return TokenStream(tuple(tokens))
 
 
-def _bears_term(token: str) -> bool:
+def bears_term(token: str) -> bool:
+    """Whether ``token`` can be an n-gram term: it has an alphanumeric character."""
     return any(ch.isalnum() for ch in token)
+
+
+def term_tokens(text: str, emoticons: frozenset[str]) -> tuple[TokenStream, list[bool]]:
+    """``tokenize(text, emoticons)`` and ``bears_term`` of each token, in one pass.
+
+    A chunk whose first and last characters are alphanumeric is one
+    term-bearing token whatever the emoticon table holds, so only the other
+    chunks go through the splitter and the per-character test.
+    """
+    tokens: list[str] = []
+    termable: list[bool] = []
+    for chunk in text.split():
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            tokens.append(chunk)
+            termable.append(True)
+        else:
+            parts = _split_chunk(chunk, emoticons)
+            tokens += parts
+            termable += map(bears_term, parts)
+    return TokenStream(tuple(tokens)), termable
 
 
 def ngram_occurrences(stream: TokenStream) -> list[str]:
@@ -288,7 +317,7 @@ def ngram_occurrences(stream: TokenStream) -> list[str]:
     such a token: clause-boundary punctuation cuts the pair.
     """
     low = stream.lowered
-    termable = [_bears_term(token) for token in stream.tokens]
+    termable = [bears_term(token) for token in stream.tokens]
     occurrences = [low[i] for i in range(len(low)) if termable[i]]
     occurrences.extend(
         f"{low[i]} {low[i + 1]}"

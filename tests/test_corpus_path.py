@@ -9,6 +9,11 @@ exactly, not to a tolerance.
 
 import csv
 import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +47,14 @@ from emoclf.pipeline import (
 )
 from emoclf.svm import predict
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
-from emoclf.textprep import TokenStream, default_emoticons, strip_noise, tokenize
+from emoclf.textprep import (
+    TokenStream,
+    bears_term,
+    default_emoticons,
+    strip_noise,
+    term_tokens,
+    tokenize,
+)
 
 # Tokens that hit every default inventory (categories, multi-word politeness
 # cues, sentiment with boosters and negations, modality), case variants,
@@ -118,6 +130,78 @@ def test_counting_raw_text_matches_the_reference_preprocessing():
     counts = count_texts(PROBE_TEXTS, lexicons, emoticons)
     _same_rows(transform_counts(counts, reference),
                [reference.vectorize(text) for text in PROBE_TEXTS])
+
+
+# Pieces the fused front end (``term_tokens``) must split exactly as
+# ``tokenize`` does: emoticons with and without letters, "_", apostrophes and
+# digits, punctuation-only chunks, characters whose lower() is longer
+# ("İ"), combining marks, and markup for strip_noise.
+FRONT_END_PIECES = [
+    ":)", ":D", ":P", ":-P", ":'(", "<3", "xD", "(y)", "D:",
+    "_", "__init__", "_x", "x_", "don't", "'quoted'", "rock'n'roll'", "3.14", "42", "1st",
+    "!!!", "...", "?!", "-", "—", "«»",
+    "İ", "İSTANBUL", "ΣΑΣ", "ß", "e\u0301", "\u0301", "\u0301a", "a\u0301", "\u20dd",
+    "<b>", "</b>", "<code>x = 1</code>", "```", "http://x.org/a?b=1", "www.b.com", "&amp;",
+]
+SEPARATORS = ["", "", " ", "\n", "\t", "\u3000", "\xa0"]
+# A table whose entries include chunks with alphanumeric edges, which the
+# fused path takes as plain words without looking them up.
+TOY_EMOTICONS = frozenset({":)", "<3", "xD", "İ", "_", "(y)", "__init__"})
+
+front_end_texts = st.lists(
+    st.lists(st.tuples(
+        st.one_of(st.sampled_from(FRONT_END_PIECES), st.text(max_size=6)),
+        st.sampled_from(SEPARATORS),
+    ), max_size=12).map(lambda pairs: "".join(piece + sep for piece, sep in pairs)),
+    max_size=6,
+)
+
+
+def _same_counts(fused, reference):
+    assert fused.terms == reference.terms
+    for name in ("indptr", "indices", "counts", "category_counts", "aux"):
+        got, want = getattr(fused, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _reference_counts(texts, lexicons, emoticons):
+    streams = (tokenize(strip_noise(text), emoticons) for text in texts)
+    return count_streams(streams, lexicons, emoticons)
+
+
+@pytest.mark.parametrize("emoticons", [default_emoticons(), TOY_EMOTICONS],
+                         ids=["default-emoticons", "toy-emoticons"])
+@given(texts=front_end_texts)
+@settings(max_examples=300, deadline=None)
+def test_fused_counting_equals_tokenize_then_count(emoticons, texts):
+    lexicons = default_lexicons()
+    for text in texts:
+        stripped = strip_noise(text)
+        reference = tokenize(stripped, emoticons)
+        assert term_tokens(stripped, emoticons) == (
+            reference, [bears_term(token) for token in reference.tokens]
+        )
+    _same_counts(count_texts(texts, lexicons, emoticons),
+                 _reference_counts(texts, lexicons, emoticons))
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fused_counting_equals_tokenize_then_count_on_the_benchmark_texts():
+    inputs = _perfbench_inputs()
+    lexicons, emoticons = default_lexicons(), default_emoticons()
+    for workload in inputs.WORKLOADS.values():
+        for texts in ([text for _, text, _ in inputs.gold_corpus(workload, 1)],
+                      [text for _, text in inputs.classify_stream(workload, 1)]):
+            _same_counts(count_texts(texts, lexicons, emoticons),
+                         _reference_counts(texts, lexicons, emoticons))
 
 
 class TestDocumentSizeLimit:
@@ -234,14 +318,15 @@ def bundles(gold):
     return {"shared_split": shared, "mixed_extractors": mixed}
 
 
-def _counting_tokenize(monkeypatch):
+def _counting_text_passes(monkeypatch):
+    # Every pass over a text's words starts from strip_noise.
     calls = []
 
-    def counted(text, emoticons=None):
+    def counted(text):
         calls.append(text)
-        return tokenize(text, emoticons)
+        return strip_noise(text)
 
-    monkeypatch.setattr(features, "tokenize", counted)
+    monkeypatch.setattr(features, "strip_noise", counted)
     return calls
 
 
@@ -249,7 +334,7 @@ def _counting_tokenize(monkeypatch):
 def test_batch_classify_equals_per_document_predict(bundles, gold, monkeypatch, kind, passes):
     bundle = bundles[kind]
     docs = [d.doc for d in gold]
-    calls = _counting_tokenize(monkeypatch)
+    calls = _counting_text_passes(monkeypatch)
     rows = classify(bundle, docs)
     # Text work is shared only between extractors that tokenize and count alike.
     assert len(calls) == passes * len(docs)
@@ -277,6 +362,40 @@ def test_classify_accepts_an_iterator_and_no_documents(bundles):
     docs = [Document("a", "zyblor :)"), Document("b", "")]
     assert classify(bundle, iter(docs)) == _reference_rows(bundle, docs)
     assert classify(bundle, []) == []
+
+
+# Classifies a synthetic stream in 20-document batches, pass after pass, and
+# prints the process's peak RSS in KiB after passes 5 and 25.  VmHWM starts
+# afresh at exec; ru_maxrss would carry over the forking test process's peak.
+CLASSIFY_PASSES = """
+from emoclf.pipeline import TrainConfig, TuningGrid, classify, train_all
+from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
+gold = generate_planted_corpus(300, {"joy": DEFAULT_KEYWORDS}, noise=0.05, seed=3)
+bundle = train_all(gold, ["joy"], TrainConfig(folds=3, grid=TuningGrid((1.0,)), min_df=1))
+docs = [d.doc for d in generate_planted_corpus(1000, {"joy": DEFAULT_KEYWORDS}, seed=4)]
+for n in range(1, 26):
+    for i in range(0, len(docs), 20):
+        classify(bundle, docs[i:i + 20])
+    if n in (5, 25):
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_classify_passes_keep_the_memory_high_water_mark():
+    # While TokenStream.lowered built its tuple from an iterator, the resized
+    # tuples piled up on CPython's tuple free lists, and this peak rose by
+    # 2.6 MiB from pass 5 to pass 25 (Python 3.11, x86-64 Linux).
+    src = Path(features.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", CLASSIFY_PASSES],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    early, late = map(int, result.stdout.split())
+    assert (late - early) / 1024 < 1.0
 
 
 # sha256 of the bundle acceptance test C08 trains (`--jobs 1`), recorded with

@@ -20,7 +20,7 @@ from emoclf.features import (
     sentiment_scores,
     uncertainty_score,
 )
-from emoclf.lexicons import LexiconSet
+from emoclf.lexicons import LexiconSet, default_lexicons
 from emoclf.textprep import TokenStream
 
 
@@ -186,6 +186,61 @@ class TestCategoryBlock:
         lex = make_lexicons(categories={"joy": frozenset({"glad"})})
         fitted = fit(streams(["glad"], ["x"]), lex, min_df=1)
         assert len(emotion_category_block(TokenStream(("GLAD",)), fitted)) == 1
+
+
+# Token-by-token scans the politeness and sentiment scorers must equal; the
+# scorers skip straight to tokens found in their lexicons.
+def _politeness_scan(tokens, lexicons):
+    total, i = 0.0, 0
+    while i < len(tokens):
+        matched = 0
+        for length in range(min(lexicons.politeness_lengths.get(tokens[i], 0),
+                                len(tokens) - i), 0, -1):
+            weight = lexicons.politeness_cues.get(tuple(tokens[i : i + length]))
+            if weight is not None:
+                total += weight
+                matched = length
+                break
+        i += matched or 1
+    return 1.0 / (1.0 + math.exp(-total))
+
+
+def _sentiment_scan(tokens, lexicons):
+    pos, neg = 1, -1
+    for i, token in enumerate(tokens):
+        strength = lexicons.sentiment.get(token)
+        if strength is None:
+            continue
+        magnitude, sign = abs(strength), 1 if strength > 0 else -1
+        shift = lexicons.boosters.get(tokens[i - 1]) if i > 0 else None
+        if shift is not None:
+            magnitude = max(1, magnitude + shift)
+        if any(tokens[j] in lexicons.negations for j in range(max(0, i - 2), i)):
+            sign = -sign
+        adjusted = sign * min(magnitude, 5)
+        pos, neg = (max(pos, adjusted), neg) if adjusted > 0 else (pos, min(neg, adjusted))
+    return pos, neg
+
+
+DEFAULT_LEXICONS = default_lexicons()
+CUE_WORDS = sorted(
+    {word for phrase in DEFAULT_LEXICONS.politeness_cues for word in phrase}
+    | set(DEFAULT_LEXICONS.sentiment) | set(DEFAULT_LEXICONS.boosters)
+    | DEFAULT_LEXICONS.negations | {"zyblor", "the", "!"}
+)
+
+
+# Whole cue phrases side by side make overlapping matches, as in "thank you must".
+CUE_PIECES = sorted(DEFAULT_LEXICONS.politeness_cues) + [(word,) for word in CUE_WORDS]
+
+
+@given(st.lists(st.sampled_from(CUE_PIECES), max_size=8))
+@settings(max_examples=300)
+def test_scorers_equal_the_token_by_token_scan(pieces):
+    tokens = tuple(word for piece in pieces for word in piece)
+    doc = TokenStream(tokens)
+    assert politeness_score(doc, DEFAULT_LEXICONS) == _politeness_scan(tokens, DEFAULT_LEXICONS)
+    assert sentiment_scores(doc, DEFAULT_LEXICONS) == _sentiment_scan(tokens, DEFAULT_LEXICONS)
 
 
 class TestPoliteness:
