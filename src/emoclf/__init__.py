@@ -39,7 +39,6 @@ from .pipeline import (
     load_bundle,
     save_bundle,
     train_all,
-    train_emotion_model,
 )
 from .svm import (
     LinearModel,

@@ -7,16 +7,18 @@ held-out documents never leak into document frequencies), pick the cost with
 the best pooled accuracy breaking ties toward the smallest value, refit the
 extractor on the whole train partition, and train the final model there.
 
-The (fold, cost) solves of cross-validation run in lockstep: one
-``svm.solve_folds`` call takes the folds of every emotion of a run as they
-are built, emotion after emotion, and solves consecutive ones together at
-every cost, as many as its memory bound allows, so one group can hold the
-folds of several emotions.  Each emotion is planned (split, labels, class
-checks, fold plan) before that stream and picks its cost and trains its
-final model after it; a failure at any stage is reported under its own
-emotion.  The final model is trained alone by ``train_dual_cd``, so a bundle
-could change only if a cross-validation decision flipped.  With ``jobs``
-above 1, the emotions are cut into contiguous runs, one process each.
+``train_all`` is the only trainer.  It cuts the emotions into contiguous
+runs, one process each when ``jobs`` is above 1, and ``_train_run`` trains
+a run along one path.  Each emotion is planned first (split, its rows of
+the count matrix, labels, class checks, fold plan).  Then the (fold, cost)
+solves of cross-validation run in lockstep: one ``svm.solve_folds`` call
+takes the folds of every emotion of the run as they are built, emotion
+after emotion, and solves consecutive ones together at every cost, as many
+as its memory bound allows, so one group can hold the folds of several
+emotions.  Last, each emotion picks its cost and trains its final model; a
+failure at any stage is reported under its own emotion.  The final model is
+trained alone by ``train_dual_cd``, so a bundle could change only if a
+cross-validation decision flipped.
 
 Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
@@ -37,7 +39,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -423,51 +425,12 @@ def _choose_cost(folds: Sequence[FoldScore], config: TrainConfig) -> tuple[float
     return best, pooled[best].metrics()[3]
 
 
-def _plan_folds(
-    counts: CorpusCounts, labels: Sequence[int], seed: int, config: TrainConfig
-) -> FoldPlan:
-    if counts.n_docs != len(labels):
-        raise ContractViolation(f"counts cover {counts.n_docs} documents, expected {len(labels)}")
-    return make_fold_plan(labels, config.folds, seed)
-
-
-def grid_search_C(
-    counts: CorpusCounts, labels: Sequence[int], seed: int, config: TrainConfig
-) -> tuple[float, float, tuple[FoldScore, ...]]:
-    """Cross-validate every cost of ``config.grid`` over one ``config.folds``-fold plan.
-
-    ``counts`` and ``labels`` hold the training documents' counts and 0/1
-    labels, row for row; ``seed`` draws the folds.  Returns the chosen C,
-    its pooled accuracy, and every (fold, C) evaluation.
-    """
-    [folds] = _cross_validate([(counts, labels, _plan_folds(counts, labels, seed, config))],
-                              config)
-    if isinstance(folds, Exception):
-        raise folds
-    return (*_choose_cost(folds, config), folds)
-
-
 # --- per-emotion training ----------------------------------------------------
 
 def split_seed_for(emotion: str, config: TrainConfig) -> int:
     if config.shared_split:
         return derive_seed(config.seed, "shared-split")
     return derive_seed(config.seed, "emotion", emotion, "split")
-
-
-def _emotion_task(
-    emotion: str, gold: Sequence[LabeledDocument], counts: CorpusCounts | None,
-    config: TrainConfig,
-) -> tuple[CorpusCounts, list[int], FoldPlan]:
-    """One emotion's train partition, ready for ``_cross_validate``."""
-    labels = _labels_for(gold, emotion)
-    if not any(labels) or all(labels):
-        raise DegenerateClass(emotion)
-    if counts is None:
-        counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
-                             config.resolved_emoticons())
-    seed = derive_seed(derive_seed(config.seed, "emotion", emotion), "grid")
-    return counts, labels, _plan_folds(counts, labels, seed, config)
 
 
 def _final_model(
@@ -502,59 +465,6 @@ def _final_model(
     )
 
 
-def _train_emotions(
-    emotions: Sequence[str],
-    partition: Callable[[str], tuple[Sequence[LabeledDocument], CorpusCounts | None]],
-    config: TrainConfig,
-) -> tuple[dict[str, EmotionModel], dict[str, Exception]]:
-    """Train each emotion on ``partition(emotion)``: models and failures, keyed by emotion.
-
-    ``partition`` gives an emotion's train partition and its counts (or
-    None).  Every emotion is planned first (partition, labels, class checks,
-    fold plan), then all of their cross-validation problems go through one
-    ``_cross_validate`` stream, and then each emotion picks its cost and
-    trains its final model.  An exception fails only the emotion it belongs
-    to, except one from the solver, which ends the stream and so fails every
-    emotion in it.
-    """
-    failures: dict[str, Exception] = {}
-    tasks = {}
-    for emotion in emotions:
-        try:
-            tasks[emotion] = _emotion_task(emotion, *partition(emotion), config)
-        except Exception as exc:    # collected, keyed by emotion
-            failures[emotion] = exc
-    try:
-        results = _cross_validate(list(tasks.values()), config)
-    except Exception as exc:
-        results = [exc] * len(tasks)
-    models: dict[str, EmotionModel] = {}
-    for (emotion, (counts, labels, _)), folds in zip(tasks.items(), results):
-        try:
-            if isinstance(folds, Exception):
-                raise folds
-            models[emotion] = _final_model(emotion, counts, labels, folds, config)
-        except Exception as exc:
-            failures[emotion] = exc
-    return models, failures
-
-
-def train_emotion_model(
-    gold: Sequence[LabeledDocument],
-    emotion: str,
-    config: TrainConfig,
-    counts: CorpusCounts | None = None,
-) -> EmotionModel:
-    """Grid-search C on ``gold`` (the train partition), then train the final model.
-
-    ``counts`` are ``gold``'s counts, row for row, when already made.
-    """
-    models, failures = _train_emotions([emotion], lambda _: (gold, counts), config)
-    if failures:
-        raise failures[emotion]
-    return models[emotion]
-
-
 def _config_snapshot(config: TrainConfig) -> dict:
     return {
         "train_fraction": config.train_fraction,
@@ -578,15 +488,46 @@ def _runs(emotions: Sequence[str], count: int) -> list[list[str]]:
 
 
 def _train_run(args) -> tuple[dict[str, EmotionModel], dict[str, Exception]]:
-    """Split and train one run of emotions: ``(models, failures)``, keyed by emotion."""
+    """Train one run of emotions: ``(models, failures)``, keyed by emotion.
+
+    ``counts`` hold every ``gold`` document's counts, row for row.  Each
+    emotion is planned first: its split (stratified by ``shared_by`` when
+    set, else by the emotion), its train partition's rows of ``counts``, its
+    labels, a check that both classes are present, and its fold plan.  Then
+    all of the run's cross-validation problems go through one
+    ``_cross_validate`` stream, and then each emotion picks its cost and
+    trains its final model.  An exception fails only the emotion it belongs
+    to, except one from the solver, which ends the stream and so fails every
+    emotion in it.
+    """
     gold, counts, emotions, shared_by, config = args
-
-    def partition(emotion):
-        split = stratified_split(gold, shared_by or emotion, config.train_fraction,
-                                 split_seed_for(emotion, config))
-        return split.train, counts.take(split.train_index)
-
-    return _train_emotions(emotions, partition, config)
+    failures: dict[str, Exception] = {}
+    tasks = {}
+    for emotion in emotions:
+        try:
+            split = stratified_split(gold, shared_by or emotion, config.train_fraction,
+                                     split_seed_for(emotion, config))
+            train_counts = counts.take(split.train_index)
+            labels = _labels_for(split.train, emotion)
+            if not any(labels) or all(labels):
+                raise DegenerateClass(emotion)
+            seed = derive_seed(derive_seed(config.seed, "emotion", emotion), "grid")
+            tasks[emotion] = (train_counts, labels, make_fold_plan(labels, config.folds, seed))
+        except Exception as exc:    # collected, keyed by emotion
+            failures[emotion] = exc
+    try:
+        results = _cross_validate(list(tasks.values()), config)
+    except Exception as exc:
+        results = [exc] * len(tasks)
+    models: dict[str, EmotionModel] = {}
+    for (emotion, (train_counts, labels, _)), folds in zip(tasks.items(), results):
+        try:
+            if isinstance(folds, Exception):
+                raise folds
+            models[emotion] = _final_model(emotion, train_counts, labels, folds, config)
+        except Exception as exc:
+            failures[emotion] = exc
+    return models, failures
 
 
 def train_all(

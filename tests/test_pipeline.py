@@ -37,13 +37,11 @@ from emoclf.pipeline import (
     derive_seed,
     evaluate,
     evaluate_heldout,
-    grid_search_C,
     load_bundle,
     make_fold_plan,
     save_bundle,
     select_best_cost,
     train_all,
-    train_emotion_model,
 )
 from emoclf.svm import (
     SolverParams,
@@ -71,9 +69,16 @@ def counts_for(docs, config):
 
 
 def cross_validate(docs, seed, config, emotion="joy"):
-    """``grid_search_C`` on ``docs``' counts and ``emotion`` labels."""
+    """Cross-validate ``docs``' ``emotion`` labels over the fold plan ``seed`` draws.
+
+    Returns the chosen C, its pooled accuracy and every (fold, C) evaluation.
+    """
     labels = [d.labels[emotion] for d in docs]
-    return grid_search_C(counts_for(docs, config), labels, seed, config)
+    plan = make_fold_plan(labels, config.folds, seed)
+    [folds] = pipeline._cross_validate([(counts_for(docs, config), labels, plan)], config)
+    if isinstance(folds, Exception):
+        raise folds
+    return (*pipeline._choose_cost(folds, config), folds)
 
 
 THREE_EMOTIONS = {
@@ -421,13 +426,6 @@ class TestCrossValidation:
             config = TrainConfig(folds=4, grid=grid, min_df=1, tune_metric=metric)
             assert cross_validate(docs, 11, config)[:2] == expected
 
-    def test_counts_must_cover_one_document_per_label(self):
-        docs = small_corpus(n=48)
-        config = TrainConfig(**FAST)
-        with pytest.raises(ContractViolation, match="counts cover 47 documents, expected 48"):
-            grid_search_C(counts_for(docs[1:], config), [d.labels["joy"] for d in docs], 4,
-                          config)
-
     def test_noisy_corpus_avoids_the_largest_cost(self):
         docs = small_corpus(n=120, seed=13, noise=0.25)
         config = TrainConfig(folds=5, min_df=1)
@@ -435,11 +433,17 @@ class TestCrossValidation:
         assert best_c < max(config.grid.c_values)
 
 
+def train_joy(docs, config):
+    return train_all(docs, ["joy"], config).models["joy"]
+
+
 class TestTrainEmotionModel:
+    """One emotion, trained through ``train_all``."""
+
     def test_planted_keywords_dominate_weights(self):
         docs = small_corpus(n=80)
         config = TrainConfig(**FAST)
-        em = train_emotion_model(docs, "joy", config)
+        em = train_joy(docs, config)
         names = em.extractor.feature_names()
         w = em.model.w[:-1]  # drop bias
         top = {names[i] for i in np.argsort(-np.abs(w))[:12]}
@@ -449,26 +453,29 @@ class TestTrainEmotionModel:
         docs = [
             LabeledDocument(Document(str(i), "text here"), {"joy": 1}) for i in range(20)
         ]
-        with pytest.raises(DegenerateClass):
-            train_emotion_model(docs, "joy", TrainConfig(**FAST))
+        with pytest.raises(PipelineError) as err:
+            train_all(docs, ["joy"], TrainConfig(**FAST))
+        assert isinstance(err.value.failures["joy"], DegenerateClass)
 
     def test_chosen_cost_in_grid(self):
         docs = small_corpus(n=48)
-        em = train_emotion_model(docs, "joy", TrainConfig(**FAST))
+        em = train_joy(docs, TrainConfig(**FAST))
         assert em.chosen_C in SMALL_GRID.c_values
         assert 0.0 <= em.cv_accuracy <= 1.0
 
     def test_cv_folds_pool_to_the_cv_accuracy(self):
         docs = small_corpus(n=48)
-        em = train_emotion_model(docs, "joy", TrainConfig(**FAST))
+        config = TrainConfig(**FAST)
+        em = train_joy(docs, config)
+        train = stratified_split(docs, "joy", config.train_fraction, em.split_seed).train
         assert [(s.fold, s.C) for s in em.cv_folds] == [
             (fold, c) for fold in range(3) for c in SMALL_GRID.c_values
         ]
         pooled = sum((s.confusion for s in em.cv_folds if s.C == em.chosen_C), Confusion())
         assert pooled.metrics()[3] == em.cv_accuracy
-        # Every fold's held-out documents are scored once per cost.
+        # Every train-partition document is held out once, and scored once per cost.
         assert sum(s.confusion.tp + s.confusion.fp + s.confusion.fn + s.confusion.tn
-                   for s in em.cv_folds) == len(docs) * len(SMALL_GRID.c_values)
+                   for s in em.cv_folds) == len(train) * len(SMALL_GRID.c_values)
 
 
 class TestTrainAll:
@@ -626,18 +633,19 @@ class TestTrainAll:
 
     @pytest.mark.parametrize("jobs, shared_split", [(1, False), (2, False), (2, True)])
     def test_each_emotion_matches_training_it_alone(self, jobs, shared_split):
-        # The reference path: train_emotion_model on one emotion's train
-        # partition, with its own cross-validation stream.
+        # The reference: a run of this one emotion, with its own
+        # cross-validation stream.
         docs = generate_planted_corpus(90, FOUR_EMOTIONS, noise=0.1, seed=8)
         emotions = list(FOUR_EMOTIONS)
         config = TrainConfig(**FAST, jobs=jobs, shared_split=shared_split)
         bundle = train_all(docs, emotions, config)
         payload = bundle_to_dict(bundle)
+        counts = counts_for(docs, config)
         for emotion in emotions:
             em = bundle.models[emotion]
-            split = stratified_split(docs, emotions[0] if shared_split else emotion,
-                                     config.train_fraction, em.split_seed)
-            alone = train_emotion_model(list(split.train), emotion, config)
+            models, _ = pipeline._train_run(
+                (docs, counts, [emotion], emotions[0] if shared_split else None, config))
+            alone = models[emotion]
             assert_same_fold_scores(em.cv_folds, alone.cv_folds)
             assert (em.chosen_C, em.cv_accuracy) == (alone.chosen_C, alone.cv_accuracy)
             assert np.array_equal(em.model.w, alone.model.w)
@@ -687,16 +695,32 @@ class TestTrainAll:
         assert config.monitor.trainings == 0
 
 
+def with_texts(docs, texts):
+    """``docs`` with the text of document ``i`` replaced by ``texts[i]`` where given."""
+    return [LabeledDocument(Document(d.doc.id, texts.get(i, d.doc.text)), d.labels)
+            for i, d in enumerate(docs)]
+
+
 class TestNoLeakage:
     def test_model_depends_only_on_train_partition(self):
-        docs = small_corpus(n=60)
-        config = TrainConfig(**FAST)
-        bundle = train_all(docs, ["joy"], config)
-        em = bundle.models["joy"]
-        split = stratified_split(docs, "joy", config.train_fraction, em.split_seed)
-        direct = train_emotion_model(list(split.train), "joy", config)
-        assert np.array_equal(direct.model.w, em.model.w)
-        assert direct.extractor.vocabulary == em.extractor.vocabulary
+        docs = generate_planted_corpus(60, {"joy": DEFAULT_KEYWORDS,
+                                            "anger": THREE_EMOTIONS["anger"]}, seed=5)
+        for shared_split in (False, True):
+            config = TrainConfig(**FAST, shared_split=shared_split)
+
+            def joy_entry(corpus):
+                return bundle_to_dict(train_all(corpus, ["joy", "anger"], config))["models"]["joy"]
+
+            before = joy_entry(docs)
+            split = stratified_split(docs, "joy", config.train_fraction, before["split_seed"])
+            # Lexicon cues and terms seen nowhere else, in every held-out document.
+            rewritten = with_texts(docs, {i: f"thank you so much :) happy newword{i}"
+                                          for i in split.test_index})
+            assert joy_entry(rewritten) == before
+            # The control: one added word in the train partition shows.
+            first = split.train_index[0]
+            grown = with_texts(docs, {first: docs[first].doc.text + " newword"})
+            assert joy_entry(grown) != before
 
 
 class TestEvaluate:
