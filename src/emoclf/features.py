@@ -15,7 +15,10 @@ Two paths compute the same vectors.  ``fit`` + ``assemble`` (or
 reference.  The corpus path does the text work once per corpus, then fits
 (``fit_counts``) and transforms (``transform_counts``) every row of a
 ``CorpusCounts`` with array operations; ``CorpusCounts.take`` is how a
-caller picks the rows to fit or transform.  ``count_texts`` makes one pass
+caller picks the rows to fit or transform.  ``stacked_transform`` transforms
+the same rows for several extractors at once, into one matrix whose columns
+are their feature spaces side by side; ``transform_counts`` is its
+one-extractor case.  ``count_texts`` makes one pass
 per document: ``strip_noise``, then ``textprep.term_tokens`` for the tokens
 and which of them bear terms.  One counting core, shared with
 ``count_streams``, gives every n-gram occurrence of the corpus a term id and
@@ -32,7 +35,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import and_
 from typing import Iterable, Mapping, Sequence
 
@@ -158,8 +161,16 @@ class FittedExtractor:
         return assemble(tokenize(strip_noise(text), self.emoticons), self)
 
     def shares_text_work(self, other: "FittedExtractor") -> bool:
-        """True when both tokenize and count any text identically."""
-        return self.emoticons == other.emoticons and self.lexicons == other.lexicons
+        """True when both tokenize and count any text identically.
+
+        Extractors fitted from one count matrix, or loaded from one bundle,
+        hold the same lexicon and emoticon objects when they share text
+        work, so for them this is an identity check.
+        """
+        return (
+            (self.emoticons is other.emoticons or self.emoticons == other.emoticons)
+            and (self.lexicons is other.lexicons or self.lexicons == other.lexicons)
+        )
 
     # Cached on first use, so loading a bundle stays cheap.
     @cached_property
@@ -395,17 +406,17 @@ class FeatureMatrix:
             raise ContractViolation("indptr must run from 0 to the number of entries")
         if idx.shape != val.shape or idx.ndim != 1:
             raise ContractViolation("indices and values must be parallel 1-d arrays")
-        if np.any(np.diff(ptr) < 0):
+        if (ptr[1:] < ptr[:-1]).any():
             raise ContractViolation("indptr must be non-decreasing")
         if idx.size:
             if idx.min() < 0 or idx.max() >= self.dimension:
                 raise ContractViolation("feature index out of range")
-            rising = np.diff(idx) > 0
+            rising = idx[1:] > idx[:-1]
             starts = ptr[1:-1]
             rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True   # new row
-            if not np.all(rising):
+            if not rising.all():
                 raise ContractViolation("feature indices must be strictly increasing")
-            if np.any(val == 0.0):
+            if not val.all():
                 raise ContractViolation("explicit zeros are not stored")
 
     @classmethod
@@ -603,52 +614,84 @@ def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMa
     ``fitted`` must share the lexicons and emoticon table the counts were
     made with.  Row i equals ``assemble`` of document i: same indices, same
     values.  Transform a subset with ``transform_counts(counts.take(rows), fitted)``.
+    This is the one-extractor case of ``stacked_transform``.
     """
-    n = counts.n_docs
-    v, k = len(fitted.vocabulary), len(fitted.categories)
+    return stacked_transform(counts, [fitted])
+
+
+def stacked_transform(
+    counts: CorpusCounts, extractors: Sequence[FittedExtractor]
+) -> FeatureMatrix:
+    """Every extractor's ``transform_counts`` rows, stacked in one matrix.
+
+    The matrix has ``len(extractors) * counts.n_docs`` rows, extractor-major,
+    and its columns are the extractors' feature spaces laid side by side:
+    row ``e * n + i`` is row i of ``transform_counts(counts, extractors[e])``
+    with every index shifted by the dimensions of ``extractors[:e]``.  The
+    values are the same bits, because each comes from the same scalar
+    operations and each block's L2 norm is summed in the same order.  Every
+    extractor must share the lexicons and emoticon table the counts were made
+    with.
+    """
+    if not extractors:
+        raise ContractViolation("a stacked transform needs at least one extractor")
+    n, k = counts.category_counts.shape
+    n_stack = len(extractors)
+    widths = [len(fitted.vocabulary) for fitted in extractors]
+    # Where each extractor's feature space starts.
+    offsets = np.array([0, *accumulate(fitted.dimension for fitted in extractors)])
 
     # n-gram block: tf * idf over in-vocabulary terms, L2 per row.
-    columns = fitted.slots_for(counts.terms)[counts.indices]
-    known = columns >= 0
-    ngram_rows = _row_ids(counts.indptr)[known]
+    slots = np.array([fitted.slots_for(counts.terms) for fitted in extractors], dtype=np.int64)
+    slots = slots.reshape(n_stack, len(counts.terms)).take(counts.indices, axis=1)
+    known = slots >= 0
+    ngram_rows = (_row_ids(counts.indptr) + (n * np.arange(n_stack))[:, None])[known]
+    ngram_ptr = _indptr_of(ngram_rows, n_stack * n)
+    ngram_idf = np.zeros(offsets[-1])
+    for start, width, fitted in zip(offsets.tolist(), widths, extractors):
+        ngram_idf[start:start + width] = fitted.ngram_idf
+    # An out-of-vocabulary term (slot -1) points one column before its
+    # extractor's space, the first extractor's at the last column; the mask
+    # drops its value.
+    columns = slots + offsets[:-1, None]
+    ngram_values = _l2_normalize_rows(ngram_ptr, (counts.counts * ngram_idf[columns])[known])
     columns = columns[known]
-    ngram_ptr = _indptr_of(ngram_rows, n)
-    ngram_values = _l2_normalize_rows(
-        ngram_ptr, counts.counts[known] * fitted.ngram_idf[columns]
-    )
 
-    # Category block: hits * idf where the category has training df, L2 per row.
-    hits = counts.category_counts
-    category_df = np.array(fitted.category_df, dtype=np.int64).reshape(k)
-    category_rows, category_slots = np.nonzero((hits > 0) & (category_df > 0))
-    category_ptr = _indptr_of(category_rows, n)
-    category_values = _l2_normalize_rows(
-        category_ptr, hits[category_rows, category_slots] * fitted.category_idf[category_slots]
-    )
-
-    # Standardized cue scores; a zero stddev disables the feature.
-    std = np.array(fitted.aux_std, dtype=np.float64)
+    # Category and cue blocks: hits * idf, L2 per row, then the standardized
+    # cue scores, built dense over (extractor, document, slot).  A category
+    # without training df has idf 0 and a zero stddev disables a cue
+    # feature, so the nonzero entries are exactly the ones the extractor keeps.
+    category_idf = np.array([fitted.category_idf for fitted in extractors])
+    std = np.array([fitted.aux_std for fitted in extractors]).reshape(n_stack, 1, -1)
+    mean = np.array([fitted.aux_mean for fitted in extractors]).reshape(n_stack, 1, -1)
     active = std > 0.0
-    z = (counts.aux - np.array(fitted.aux_mean)) / np.where(active, std, 1.0)
-    aux_rows, aux_slots = np.nonzero(active & (z != 0.0))
-    aux_ptr = _indptr_of(aux_rows, n)
+    z = np.where(active, (counts.aux - mean) / np.where(active, std, 1.0), 0.0)
+    category = counts.category_counts * category_idf.reshape(n_stack, 1, k)
+    tail = np.concatenate((category, z), axis=2).reshape(n_stack * n, k + len(AUX_FEATURES))
+    tail_rows, tail_slots = np.nonzero(tail)
+    tail_ptr = _indptr_of(tail_rows, n_stack * n)
+    tail_values = tail[tail_rows, tail_slots]
+    category = tail_slots < k
+    tail_values[category] = _l2_normalize_rows(
+        _indptr_of(tail_rows[category], n_stack * n), tail_values[category]
+    )
 
-    # Each row is its n-gram, category and cue entries in that order: place
-    # every block's entries after the earlier blocks' entries of the same row.
-    out_ptr = ngram_ptr + category_ptr + aux_ptr
+    # Each row is its n-gram entries, then its category and cue entries:
+    # place every block's entries after the n-gram entries of the same row.
+    out_ptr = ngram_ptr + tail_ptr
     indices = np.empty(out_ptr[-1], dtype=np.int64)
     data = np.empty(out_ptr[-1], dtype=np.float64)
     for block_rows, shift, block_indices, block_values in (
-        (ngram_rows, category_ptr[:-1] + aux_ptr[:-1], columns, ngram_values),
-        (category_rows, ngram_ptr[1:] + aux_ptr[:-1], v + category_slots, category_values),
-        (aux_rows, ngram_ptr[1:] + category_ptr[1:], v + k + aux_slots, z[aux_rows, aux_slots]),
+        (ngram_rows, tail_ptr[:-1], columns, ngram_values),
+        (tail_rows, ngram_ptr[1:], np.repeat(offsets[:-1] + widths, n)[tail_rows] + tail_slots,
+         tail_values),
     ):
         at = np.arange(len(block_rows)) + shift[block_rows]
         indices[at] = block_indices
         data[at] = block_values
     # No value is zero: tf, idf >= 1 and cue entries are kept only when
     # nonzero, so nothing is left for from_pairs' zero filter to drop.
-    return FeatureMatrix(out_ptr, indices, data, fitted.dimension)
+    return FeatureMatrix(out_ptr, indices, data, int(offsets[-1]))
 
 
 # --- serialization ---------------------------------------------------------

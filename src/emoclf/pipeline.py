@@ -24,7 +24,10 @@ Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
 and each fold fits and transforms its rows of that count matrix.  Batch
 prediction likewise counts each document once for all emotions whose
-extractors tokenize and count alike.
+extractors tokenize and count alike, and handles those emotions together:
+it goes through the documents in blocks of at most ``PREDICT_BLOCK_ROWS``
+(emotion, document) rows, with one stacked transform and one scoring pass
+per block.
 
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
@@ -34,6 +37,7 @@ changes another's model.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -53,6 +57,7 @@ from .corpus import (
 from .errors import (
     ContractViolation,
     DegenerateClass,
+    DocumentTooLarge,
     EmptyCorpus,
     EmptyEmotionSet,
     IncompatibleModel,
@@ -70,6 +75,7 @@ from .features import (
     extractor_from_dict,
     extractor_to_dict,
     fit_counts,
+    stacked_transform,
     transform_counts,
 )
 from .lexicons import LexiconSet, default_emoticons, default_lexicons
@@ -82,6 +88,7 @@ from .svm import (
     TrainingProblem,
     predict_rows,
     solve_folds,
+    stacked_decision_values,
     train_dual_cd,
 )
 
@@ -601,6 +608,12 @@ def train_all(
 
 # --- prediction and evaluation ----------------------------------------------
 
+# The most stacked (emotion, document) rows prediction transforms and scores at
+# once.  Blocks bound the memory a long input takes; a 20-document batch is
+# still one block for up to 12 emotions.
+PREDICT_BLOCK_ROWS = 256
+
+
 def _text_work_groups(models: Sequence[EmotionModel]) -> list[list[EmotionModel]]:
     """Models whose extractors tokenize and count text alike, in input order."""
     groups: list[list[EmotionModel]] = []
@@ -617,15 +630,29 @@ def _text_work_groups(models: Sequence[EmotionModel]) -> list[list[EmotionModel]
 def _predictions(models: Sequence[EmotionModel], texts: Sequence[str]) -> dict[str, np.ndarray]:
     """Each model's 0/1 prediction per text; each text is counted once per group.
 
+    The models of a text-work group go through the texts together, in blocks
+    of at most ``PREDICT_BLOCK_ROWS`` stacked (model, text) rows.  Each block
+    is counted once, transformed once for all of the group's extractors
+    (``stacked_transform``) and scored once (``stacked_decision_values``).
     Equal to ``predict(em.model, em.extractor.vectorize(text))`` for every
-    model and text.
+    model and text, whatever the block size.
     """
     bits = {}
     for group in _text_work_groups(models):
         head = group[0].extractor
-        counts = count_texts(texts, head.lexicons, head.emoticons)
-        for em in group:
-            bits[em.emotion] = predict_rows(em.model, transform_counts(counts, em.extractor))
+        extractors = [em.extractor for em in group]
+        linear = [em.model for em in group]
+        step = max(1, PREDICT_BLOCK_ROWS // len(group))
+        decided = np.empty((len(group), len(texts)), dtype=np.int64)
+        for start in range(0, len(texts), step):
+            try:
+                counts = count_texts(texts[start:start + step], head.lexicons, head.emoticons)
+            except DocumentTooLarge as exc:     # its position in ``texts``, not in the block
+                raise DocumentTooLarge(start + exc.position, exc.length, exc.limit) from None
+            values = stacked_decision_values(linear, stacked_transform(counts, extractors))
+            # predict_rows' rule: strictly positive is 1, ties go negative.
+            decided[:, start:start + step] = values.reshape(len(group), -1) > 0.0
+        bits.update(zip((em.emotion for em in group), decided))
     return bits
 
 
@@ -751,6 +778,16 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                 raise ValueError(f"emotion name {emotion!r} is not lowercase and stripped")
             raw = payload["models"][emotion]
             extractor = extractor_from_dict(raw["extractor"])
+            # Emotions whose lexicons and emoticons are equal share one object
+            # of each, so grouping them for prediction is an identity check.
+            for other in models.values():
+                if other.extractor.shares_text_work(extractor):
+                    extractor = dataclasses.replace(
+                        extractor,
+                        lexicons=other.extractor.lexicons,
+                        emoticons=other.extractor.emoticons,
+                    )
+                    break
             weights = np.asarray(raw["weights"], dtype=np.float64)
             if weights.ndim != 1 or weights.shape[0] != extractor.dimension + 1:
                 raise IncompatibleModel(

@@ -23,6 +23,10 @@ where ``train_dual_cd`` would.  The solver state (padded rows, a weight
 matrix and a multiplier matrix) grows with the group, so a group takes
 folds only while ``state_bytes`` stays within ``LOCKSTEP_STATE_BYTES``.
 Single problems, such as final models, run on ``train_dual_cd``.
+
+Scoring takes one dot product per row.  ``stacked_decision_values`` scores
+the stacked rows of several models in one pass; ``decision_values`` is its
+one-model case.
 """
 
 from __future__ import annotations
@@ -535,22 +539,41 @@ def dual_objective(alpha: Sequence[float], problem: TrainingProblem) -> float:
 
 
 def decision_values(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
-    """w . [x; 1] for every row x; the bias slot is appended automatically."""
-    w = model.w
-    if rows.dimension != w.shape[0] - 1:
+    """w . [x; 1] for every row x; the bias slot is appended automatically.
+
+    This is the one-model case of ``stacked_decision_values``.
+    """
+    return stacked_decision_values([model], rows)
+
+
+def stacked_decision_values(models: Sequence[LinearModel], rows: FeatureMatrix) -> np.ndarray:
+    """Each model's ``w . [x; 1]`` for its own share of stacked rows.
+
+    ``rows`` are ``len(models)`` equal runs of rows, model-major, over the
+    models' feature spaces laid side by side, as ``features.stacked_transform``
+    builds them: model m scores rows ``m * n`` to ``(m + 1) * n - 1``, whose
+    columns start at the sum of the earlier models' dimensions.
+    """
+    if not models or rows.n_rows % len(models):
+        raise ContractViolation(f"{rows.n_rows} rows do not split among {len(models)} models")
+    weights = np.concatenate([model.w[:-1] for model in models])
+    if rows.dimension != weights.shape[0]:
         raise DimensionError(
             f"row dimension {rows.dimension} does not match model "
-            f"dimension {w.shape[0] - 1}"
+            f"dimension {weights.shape[0]}"
         )
+    n = rows.n_rows // len(models)
     # One dot per row: a single sparse product would sum in another order and
     # could flip a decision that sits within rounding of zero.
-    bias = float(w[-1])
-    indices, data = rows.indices, rows.data
+    row_weights = weights[rows.indices]
+    data = rows.data
     bounds = rows.indptr.tolist()
-    return np.array(
-        [float(w[indices[a:b]] @ data[a:b]) + bias for a, b in zip(bounds, bounds[1:])],
-        dtype=np.float64,
-    )
+    values = []
+    for m, model in enumerate(models):
+        bias = float(model.w[-1])
+        run = bounds[m * n:(m + 1) * n + 1]
+        values.extend(float(row_weights[a:b] @ data[a:b]) + bias for a, b in zip(run, run[1:]))
+    return np.array(values, dtype=np.float64)
 
 
 def predict_rows(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:

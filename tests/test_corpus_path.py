@@ -8,6 +8,7 @@ exactly, not to a tolerance.
 """
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import os
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emoclf.features as features
+import emoclf.pipeline as pipeline
 from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, stratified_split, write_gold_corpus
 from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus
@@ -33,6 +35,7 @@ from emoclf.features import (
     extractor_to_dict,
     fit,
     fit_counts,
+    stacked_transform,
     transform_counts,
 )
 from emoclf.lexicons import LexiconSet, default_lexicons
@@ -45,7 +48,7 @@ from emoclf.pipeline import (
     evaluate_heldout,
     train_all,
 )
-from emoclf.svm import predict
+from emoclf.svm import L2_HINGE, LinearModel, decision_values, predict, stacked_decision_values
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 from emoclf.textprep import (
     TokenStream,
@@ -121,6 +124,62 @@ def test_fold_matrix_rows_equal_reference_assemble(docs, min_df, data):
     _same_rows(features.take(picked), expected)
     _same_rows(transform_counts(counts.take(train), fitted),
                [assemble(streams[i], reference) for i in train])
+
+
+def _bits(values: np.ndarray) -> list[int]:
+    return values.view(np.int64).tolist()
+
+
+def _stack_equals_singles(block, extractors, models) -> None:
+    """The stacked transform and scoring equal one extractor and one model at a time."""
+    stacked = stacked_transform(block, extractors)
+    n, offset = block.n_docs, 0
+    assert stacked.n_rows == len(extractors) * n
+    expected_values = []
+    for e, (fitted, model) in enumerate(zip(extractors, models)):
+        single = transform_counts(block, fitted)
+        rows = stacked.take(range(e * n, (e + 1) * n))
+        assert rows.indptr.tolist() == single.indptr.tolist()
+        assert (rows.indices - offset).tolist() == single.indices.tolist()
+        assert _bits(rows.data) == _bits(single.data)
+        values = decision_values(model, single)
+        # The per-row dot product the scoring path has always taken.
+        bounds = single.indptr.tolist()
+        assert _bits(values) == _bits(np.array([
+            float(model.w[single.indices[a:b]] @ single.data[a:b]) + float(model.w[-1])
+            for a, b in zip(bounds, bounds[1:])
+        ]))
+        expected_values.extend(_bits(values))
+        offset += fitted.dimension
+    assert stacked.dimension == offset
+    assert _bits(stacked_decision_values(models, stacked)) == expected_values
+
+
+@given(
+    docs=st.lists(st.lists(st.sampled_from(TOKENS), max_size=30), min_size=1, max_size=14),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_stacked_transform_and_scoring_equal_the_per_extractor_path(docs, data):
+    lexicons, emoticons = default_lexicons(), default_emoticons()
+    # An empty document and one with no term any extractor can know; neither
+    # is ever fitted on.
+    streams = [TokenStream(tuple(doc)) for doc in docs + [[], ["qqqq", "wwww", "qqqq"]]]
+    counts = count_streams(streams, lexicons, emoticons)
+    extractors, models = [], []
+    for e in range(data.draw(st.integers(1, 4))):
+        # The first extractor sees one document, so every cue feature has a
+        # zero stddev and most categories have zero df.
+        train = data.draw(st.sets(st.integers(0, len(docs) - 1), min_size=1,
+                                  max_size=1 if e == 0 else None))
+        min_df = data.draw(st.sampled_from([0, 1, 2, 3]))
+        extractors.append(fit_counts(counts.take(sorted(train)), min_df))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        weights = rng.standard_normal(extractors[-1].dimension + 1)
+        models.append(LinearModel(w=weights, loss=L2_HINGE))
+    picked = data.draw(st.lists(st.integers(0, len(streams) - 1), max_size=20))
+    _stack_equals_singles(counts.take(picked), extractors, models)
+    _stack_equals_singles(counts.take([]), extractors, models)
 
 
 def test_counting_raw_text_matches_the_reference_preprocessing():
@@ -225,6 +284,25 @@ class TestDocumentSizeLimit:
         with pytest.raises(DocumentTooLarge) as err:
             classify(bundles["shared_split"], docs)
         assert err.value.position == 1
+
+
+    def test_classify_names_an_oversized_document_by_its_place_in_the_input(self, bundles):
+        # Six emotions sharing text work predict in blocks of 256 // 6 = 42
+        # documents; the oversized one sits in the third block.
+        em = bundles["shared_split"].models["joy"]
+        emotions = ("joy", "anger", "sadness", "fear", "love", "surprise")
+        bundle = ModelBundle(
+            emotions=emotions,
+            models={e: dataclasses.replace(em, emotion=e) for e in emotions},
+            master_seed=0, config={},
+        )
+        assert pipeline.PREDICT_BLOCK_ROWS // len(emotions) == 42
+        docs = [Document(str(i), "zyblor") for i in range(120)]
+        docs[100] = Document("100", "z" * (MAX_DOCUMENT_CHARS + 1))
+        with pytest.raises(DocumentTooLarge) as err:
+            classify(bundle, docs)
+        assert err.value.position == 100
+        assert "document 100 " in str(err.value)
 
 
 def test_fit_counts_rejects_zero_documents():
@@ -357,6 +435,17 @@ def test_batch_evaluation_equals_per_document_tallies(bundles, gold, kind):
         assert (row.tp, row.fp, row.fn, row.tn) == _reference_confusion(em, split.test)
 
 
+@pytest.mark.parametrize("kind", ["shared_split", "mixed_extractors"])
+@pytest.mark.parametrize("block_rows", [1, 7, 10**6])
+def test_predictions_do_not_depend_on_the_block_size(bundles, gold, monkeypatch, kind, block_rows):
+    bundle = bundles[kind]
+    docs = [d.doc for d in gold]
+    rows, heldout = classify(bundle, docs), evaluate_heldout(bundle, gold)
+    monkeypatch.setattr(pipeline, "PREDICT_BLOCK_ROWS", block_rows)
+    assert classify(bundle, docs) == rows == _reference_rows(bundle, docs)
+    assert evaluate_heldout(bundle, gold) == heldout
+
+
 def test_classify_accepts_an_iterator_and_no_documents(bundles):
     bundle = bundles["shared_split"]
     docs = [Document("a", "zyblor :)"), Document("b", "")]
@@ -396,6 +485,39 @@ def test_classify_passes_keep_the_memory_high_water_mark():
     assert result.returncode == 0, result.stderr
     early, late = map(int, result.stdout.split())
     assert (late - early) / 1024 < 1.0
+
+
+# Trains a six-emotion bundle on 600 synthetic documents and prints the
+# process's peak RSS in KiB before and after scoring its held-out documents.
+HELDOUT_PEAK = """
+from emoclf.pipeline import TrainConfig, TuningGrid, evaluate_heldout, train_all
+from emoclf.synth import generate_planted_corpus
+def peak():
+    with open("/proc/self/status") as status:
+        return next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+emotions = ("joy", "anger", "sadness", "fear", "love", "surprise")
+plants = {emotion: tuple(emotion + c for c in "qxz") for emotion in emotions}
+gold = generate_planted_corpus(600, plants, positive_rate=0.3, noise=0.05, seed=5)
+bundle = train_all(gold, list(emotions), TrainConfig(folds=3, grid=TuningGrid((1.0,)), loss="l1"))
+print(peak())
+evaluate_heldout(bundle, gold)
+print(peak())
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_heldout_evaluation_stays_under_the_training_memory_peak():
+    # Stacking all ~530 held-out documents of six emotions in one block raised
+    # this peak by 4.5 MiB (Python 3.11, x86-64 Linux); blocks keep it flat.
+    src = Path(features.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", HELDOUT_PEAK],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    trained, evaluated = map(int, result.stdout.split())
+    assert (evaluated - trained) / 1024 < 1.0
 
 
 # sha256 of the bundle acceptance test C08 trains (`--jobs 1`), recorded with
