@@ -23,7 +23,6 @@ from .features import (
     FittedExtractor,
     Vocabulary,
     assemble,
-    fit,
     idf,
 )
 from .lexicons import LexiconSet, default_lexicons, load_lexicons
@@ -49,4 +48,4 @@ from .svm import (
     predict,
     train_dual_cd,
 )
-from .textprep import TokenStream, ngram_terms, strip_noise, tokenize
+from .textprep import TokenStream, strip_noise, tokenize

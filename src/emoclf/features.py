@@ -10,22 +10,20 @@ on their own; the four scalar tails are standardized with training-set
 mean/stddev so the SVM sees commensurate scales.  Fitting happens once, on
 training documents only; transforming never mutates the extractor.
 
-Two paths compute the same vectors.  ``fit`` + ``assemble`` (or
-``FittedExtractor.vectorize``) handle one token stream at a time and are the
-reference.  The corpus path does the text work once per corpus, then fits
-(``fit_counts``) and transforms (``transform_counts``) every row of a
-``CorpusCounts`` with array operations; ``CorpusCounts.take`` is how a
-caller picks the rows to fit or transform.  ``stacked_transform`` transforms
-the same rows for several extractors at once, into one matrix whose columns
-are their feature spaces side by side; ``transform_counts`` is its
-one-extractor case.  ``count_texts`` makes one pass
-per document: ``strip_noise``, then ``textprep.term_tokens`` for the tokens
-and which of them bear terms.  One counting core, shared with
-``count_streams``, gives every n-gram occurrence of the corpus a term id and
-counts all (document, term) cells with one ``np.unique``; category hits and
-cue scores read the lowered tokens.  It reproduces the reference bit for
-bit: every value comes from the same scalar formulas, and each block's L2
-norm is summed in the same order by the same ``sum``.
+Fitting and transforming work on a ``CorpusCounts``, the text work of a
+corpus done once.  ``count_texts`` makes one pass per document:
+``strip_noise``, then ``textprep.term_tokens``.  Its counting core gives
+every n-gram occurrence a term id and counts all (document, term) cells with
+one ``np.unique``.  ``fit_counts`` and ``transform_counts`` then work with
+array operations; ``CorpusCounts.take`` picks the rows to fit or transform.
+``stacked_transform`` transforms the same rows for several extractors into
+one matrix whose columns are their feature spaces side by side.
+
+``assemble`` (or ``FittedExtractor.vectorize``) builds one document's row
+with plain loops, and the corpus path reproduces it bit for bit: every value
+comes from the same scalar formulas, and each block's L2 norm is summed in
+the same order by the same ``sum``.  The matching one-stream-at-a-time fit
+lives with the tests, in ``tests/reference_features.py``.
 """
 
 from __future__ import annotations
@@ -52,9 +50,7 @@ from .errors import (
 from .lexicons import LexiconSet, default_emoticons
 from .textprep import (
     TokenStream,
-    bears_term,
     ngram_occurrences,
-    ngram_terms,
     strip_noise,
     term_tokens,
     tokenize,
@@ -193,58 +189,6 @@ class FittedExtractor:
         )
 
 
-def fit(
-    train_docs: Sequence[TokenStream],
-    lexicons: LexiconSet,
-    min_df: int = 2,
-    emoticons: frozenset[str] | None = None,
-) -> FittedExtractor:
-    """Build the feature space from training documents only.
-
-    Document frequencies count each document at most once per term; the
-    auxiliary scalers are the per-feature mean/stddev over the same documents.
-    ``emoticons`` should be the table the streams were tokenized with, so the
-    extractor can reproduce the preprocessing later.
-    """
-    if not train_docs:
-        raise EmptyCorpus("cannot fit an extractor on zero documents")
-    if emoticons is None:
-        emoticons = default_emoticons()
-
-    df_counts: Counter[str] = Counter()
-    for stream in train_docs:
-        df_counts.update(ngram_terms(stream))
-    n_docs = len(train_docs)
-    kept = sorted(term for term, count in df_counts.items() if count >= min_df)
-    vocabulary = Vocabulary(
-        terms=tuple(kept),
-        df=tuple(df_counts[term] for term in kept),
-        n_docs=n_docs,
-        min_df=min_df,
-    )
-
-    categories = tuple(sorted(lexicons.emotion_categories))
-    category_df = []
-    for category in categories:
-        words = lexicons.emotion_categories[category]
-        category_df.append(
-            sum(1 for stream in train_docs if any(tok in words for tok in stream.lowered))
-        )
-
-    aux_rows = np.array([_aux_scores(stream, lexicons) for stream in train_docs])
-    aux_mean = aux_rows.mean(axis=0)
-    aux_std = aux_rows.std(axis=0)  # population stddev; zeros disable the feature
-
-    return FittedExtractor(
-        vocabulary=vocabulary,
-        lexicons=lexicons,
-        category_df=tuple(category_df),
-        aux_mean=tuple(float(m) for m in aux_mean),
-        aux_std=tuple(float(s) for s in aux_std),
-        emoticons=emoticons,
-    )
-
-
 def _l2_normalized(pairs: list[tuple[int, float]]) -> list[tuple[int, float]]:
     norm = math.sqrt(sum(v * v for _, v in pairs))
     if norm == 0.0:
@@ -282,7 +226,8 @@ def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
     """Logistic of the summed weights of matched politeness cue phrases.
 
     Matching is case-insensitive, longest phrase first, non-overlapping.
-    No cues (or cues canceling out) gives the neutral 0.5.
+    No cues (or cues canceling out) gives the neutral 0.5.  Where
+    ``exp(-total)`` overflows, ``exp(total)`` is the logistic to within rounding.
     """
     tokens = doc.lowered
     cues = lexicons.politeness_cues
@@ -298,7 +243,10 @@ def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
                 total += weight
                 free = i + length
                 break
-    return 1.0 / (1.0 + math.exp(-total))
+    try:
+        return 1.0 / (1.0 + math.exp(-total))
+    except OverflowError:
+        return math.exp(total)
 
 
 def sentiment_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[int, int]:
@@ -533,20 +481,6 @@ def _count(
     )
 
 
-def count_streams(
-    streams: Iterable[TokenStream],
-    lexicons: LexiconSet,
-    emoticons: frozenset[str] | None = None,
-) -> CorpusCounts:
-    """Count n-grams, category hits and cue scores of tokenized documents.
-
-    ``emoticons`` should be the table the streams were tokenized with.
-    Streams are consumed one at a time, so a generator keeps only one alive.
-    """
-    docs = ((stream, list(map(bears_term, stream.tokens))) for stream in streams)
-    return _count(docs, lexicons, default_emoticons() if emoticons is None else emoticons)
-
-
 def count_texts(
     texts: Iterable[str],
     lexicons: LexiconSet,
@@ -571,10 +505,13 @@ def _within_limit(position: int, text: str) -> str:
 
 
 def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
-    """``fit`` on every document of a counted corpus, without redoing text work.
+    """Build the feature space from every document of a counted corpus.
 
-    The extractor equals ``fit``'s on the same streams in the same order,
-    field for field.  Fit on a subset with ``fit_counts(counts.take(rows))``.
+    Document frequencies count each document at most once per term, and
+    terms below ``min_df`` are dropped; the auxiliary scalers are the
+    per-feature mean and population stddev over the same documents (a zero
+    stddev disables the feature).  Fit on a subset with
+    ``fit_counts(counts.take(rows))``.
     """
     if counts.n_docs == 0:
         raise EmptyCorpus("cannot fit an extractor on zero documents")

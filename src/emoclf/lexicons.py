@@ -20,6 +20,7 @@ box; swap in bigger inventories with the CLI lexicon flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -64,6 +65,9 @@ class LexiconSet:
                     f"sentiment strength for {word!r} must be a nonzero integer "
                     f"in [-5, 5], got {strength!r}"
                 )
+        for phrase, weight in self.politeness_cues.items():
+            if not math.isfinite(weight):
+                raise LexiconError(f"politeness weight for {' '.join(phrase)!r} is not finite")
         for word, shift in self.boosters.items():
             if shift not in (-1, 1):
                 raise LexiconError(f"booster shift for {word!r} must be +1 or -1")

@@ -116,8 +116,8 @@ class TrainingProblem:
     ) -> "TrainingProblem":
         """Append the bias column to every row; y > 0 is the positive class.
 
-        Only ``C`` differs between the problems of one cost grid, so build
-        once and vary it with ``dataclasses.replace``.
+        ``train_dual_cd`` solves at ``C``; ``solve_folds`` ignores it and
+        solves at each cost of its grid instead.
         """
         n = matrix.n_rows
         if len(y) != n or n < 2:

@@ -3,8 +3,8 @@
 Raw corpus text (forum posts, issue comments) carries HTML tags, code
 fragments, and URLs that add nothing but vocabulary noise.  ``strip_noise``
 removes them; ``tokenize`` splits the remainder into surface tokens that keep
-their case (the lexicon scorers want it) while ``ngram_terms`` exposes the
-lowercased n-gram view.  ``term_tokens`` is the corpus path's tokenizer: the
+their case (the lexicon scorers want it) while ``ngram_occurrences`` lists
+the lowercased n-grams.  ``term_tokens`` is the corpus path's tokenizer: the
 same tokens, plus ``bears_term`` of each, in one pass.  A whitespace chunk
 whose first and last characters are alphanumeric is a single term-bearing
 token, so only the other chunks go through the splitter; a test over
@@ -326,7 +326,3 @@ def ngram_occurrences(stream: TokenStream) -> list[str]:
     )
     return occurrences
 
-
-def ngram_terms(stream: TokenStream) -> list[str]:
-    """Distinct n-gram terms in first-occurrence order."""
-    return list(dict.fromkeys(ngram_occurrences(stream)))

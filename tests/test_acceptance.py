@@ -22,7 +22,14 @@ from emoclf.corpus import (
     stratified_split,
     write_gold_corpus,
 )
-from emoclf.features import FeatureMatrix, assemble, emotion_category_block, fit, ngram_block
+from emoclf.features import (
+    FeatureMatrix,
+    assemble,
+    emotion_category_block,
+    fit_counts,
+    ngram_block,
+    transform_counts,
+)
 from emoclf.lexicons import LexiconSet
 from emoclf.pipeline import (
     DEFAULT_C_GRID,
@@ -42,6 +49,7 @@ from emoclf.svm import (
 )
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 from emoclf.textprep import TokenStream
+from reference_features import count_streams, fit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -241,6 +249,17 @@ def test_c04_tfidf_values_match_hand_computation():
             if v <= index < v + len(fitted.categories):
                 assert abs(cats[index - v] - value) <= 1e-9
     assert checked >= 12
+    # The corpus path the library trains and classifies with gives the same
+    # entries: fit_counts + transform_counts over the counted toy corpus.
+    counts = count_streams(streams, lexicons)
+    matrix = transform_counts(counts, fit_counts(counts, min_df=1))
+    assert matrix.n_rows == len(expected)
+    for i, want in enumerate(expected):
+        start, end = matrix.indptr[i], matrix.indptr[i + 1]
+        got = dict(zip(matrix.indices[start:end].tolist(), matrix.data[start:end].tolist()))
+        assert set(got) == set(want)
+        for index, value in want.items():
+            assert abs(got[index] - value) <= 1e-9, f"corpus path, row {i}, feature {index}"
     report(f"C04 tfidf-hand-oracle ({checked} entries)")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -400,6 +401,65 @@ class TestLexiconOverrides:
             "--lexicon-dir", tmp_path / "nowhere", *FAST_FLAGS,
         )
         assert result.returncode == 2
+
+
+class TestPolitenessExtremes:
+    """Cue weights that would push the politeness logistic past float range."""
+
+    OVERFLOW_POST = "rtfm " * 710   # summed cue weight -710 with the default lexicons
+
+    def test_overflowing_post_trains_and_classifies(self, tmp_path, capsys):
+        docs = generate_planted_corpus(60, {"joy": DEFAULT_KEYWORDS}, seed=21)
+        docs.append(LabeledDocument(Document("rude", self.OVERFLOW_POST), {"joy": 0}))
+        gold = tmp_path / "gold.csv"
+        write_gold_corpus(gold, docs, ["joy"])
+        bundle_path = tmp_path / "m.emo"
+        assert main(["train", "--gold", str(gold), "--out", str(bundle_path),
+                     *FAST_FLAGS]) == 0, capsys.readouterr().err
+        bundle = load_bundle(bundle_path)
+        assert all(math.isfinite(v) for v in bundle.models["joy"].extractor.aux_mean)
+
+        input_path = tmp_path / "input.csv"
+        write_input_corpus(input_path, [Document("rude", self.OVERFLOW_POST)])
+        out = tmp_path / "pred.csv"
+        assert main(["classify", "--model", str(bundle_path), "--input", str(input_path),
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+        assert out.read_text(encoding="utf-8").splitlines()[1] in ("rude,JOY", "rude,NO_JOY")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_in_lexicon_dir_exits_2(self, tmp_path, gold_csv, weight, capsys):
+        import importlib.resources as resources
+
+        from emoclf.lexicons import LEXICON_FILES, POLITENESS_FILE
+
+        data = resources.files("emoclf.data")
+        for name in LEXICON_FILES:
+            (tmp_path / name).write_text(data.joinpath(name).read_text("utf-8"),
+                                         encoding="utf-8")
+        with open(tmp_path / POLITENESS_FILE, "a", encoding="utf-8") as handle:
+            handle.write(f"pretty please\t{weight}\n")
+        code = main(["train", "--gold", str(gold_csv), "--out", str(tmp_path / "m.emo"),
+                     "--lexicon-dir", str(tmp_path), *FAST_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "'pretty please'" in err and "not finite" in err
+        assert not (tmp_path / "m.emo").exists()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_in_bundle_exits_3(self, tmp_path, trained, weight, capsys):
+        bundle_path, _, _ = trained
+        payload = json.loads(bundle_path.read_text(encoding="utf-8"))
+        payload["models"]["joy"]["extractor"]["lexicons"]["politeness"]["please"] = float(weight)
+        bad = tmp_path / "bad.emo"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        input_path = tmp_path / "input.csv"
+        write_input_corpus(input_path, [Document("1", "please help")])
+        code = main(["classify", "--model", str(bad), "--input", str(input_path),
+                     "--out", str(tmp_path / "pred.csv")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "malformed extractor payload" in err and "'please'" in err
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestUndecodableInput:

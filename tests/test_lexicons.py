@@ -81,6 +81,14 @@ class TestLexiconSetValidation:
         with pytest.raises(LexiconError):
             LexiconSet({}, {}, {}, {}, frozenset(), {"sure": 2.0})
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_politeness_weight_rejected(self, weight):
+        with pytest.raises(LexiconError, match="'thank you'"):
+            LexiconSet({}, {("thank", "you"): float(weight)}, {}, {}, frozenset(), {})
+        cues = parse_politeness(f"please\t1.0\nthank you\t{weight}\n")
+        with pytest.raises(LexiconError, match="'thank you'"):
+            LexiconSet({}, cues, {}, {}, frozenset(), {})
+
 
 class TestDefaults:
     def test_defaults_load_and_validate(self):

