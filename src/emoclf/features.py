@@ -17,7 +17,13 @@ every n-gram occurrence a term id and counts all (document, term) cells with
 one ``np.unique``.  ``fit_counts`` and ``transform_counts`` then work with
 array operations; ``CorpusCounts.take`` picks the rows to fit or transform.
 ``stacked_transform`` transforms the same rows for several extractors into
-one matrix whose columns are their feature spaces side by side.
+one matrix whose columns are their feature spaces side by side.  It works
+from an ``ExtractorStack``: one table from each term to its slot in every
+extractor's vocabulary, and the extractors' idf and scaling constants laid
+side by side.  A caller that transforms many blocks for the same extractors
+builds the stack once, and each block then costs one dict lookup per
+distinct term for all of them.  A stack of one extractor uses the
+extractor's own vocabulary index and builds no table.
 
 ``assemble`` (or ``FittedExtractor.vectorize``) builds one document's row
 with plain loops, and the corpus path reproduces it bit for bit: every value
@@ -33,7 +39,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import and_
 from typing import Iterable, Mapping, Sequence
 
@@ -180,12 +186,6 @@ class FittedExtractor:
         n_docs = self.vocabulary.n_docs
         return np.array(
             [idf(df, n_docs) if df else 0.0 for df in self.category_df], dtype=np.float64
-        )
-
-    def slots_for(self, terms: Sequence[str]) -> np.ndarray:
-        """Vocabulary slot of each term, -1 for out-of-vocabulary terms."""
-        return np.fromiter(
-            map(self.vocabulary.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms)
         )
 
 
@@ -545,6 +545,69 @@ def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return values / np.repeat(norms, np.diff(indptr))
 
 
+class ExtractorStack:
+    """What ``stacked_transform`` needs of a sequence of extractors, worked out once.
+
+    ``index`` maps every term of the extractors' vocabularies to a column of
+    ``slots``, whose row e holds the term's slot in extractor e's vocabulary,
+    or -1 where that vocabulary lacks the term; the last column is all -1
+    and stands for a term no extractor knows.  So a block of counts costs
+    one dict lookup per distinct term for all the extractors together.  A
+    stack of one extractor takes that extractor's own ``vocabulary.index``,
+    whose values are already its slots, and builds no table.
+
+    The other fields are the extractors' constants laid side by side: where
+    each feature space and each category block starts, the n-gram idf over
+    the whole stacked space, and the category idf and cue scalers of each
+    extractor, shaped (extractor, 1, slot) to broadcast over documents.
+    """
+
+    def __init__(self, extractors: Sequence[FittedExtractor]):
+        if not extractors:
+            raise ContractViolation("a stacked transform needs at least one extractor")
+        self.extractors = tuple(extractors)
+        n_stack = len(self.extractors)
+        vocabularies = [fitted.vocabulary for fitted in self.extractors]
+        if n_stack == 1:
+            self.index, self.slots = vocabularies[0].index, None
+        else:
+            union = dict.fromkeys(chain.from_iterable(vocab.terms for vocab in vocabularies))
+            self.index = dict(zip(union, count()))
+            self.slots = np.full((n_stack, len(union) + 1), -1, dtype=np.int64)
+            for row, vocab in zip(self.slots, vocabularies):
+                ids = np.fromiter(map(self.index.__getitem__, vocab.terms), np.int64, len(vocab))
+                row[ids] = np.arange(len(vocab))
+
+        widths = [len(vocab) for vocab in vocabularies]
+        self.offsets = np.array([0, *accumulate(fitted.dimension for fitted in self.extractors)])
+        self.category_offsets = self.offsets[:-1] + widths
+        self.ngram_idf = np.zeros(self.offsets[-1])
+        for start, width, fitted in zip(self.offsets.tolist(), widths, self.extractors):
+            self.ngram_idf[start:start + width] = fitted.ngram_idf
+        self.category_idf = np.array(
+            [fitted.category_idf for fitted in self.extractors]).reshape(n_stack, 1, -1)
+        self.aux_mean = np.array(
+            [fitted.aux_mean for fitted in self.extractors]).reshape(n_stack, 1, -1)
+        std = np.array([fitted.aux_std for fitted in self.extractors]).reshape(n_stack, 1, -1)
+        self.aux_active = std > 0.0
+        self.aux_std = np.where(self.aux_active, std, 1.0)
+
+    def __len__(self) -> int:
+        return len(self.extractors)
+
+    @property
+    def dimension(self) -> int:
+        return int(self.offsets[-1])
+
+    def slots_for(self, terms: Sequence[str]) -> np.ndarray:
+        """Each extractor's slot of each term, -1 where its vocabulary lacks the term.
+
+        One row per extractor, one column per term.
+        """
+        ids = np.fromiter(map(self.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms))
+        return ids[None, :] if self.slots is None else self.slots[:, ids]
+
+
 def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMatrix:
     """``assemble`` for every document of a counted corpus.
 
@@ -557,7 +620,7 @@ def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMa
 
 
 def stacked_transform(
-    counts: CorpusCounts, extractors: Sequence[FittedExtractor]
+    counts: CorpusCounts, extractors: Sequence[FittedExtractor] | ExtractorStack
 ) -> FeatureMatrix:
     """Every extractor's ``transform_counts`` rows, stacked in one matrix.
 
@@ -568,42 +631,33 @@ def stacked_transform(
     values are the same bits, because each comes from the same scalar
     operations and each block's L2 norm is summed in the same order.  Every
     extractor must share the lexicons and emoticon table the counts were made
-    with.
+    with.  A caller that transforms many blocks for the same extractors
+    passes their ``ExtractorStack``, built once; a plain sequence is stacked
+    for this call.
     """
-    if not extractors:
-        raise ContractViolation("a stacked transform needs at least one extractor")
+    stack = extractors if isinstance(extractors, ExtractorStack) else ExtractorStack(extractors)
     n, k = counts.category_counts.shape
-    n_stack = len(extractors)
-    widths = [len(fitted.vocabulary) for fitted in extractors]
-    # Where each extractor's feature space starts.
-    offsets = np.array([0, *accumulate(fitted.dimension for fitted in extractors)])
+    n_stack = len(stack)
+    offsets = stack.offsets
 
     # n-gram block: tf * idf over in-vocabulary terms, L2 per row.
-    slots = np.array([fitted.slots_for(counts.terms) for fitted in extractors], dtype=np.int64)
-    slots = slots.reshape(n_stack, len(counts.terms)).take(counts.indices, axis=1)
+    slots = stack.slots_for(counts.terms).take(counts.indices, axis=1)
     known = slots >= 0
     ngram_rows = (_row_ids(counts.indptr) + (n * np.arange(n_stack))[:, None])[known]
     ngram_ptr = _indptr_of(ngram_rows, n_stack * n)
-    ngram_idf = np.zeros(offsets[-1])
-    for start, width, fitted in zip(offsets.tolist(), widths, extractors):
-        ngram_idf[start:start + width] = fitted.ngram_idf
     # An out-of-vocabulary term (slot -1) points one column before its
     # extractor's space, the first extractor's at the last column; the mask
     # drops its value.
     columns = slots + offsets[:-1, None]
-    ngram_values = _l2_normalize_rows(ngram_ptr, (counts.counts * ngram_idf[columns])[known])
+    ngram_values = _l2_normalize_rows(ngram_ptr, (counts.counts * stack.ngram_idf[columns])[known])
     columns = columns[known]
 
     # Category and cue blocks: hits * idf, L2 per row, then the standardized
     # cue scores, built dense over (extractor, document, slot).  A category
     # without training df has idf 0 and a zero stddev disables a cue
     # feature, so the nonzero entries are exactly the ones the extractor keeps.
-    category_idf = np.array([fitted.category_idf for fitted in extractors])
-    std = np.array([fitted.aux_std for fitted in extractors]).reshape(n_stack, 1, -1)
-    mean = np.array([fitted.aux_mean for fitted in extractors]).reshape(n_stack, 1, -1)
-    active = std > 0.0
-    z = np.where(active, (counts.aux - mean) / np.where(active, std, 1.0), 0.0)
-    category = counts.category_counts * category_idf.reshape(n_stack, 1, k)
+    z = np.where(stack.aux_active, (counts.aux - stack.aux_mean) / stack.aux_std, 0.0)
+    category = counts.category_counts * stack.category_idf
     tail = np.concatenate((category, z), axis=2).reshape(n_stack * n, k + len(AUX_FEATURES))
     tail_rows, tail_slots = np.nonzero(tail)
     tail_ptr = _indptr_of(tail_rows, n_stack * n)
@@ -620,7 +674,7 @@ def stacked_transform(
     data = np.empty(out_ptr[-1], dtype=np.float64)
     for block_rows, shift, block_indices, block_values in (
         (ngram_rows, tail_ptr[:-1], columns, ngram_values),
-        (tail_rows, ngram_ptr[1:], np.repeat(offsets[:-1] + widths, n)[tail_rows] + tail_slots,
+        (tail_rows, ngram_ptr[1:], np.repeat(stack.category_offsets, n)[tail_rows] + tail_slots,
          tail_values),
     ):
         at = np.arange(len(block_rows)) + shift[block_rows]
@@ -628,7 +682,7 @@ def stacked_transform(
         data[at] = block_values
     # No value is zero: tf, idf >= 1 and cue entries are kept only when
     # nonzero, so nothing is left for from_pairs' zero filter to drop.
-    return FeatureMatrix(out_ptr, indices, data, int(offsets[-1]))
+    return FeatureMatrix(out_ptr, indices, data, stack.dimension)
 
 
 # --- serialization ---------------------------------------------------------
@@ -667,7 +721,42 @@ def extractor_to_dict(fitted: FittedExtractor) -> dict:
     }
 
 
-def extractor_from_dict(payload: dict) -> FittedExtractor:
+def _lexicons_from_dict(raw_lex: dict) -> LexiconSet:
+    return LexiconSet(
+        emotion_categories={
+            category: frozenset(words)
+            for category, words in raw_lex["emotion_categories"].items()
+        },
+        politeness_cues={
+            tuple(phrase.split()): float(w) for phrase, w in raw_lex["politeness"].items()
+        },
+        sentiment={w: int(s) for w, s in raw_lex["sentiment"].items()},
+        boosters={w: int(s) for w, s in raw_lex["boosters"].items()},
+        negations=frozenset(raw_lex["negations"]),
+        modality_cues={w: float(s) for w, s in raw_lex["modality"].items()},
+    )
+
+
+def _built_once(loaded: list, key: str, raw, build):
+    """``build(raw)``, or the object built before from a ``key`` payload equal to ``raw``."""
+    for seen_key, seen, built in loaded:
+        if seen_key == key and seen == raw:
+            return built
+    built = build(raw)
+    loaded.append((key, raw, built))
+    return built
+
+
+def extractor_from_dict(payload: dict, loaded: list | None = None) -> FittedExtractor:
+    """The extractor ``extractor_to_dict`` wrote.
+
+    ``loaded`` lets the extractors of one bundle share their lexicons and
+    emoticon table: the caller passes one list to every call, it records
+    each distinct ``lexicons`` and ``emoticons`` payload with the object
+    built from it, and a payload equal to a recorded one takes that object
+    instead of being built again.
+    """
+    memo = [] if loaded is None else loaded
     try:
         if payload.get("kind") != "emoclf-extractor":
             raise ParseError("not an extractor payload")
@@ -676,20 +765,7 @@ def extractor_from_dict(payload: dict) -> FittedExtractor:
             raise IncompatibleModel(
                 f"extractor version {version!r} unsupported (expected {EXTRACTOR_VERSION!r})"
             )
-        raw_lex = payload["lexicons"]
-        lexicons = LexiconSet(
-            emotion_categories={
-                category: frozenset(words)
-                for category, words in raw_lex["emotion_categories"].items()
-            },
-            politeness_cues={
-                tuple(phrase.split()): float(w) for phrase, w in raw_lex["politeness"].items()
-            },
-            sentiment={w: int(s) for w, s in raw_lex["sentiment"].items()},
-            boosters={w: int(s) for w, s in raw_lex["boosters"].items()},
-            negations=frozenset(raw_lex["negations"]),
-            modality_cues={w: float(s) for w, s in raw_lex["modality"].items()},
-        )
+        lexicons = _built_once(memo, "lexicons", payload["lexicons"], _lexicons_from_dict)
         vocab_raw = payload["vocabulary"]
         vocabulary = Vocabulary(
             terms=tuple(vocab_raw["terms"]),
@@ -703,7 +779,7 @@ def extractor_from_dict(payload: dict) -> FittedExtractor:
             category_df=tuple(int(c) for c in payload["category_df"]),
             aux_mean=tuple(float(m) for m in payload["aux_mean"]),
             aux_std=tuple(float(s) for s in payload["aux_std"]),
-            emoticons=frozenset(payload["emoticons"]),
+            emoticons=_built_once(memo, "emoticons", payload["emoticons"], frozenset),
         )
         if tuple(payload["categories"]) != fitted.categories:
             raise ContractViolation("categories must be the lexicons' emotion categories, sorted")

@@ -27,7 +27,10 @@ prediction likewise counts each document once for all emotions whose
 extractors tokenize and count alike, and handles those emotions together:
 it goes through the documents in blocks of at most ``PREDICT_BLOCK_ROWS``
 (emotion, document) rows, with one stacked transform and one scoring pass
-per block.
+per block.  Each such text-work group is prepared once per bundle
+(``ModelBundle.prediction_groups``: its ``ExtractorStack`` and
+``ModelStack``), on the bundle's first prediction, and every block of every
+later call reuses it; loading a bundle builds none, and none is saved.
 
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
@@ -37,12 +40,12 @@ changes another's model.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,6 +72,7 @@ from .errors import (
 )
 from .features import (
     CorpusCounts,
+    ExtractorStack,
     FeatureMatrix,
     FittedExtractor,
     count_texts,
@@ -83,6 +87,7 @@ from .svm import (
     L1_HINGE,
     L2_HINGE,
     LinearModel,
+    ModelStack,
     SolverParams,
     TrainingMonitor,
     TrainingProblem,
@@ -185,6 +190,19 @@ class EmotionModel:
     cv_folds: tuple[FoldScore, ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class PredictionGroup:
+    """Emotions whose extractors tokenize and count text alike, ready to predict together.
+
+    The extractors and models are stacked once (``features.ExtractorStack``,
+    ``svm.ModelStack``), and every block of texts reuses both stacks.
+    """
+
+    emotions: tuple[str, ...]
+    extractors: ExtractorStack
+    models: ModelStack
+
+
 @dataclass(frozen=True)
 class ModelBundle:
     emotions: tuple[str, ...]
@@ -194,6 +212,23 @@ class ModelBundle:
 
     def __iter__(self):
         return (self.models[emotion] for emotion in self.emotions)
+
+    @cached_property
+    def prediction_groups(self) -> tuple[PredictionGroup, ...]:
+        """The bundle's text-work groups, in emotion order, prepared for prediction.
+
+        Built on the first prediction and kept while the bundle lives;
+        loading a bundle does not build them, and saving one does not write
+        them.
+        """
+        return tuple(
+            PredictionGroup(
+                emotions=tuple(em.emotion for em in group),
+                extractors=ExtractorStack([em.extractor for em in group]),
+                models=ModelStack([em.model for em in group]),
+            )
+            for group in _text_work_groups(list(self))
+        )
 
 
 @dataclass(frozen=True)
@@ -627,39 +662,39 @@ def _text_work_groups(models: Sequence[EmotionModel]) -> list[list[EmotionModel]
     return groups
 
 
-def _predictions(models: Sequence[EmotionModel], texts: Sequence[str]) -> dict[str, np.ndarray]:
-    """Each model's 0/1 prediction per text; each text is counted once per group.
+def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndarray]:
+    """Each emotion's 0/1 prediction per text; each text is counted once per group.
 
-    The models of a text-work group go through the texts together, in blocks
-    of at most ``PREDICT_BLOCK_ROWS`` stacked (model, text) rows.  Each block
-    is counted once, transformed once for all of the group's extractors
-    (``stacked_transform``) and scored once (``stacked_decision_values``).
+    The emotions of a text-work group (``ModelBundle.prediction_groups``) go
+    through the texts together, in blocks of at most ``PREDICT_BLOCK_ROWS``
+    stacked (emotion, text) rows.  Each block is counted once, transformed
+    once for all of the group's extractors (``stacked_transform``) and scored
+    once (``stacked_decision_values``), on the group's prepared stacks.
     Equal to ``predict(em.model, em.extractor.vectorize(text))`` for every
     model and text, whatever the block size.
     """
     bits = {}
-    for group in _text_work_groups(models):
-        head = group[0].extractor
-        extractors = [em.extractor for em in group]
-        linear = [em.model for em in group]
-        step = max(1, PREDICT_BLOCK_ROWS // len(group))
-        decided = np.empty((len(group), len(texts)), dtype=np.int64)
+    for group in bundle.prediction_groups:
+        head = group.extractors.extractors[0]
+        step = max(1, PREDICT_BLOCK_ROWS // len(group.emotions))
+        decided = np.empty((len(group.emotions), len(texts)), dtype=np.int64)
         for start in range(0, len(texts), step):
             try:
                 counts = count_texts(texts[start:start + step], head.lexicons, head.emoticons)
             except DocumentTooLarge as exc:     # its position in ``texts``, not in the block
                 raise DocumentTooLarge(start + exc.position, exc.length, exc.limit) from None
-            values = stacked_decision_values(linear, stacked_transform(counts, extractors))
+            values = stacked_decision_values(
+                group.models, stacked_transform(counts, group.extractors))
             # predict_rows' rule: strictly positive is 1, ties go negative.
-            decided[:, start:start + step] = values.reshape(len(group), -1) > 0.0
-        bits.update(zip((em.emotion for em in group), decided))
+            decided[:, start:start + step] = values.reshape(len(group.emotions), -1) > 0.0
+        bits.update(zip(group.emotions, decided))
     return bits
 
 
 def classify(bundle: ModelBundle, docs) -> list[tuple[str, str, int]]:
     """(id, emotion, bit) rows, grouped by document in corpus order."""
     docs = list(docs)
-    bits = _predictions(list(bundle), [doc.text for doc in docs])
+    bits = _predictions(bundle, [doc.text for doc in docs])
     return [
         (doc.id, emotion, int(bits[emotion][i]))
         for i, doc in enumerate(docs)
@@ -673,7 +708,7 @@ def evaluate(bundle: ModelBundle, test_docs: Sequence[LabeledDocument]) -> EvalR
         raise EmptyCorpus(f"{bundle.emotions[0]}: no documents to score: the gold corpus is empty")
     models = list(bundle)
     golds = {em.emotion: _labels_for(test_docs, em.emotion) for em in models}
-    bits = _predictions(models, [d.doc.text for d in test_docs])
+    bits = _predictions(bundle, [d.doc.text for d in test_docs])
     rows = [_metrics_row(em.emotion, Confusion.of(bits[em.emotion], golds[em.emotion]))
             for em in models]
     return EvalReport(rows=tuple(rows))
@@ -721,7 +756,7 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
             raise _no_heldout(emotion, fraction)
     tested = sorted(set().union(*(split.test_index for split in splits.values())))
     position = {index: p for p, index in enumerate(tested)}
-    bits = _predictions(list(bundle), [gold[i].doc.text for i in tested])
+    bits = _predictions(bundle, [gold[i].doc.text for i in tested])
     rows = []
     for emotion, split in splits.items():
         guesses = bits[emotion][[position[i] for i in split.test_index]]
@@ -773,21 +808,14 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         if not emotions or len(set(emotions)) != len(emotions):
             raise ValueError(f"emotions must be distinct and non-empty, got {list(emotions)}")
         models = {}
+        # Emotions with equal lexicons and emoticons payloads share one object
+        # of each, built once, so grouping them for prediction is an identity check.
+        loaded: list = []
         for emotion in emotions:
             if validate_emotion_name(emotion) != emotion:
                 raise ValueError(f"emotion name {emotion!r} is not lowercase and stripped")
             raw = payload["models"][emotion]
-            extractor = extractor_from_dict(raw["extractor"])
-            # Emotions whose lexicons and emoticons are equal share one object
-            # of each, so grouping them for prediction is an identity check.
-            for other in models.values():
-                if other.extractor.shares_text_work(extractor):
-                    extractor = dataclasses.replace(
-                        extractor,
-                        lexicons=other.extractor.lexicons,
-                        emoticons=other.extractor.emoticons,
-                    )
-                    break
+            extractor = extractor_from_dict(raw["extractor"], loaded)
             weights = np.asarray(raw["weights"], dtype=np.float64)
             if weights.ndim != 1 or weights.shape[0] != extractor.dimension + 1:
                 raise IncompatibleModel(

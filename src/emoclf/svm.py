@@ -26,7 +26,9 @@ Single problems, such as final models, run on ``train_dual_cd``.
 
 Scoring takes one dot product per row.  ``stacked_decision_values`` scores
 the stacked rows of several models in one pass; ``decision_values`` is its
-one-model case.
+one-model case.  It works from a ``ModelStack``, the models' weights laid
+side by side and their biases, which a caller scoring many blocks with the
+same models builds once.
 """
 
 from __future__ import annotations
@@ -546,31 +548,53 @@ def decision_values(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
     return stacked_decision_values([model], rows)
 
 
-def stacked_decision_values(models: Sequence[LinearModel], rows: FeatureMatrix) -> np.ndarray:
+class ModelStack:
+    """What ``stacked_decision_values`` needs of a sequence of models, worked out once.
+
+    ``weights`` are the models' weights without their bias slots, laid side
+    by side as ``features.ExtractorStack`` lays out their feature spaces;
+    ``biases`` are the bias slots as Python floats.
+    """
+
+    def __init__(self, models: Sequence[LinearModel]):
+        if not models:
+            raise ContractViolation("scoring needs at least one model")
+        self.weights = np.concatenate([model.w[:-1] for model in models])
+        self.biases = [float(model.w[-1]) for model in models]
+
+    def __len__(self) -> int:
+        return len(self.biases)
+
+
+def stacked_decision_values(
+    models: Sequence[LinearModel] | ModelStack, rows: FeatureMatrix
+) -> np.ndarray:
     """Each model's ``w . [x; 1]`` for its own share of stacked rows.
 
     ``rows`` are ``len(models)`` equal runs of rows, model-major, over the
     models' feature spaces laid side by side, as ``features.stacked_transform``
     builds them: model m scores rows ``m * n`` to ``(m + 1) * n - 1``, whose
-    columns start at the sum of the earlier models' dimensions.
+    columns start at the sum of the earlier models' dimensions.  A caller
+    that scores many blocks with the same models passes their ``ModelStack``,
+    built once; a plain sequence is stacked for this call.
     """
     if not models or rows.n_rows % len(models):
         raise ContractViolation(f"{rows.n_rows} rows do not split among {len(models)} models")
-    weights = np.concatenate([model.w[:-1] for model in models])
+    stack = models if isinstance(models, ModelStack) else ModelStack(models)
+    weights = stack.weights
     if rows.dimension != weights.shape[0]:
         raise DimensionError(
             f"row dimension {rows.dimension} does not match model "
             f"dimension {weights.shape[0]}"
         )
-    n = rows.n_rows // len(models)
+    n = rows.n_rows // len(stack)
     # One dot per row: a single sparse product would sum in another order and
     # could flip a decision that sits within rounding of zero.
     row_weights = weights[rows.indices]
     data = rows.data
     bounds = rows.indptr.tolist()
     values = []
-    for m, model in enumerate(models):
-        bias = float(model.w[-1])
+    for m, bias in enumerate(stack.biases):
         run = bounds[m * n:(m + 1) * n + 1]
         values.extend(float(row_weights[a:b] @ data[a:b]) + bias for a, b in zip(run, run[1:]))
     return np.array(values, dtype=np.float64)

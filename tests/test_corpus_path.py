@@ -28,6 +28,7 @@ from emoclf.corpus import Document, LabeledDocument, stratified_split, write_gol
 from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus
 from emoclf.features import (
     MAX_DOCUMENT_CHARS,
+    ExtractorStack,
     FeatureMatrix,
     assemble,
     count_texts,
@@ -44,9 +45,18 @@ from emoclf.pipeline import (
     classify,
     evaluate,
     evaluate_heldout,
+    load_bundle,
+    save_bundle,
     train_all,
 )
-from emoclf.svm import L2_HINGE, LinearModel, decision_values, predict, stacked_decision_values
+from emoclf.svm import (
+    L2_HINGE,
+    LinearModel,
+    ModelStack,
+    decision_values,
+    predict,
+    stacked_decision_values,
+)
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 from emoclf.textprep import (
     TokenStream,
@@ -179,6 +189,54 @@ def test_stacked_transform_and_scoring_equal_the_per_extractor_path(docs, data):
     picked = data.draw(st.lists(st.integers(0, len(streams) - 1), max_size=20))
     _stack_equals_singles(counts.take(picked), extractors, models)
     _stack_equals_singles(counts.take([]), extractors, models)
+
+
+# Words that only extractor e's training documents can hold, so that
+# vocabularies can be disjoint, and words no training document holds.
+OWN_WORDS = [[f"own{e}x{i}" for i in range(4)] for e in range(6)]
+UNSEEN = ["qqqq", "wwww"]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_prepared_stack_serves_every_block(data):
+    lexicons, emoticons = default_lexicons(), default_emoticons()
+    n_stack = data.draw(st.integers(1, 6))
+    extractors, models = [], []
+    for e in range(n_stack):
+        words = OWN_WORDS[e] + (TOKENS if data.draw(st.booleans()) else [])
+        docs = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=12),
+                                  min_size=1, max_size=6))
+        counts = count_streams([TokenStream(tuple(doc)) for doc in docs], lexicons, emoticons)
+        # A min_df above every df leaves the vocabulary empty.
+        extractors.append(fit_counts(counts, data.draw(st.sampled_from([1, 2, len(docs) + 1]))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        models.append(LinearModel(w=rng.standard_normal(extractors[-1].dimension + 1),
+                                  loss=L2_HINGE))
+    words = [w for own in OWN_WORDS[:n_stack] for w in own] + TOKENS + UNSEEN
+    blocks = data.draw(st.lists(
+        st.lists(st.lists(st.sampled_from(words), max_size=15), max_size=8), max_size=3))
+    blocks += [
+        [own[:2] for own in OWN_WORDS[:n_stack]],   # each row known to one extractor at most
+        [UNSEEN, UNSEEN[:1], []],                   # out of every vocabulary
+        [],                                         # no documents
+    ]
+    stack, scoring = ExtractorStack(extractors), ModelStack(models)
+    for docs in blocks:
+        block = count_streams([TokenStream(tuple(doc)) for doc in docs], lexicons, emoticons)
+        stacked = stacked_transform(block, stack)
+        n, offset, expected_values = block.n_docs, 0, []
+        assert stacked.n_rows == n_stack * n
+        for e, (fitted, model) in enumerate(zip(extractors, models)):
+            single = transform_counts(block, fitted)
+            rows = stacked.take(range(e * n, (e + 1) * n))
+            assert rows.indptr.tolist() == single.indptr.tolist()
+            assert (rows.indices - offset).tolist() == single.indices.tolist()
+            assert _bits(rows.data) == _bits(single.data)
+            expected_values.extend(_bits(decision_values(model, single)))
+            offset += fitted.dimension
+        assert stacked.dimension == offset
+        assert _bits(stacked_decision_values(scoring, stacked)) == expected_values
 
 
 def test_counting_raw_text_matches_the_reference_preprocessing():
@@ -450,6 +508,55 @@ def test_classify_accepts_an_iterator_and_no_documents(bundles):
     docs = [Document("a", "zyblor :)"), Document("b", "")]
     assert classify(bundle, iter(docs)) == _reference_rows(bundle, docs)
     assert classify(bundle, []) == []
+
+
+def _stack_builds(monkeypatch):
+    """Every ExtractorStack and ModelStack the pipeline builds, in order."""
+    built = []
+    for name in ("ExtractorStack", "ModelStack"):
+        def build(items, stack=getattr(pipeline, name)):
+            built.append(stack(items))
+            return built[-1]
+        monkeypatch.setattr(pipeline, name, build)
+    return built
+
+
+@pytest.mark.parametrize("kind, groups", [("shared_split", 1), ("mixed_extractors", 2)])
+def test_each_group_is_prepared_once_per_bundle(bundles, gold, monkeypatch, kind, groups):
+    bundle = dataclasses.replace(bundles[kind])     # a new bundle: nothing prepared yet
+    docs = [d.doc for d in gold]
+    built = _stack_builds(monkeypatch)
+    used = []           # the extractor stack of every transformed block
+    transform = pipeline.stacked_transform
+    monkeypatch.setattr(pipeline, "stacked_transform",
+                        lambda counts, stack: used.append(stack) or transform(counts, stack))
+    calls = _counting_text_passes(monkeypatch)
+    first = classify(bundle, docs)
+    assert classify(bundle, docs) == first
+    assert len(bundle.prediction_groups) == groups
+    assert len(built) == 2 * groups     # one extractor stack and one model stack per group
+    assert {id(stack) for stack in used} == {id(g.extractors) for g in bundle.prediction_groups}
+    # Each text is still counted once per group in each call.
+    assert len(calls) == 2 * groups * len(docs)
+
+
+def test_loading_prepares_nothing_and_predicting_changes_no_saved_byte(
+    bundles, gold, monkeypatch, tmp_path
+):
+    trained = dataclasses.replace(bundles["mixed_extractors"])
+    path = tmp_path / "model.emo"
+    save_bundle(trained, path)
+    before = path.read_bytes()
+    built = _stack_builds(monkeypatch)
+    loaded = load_bundle(path)
+    assert built == []
+    docs = [d.doc for d in gold]
+    for bundle in (trained, loaded):
+        classify(bundle, docs)
+        evaluate_heldout(bundle, gold)
+        save_bundle(bundle, path)
+        assert path.read_bytes() == before
+    assert len(built) == 2 * 2 * 2      # two groups in each of the two bundles
 
 
 # Classifies a synthetic stream in 20-document batches, pass after pass, and

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoclf import pipeline, svm
+from emoclf import features, pipeline, svm
 from emoclf.corpus import Document, LabeledDocument, stratified_split
 from emoclf.errors import (
     ContractViolation,
@@ -23,6 +23,7 @@ from emoclf.errors import (
     TooFewPositives,
 )
 from emoclf.features import count_texts, fit_counts, transform_counts
+from emoclf.lexicons import LexiconSet
 from emoclf.pipeline import (
     DEFAULT_C_GRID,
     Confusion,
@@ -873,3 +874,54 @@ class TestBundlePersistence:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_bundle(tmp_path / "absent.emo")
+
+
+class TestBundleLexiconLoading:
+    """A bundle builds each distinct lexicons payload once and shares the object."""
+
+    def _payload(self, emotions):
+        one = bundle_to_dict(train_all(small_corpus(n=60), ["joy"], TrainConfig(**FAST)))
+        # JSON copies, as load_bundle reads them: equal payloads, distinct objects.
+        models = {e: json.loads(json.dumps(one["models"]["joy"])) for e in emotions}
+        return dict(one, emotions=list(emotions), models=models)
+
+    def _builds(self, monkeypatch):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(LexiconSet(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(features, "LexiconSet", build)
+        return built
+
+    def test_six_equal_payloads_build_one_lexicon_set(self, monkeypatch):
+        payload = self._payload(("joy", "anger", "sadness", "fear", "love", "surprise"))
+        built = self._builds(monkeypatch)
+        bundle = bundle_from_dict(payload)
+        assert len(built) == 1
+        assert all(em.extractor.lexicons is built[0] for em in bundle)
+        assert len({id(em.extractor.emoticons) for em in bundle}) == 1
+        assert len(bundle.prediction_groups) == 1
+        assert bundle_to_dict(bundle) == payload
+
+    def test_two_distinct_payloads_build_two(self, monkeypatch):
+        payload = self._payload(("joy", "anger", "fear"))
+        payload["models"]["anger"]["extractor"]["lexicons"]["politeness"]["zyblor"] = 0.5
+        built = self._builds(monkeypatch)
+        bundle = bundle_from_dict(payload)
+        assert len(built) == 2
+        lexicons = [em.extractor.lexicons for em in bundle]
+        assert lexicons[0] is lexicons[2] is built[0] and lexicons[1] is built[1]
+        assert len({id(em.extractor.emoticons) for em in bundle}) == 1
+        assert [g.emotions for g in bundle.prediction_groups] == [("joy", "fear"), ("anger",)]
+        assert bundle_to_dict(bundle) == payload
+
+    def test_a_bad_later_payload_fails_as_when_loaded_alone(self):
+        payload = self._payload(("joy", "anger"))
+        payload["models"]["anger"]["extractor"]["lexicons"]["sentiment"]["good"] = 9
+        with pytest.raises(ParseError) as alone:
+            bundle_from_dict(dict(payload, emotions=["anger"]))
+        with pytest.raises(ParseError) as after_another:
+            bundle_from_dict(payload)
+        assert str(after_another.value) == str(alone.value)
