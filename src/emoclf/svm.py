@@ -19,9 +19,13 @@ component, so ``w``'s last slot is the intercept.
 Cross-validation solves many problems that share rows: each fold at every
 cost of a grid.  ``solve_folds`` runs consecutive folds together, one numpy
 step per coordinate step for every (fold, cost) pair, and each pair ends
-where ``train_dual_cd`` would.  The solver state (padded rows, a weight
-matrix and a multiplier matrix) grows with the group, so a group takes
-folds only while ``state_bytes`` stays within ``LOCKSTEP_STATE_BYTES``.
+where ``train_dual_cd`` would.  The solver state (each row's real
+entries, a weight matrix and a multiplier matrix) grows with the group, so
+a group takes folds only while ``state_bytes`` stays within
+``LOCKSTEP_STATE_BYTES``.  The steps of a sweep run in chunks, each
+gathering its rows as wide as its own widest row and ending before (steps x
+widest row) would pass a fixed slot count, so a long row takes a short chunk
+instead of widening every step of its group.
 Single problems, such as final models, run on ``train_dual_cd``.
 
 Scoring takes one dot product per row.  ``stacked_decision_values`` scores
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, DegenerateClass, DimensionError, NumericError
 from .features import FeatureMatrix
@@ -264,13 +269,16 @@ def train_dual_cd(
 
 # --- lockstep: many problems, one step at a time ---------------------------
 
-_LOCKSTEP_CHUNK = 64     # sweep steps whose rows are gathered together
+# A chunk of sweep steps has its rows gathered together, each as wide as the
+# chunk's widest row, so a chunk takes steps only while (steps x widest row)
+# stays within this many slots; a row wider than that gets a chunk of its own.
+_CHUNK_SLOTS = 64 * 64
 
 
 # Folds are solved together, each at every cost, in groups whose solver state
 # (``state_bytes``) stays within this many bytes.  Wider groups solve faster
 # but raise peak memory; the width follows from the input shapes.
-LOCKSTEP_STATE_BYTES = 4 * 2**20
+LOCKSTEP_STATE_BYTES = 8 * 2**20
 
 
 def solve_folds(
@@ -290,110 +298,136 @@ def solve_folds(
     products (about 1e-15).  Problems are pulled one at a time and packed
     into groups of consecutive ones, each solved once the next problem would
     take its state past ``LOCKSTEP_STATE_BYTES`` or none is left; a group
-    holds at least one.  Each model is yielded as its pair stops, so the
-    weight vectors do not pile up beside the state.
+    holds at least one.  A problem's rows are packed into its group as it
+    arrives, so the problems do not pile up before the solve, and each model
+    is yielded as its pair stops, so the weight vectors do not either.
     """
     if not c_values or not all(math.isfinite(c) and c > 0 for c in c_values):
         raise ContractViolation("costs must be a non-empty run of positive finite values")
     SolverParams(eps=eps, max_outer_iters=max_outer_iters)     # checks the stopping rule
     c_values = tuple(float(c) for c in c_values)
-    group: list[TrainingProblem] = []       # emptied as each group is packed
-    seeds: list[int] = []
-    first = 0                               # index of the group's first problem
+    group: _Lockstep | None = None
     for index, (problem, seed) in enumerate(problems):
-        if group and state_bytes(group + [problem], len(c_values)) > LOCKSTEP_STATE_BYTES:
-            yield from _Lockstep(group, c_values).run(first, seeds, eps, max_outer_iters, monitor)
-            first, seeds = index, []
-        group.append(problem)
-        seeds.append(seed)
-        del problem     # packing empties the group, so its rows can go
-    if group:
-        yield from _Lockstep(group, c_values).run(first, seeds, eps, max_outer_iters, monitor)
+        size = state_bytes([problem], len(c_values))
+        if group is not None and group.state_bytes + size > LOCKSTEP_STATE_BYTES:
+            yield from group.run(eps, max_outer_iters, monitor)
+            group = None
+        if group is None:
+            group = _Lockstep(index, problem.loss, c_values)
+        group.add(problem, seed, size)
+        del problem     # packed, so its CSR rows can go
+    if group is not None:
+        yield from group.run(eps, max_outer_iters, monitor)
 
 
 def state_bytes(problems: Sequence[TrainingProblem], n_costs: int) -> int:
     """Bytes of the lockstep solver state for ``problems`` at ``n_costs`` costs.
 
-    That is the padded rows (an int32 index and a float64 value per slot,
-    every row as long as the longest), one weight matrix and one multiplier
-    matrix, all padded to the largest problem.
+    That is each row's entries (an int32 column and a float64 value), and a
+    weight per feature and a multiplier per row at every cost.
     """
-    rows, nnz, dimension = _padded_shape(problems)
-    return len(problems) * (rows * nnz * 12 + (dimension + rows) * n_costs * 8)
-
-
-def _padded_shape(problems: Sequence[TrainingProblem]) -> tuple[int, int, int]:
-    """Rows, slots per row and dimension that every problem is padded to."""
-    return (max(p.n_rows for p in problems),
-            max(int(np.diff(p.indptr).max()) for p in problems),
-            max(p.dimension for p in problems))
+    return sum(len(p.indices) * 12 + (p.dimension + p.n_rows) * n_costs * 8
+               for p in problems)
 
 
 class _Lockstep:
-    """Packed rows and solver state of one ``solve_folds`` group."""
+    """Compact rows and solver state of one ``solve_folds`` group.
 
-    def __init__(self, problems: list[TrainingProblem], c_values: tuple[float, ...]):
-        """Pack ``problems``, then empty the list so their CSR rows can go."""
-        folds = len(problems)
-        self.loss = problems[0].loss
-        if any(p.loss != self.loss for p in problems):
+    Row ``row_start[f] + i`` is row i of fold f; its entries are one run of
+    the flat ``cols`` and ``vals``, from ``starts[r]`` for ``lengths[r]``
+    entries.  Its columns index the weight table, whose row
+    ``weight_start[f] + j`` is feature j of fold f.  Values carry the row's
+    sign y_i.  The last row is a zero-length sink with an infinite norm: a
+    fold steps on it past its own last row, and those steps are exactly
+    zero.  A chunk reads each row as the window of the flat runs at its
+    start, as wide as the chunk's widest row, and turns the slots past the
+    row's end into padding: column the weight table's last row, value 0, so
+    that row stays 0.
+    """
+
+    def __init__(self, first: int, loss: str, c_values: tuple[float, ...]):
+        self.first = first                  # index of the group's first problem
+        self.loss = loss
+        self.c_values = c_values
+        self.state_bytes = 0
+        self.seeds: list[int] = []
+        self.n_rows: list[int] = []
+        self.dims: list[int] = []
+        self._parts: list[tuple[np.ndarray, ...]] = []   # per fold, until ``run`` joins them
+
+    def add(self, p: TrainingProblem, seed: int, size: int) -> None:
+        """Pack ``p``'s rows as the group's next fold; ``size`` is its ``state_bytes``."""
+        if p.loss != self.loss:
             raise ContractViolation("lockstep problems must share one loss")
-        self.n_rows = np.array([p.n_rows for p in problems])
-        self.dims = [p.dimension for p in problems]
-        n, nnz, d = _padded_shape(problems)
-        self.rows_per_fold, self.dim_per_fold = n, d
-
-        # Row f*n + i is row i of fold f; its slots index the weight table,
-        # whose row f*d + j is feature j of fold f.  Padded slots point at
-        # the table's last row with value 0, so that row stays 0.  Values
-        # carry the row's sign y_i.  Padded rows get an infinite norm, so
-        # their steps are exactly zero.
-        self.cols = np.full((folds * n, nnz), folds * d, dtype=np.int32)
-        self.vals = np.zeros((folds * n, nnz))
-        self.norms = np.full(folds * n, np.inf)     # ||x_i||^2
-        self.scale = np.ones(folds * n)             # row i's multiplier on C
-        for f in range(folds):
-            self._pack(f, problems[f])
-        problems.clear()
-
-        self.costs = np.asarray(c_values)           # of the state's columns
-        self.cost_of = np.arange(len(c_values))     # state column -> cost index
-        self.w = np.zeros((folds * d + 1, len(c_values)))
-        self.alpha = np.zeros((folds * n, 1, len(c_values)))
-        self.live = np.ones((folds, len(c_values)), dtype=bool)
-
-    def _pack(self, f: int, p: TrainingProblem) -> None:
-        n, d = self.rows_per_fold, self.dim_per_fold
         lengths = np.diff(p.indptr)
-        row = np.repeat(np.arange(p.n_rows), lengths)
-        slot = np.arange(len(p.indices)) - p.indptr[row]
-        self.cols[f * n + row, slot] = p.indices + f * d
-        self.vals[f * n + row, slot] = p.y[row] * p.data
         bounds = p.indptr.tolist()
-        self.norms[f * n:f * n + p.n_rows] = [p.data[a:b] @ p.data[a:b]
-                                              for a, b in zip(bounds, bounds[1:])]
-        self.scale[f * n:f * n + p.n_rows] = np.where(p.y > 0, p.pos_cost, 1.0)
+        self._parts.append((
+            (p.indices + sum(self.dims)).astype(np.int32),
+            np.repeat(p.y, lengths) * p.data,
+            lengths,
+            np.array([p.data[a:b] @ p.data[a:b] for a, b in zip(bounds, bounds[1:])]),
+            np.where(p.y > 0, p.pos_cost, 1.0),         # row i's multiplier on C
+        ))
+        self.seeds.append(seed)
+        self.n_rows.append(p.n_rows)
+        self.dims.append(p.dimension)
+        self.state_bytes += size
 
-    def run(self, first: int, seeds: Sequence[int], eps: float, max_sweeps: int,
-            monitor: TrainingMonitor | None):
+    def _join(self) -> None:
+        """Join the folds' rows into the group's, and make the solver state."""
+        # Each kind of fold part goes as soon as it is joined, so the rows
+        # are held twice over one kind at a time.
+        cols, vals, lengths, norms, scale = (list(part) for part in zip(*self._parts))
+        self._parts.clear()
+        self.lengths = np.concatenate(lengths + [[0]])
+        # The flat runs end in one longest row of zeros, so that every row's
+        # window fits; pad_windows[longest - n] marks the slots past a row
+        # of n entries.
+        longest = self.longest = int(self.lengths.max())
+        self.cols = np.concatenate(cols + [np.zeros(longest, np.int32)])
+        del cols
+        self.vals = np.concatenate(vals + [np.zeros(longest)])
+        del vals
+        self.col_windows = sliding_window_view(self.cols, longest)
+        self.val_windows = sliding_window_view(self.vals, longest)
+        self.pad_windows = sliding_window_view(np.arange(2 * longest) >= longest, longest)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.norms = np.concatenate(norms + [[np.inf]])      # ||x_i||^2
+        self.scale = np.concatenate(scale + [[1.0]])
+        self.row_start = np.concatenate([[0], np.cumsum(self.n_rows)])
+        self.weight_start = np.concatenate([[0], np.cumsum(self.dims)])
+        self.sink = len(self.lengths) - 1
+
+        costs = len(self.c_values)
+        self.costs = np.asarray(self.c_values)      # of the state's columns
+        self.cost_of = np.arange(costs)             # state column -> cost index
+        self.w = np.zeros((self.weight_start[-1] + 1, costs))
+        self.alpha = np.zeros((len(self.lengths), 1, costs))
+        self.live = np.ones((len(self.n_rows), costs), dtype=bool)
+
+    def run(self, eps: float, max_sweeps: int, monitor: TrainingMonitor | None):
+        self._join()
         folds, costs = self.live.shape
-        n = self.rows_per_fold
-        rngs = [np.random.RandomState(seed & 0xFFFFFFFF) for seed in seeds]
+        n_rows = np.array(self.n_rows)
+        rngs = [np.random.RandomState(seed & 0xFFFFFFFF) for seed in self.seeds]
         if monitor is not None:
             monitor.trainings += folds * costs
         for sweep in range(1, max_sweeps + 1):
             active = np.flatnonzero(self.live.any(axis=1))
-            order = np.empty((n, len(active)), dtype=np.intp)   # step x fold -> row
+            n = int(n_rows[active].max())
+            order = np.full((n, len(active)), self.sink)    # step x fold -> row
             for j, f in enumerate(active):
-                m = self.n_rows[f]
-                order[:m, j] = rngs[f].permutation(m)
-                order[m:, j] = np.arange(m, n)
-            order += active * n
-            real = np.arange(n)[:, None] < self.n_rows[active]
+                order[:n_rows[f], j] = rngs[f].permutation(n_rows[f]) + self.row_start[f]
+            widths = self.lengths[order].max(axis=1)
             violation = np.zeros((len(active), 1, len(self.costs)))
-            for start in range(0, n, _LOCKSTEP_CHUNK):
-                chunk = slice(start, start + _LOCKSTEP_CHUNK)
-                self._steps(active, order[chunk], real[chunk], violation, monitor)
+            start = 0
+            while start < n:
+                widest = np.maximum.accumulate(widths[start:start + _CHUNK_SLOTS])
+                fits = widest * np.arange(1, len(widest) + 1) <= _CHUNK_SLOTS
+                steps = max(1, int(np.count_nonzero(fits)))
+                rows = order[start:start + steps]
+                self._steps(active, rows, int(widest[steps - 1]), violation, monitor)
+                start += steps
 
             alive = self.live[active]
             if monitor is not None:
@@ -402,19 +436,25 @@ class _Lockstep:
             stop = alive & ((violation < eps) | (sweep == max_sweeps))
             for j, col in zip(*np.nonzero(stop)):
                 f = int(active[j])
-                model = self._finish(f, col, seeds[f], sweep, float(violation[j, col]), eps)
-                yield first + f, int(self.cost_of[col]), model
+                model = self._finish(f, col, sweep, float(violation[j, col]), eps)
+                yield self.first + f, int(self.cost_of[col]), model
             if not self.live.any():
                 break
             self._drop_dead_columns()
         if monitor is not None:
             monitor.final_alpha = self._last_alpha
 
-    def _steps(self, active, rows, real, violation, monitor) -> None:
+    def _steps(self, active, rows, width, violation, monitor) -> None:
         """One step per row of ``rows`` (steps x folds), at every cost of the state."""
-        cols = self.cols[rows]
-        vals = self.vals[rows][:, :, None, :]            # (steps, folds, 1, nnz)
-        vals_t = vals.transpose(0, 1, 3, 2)              # (steps, folds, nnz, 1)
+        starts = self.starts[rows]
+        pad = self.pad_windows[self.longest - self.lengths[rows], :width]
+        cols = self.col_windows[starts, :width].astype(np.intp)
+        cols[pad] = len(self.w) - 1
+        vals = self.val_windows[starts, :width]
+        vals[pad] = 0.0
+        del pad
+        vals = vals[:, :, None, :]                       # (steps, folds, 1, width)
+        vals_t = vals.transpose(0, 1, 3, 2)              # (steps, folds, width, 1)
         # Bounds and curvature per (step, fold, 1, cost), computed as
         # _bounds_and_diag and train_dual_cd do; stopped pairs get an
         # infinite curvature, so their steps are exactly zero.
@@ -433,7 +473,7 @@ class _Lockstep:
         w, alpha = self.w, self.alpha
         for t in range(len(rows)):
             r, c = rows[t], cols[t]
-            wg = w.take(c, axis=0)                       # (folds, nnz, costs)
+            wg = w.take(c, axis=0)                       # (folds, width, costs)
             a = alpha.take(r, axis=0, out=before[t])
             g = np.subtract(np.matmul(vals[t], wg), 1.0, out=gradient[t])
             if dcoef is not None:
@@ -450,7 +490,7 @@ class _Lockstep:
         projected = np.where(before <= 0.0, np.minimum(gradient, 0.0), gradient)
         if upper is not None:
             projected = np.where(before >= upper, np.maximum(projected, 0.0), projected)
-        projected = np.abs(projected) * real[:, :, None, None]
+        projected = np.abs(projected) * (rows != self.sink)[:, :, None, None]
         np.maximum(violation, projected.max(axis=0), out=violation)
         if monitor is not None:
             moved = delta != 0.0
@@ -460,18 +500,20 @@ class _Lockstep:
             monitor.objective_decreases += int(np.count_nonzero(gain < 0.0))
             monitor.dual_objective += float(gain.sum())
 
-    def _finish(self, f, col, seed, sweeps, violation, eps) -> LinearModel:
+    def _finish(self, f, col, sweeps, violation, eps) -> LinearModel:
         """Read out and check one stopped (fold, cost) pair, and stop it."""
-        n, d, dim = self.rows_per_fold, self.dim_per_fold, self.dims[f]
-        rows = slice(f * n, f * n + self.n_rows[f])
-        w = self.w[f * d:f * d + dim, col].copy()
-        alpha = self._last_alpha = self.alpha[rows, 0, col].copy()
-        reference = np.bincount((self.cols[rows] - f * d).ravel(),
-                                weights=(alpha[:, None] * self.vals[rows]).ravel(),
-                                minlength=dim)[:dim]
+        first, last = self.row_start[f], self.row_start[f + 1]
+        entries = slice(self.starts[first], self.starts[last])
+        offset, dim = self.weight_start[f], self.dims[f]
+        w = self.w[offset:offset + dim, col].copy()
+        alpha = self._last_alpha = self.alpha[first:last, 0, col].copy()
+        reference = np.bincount(self.cols[entries] - offset,
+                                weights=np.repeat(alpha, self.lengths[first:last])
+                                * self.vals[entries],
+                                minlength=dim)
         _check_weight_consistency(w, reference)
         self.live[f, col] = False
-        return LinearModel(w=w, loss=self.loss, seed=seed, sweeps=sweeps,
+        return LinearModel(w=w, loss=self.loss, seed=self.seeds[f], sweeps=sweeps,
                            final_violation=violation, converged=violation < eps)
 
     def _drop_dead_columns(self) -> None:

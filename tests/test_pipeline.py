@@ -2,7 +2,10 @@ import concurrent.futures
 import itertools
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +359,46 @@ class TestLockstepCrossValidation:
         # The row dots sum in another order, so violations agree to rounding.
         assert [s.final_violation for s in got] == pytest.approx(
             [s.final_violation for s in expected], rel=1e-9, abs=1e-12)
+
+
+# Trains the C07 corpus, then the same corpus plus four identical documents
+# of 4,000 distinct words labeled positive, and prints each training's
+# seconds and the process's peak RSS in KiB after it.
+LONG_DOCUMENTS = """
+import time
+from emoclf.corpus import Document, LabeledDocument
+from emoclf.pipeline import TrainConfig, train_all
+from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
+def peak():
+    with open("/proc/self/status") as status:
+        return next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+gold = generate_planted_corpus(1200, {"joy": DEFAULT_KEYWORDS}, noise=0.05, seed=11)
+text = " ".join("x" + "".join(chr(97 + i // 26**k % 26) for k in range(4)) for i in range(4000))
+long = [LabeledDocument(Document(f"long{k}", text), {"joy": 1}) for k in range(4)]
+for docs in (gold, gold + long):
+    started = time.perf_counter()
+    train_all(docs, ["joy"], TrainConfig())
+    print(time.perf_counter() - started, peak())
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_long_documents_train_in_bounded_time_and_memory():
+    # While the lockstep padded every row of a group to its longest, these
+    # four documents (about 8,000 entries a row, against at most about 50)
+    # made training 38 times slower and raised the peak by 193 MiB
+    # (Python 3.11, x86-64 Linux).
+    src = Path(pipeline.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", LONG_DOCUMENTS],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    (plain, plain_peak), (long, long_peak) = (
+        map(float, line.split()) for line in result.stdout.splitlines())
+    assert long <= 5 * plain, f"{long:.2f} s against {plain:.2f} s"
+    assert (long_peak - plain_peak) / 1024 <= 24
 
 
 class TestHeldoutCheck:

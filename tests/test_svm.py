@@ -65,6 +65,17 @@ def sparse_problem(rng, n, d, loss, pos_cost=1.0):
     return TrainingProblem.from_matrix(rows, y, C=1.0, loss=loss, pos_cost=pos_cost), rows, y
 
 
+def ragged_problem(rng, n, d, wide, loss, pos_cost=1.0):
+    """``sparse_problem``'s rows, then one row over ``wide`` more features and two bias-only rows."""
+    X = np.zeros((n + 3, d + wide))
+    X[:n, :d] = rng.randn(n, d) * (rng.rand(n, d) < 0.6)
+    X[n] = rng.randn(d + wide)
+    rows = FeatureMatrix.from_pairs([[(j, v) for j, v in enumerate(row)] for row in X], d + wide)
+    y = np.ones(n + 3, dtype=int)
+    y[rng.permutation(n + 3)[: (n + 3) // 2]] = -1
+    return TrainingProblem.from_matrix(rows, y, C=1.0, loss=loss, pos_cost=pos_cost)
+
+
 def lockstep_models(problems, c_values, params, monitor=None):
     """{(problem index, cost index): model} from one ``solve_folds`` call.
 
@@ -359,30 +370,41 @@ class TestLockstep:
     @settings(max_examples=40, deadline=None)
     def test_each_pair_matches_the_scalar_solver(self, seed, loss, pos_cost, max_outer_iters):
         rng = np.random.RandomState(seed)
-        # Folds differ in row count and dimension, so rows and weights are padded.
+        # Folds differ in row count and dimension, and one has a row far
+        # longer than the rest and bias-only rows, so chunks differ in width.
         problems = [
             sparse_problem(rng, int(rng.randint(2, 16)), int(rng.randint(1, 6)), loss, pos_cost)[0]
-            for _ in range(rng.randint(1, 4))
+            for _ in range(rng.randint(0, 3))
         ]
+        problems.insert(rng.randint(len(problems) + 1), ragged_problem(
+            rng, int(rng.randint(2, 16)), int(rng.randint(1, 6)), int(rng.randint(30, 300)),
+            loss, pos_cost))
         c_values = tuple(sorted({round(float(c), 4) for c in 10 ** rng.uniform(-2, 1, 3)}))
         params = [SolverParams(eps=1e-3, max_outer_iters=max_outer_iters,
                                seed=int(rng.randint(2**31))) for _ in problems]
-        monitor, scalar = TrainingMonitor(), TrainingMonitor()
-        models = lockstep_models(problems, c_values, params, monitor)
-        assert sorted(models) == [(f, g) for f in range(len(problems))
-                                  for g in range(len(c_values))]
-        for (f, g), model in sorted(models.items()):
-            reference = train_dual_cd(replace(problems[f], C=c_values[g]), params[f], scalar)
-            assert (model.sweeps, model.converged) == (reference.sweeps, reference.converged)
-            assert np.max(np.abs(model.w - reference.w)) <= 1e-9
-            assert model.final_violation == pytest.approx(
-                reference.final_violation, rel=1e-9, abs=1e-12)
-            assert (model.loss, model.seed) == (loss, params[f].seed)
-        # Steps are not compared: a step of about 1e-16 can round to zero on
-        # one path and not the other, since the row dots sum in another order.
-        assert (monitor.trainings, monitor.sweeps) == (scalar.trainings, scalar.sweeps)
-        assert monitor.objective_decreases == 0
-        assert monitor.dual_objective == pytest.approx(scalar.dual_objective, rel=1e-9, abs=1e-9)
+        scalar = TrainingMonitor()
+        references = {(f, g): train_dual_cd(replace(problems[f], C=c_values[g]), params[f], scalar)
+                      for f in range(len(problems)) for g in range(len(c_values))}
+        # Every step its own chunk, the default, and one chunk per sweep.
+        for slots in (1, svm._CHUNK_SLOTS, 10**9):
+            monitor = TrainingMonitor()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(svm, "_CHUNK_SLOTS", slots)
+                models = lockstep_models(problems, c_values, params, monitor)
+            assert sorted(models) == sorted(references)
+            for (f, g), model in sorted(models.items()):
+                reference = references[f, g]
+                assert (model.sweeps, model.converged) == (reference.sweeps, reference.converged)
+                assert np.max(np.abs(model.w - reference.w)) <= 1e-9
+                assert model.final_violation == pytest.approx(
+                    reference.final_violation, rel=1e-9, abs=1e-12)
+                assert (model.loss, model.seed) == (loss, params[f].seed)
+            # Steps are not compared: a step of about 1e-16 can round to zero on
+            # one path and not the other, since the row dots sum in another order.
+            assert (monitor.trainings, monitor.sweeps) == (scalar.trainings, scalar.sweeps)
+            assert monitor.objective_decreases == 0
+            assert monitor.dual_objective == pytest.approx(
+                scalar.dual_objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("loss", [L1_HINGE, L2_HINGE])
     def test_objectives_match_the_reference_solver(self, loss):
@@ -415,13 +437,20 @@ class TestLockstep:
         assert np.array_equal(got, expected)
         assert got.flags.c_contiguous
 
-    def test_state_bytes_counts_padded_rows_weights_and_multipliers(self):
+    def test_state_bytes_counts_real_entries_weights_and_multipliers(self):
         rng = np.random.RandomState(2)
         small = TrainingProblem.from_matrix(dense_rows(rng.randn(4, 2)), [1, -1, 1, -1], C=1.0)
         large = TrainingProblem.from_matrix(dense_rows(rng.randn(6, 5)), [1, -1] * 3, C=1.0)
-        # Two folds padded to 6 rows of 6 slots (5 features + bias), dimension 6.
-        assert state_bytes([small, large], 3) == 2 * (6 * 6 * 12 + (6 + 6) * 3 * 8)
+        # 4 rows of 3 entries (2 features + bias) in dimension 3; 6 rows of 6 in dimension 6.
         assert state_bytes([small], 3) == 4 * 3 * 12 + (3 + 4) * 3 * 8
+        assert state_bytes([small, large], 3) == (4 * 3 * 12 + (3 + 4) * 3 * 8
+                                                  + 6 * 6 * 12 + (6 + 6) * 3 * 8)
+        # Lengthening one row by 35 entries adds those entries only.
+        pairs = [[(j, 1.0) for j in range(5)] for _ in range(6)]
+        short = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3, C=1.0)
+        pairs[0] = [(j, 1.0) for j in range(40)]
+        long = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3, C=1.0)
+        assert state_bytes([long], 3) == state_bytes([short], 3) + 35 * 12
 
     def test_solves_one_problem_and_nothing_for_none(self):
         models = list(solve_folds([(two_point_problem(), 3)], (1.0,), 1e-10, 1000))
