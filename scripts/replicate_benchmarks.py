@@ -88,11 +88,12 @@ def run() -> int:
                         help="published metrics CSV: emotion,precision,recall,f1")
     parser.add_argument("--out", default=None, help="write the report CSV here")
     parser.add_argument("--save-model", default=None, help="also keep the bundle")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--train-fraction", type=float, default=0.7)
-    parser.add_argument("--min-df", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=1)
+    defaults = TrainConfig()
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--folds", type=int, default=defaults.folds)
+    parser.add_argument("--train-fraction", type=float, default=defaults.train_fraction)
+    parser.add_argument("--min-df", type=int, default=defaults.min_df)
+    parser.add_argument("--jobs", type=int, default=defaults.jobs)
     args = parser.parse_args()
 
     gold, header_emotions = read_gold_corpus(args.gold)

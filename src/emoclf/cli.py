@@ -27,7 +27,6 @@ from .errors import (
 )
 from .lexicons import load_emoticons, load_lexicons
 from .pipeline import (
-    DEFAULT_C_GRID,
     TrainConfig,
     TuningGrid,
     check_heldout_partitions,
@@ -38,6 +37,7 @@ from .pipeline import (
     save_bundle,
     train_all,
 )
+from .svm import L1_HINGE, L2_HINGE
 
 LEXICON_DIR_ENV = "EMOCLF_LEXICONS"
 
@@ -100,35 +100,36 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of the gold columns (default: all of them)",
     )
-    train.add_argument("--train-fraction", type=float, default=0.7,
+    defaults = TrainConfig()
+    train.add_argument("--train-fraction", type=float, default=defaults.train_fraction,
                        help="share of each class kept for training")
-    train.add_argument("--folds", type=int, default=10,
+    train.add_argument("--folds", type=int, default=defaults.folds,
                        help="cross-validation folds for cost tuning")
     train.add_argument(
         "--grid",
         type=_parse_grid,
-        default=TuningGrid(),
+        default=defaults.grid,
         help="comma-separated cost values (sorted before use); default "
-        + ",".join(str(c) for c in DEFAULT_C_GRID),
+        + ",".join(str(c) for c in defaults.grid.c_values),
     )
-    train.add_argument("--seed", type=int, default=42, help="master random seed")
-    train.add_argument("--min-df", type=int, default=2,
+    train.add_argument("--seed", type=int, default=defaults.seed, help="master random seed")
+    train.add_argument("--min-df", type=int, default=defaults.min_df,
                        help="drop n-grams seen in fewer training documents")
-    train.add_argument("--loss", choices=("l1", "l2"), default="l2",
+    train.add_argument("--loss", choices=(L1_HINGE, L2_HINGE), default=defaults.loss,
                        help="hinge loss variant")
-    train.add_argument("--eps", type=float, default=0.1,
+    train.add_argument("--eps", type=float, default=defaults.eps,
                        help="solver tolerance on the projected gradient")
-    train.add_argument("--max-iters", type=int, default=1000,
+    train.add_argument("--max-iters", type=int, default=defaults.max_outer_iters,
                        help="solver outer-sweep cap")
     train.add_argument("--shared-split", action="store_true",
                        help="one train/test split shared by all emotions "
                        "(stratified by the first) instead of one per emotion")
-    train.add_argument("--jobs", type=int, default=1,
+    train.add_argument("--jobs", type=int, default=defaults.jobs,
                        help="parallel processes; the emotions are cut into this many "
                        "contiguous runs, one process each, never more than the emotions")
-    train.add_argument("--positive-cost", type=float, default=1.0,
+    train.add_argument("--positive-cost", type=float, default=defaults.positive_cost,
                        help="cost multiplier for positive examples")
-    train.add_argument("--tune-metric", choices=("accuracy", "f1"), default="accuracy",
+    train.add_argument("--tune-metric", choices=("accuracy", "f1"), default=defaults.tune_metric,
                        help="cross-validation selection metric")
     train.add_argument("--log-tuning", default=None,
                        help="write every (emotion,fold,C,accuracy) evaluation to this CSV")

@@ -52,7 +52,6 @@ import numpy as np
 
 from .corpus import (
     LabeledDocument,
-    _train_count,
     atomic_write,
     stratified_split,
     validate_emotion_name,
@@ -378,24 +377,26 @@ def _signs(labels) -> list[int]:
     return [1 if value else -1 for value in labels]
 
 
+def _fitted_problem(
+    counts: CorpusCounts, labels: Sequence[int], rows: np.ndarray, C: float, config: TrainConfig,
+) -> tuple[FittedExtractor, FeatureMatrix, TrainingProblem]:
+    """An extractor fitted on ``rows`` of ``counts``, all rows' features, and the rows' problem."""
+    fitted = fit_counts(counts.take(rows), config.min_df)
+    features = transform_counts(counts, fitted)     # one call: each maps the whole term table
+    problem = TrainingProblem.from_matrix(features.take(rows), _signs(labels[i] for i in rows),
+                                          C=C, loss=config.loss, pos_cost=config.positive_cost)
+    return fitted, features, problem
+
+
 def _fold_problem(
-    counts: CorpusCounts,
-    labels: Sequence[int],
-    assignment: np.ndarray,
-    fold: int,
+    counts: CorpusCounts, labels: Sequence[int], assignment: np.ndarray, fold: int,
     config: TrainConfig,
 ) -> tuple[TrainingProblem, FeatureMatrix, list[int]]:
     """The fold's training problem, and its held-out rows and labels."""
     train_idx = np.flatnonzero(assignment != fold)
     held_idx = np.flatnonzero(assignment == fold)
-    features = transform_counts(counts, fit_counts(counts.take(train_idx), config.min_df))
-    problem = TrainingProblem.from_matrix(
-        features.take(train_idx),
-        _signs(labels[i] for i in train_idx),
-        C=1.0,      # solve_folds solves at every cost of the grid
-        loss=config.loss,
-        pos_cost=config.positive_cost,
-    )
+    # C is a placeholder: solve_folds solves at every cost of the grid.
+    _, features, problem = _fitted_problem(counts, labels, train_idx, 1.0, config)
     return problem, features.take(held_idx), [labels[i] for i in held_idx]
 
 
@@ -481,21 +482,10 @@ def _final_model(
 ) -> EmotionModel:
     """Pick the cost from ``folds`` and train on the whole train partition at it."""
     chosen_c, cv_accuracy = _choose_cost(folds, config)
-    fitted = fit_counts(counts, config.min_df)
-    problem = TrainingProblem.from_matrix(
-        transform_counts(counts, fitted),
-        _signs(labels),
-        C=chosen_c,
-        loss=config.loss,
-        pos_cost=config.positive_cost,
-    )
-    emotion_seed = derive_seed(config.seed, "emotion", emotion)
-    model = train_dual_cd(
-        problem,
-        SolverParams(eps=config.eps, max_outer_iters=config.max_outer_iters,
-                     seed=derive_seed(emotion_seed, "final")),
-        monitor=config.monitor,
-    )
+    fitted, _, problem = _fitted_problem(counts, labels, np.arange(len(labels)), chosen_c, config)
+    seed = derive_seed(derive_seed(config.seed, "emotion", emotion), "final")
+    params = SolverParams(eps=config.eps, max_outer_iters=config.max_outer_iters, seed=seed)
+    model = train_dual_cd(problem, params, monitor=config.monitor)
     return EmotionModel(
         emotion=emotion,
         extractor=fitted,
@@ -726,14 +716,17 @@ def check_heldout_partitions(
 ) -> None:
     """Raise ``EmptyCorpus`` when an emotion's split would hold out no documents.
 
-    Split sizes follow from the class sizes alone (see ``stratified_split``),
-    so this needs no training; ``evaluate_heldout`` would raise the same
-    error after it.  A split with an empty class is left to fail in training.
+    Each emotion's split is made as training would make it, so this needs
+    no training; ``evaluate_heldout`` would raise the same error after it.
+    A split with an empty class is left to fail in training.
     """
     for emotion in emotions:
-        labels = _labels_for(gold, emotions[0] if config.shared_split else emotion)
-        sizes = (sum(1 for value in labels if value), sum(1 for value in labels if not value))
-        if all(sizes) and all(_train_count(n, config.train_fraction) == n for n in sizes):
+        try:
+            split = stratified_split(gold, emotions[0] if config.shared_split else emotion,
+                                     config.train_fraction, split_seed_for(emotion, config))
+        except DegenerateClass:
+            continue
+        if not split.test_index:
             raise _no_heldout(emotion, config.train_fraction)
 
 

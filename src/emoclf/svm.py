@@ -26,7 +26,11 @@ a group takes folds only while ``state_bytes`` stays within
 gathering its rows as wide as its own widest row and ending before (steps x
 widest row) would pass a fixed slot count, so a long row takes a short chunk
 instead of widening every step of its group.
-Single problems, such as final models, run on ``train_dual_cd``.
+Single problems, such as final models, run on ``train_dual_cd``.  Both
+solvers take each row's squared norm and multiplier on C from its
+``TrainingProblem``, where they are worked out once, and bounds and
+curvature from ``_bounds_and_diag``.  Solvers and scoring sum a row's
+products only through ``_row_dot``.
 
 Scoring takes one dot product per row.  ``stacked_decision_values`` scores
 the stacked rows of several models in one pass; ``decision_values`` is its
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -51,6 +56,8 @@ L1_HINGE = "l1"
 L2_HINGE = "l2"
 
 _W_CONSISTENCY_TOL = 1e-8
+# Every sum of a row's products: ``a @ b``, for two rows or stacks of them.
+_row_dot = np.matmul
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,17 @@ class TrainingProblem:
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         start, end = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:end], self.data[start:end]
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """||x_i||^2 of every row, bias included."""
+        data, bounds = self.data, self.indptr.tolist()
+        return np.array([_row_dot(data[a:b], data[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+    @cached_property
+    def cost_scale(self) -> np.ndarray:
+        """Each row's multiplier on C: ``pos_cost`` for a positive row, else 1."""
+        return np.where(self.y > 0, self.pos_cost, 1.0)
 
     @classmethod
     def from_matrix(
@@ -182,16 +200,11 @@ class LinearModel:
     converged: bool | None = None          # final_violation < eps
 
 
-def _bounds_and_diag(problem: TrainingProblem) -> tuple[np.ndarray, np.ndarray]:
-    n = problem.n_rows
-    costs = problem.C * np.where(problem.y > 0, problem.pos_cost, 1.0)
-    if problem.loss == L1_HINGE:
-        upper = costs
-        dcoef = np.zeros(n)
-    else:
-        upper = np.full(n, np.inf)
-        dcoef = 1.0 / (2.0 * costs)
-    return upper, dcoef
+def _bounds_and_diag(loss: str, row_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's upper bound on alpha and diagonal shift under ``loss``, from its cost."""
+    if loss == L1_HINGE:
+        return row_costs, np.zeros_like(row_costs)
+    return np.full_like(row_costs, np.inf), 1.0 / (2.0 * row_costs)
 
 
 def train_dual_cd(
@@ -206,13 +219,9 @@ def train_dual_cd(
     """
     n = problem.n_rows
     indptr, indices, data, y = problem.indptr, problem.indices, problem.data, problem.y
-    upper, dcoef = _bounds_and_diag(problem)
-
-    qdiag = np.empty(n)
-    for i in range(n):
-        start, end = indptr[i], indptr[i + 1]
-        row = data[start:end]
-        qdiag[i] = row @ row + dcoef[i]
+    upper, dcoef = _bounds_and_diag(problem.loss, problem.C * problem.cost_scale)
+    qdiag = problem.squared_norms + dcoef
+    row_dot = _row_dot
 
     w = np.zeros(problem.dimension)
     alpha = np.zeros(n)
@@ -229,7 +238,7 @@ def train_dual_cd(
             start, end = indptr[i], indptr[i + 1]
             cols = indices[start:end]
             vals = data[start:end]
-            gradient = y[i] * (w[cols] @ vals) - 1.0 + dcoef[i] * alpha[i]
+            gradient = y[i] * row_dot(w[cols], vals) - 1.0 + dcoef[i] * alpha[i]
 
             a = alpha[i]
             if a <= 0.0:
@@ -294,8 +303,9 @@ def solve_folds(
     rows and its seed, so one numpy step advances every (problem, cost)
     pair, and problem f at cost c ends where ``train_dual_cd(replace(
     problem_f, C=c), SolverParams(eps, max_outer_iters, seed_f))`` does: the
-    same sweeps, and weights equal up to the summation order of the row dot
-    products (about 1e-15).  Problems are pulled one at a time and packed
+    same sweeps, and weights equal up to the order in which ``_row_dot``
+    sums a row (about 1e-15); a ``_row_dot`` that sums left to right makes
+    them equal bit for bit.  Problems are pulled one at a time and packed
     into groups of consecutive ones, each solved once the next problem would
     take its state past ``LOCKSTEP_STATE_BYTES`` or none is left; a group
     holds at least one.  A problem's rows are packed into its group as it
@@ -360,13 +370,12 @@ class _Lockstep:
         if p.loss != self.loss:
             raise ContractViolation("lockstep problems must share one loss")
         lengths = np.diff(p.indptr)
-        bounds = p.indptr.tolist()
         self._parts.append((
             (p.indices + sum(self.dims)).astype(np.int32),
             np.repeat(p.y, lengths) * p.data,
             lengths,
-            np.array([p.data[a:b] @ p.data[a:b] for a, b in zip(bounds, bounds[1:])]),
-            np.where(p.y > 0, p.pos_cost, 1.0),         # row i's multiplier on C
+            p.squared_norms,
+            p.cost_scale,
         ))
         self.seeds.append(seed)
         self.n_rows.append(p.n_rows)
@@ -455,32 +464,30 @@ class _Lockstep:
         del pad
         vals = vals[:, :, None, :]                       # (steps, folds, 1, width)
         vals_t = vals.transpose(0, 1, 3, 2)              # (steps, folds, width, 1)
-        # Bounds and curvature per (step, fold, 1, cost), computed as
-        # _bounds_and_diag and train_dual_cd do; stopped pairs get an
-        # infinite curvature, so their steps are exactly zero.
-        row_costs = self.costs * self.scale[rows][:, :, None, None]
-        norms = self.norms[rows][:, :, None, None]
-        live = self.live[active][None, :, None, :]
-        if self.loss == L1_HINGE:
-            upper, dcoef = row_costs, None
-            qdiag = np.where(live, norms, np.inf)
-        else:
-            upper, dcoef = None, 1.0 / (2.0 * row_costs)
-            qdiag = np.where(live, norms + dcoef, np.inf)
+        # Bounds and curvature per (step, fold, 1, cost), as train_dual_cd
+        # has them; stopped pairs get an infinite curvature, so their steps
+        # are exactly zero.
+        upper, dcoef = _bounds_and_diag(
+            self.loss, self.costs * self.scale[rows][:, :, None, None])
+        qdiag = np.where(self.live[active][None, :, None, :],
+                         self.norms[rows][:, :, None, None] + dcoef, np.inf)
         before = np.empty_like(qdiag)
         gradient = np.empty_like(qdiag)
         delta = np.empty_like(qdiag)
-        w, alpha = self.w, self.alpha
+        w, alpha, row_dot = self.w, self.alpha, _row_dot
+        # L1 hinge has no diagonal shift and L2 hinge no upper bound; each
+        # step skips the term that would leave its values as they are.
+        bounded = self.loss == L1_HINGE
         for t in range(len(rows)):
             r, c = rows[t], cols[t]
             wg = w.take(c, axis=0)                       # (folds, width, costs)
             a = alpha.take(r, axis=0, out=before[t])
-            g = np.subtract(np.matmul(vals[t], wg), 1.0, out=gradient[t])
-            if dcoef is not None:
+            g = np.subtract(row_dot(vals[t], wg), 1.0, out=gradient[t])
+            if not bounded:
                 g += dcoef[t] * a
             new_a = a - g / qdiag[t]
             np.maximum(new_a, 0.0, out=new_a)
-            if upper is not None:
+            if bounded:
                 np.minimum(new_a, upper[t], out=new_a)
             d = np.subtract(new_a, a, out=delta[t])
             alpha[r] = new_a
@@ -488,8 +495,7 @@ class _Lockstep:
             w[c] = wg
 
         projected = np.where(before <= 0.0, np.minimum(gradient, 0.0), gradient)
-        if upper is not None:
-            projected = np.where(before >= upper, np.maximum(projected, 0.0), projected)
+        projected = np.where(before >= upper, np.maximum(projected, 0.0), projected)
         projected = np.abs(projected) * (rows != self.sink)[:, :, None, None]
         np.maximum(violation, projected.max(axis=0), out=violation)
         if monitor is not None:
@@ -573,11 +579,9 @@ def weights_from_alpha(problem: TrainingProblem, alpha: Sequence[float]) -> np.n
 
 def dual_objective(alpha: Sequence[float], problem: TrainingProblem) -> float:
     """sum(alpha) - 0.5 * alpha' Qbar alpha, via the weight-vector identity."""
+    w = weights_from_alpha(problem, alpha)     # checks alpha's length
     a = np.asarray(alpha, dtype=np.float64)
-    if a.shape != (problem.n_rows,):
-        raise DimensionError("alpha length must match the number of rows")
-    w = weights_from_alpha(problem, a)
-    _, dcoef = _bounds_and_diag(problem)
+    _, dcoef = _bounds_and_diag(problem.loss, problem.C * problem.cost_scale)
     quadratic = float(w @ w) + float(dcoef @ (a * a))
     return float(a.sum()) - 0.5 * quadratic
 
@@ -633,12 +637,13 @@ def stacked_decision_values(
     # One dot per row: a single sparse product would sum in another order and
     # could flip a decision that sits within rounding of zero.
     row_weights = weights[rows.indices]
-    data = rows.data
+    data, row_dot = rows.data, _row_dot
     bounds = rows.indptr.tolist()
     values = []
     for m, bias in enumerate(stack.biases):
         run = bounds[m * n:(m + 1) * n + 1]
-        values.extend(float(row_weights[a:b] @ data[a:b]) + bias for a, b in zip(run, run[1:]))
+        values.extend(float(row_dot(row_weights[a:b], data[a:b])) + bias
+                      for a, b in zip(run, run[1:]))
     return np.array(values, dtype=np.float64)
 
 

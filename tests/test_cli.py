@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,11 +6,11 @@ import sys
 
 import pytest
 
-from emoclf import features
+from emoclf import cli, features
 from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, write_gold_corpus, write_input_corpus
 from emoclf.errors import ParseError
-from emoclf.pipeline import load_bundle
+from emoclf.pipeline import TrainConfig, load_bundle
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 
 ANGER_KEYWORDS = ("grumblex", "snarlit", "vexopod", "irktron", "fumeply")
@@ -582,6 +583,13 @@ class TestHelp:
                      "--jobs", "--shared-split", "--lexicon-dir", "--emoticons"):
             assert flag in text
         assert "0.7" in text and "10" in text and "0.01" in text and "42" in text
+
+    def test_train_flag_defaults_are_the_config_defaults(self, monkeypatch):
+        monkeypatch.delenv(cli.LEXICON_DIR_ENV, raising=False)
+        args = cli.build_parser().parse_args(["train", "--gold", "g.csv", "--out", "m.emo"])
+        config, defaults = cli._config_from_args(args), TrainConfig()
+        for field in dataclasses.fields(TrainConfig):
+            assert getattr(config, field.name) == getattr(defaults, field.name), field.name
 
     def test_version(self):
         result = run_cli("--version")

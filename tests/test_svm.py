@@ -93,6 +93,24 @@ def primal_objective(w, X, y, C, loss, pos_cost):
     return 0.5 * w @ w + costs @ (slack if loss == L1_HINGE else slack * slack)
 
 
+def left_to_right_dot(a, b):
+    """``np.matmul(a, b)`` with every sum of products added from the first term to the last.
+
+    Two rows sum in Python floats; stacks of (m, k) @ (k, n) add the k
+    products of all their entries in order, one term at a time.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        total = 0.0
+        for x, y in zip(a.tolist(), b.tolist()):
+            total += x * y
+        return np.float64(total)
+    total = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                     + (a.shape[-2], b.shape[-1]))
+    for k in range(a.shape[-1]):
+        total += a[..., k:k + 1] * b[..., k:k + 1, :]
+    return total
+
+
 class TestTwoPointAnalyticCase:
     def test_weights(self):
         model = train_dual_cd(two_point_problem(), SolverParams(eps=1e-10, seed=3))
@@ -360,6 +378,30 @@ class TestWeightsFromAlpha:
         assert np.max(np.abs(weights_from_alpha(problem, alpha) - expected)) <= 1e-12
 
 
+class TestSharedSetup:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        loss=st.sampled_from([L1_HINGE, L2_HINGE]),
+        pos_cost=st.sampled_from([1.0, 2.5]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_norms_costs_and_bounds_match_the_per_row_formulas(self, seed, loss, pos_cost):
+        rng = np.random.RandomState(seed)
+        problem = ragged_problem(rng, int(rng.randint(2, 16)), int(rng.randint(1, 6)),
+                                 int(rng.randint(1, 60)), loss, pos_cost)
+        C = float(10 ** rng.uniform(-2, 1))
+        rows = [problem.row(i)[1] for i in range(problem.n_rows)]
+        scale = [pos_cost if label > 0 else 1.0 for label in problem.y]
+        assert problem.squared_norms.tobytes() == np.array([v @ v for v in rows]).tobytes()
+        assert problem.cost_scale.tobytes() == np.array(scale).tobytes()
+        upper, dcoef = svm._bounds_and_diag(loss, C * problem.cost_scale)
+        if loss == L1_HINGE:
+            expected = [(C * m, 0.0) for m in scale]
+        else:
+            expected = [(np.inf, 1.0 / (2.0 * (C * m))) for m in scale]
+        assert np.array([upper, dcoef]).T.tobytes() == np.array(expected).tobytes()
+
+
 class TestLockstep:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -405,6 +447,40 @@ class TestLockstep:
             assert monitor.objective_decreases == 0
             assert monitor.dual_objective == pytest.approx(
                 scalar.dual_objective, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("loss, pos_cost", [(L1_HINGE, 1.0), (L2_HINGE, 2.5)])
+    def test_left_to_right_sums_make_each_pair_the_scalar_solve_bit_for_bit(
+            self, monkeypatch, seed, loss, pos_cost):
+        # Padded slots add exact zeros after a row's real products, so once
+        # both solvers add each row left to right, nothing is left to differ:
+        # not the chunking of a sweep, nor which folds share a group.
+        monkeypatch.setattr(svm, "_row_dot", left_to_right_dot)
+        rng = np.random.RandomState(seed)
+        problems = [sparse_problem(rng, int(rng.randint(2, 16)), int(rng.randint(1, 6)),
+                                   loss, pos_cost)[0] for _ in range(3)]
+        problems.insert(1, ragged_problem(rng, 12, 4, 60, loss, pos_cost))
+        c_values = (0.05, 0.5, 2.0)
+        params = [SolverParams(eps=1e-2, seed=int(rng.randint(2**31))) for _ in problems]
+        scalar = TrainingMonitor()
+        references = {(f, g): train_dual_cd(replace(problems[f], C=c_values[g]), params[f], scalar)
+                      for f in range(len(problems)) for g in range(len(c_values))}
+        # Every fold alone, groups within the first two folds' state, and one group.
+        budgets = (0, state_bytes(problems[:2], len(c_values)), svm.LOCKSTEP_STATE_BYTES)
+        for slots in (1, svm._CHUNK_SLOTS, 10**9):
+            for budget in budgets:
+                monkeypatch.setattr(svm, "_CHUNK_SLOTS", slots)
+                monkeypatch.setattr(svm, "LOCKSTEP_STATE_BYTES", budget)
+                monitor = TrainingMonitor()
+                models = lockstep_models(problems, c_values, params, monitor)
+                assert sorted(models) == sorted(references)
+                for key, model in models.items():
+                    reference = references[key]
+                    assert model.w.tobytes() == reference.w.tobytes()
+                    assert (model.sweeps, model.final_violation, model.converged) == (
+                        reference.sweeps, reference.final_violation, reference.converged)
+                assert (monitor.trainings, monitor.sweeps, monitor.steps) == (
+                    scalar.trainings, scalar.sweeps, scalar.steps)
 
     @pytest.mark.parametrize("loss", [L1_HINGE, L2_HINGE])
     def test_objectives_match_the_reference_solver(self, loss):
