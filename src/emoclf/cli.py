@@ -27,6 +27,7 @@ from .errors import (
 )
 from .lexicons import load_emoticons, load_lexicons
 from .pipeline import (
+    TUNE_METRICS,
     TrainConfig,
     TuningGrid,
     check_heldout_partitions,
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "contiguous runs, one process each, never more than the emotions")
     train.add_argument("--positive-cost", type=float, default=defaults.positive_cost,
                        help="cost multiplier for positive examples")
-    train.add_argument("--tune-metric", choices=("accuracy", "f1"), default=defaults.tune_metric,
+    train.add_argument("--tune-metric", choices=tuple(TUNE_METRICS), default=defaults.tune_metric,
                        help="cross-validation selection metric")
     train.add_argument("--log-tuning", default=None,
                        help="write every (emotion,fold,C,accuracy) evaluation to this CSV")

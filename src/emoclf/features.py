@@ -12,18 +12,24 @@ training documents only; transforming never mutates the extractor.
 
 Fitting and transforming work on a ``CorpusCounts``, the text work of a
 corpus done once.  ``count_texts`` makes one pass per document:
-``strip_noise``, then ``textprep.term_tokens``.  Its counting core gives
-every n-gram occurrence a term id and counts all (document, term) cells with
-one ``np.unique``.  ``fit_counts`` and ``transform_counts`` then work with
-array operations; ``CorpusCounts.take`` picks the rows to fit or transform.
+``strip_noise``, then ``textprep.term_tokens``.  Its counting core lays a
+block's token streams end to end in one flat run, gives every n-gram
+occurrence a column and counts all (document, column) cells with one
+``np.unique``; category hits take one lookup per token, and the cue scorers
+run only on documents that hold a cue word.  ``fit_counts`` and
+``transform_counts`` then work with array operations;
+``CorpusCounts.take`` picks the rows to fit or transform.
+
 ``stacked_transform`` transforms the same rows for several extractors into
 one matrix whose columns are their feature spaces side by side.  It works
-from an ``ExtractorStack``: one table from each term to its slot in every
-extractor's vocabulary, and the extractors' idf and scaling constants laid
-side by side.  A caller that transforms many blocks for the same extractors
-builds the stack once, and each block then costs one dict lookup per
-distinct term for all of them.  A stack of one extractor uses the
-extractor's own vocabulary index and builds no table.
+from an ``ExtractorStack``: a term table over the union of the extractors'
+vocabularies with each column's slot in every extractor, and the
+extractors' idf and scaling constants laid side by side.  Counting for
+fitting numbers the block's own terms as it sees them; prediction counts a
+block straight into its stack's table (``ExtractorStack.count_texts``),
+where an unknown n-gram is dropped at lookup, and its columns need no
+further mapping.  A caller that transforms many blocks for the same
+extractors builds the stack once.
 
 ``assemble`` (or ``FittedExtractor.vectorize``) builds one document's row
 with plain loops, and the corpus path reproduces it bit for bit: every value
@@ -35,12 +41,10 @@ lives with the tests, in ``tests/reference_features.py``.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
-from operator import and_
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -278,15 +282,18 @@ def sentiment_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[int, int]:
 
 
 def uncertainty_score(doc: TokenStream, lexicons: LexiconSet) -> float:
-    """Mean modality weight of matched cue words; 1.0 (certain) when none match."""
-    weights = [
-        lexicons.modality_cues[token]
-        for token in doc.lowered
-        if token in lexicons.modality_cues
-    ]
-    if not weights:
-        return 1.0
-    return sum(weights) / len(weights)
+    """Mean modality weight of matched cue words; 1.0 (certain) when none match.
+
+    The weights are added left to right, as Python 3.11's ``sum`` adds them;
+    3.12's ``sum`` compensates, which can change the mean's last bits.
+    """
+    total, matched = 0.0, 0
+    for token in doc.lowered:
+        weight = lexicons.modality_cues.get(token)
+        if weight is not None:
+            total += weight
+            matched += 1
+    return total / matched if matched else 1.0
 
 
 def _aux_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[float, float, float, float]:
@@ -401,10 +408,12 @@ class FeatureMatrix:
 class CorpusCounts:
     """The text work of a corpus, done once: what every fit and transform needs.
 
-    Row i describes document i.  Columns are the corpus's n-gram terms in
-    sorted order, so mapping them onto any (sorted) vocabulary keeps each
-    row's slots increasing.  Only the lexicons and emoticon table recorded
-    here may be used to fit or transform from these counts.
+    Row i describes document i.  Columns are n-gram terms in sorted order,
+    so mapping them onto any (sorted) vocabulary keeps each row's slots
+    increasing: the corpus's own terms (``count_texts``), or the term table
+    of the stack that counted them (``ExtractorStack.count_texts``), which
+    may name terms no document holds.  Only the lexicons and emoticon table
+    recorded here may be used to fit or transform from these counts.
     """
 
     terms: tuple[str, ...]
@@ -436,48 +445,140 @@ class CorpusCounts:
         )
 
 
+# ``_aux_scores`` of a document that holds no ``LexiconSet.cue_words``.
+_NEUTRAL_CUES = (0.5, 1.0, -1.0, 1.0)
+
+# The most documents the counting core lays end to end at once.  Prediction
+# blocks are smaller; a corpus counted for fitting goes through in runs, so
+# only one run's tokens are alive at a time.
+_RUN_DOCS = 256
+
+
+def _count_run(
+    run: Sequence[tuple[TokenStream, Sequence[bool]]],
+    lexicons: LexiconSet,
+    unigram_columns,
+    bigram_columns,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column of every n-gram occurrence of ``run``, its category hits and cue scores.
+
+    The documents' lowered tokens are laid end to end in one flat run.
+    ``unigram_columns`` maps the term-bearing tokens, and ``bigram_columns``
+    the (first, second) pairs of adjacent term-bearing tokens of one
+    document, to columns; a column below 0 drops the occurrence.  Only a
+    document holding a category word or a cue word is looked at again.
+    """
+    tokens: list[str] = []
+    termable: list[bool] = []
+    lengths = []
+    aux: list[float] = []
+    hit_rows: list[int] = []
+    hit_slots: list[int] = []
+    cues, slots_of = lexicons.cue_words, lexicons.category_slots
+    for row, (stream, flags) in enumerate(run):
+        low = stream.lowered
+        tokens += low
+        termable += flags
+        lengths.append(len(low))
+        aux += _NEUTRAL_CUES if cues.isdisjoint(low) else _aux_scores(stream, lexicons)
+        if not slots_of.keys().isdisjoint(low):
+            found = list(chain.from_iterable(map(slots_of.get, low, repeat(()))))
+            hit_rows += repeat(row, len(found))
+            hit_slots += found
+    doc_of = np.repeat(np.arange(len(run)), lengths)
+    bears = np.frombuffer(bytes(termable), dtype=bool)
+    paired = bears[:-1] & bears[1:] & (doc_of[:-1] == doc_of[1:])   # no bigram spans two documents
+    bigrams = compress(zip(tokens, islice(tokens, 1, None)), paired.tolist())
+    columns = np.fromiter(
+        chain(unigram_columns(compress(tokens, termable)), bigram_columns(bigrams)), np.int64)
+    rows = np.concatenate((doc_of[bears], doc_of[:-1][paired]))
+
+    k = len(lexicons.emotion_categories)
+    cells = np.array(hit_rows, dtype=np.int64) * k + np.array(hit_slots, dtype=np.int64)
+    categories = np.bincount(cells, minlength=len(run) * k).reshape(len(run), k)
+    return rows, columns, categories, np.array(aux).reshape(len(run), len(AUX_FEATURES))
+
+
 def _count(
     docs: Iterable[tuple[TokenStream, Sequence[bool]]],
     lexicons: LexiconSet,
     emoticons: frozenset[str],
+    stack: "ExtractorStack | None" = None,
 ) -> CorpusCounts:
-    """The one counting core: each document is its tokens and ``bears_term`` flags."""
-    categories = [lexicons.emotion_categories[c] for c in sorted(lexicons.emotion_categories)]
-    term_ids: defaultdict[str, int] = defaultdict(count().__next__)   # next id per new term
-    ids = array("q")                                # term id of every n-gram occurrence
-    ends = array("q", [0])                          # where each document's ids end
-    category_rows = []
-    aux_rows = []
-    for stream, termable in docs:
-        low = stream.lowered
-        ids.extend(map(term_ids.__getitem__, compress(low, termable)))
-        bigrams = compress(zip(low, low[1:]), map(and_, termable, termable[1:]))
-        ids.extend(map(term_ids.__getitem__, map(" ".join, bigrams)))
-        ends.append(len(ids))
-        category_rows.append([sum(map(words.__contains__, low)) for words in categories])
-        aux_rows.append(_aux_scores(stream, lexicons))
+    """The one counting core: each document is its tokens and ``bears_term`` flags.
 
-    # Renumber terms in sorted order; one np.unique over (document, column)
-    # keys then counts each cell, sorted by document and column.
-    terms = sorted(term_ids)
-    rank = np.empty(len(terms), dtype=np.int64)
-    rank[np.fromiter((term_ids[t] for t in terms), np.int64, len(terms))] = np.arange(len(terms))
+    Without ``stack``, the columns are the documents' own terms, numbered as
+    they are seen; each distinct bigram pair is joined into its term once,
+    and the terms are then sorted.  With ``stack``, the columns are the
+    stack's term table and an n-gram no extractor knows is dropped.
+    """
+    if stack is None:
+        new_column = count().__next__
+        unigrams: dict = defaultdict(new_column)
+        pairs: dict = defaultdict(new_column)
+        rows, columns, categories, aux = _count_runs(
+            docs, lexicons, partial(map, unigrams.__getitem__), partial(map, pairs.__getitem__))
+        terms, rank = _sorted_terms(unigrams, pairs)
+        del unigrams, pairs             # before the cells are counted: a corpus's table is large
+        columns = rank[columns]
+    else:
+        rows, columns, categories, aux = _count_runs(
+            docs, lexicons, partial(_known, stack.index), partial(_known, stack.pairs))
+        terms = stack.terms
+        known = columns >= 0
+        rows, columns = rows[known], columns[known]
+
+    # One np.unique over (document, column) keys counts each cell, sorted
+    # by document and column.
     width = max(len(terms), 1)
-    keys = _row_ids(np.frombuffer(ends, dtype=np.int64))
-    keys *= width
-    keys += rank[np.frombuffer(ids, dtype=np.int64)]
-    cells, tfs = np.unique(keys, return_counts=True)
+    cells, tfs = np.unique(rows * width + columns, return_counts=True)
     rows, columns = np.divmod(cells, width)
-    n_docs = len(ends) - 1
     return CorpusCounts(
-        terms=tuple(terms),
-        indptr=_indptr_of(rows, n_docs),
+        terms=terms,
+        indptr=_indptr_of(rows, len(aux)),
         indices=columns,
         counts=tfs.astype(np.int64),
-        category_counts=np.array(category_rows, dtype=np.int64).reshape(n_docs, len(categories)),
-        aux=np.array(aux_rows, dtype=np.float64).reshape(n_docs, len(AUX_FEATURES)),
+        category_counts=categories,
+        aux=aux,
         lexicons=lexicons,
         emoticons=emoticons,
+    )
+
+
+def _count_runs(docs, lexicons: LexiconSet, unigram_columns, bigram_columns):
+    """``_count_run`` over runs of at most ``_RUN_DOCS`` documents, joined."""
+    k = len(lexicons.emotion_categories)
+    none = np.empty(0, dtype=np.int64)
+    runs = [(none, none, np.empty((0, k), dtype=np.int64), np.empty((0, len(AUX_FEATURES))))]
+    n_docs = 0
+    docs = iter(docs)
+    while run := list(islice(docs, _RUN_DOCS)):
+        rows, *rest = _count_run(run, lexicons, unigram_columns, bigram_columns)
+        runs.append((rows + n_docs, *rest))
+        n_docs += len(run)
+    return tuple(map(np.concatenate, zip(*runs)))
+
+
+def _sorted_terms(unigrams: Mapping[str, int], pairs: Mapping[tuple[str, str], int]):
+    """A grown table's terms in sorted order, and the rank of each column among them."""
+    names = list(chain(unigrams, map(" ".join, pairs)))
+    columns = np.fromiter(chain(unigrams.values(), pairs.values()), np.int64, len(names))
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[columns[order]] = np.arange(len(names))
+    return tuple(map(names.__getitem__, order)), rank
+
+
+def _known(table: Mapping, keys: Iterable) -> Iterable[int]:
+    """The column of each key in ``table``, -1 for a key it lacks."""
+    return map(table.get, keys, repeat(-1))
+
+
+def _term_streams(texts: Iterable[str], emoticons: frozenset[str]):
+    """``strip_noise`` then ``term_tokens`` of each text, one text at a time."""
+    return (
+        term_tokens(strip_noise(_within_limit(position, text)), emoticons)
+        for position, text in enumerate(texts)
     )
 
 
@@ -491,11 +592,7 @@ def count_texts(
     Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
     """
     table = default_emoticons() if emoticons is None else emoticons
-    docs = (
-        term_tokens(strip_noise(_within_limit(position, text)), table)
-        for position, text in enumerate(texts)
-    )
-    return _count(docs, lexicons, table)
+    return _count(_term_streams(texts, table), lexicons, table)
 
 
 def _within_limit(position: int, text: str) -> str:
@@ -548,13 +645,16 @@ def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 class ExtractorStack:
     """What ``stacked_transform`` needs of a sequence of extractors, worked out once.
 
-    ``index`` maps every term of the extractors' vocabularies to a column of
-    ``slots``, whose row e holds the term's slot in extractor e's vocabulary,
-    or -1 where that vocabulary lacks the term; the last column is all -1
-    and stands for a term no extractor knows.  So a block of counts costs
-    one dict lookup per distinct term for all the extractors together.  A
-    stack of one extractor takes that extractor's own ``vocabulary.index``,
-    whose values are already its slots, and builds no table.
+    Its term table has one column per term of the extractors' vocabularies,
+    in sorted order: ``terms`` names the columns, ``index`` maps each term
+    to its column and ``pairs`` maps the (first, second) tokens of each
+    bigram term to its column.  Row e of ``slots`` holds each column's slot
+    in extractor e's vocabulary, or -1 where that vocabulary lacks the term;
+    the last column is all -1 and stands for a term no extractor knows.
+    Every vocabulary is sorted too, so each extractor's slots rise with the
+    column.  ``count_texts`` counts texts straight into the table, and a
+    stack of one extractor uses its vocabulary's terms and index, whose
+    columns are already its slots.  ``pairs`` is built on the first count.
 
     The other fields are the extractors' constants laid side by side: where
     each feature space and each category block starts, the n-gram idf over
@@ -569,14 +669,17 @@ class ExtractorStack:
         n_stack = len(self.extractors)
         vocabularies = [fitted.vocabulary for fitted in self.extractors]
         if n_stack == 1:
-            self.index, self.slots = vocabularies[0].index, None
+            self.terms, self.index = vocabularies[0].terms, vocabularies[0].index
         else:
-            union = dict.fromkeys(chain.from_iterable(vocab.terms for vocab in vocabularies))
-            self.index = dict(zip(union, count()))
-            self.slots = np.full((n_stack, len(union) + 1), -1, dtype=np.int64)
-            for row, vocab in zip(self.slots, vocabularies):
-                ids = np.fromiter(map(self.index.__getitem__, vocab.terms), np.int64, len(vocab))
-                row[ids] = np.arange(len(vocab))
+            # Each vocabulary's new terms stay one sorted run, which sorted() merges.
+            self.terms = tuple(sorted(dict.fromkeys(chain.from_iterable(
+                vocab.terms for vocab in vocabularies))))
+            self.index = dict(zip(self.terms, count()))
+        self.slots = np.full((n_stack, len(self.terms) + 1), -1, dtype=np.int64)
+        for row, vocab in zip(self.slots, vocabularies):
+            columns = np.arange(len(vocab)) if n_stack == 1 else np.fromiter(
+                map(self.index.__getitem__, vocab.terms), np.int64, len(vocab))
+            row[columns] = np.arange(len(vocab))
 
         widths = [len(vocab) for vocab in vocabularies]
         self.offsets = np.array([0, *accumulate(fitted.dimension for fitted in self.extractors)])
@@ -599,13 +702,35 @@ class ExtractorStack:
     def dimension(self) -> int:
         return int(self.offsets[-1])
 
-    def slots_for(self, terms: Sequence[str]) -> np.ndarray:
-        """Each extractor's slot of each term, -1 where its vocabulary lacks the term.
+    @cached_property
+    def pairs(self) -> Mapping[tuple[str, str], int]:
+        """(first, second) token pair -> column, for every bigram term."""
+        return _bigram_columns(self.terms)
 
-        One row per extractor, one column per term.
+    def count_texts(self, texts: Sequence[str]) -> CorpusCounts:
+        """``count_texts`` into the term table, dropping n-grams no extractor knows.
+
+        The counts' ``terms`` are the stack's own, which ``stacked_transform``
+        takes as its columns.  The extractors must share their lexicons and
+        emoticon table.
         """
-        ids = np.fromiter(map(self.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms))
-        return ids[None, :] if self.slots is None else self.slots[:, ids]
+        head = self.extractors[0]
+        return _count(_term_streams(texts, head.emoticons), head.lexicons, head.emoticons, self)
+
+
+def _bigram_columns(terms: Sequence[str]) -> dict[tuple[str, str], int]:
+    """(first, second) -> position of each term holding a space, split at its first space.
+
+    A bigram of tokens a and b, which hold no whitespace, is the term
+    ``a + " " + b`` exactly when its pair is a key.  A key with an empty or
+    spaced part, from a term no tokens can form, never matches.
+    """
+    pairs = {}
+    for column, term in enumerate(terms):
+        first, space, second = term.partition(" ")
+        if space:
+            pairs[first, second] = column
+    return pairs
 
 
 def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMatrix:
@@ -641,7 +766,13 @@ def stacked_transform(
     offsets = stack.offsets
 
     # n-gram block: tf * idf over in-vocabulary terms, L2 per row.
-    slots = stack.slots_for(counts.terms).take(counts.indices, axis=1)
+    if counts.terms is stack.terms:     # counted into the stack's term table
+        columns = counts.indices
+    else:
+        table = np.fromiter(map(stack.index.get, counts.terms, repeat(-1)), np.int64,
+                            len(counts.terms))
+        columns = table[counts.indices]
+    slots = stack.slots.take(columns, axis=1)
     known = slots >= 0
     ngram_rows = (_row_ids(counts.indptr) + (n * np.arange(n_stack))[:, None])[known]
     ngram_ptr = _indptr_of(ngram_rows, n_stack * n)

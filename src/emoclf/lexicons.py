@@ -84,6 +84,22 @@ class LexiconSet:
                 lengths[phrase[0]] = max(lengths.get(phrase[0], 0), len(phrase))
         return lengths
 
+    @cached_property
+    def category_slots(self) -> Mapping[str, tuple[int, ...]]:
+        """Word -> positions, among the sorted categories, of every category listing it."""
+        slots: dict[str, tuple[int, ...]] = {}
+        for position, category in enumerate(sorted(self.emotion_categories)):
+            for word in self.emotion_categories[category]:
+                slots[word] = slots.get(word, ()) + (position,)
+        return slots
+
+    @cached_property
+    def cue_words(self) -> frozenset[str]:
+        """Words that can move a cue score: the first words of the politeness
+        cues, the sentiment words and the modality words.  Boosters and
+        negations act only next to a sentiment word."""
+        return frozenset(self.politeness_lengths).union(self.sentiment, self.modality_cues)
+
 
 def _iter_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -26,11 +26,13 @@ and each fold fits and transforms its rows of that count matrix.  Batch
 prediction likewise counts each document once for all emotions whose
 extractors tokenize and count alike, and handles those emotions together:
 it goes through the documents in blocks of at most ``PREDICT_BLOCK_ROWS``
-(emotion, document) rows, with one stacked transform and one scoring pass
-per block.  Each such text-work group is prepared once per bundle
-(``ModelBundle.prediction_groups``: its ``ExtractorStack`` and
-``ModelStack``), on the bundle's first prediction, and every block of every
-later call reuses it; loading a bundle builds none, and none is saved.
+(emotion, document) rows, each counted straight into the group's term
+table, with one stacked transform and one scoring pass per block.  Each
+such text-work group is prepared once per bundle
+(``ModelBundle.prediction_groups``: its ``ExtractorStack``, which holds the
+term table, and ``ModelStack``), on the bundle's first prediction, and every
+block of every later call reuses it; loading a bundle builds none, and none
+is saved.
 
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
@@ -132,6 +134,10 @@ class FoldPlan:
     seed: int
 
 
+# Each cross-validation selection metric by name: its position in ``Confusion.metrics()``.
+TUNE_METRICS = {"accuracy": 3, "f1": 2}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs beyond the corpus itself."""
@@ -147,7 +153,7 @@ class TrainConfig:
     shared_split: bool = False
     jobs: int = 1
     positive_cost: float = 1.0
-    tune_metric: str = "accuracy"   # or "f1"
+    tune_metric: str = "accuracy"   # a key of TUNE_METRICS
     lexicons: LexiconSet | None = None
     emoticons: frozenset[str] | None = None
     monitor: TrainingMonitor | None = None    # in-process only: needs one worker
@@ -157,7 +163,7 @@ class TrainConfig:
             raise ContractViolation("need at least 2 folds")
         if not 0 < self.train_fraction < 1:
             raise ContractViolation("train_fraction must be in (0, 1)")
-        if self.tune_metric not in ("accuracy", "f1"):
+        if self.tune_metric not in TUNE_METRICS:
             raise ContractViolation(f"unknown tuning metric {self.tune_metric!r}")
         if self.loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {self.loss!r}")
@@ -463,9 +469,9 @@ def _choose_cost(folds: Sequence[FoldScore], config: TrainConfig) -> tuple[float
     pooled = {c: Confusion() for c in c_values}
     for score in folds:
         pooled[score.C] += score.confusion
-    score_at = 2 if config.tune_metric == "f1" else 3
+    score_at = TUNE_METRICS[config.tune_metric]
     best = select_best_cost({c: pooled[c].metrics()[score_at] for c in c_values})
-    return best, pooled[best].metrics()[3]
+    return best, pooled[best].metrics()[TUNE_METRICS["accuracy"]]
 
 
 # --- per-emotion training ----------------------------------------------------
@@ -657,7 +663,8 @@ def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndar
 
     The emotions of a text-work group (``ModelBundle.prediction_groups``) go
     through the texts together, in blocks of at most ``PREDICT_BLOCK_ROWS``
-    stacked (emotion, text) rows.  Each block is counted once, transformed
+    stacked (emotion, text) rows.  Each block is counted once, straight
+    into the group's term table (``ExtractorStack.count_texts``), transformed
     once for all of the group's extractors (``stacked_transform``) and scored
     once (``stacked_decision_values``), on the group's prepared stacks.
     Equal to ``predict(em.model, em.extractor.vectorize(text))`` for every
@@ -665,12 +672,11 @@ def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndar
     """
     bits = {}
     for group in bundle.prediction_groups:
-        head = group.extractors.extractors[0]
         step = max(1, PREDICT_BLOCK_ROWS // len(group.emotions))
         decided = np.empty((len(group.emotions), len(texts)), dtype=np.int64)
         for start in range(0, len(texts), step):
             try:
-                counts = count_texts(texts[start:start + step], head.lexicons, head.emoticons)
+                counts = group.extractors.count_texts(texts[start:start + step])
             except DocumentTooLarge as exc:     # its position in ``texts``, not in the block
                 raise DocumentTooLarge(start + exc.position, exc.length, exc.limit) from None
             values = stacked_decision_values(

@@ -10,7 +10,7 @@ from emoclf import cli, features
 from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, write_gold_corpus, write_input_corpus
 from emoclf.errors import ParseError
-from emoclf.pipeline import TrainConfig, load_bundle
+from emoclf.pipeline import TUNE_METRICS, TrainConfig, load_bundle
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 
 ANGER_KEYWORDS = ("grumblex", "snarlit", "vexopod", "irktron", "fumeply")
@@ -590,6 +590,16 @@ class TestHelp:
         config, defaults = cli._config_from_args(args), TrainConfig()
         for field in dataclasses.fields(TrainConfig):
             assert getattr(config, field.name) == getattr(defaults, field.name), field.name
+
+    def test_tune_metric_choices_are_the_pipeline_metrics(self):
+        parser = cli.build_parser()
+        train = parser._subparsers._group_actions[0].choices["train"]
+        (action,) = [a for a in train._actions if a.dest == "tune_metric"]
+        assert tuple(action.choices) == tuple(TUNE_METRICS)
+        for metric in TUNE_METRICS:
+            args = parser.parse_args(["train", "--gold", "g.csv", "--out", "m.emo",
+                                      "--tune-metric", metric])
+            assert cli._config_from_args(args).tune_metric == metric
 
     def test_version(self):
         result = run_cli("--version")
