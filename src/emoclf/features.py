@@ -33,9 +33,9 @@ extractors builds the stack once.
 
 ``assemble`` (or ``FittedExtractor.vectorize``) builds one document's row
 with plain loops, and the corpus path reproduces it bit for bit: every value
-comes from the same scalar formulas, and each block's L2 norm is summed in
-the same order by the same ``sum``.  The matching one-stream-at-a-time fit
-lives with the tests, in ``tests/reference_features.py``.
+comes from the same scalar formulas, and every float sum is added left to
+right by ``_added``.  The matching one-stream-at-a-time fit lives with the
+tests, in ``tests/reference_features.py``.
 """
 
 from __future__ import annotations
@@ -193,8 +193,16 @@ class FittedExtractor:
         )
 
 
+def _added(values: Iterable[float]) -> float:
+    """``values`` added left to right, as 3.11's ``sum`` adds floats (3.12's compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _l2_normalized(pairs: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    norm = math.sqrt(sum(v * v for _, v in pairs))
+    norm = math.sqrt(_added(v * v for _, v in pairs))
     if norm == 0.0:
         return pairs
     return [(i, v / norm) for i, v in pairs]
@@ -226,14 +234,13 @@ def emotion_category_block(doc: TokenStream, fitted: FittedExtractor) -> list[tu
     return _l2_normalized(pairs)
 
 
-def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
+def politeness_score(tokens: Sequence[str], lexicons: LexiconSet) -> float:
     """Logistic of the summed weights of matched politeness cue phrases.
 
-    Matching is case-insensitive, longest phrase first, non-overlapping.
+    Takes lowered tokens; matching is longest phrase first, non-overlapping.
     No cues (or cues canceling out) gives the neutral 0.5.  Where
     ``exp(-total)`` overflows, ``exp(total)`` is the logistic to within rounding.
     """
-    tokens = doc.lowered
     cues = lexicons.politeness_cues
     longest = lexicons.politeness_lengths
     total = 0.0
@@ -253,15 +260,14 @@ def politeness_score(doc: TokenStream, lexicons: LexiconSet) -> float:
         return math.exp(total)
 
 
-def sentiment_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[int, int]:
-    """Strongest positive and negative strengths in the document.
+def sentiment_scores(tokens: Sequence[str], lexicons: LexiconSet) -> tuple[int, int]:
+    """Strongest positive and negative strengths in a document's lowered tokens.
 
     Per sentiment-bearing token: take the lexicon strength, shift its
     magnitude by a booster immediately before it (floored at 1), and flip the
     sign if a negation sits within the two previous tokens.  Defaults are the
     neutral (1, -1); outputs are clamped to [1, 5] and [-5, -1].
     """
-    tokens = doc.lowered
     pos, neg = 1, -1
     for i in compress(range(len(tokens)), map(lexicons.sentiment.__contains__, tokens)):
         strength = lexicons.sentiment[tokens[i]]
@@ -281,28 +287,19 @@ def sentiment_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[int, int]:
     return pos, neg
 
 
-def uncertainty_score(doc: TokenStream, lexicons: LexiconSet) -> float:
-    """Mean modality weight of matched cue words; 1.0 (certain) when none match.
-
-    The weights are added left to right, as Python 3.11's ``sum`` adds them;
-    3.12's ``sum`` compensates, which can change the mean's last bits.
-    """
-    total, matched = 0.0, 0
-    for token in doc.lowered:
-        weight = lexicons.modality_cues.get(token)
-        if weight is not None:
-            total += weight
-            matched += 1
-    return total / matched if matched else 1.0
+def uncertainty_score(tokens: Sequence[str], lexicons: LexiconSet) -> float:
+    """Mean modality weight of the cue words among lowered ``tokens``; 1.0 when none match."""
+    weights = [w for w in map(lexicons.modality_cues.get, tokens) if w is not None]
+    return _added(weights) / len(weights) if weights else 1.0
 
 
-def _aux_scores(doc: TokenStream, lexicons: LexiconSet) -> tuple[float, float, float, float]:
-    pos, neg = sentiment_scores(doc, lexicons)
+def _aux_scores(tokens: Sequence[str], lexicons: LexiconSet) -> tuple[float, float, float, float]:
+    pos, neg = sentiment_scores(tokens, lexicons)
     return (
-        politeness_score(doc, lexicons),
+        politeness_score(tokens, lexicons),
         float(pos),
         float(neg),
-        uncertainty_score(doc, lexicons),
+        uncertainty_score(tokens, lexicons),
     )
 
 
@@ -311,7 +308,7 @@ def assemble(doc: TokenStream, fitted: FittedExtractor) -> FeatureMatrix:
     v, k = len(fitted.vocabulary), len(fitted.categories)
     pairs = ngram_block(doc, fitted)
     pairs.extend((v + i, value) for i, value in emotion_category_block(doc, fitted))
-    for slot, raw in enumerate(_aux_scores(doc, fitted.lexicons)):
+    for slot, raw in enumerate(_aux_scores(doc.lowered, fitted.lexicons)):
         std = fitted.aux_std[slot]
         if std > 0.0:
             z = (raw - fitted.aux_mean[slot]) / std
@@ -455,14 +452,14 @@ _RUN_DOCS = 256
 
 
 def _count_run(
-    run: Sequence[tuple[TokenStream, Sequence[bool]]],
+    run: Sequence[tuple[Sequence[str], Sequence[bool]]],
     lexicons: LexiconSet,
     unigram_columns,
     bigram_columns,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row and column of every n-gram occurrence of ``run``, its category hits and cue scores.
 
-    The documents' lowered tokens are laid end to end in one flat run.
+    The documents' lowered tokens (``term_tokens``) are laid end to end in one flat run.
     ``unigram_columns`` maps the term-bearing tokens, and ``bigram_columns``
     the (first, second) pairs of adjacent term-bearing tokens of one
     document, to columns; a column below 0 drops the occurrence.  Only a
@@ -475,12 +472,11 @@ def _count_run(
     hit_rows: list[int] = []
     hit_slots: list[int] = []
     cues, slots_of = lexicons.cue_words, lexicons.category_slots
-    for row, (stream, flags) in enumerate(run):
-        low = stream.lowered
+    for row, (low, flags) in enumerate(run):
         tokens += low
         termable += flags
         lengths.append(len(low))
-        aux += _NEUTRAL_CUES if cues.isdisjoint(low) else _aux_scores(stream, lexicons)
+        aux += _NEUTRAL_CUES if cues.isdisjoint(low) else _aux_scores(low, lexicons)
         if not slots_of.keys().isdisjoint(low):
             found = list(chain.from_iterable(map(slots_of.get, low, repeat(()))))
             hit_rows += repeat(row, len(found))
@@ -500,12 +496,12 @@ def _count_run(
 
 
 def _count(
-    docs: Iterable[tuple[TokenStream, Sequence[bool]]],
+    docs: Iterable[tuple[Sequence[str], Sequence[bool]]],
     lexicons: LexiconSet,
     emoticons: frozenset[str],
     stack: "ExtractorStack | None" = None,
 ) -> CorpusCounts:
-    """The one counting core: each document is its tokens and ``bears_term`` flags.
+    """The one counting core: each document is its lowered tokens and their ``bears_term`` flags.
 
     Without ``stack``, the columns are the documents' own terms, numbered as
     they are seen; each distinct bigram pair is joined into its term once,
@@ -575,7 +571,7 @@ def _known(table: Mapping, keys: Iterable) -> Iterable[int]:
 
 
 def _term_streams(texts: Iterable[str], emoticons: frozenset[str]):
-    """``strip_noise`` then ``term_tokens`` of each text, one text at a time."""
+    """Lowered tokens and term flags (``term_tokens``) of each stripped text, one at a time."""
     return (
         term_tokens(strip_noise(_within_limit(position, text)), emoticons)
         for position, text in enumerate(texts)
@@ -631,11 +627,11 @@ def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
 
 
 def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # Python's sum over each row in column order, exactly as _l2_normalized.
+    # Each row's squares added in column order, exactly as _l2_normalized.
     squares = values * values
     bounds = indptr.tolist()
     norms = np.array(
-        [math.sqrt(sum(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])],
+        [math.sqrt(_added(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])],
         dtype=np.float64,
     )
     norms[norms == 0.0] = 1.0

@@ -379,17 +379,13 @@ def _labels_for(docs: Sequence[LabeledDocument], emotion: str) -> list[int]:
     return labels
 
 
-def _signs(labels) -> list[int]:
-    return [1 if value else -1 for value in labels]
-
-
 def _fitted_problem(
     counts: CorpusCounts, labels: Sequence[int], rows: np.ndarray, C: float, config: TrainConfig,
 ) -> tuple[FittedExtractor, FeatureMatrix, TrainingProblem]:
     """An extractor fitted on ``rows`` of ``counts``, all rows' features, and the rows' problem."""
     fitted = fit_counts(counts.take(rows), config.min_df)
     features = transform_counts(counts, fitted)     # one call: each maps the whole term table
-    problem = TrainingProblem.from_matrix(features.take(rows), _signs(labels[i] for i in rows),
+    problem = TrainingProblem.from_matrix(features.take(rows), [labels[i] for i in rows],
                                           C=C, loss=config.loss, pos_cost=config.positive_cost)
     return fitted, features, problem
 

@@ -2,15 +2,16 @@
 
 Raw corpus text (forum posts, issue comments) carries HTML tags, code
 fragments, and URLs that add nothing but vocabulary noise.  ``strip_noise``
-removes them; ``tokenize`` splits the remainder into surface tokens that keep
-their case (the lexicon scorers want it) while ``ngram_occurrences`` lists
-the lowercased n-grams.  ``term_tokens`` is the corpus path's tokenizer: the
-same tokens, plus ``bears_term`` of each, in one pass.  A whitespace chunk
-whose first and last characters are alphanumeric is a single term-bearing
-token, so only the other chunks go through the splitter; a test over
-generated text and a sweep of every code point check it against
-``tokenize``.  No stemming or lemmatization happens anywhere:
-inflected forms stay distinct vocabulary entries.  This module reads no
+removes them; ``tokenize`` splits the remainder into a checked
+``TokenStream`` of surface tokens, case kept, and ``ngram_occurrences`` lists
+its lowercased n-grams.  Only lowered tokens feed n-grams, category hits and
+cue scores, so ``term_tokens``, the corpus path's tokenizer, returns the same
+tokens lowered, plus ``bears_term`` of each, in one pass and with no
+``TokenStream``.  A whitespace chunk whose first and last characters are
+alphanumeric is a single term-bearing token, so only the other chunks go
+through the splitter; a test over generated text and a sweep of every code
+point check it against ``tokenize``.  No stemming or lemmatization happens
+anywhere: inflected forms stay distinct vocabulary entries.  This module reads no
 files: the emoticon table ``tokenize`` keeps whole comes from ``lexicons``.
 
 ``strip_noise`` reads the text once, left to right.  One compiled pattern
@@ -289,24 +290,25 @@ def bears_term(token: str) -> bool:
     return any(ch.isalnum() for ch in token)
 
 
-def term_tokens(text: str, emoticons: frozenset[str]) -> tuple[TokenStream, list[bool]]:
-    """``tokenize(text, emoticons)`` and ``bears_term`` of each token, in one pass.
+def term_tokens(text: str, emoticons: frozenset[str]) -> tuple[list[str], list[bool]]:
+    """``tokenize(text, emoticons).lowered`` and ``bears_term`` of each token, in one pass.
 
     A chunk whose first and last characters are alphanumeric is one
     term-bearing token whatever the emoticon table holds, so only the other
-    chunks go through the splitter and the per-character test.
+    chunks go through the splitter and the per-character test.  The tokens
+    come from ``str.split``, so they need none of ``TokenStream``'s checks.
     """
-    tokens: list[str] = []
+    lowered: list[str] = []
     termable: list[bool] = []
     for chunk in text.split():
         if chunk[0].isalnum() and chunk[-1].isalnum():
-            tokens.append(chunk)
+            lowered.append(chunk.lower())
             termable.append(True)
         else:
             parts = _split_chunk(chunk, emoticons)
-            tokens += parts
+            lowered += map(str.lower, parts)
             termable += map(bears_term, parts)
-    return TokenStream(tuple(tokens)), termable
+    return lowered, termable
 
 
 def ngram_occurrences(stream: TokenStream) -> list[str]:

@@ -64,7 +64,7 @@ def fit(
             sum(1 for stream in train_docs if any(tok in words for tok in stream.lowered))
         )
 
-    aux_rows = np.array([_aux_scores(stream, lexicons) for stream in train_docs])
+    aux_rows = np.array([_aux_scores(stream.lowered, lexicons) for stream in train_docs])
     aux_mean = aux_rows.mean(axis=0)
     aux_std = aux_rows.std(axis=0)  # population stddev; zeros disable the feature
 
@@ -88,5 +88,5 @@ def count_streams(
     ``emoticons`` should be the table the streams were tokenized with.
     Streams are consumed one at a time, so a generator keeps only one alive.
     """
-    docs = ((stream, list(map(bears_term, stream.tokens))) for stream in streams)
+    docs = ((stream.lowered, list(map(bears_term, stream.tokens))) for stream in streams)
     return features._count(docs, lexicons, default_emoticons() if emoticons is None else emoticons)

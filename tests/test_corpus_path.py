@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -295,7 +296,7 @@ def test_fused_counting_equals_tokenize_then_count(emoticons, texts):
         stripped = strip_noise(text)
         reference = tokenize(stripped, emoticons)
         assert term_tokens(stripped, emoticons) == (
-            reference, [bears_term(token) for token in reference.tokens]
+            list(reference.lowered), [bears_term(token) for token in reference.tokens]
         )
     _same_counts(count_texts(texts, lexicons, emoticons),
                  _reference_counts(texts, lexicons, emoticons))
@@ -308,6 +309,20 @@ def _perfbench_inputs():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def test_transform_adds_every_l2_norm_left_to_right(monkeypatch):
+    # Python 3.12's sum() compensates, as math.fsum does.  Summed by sum(),
+    # 12,516 of the 32,667 entries of this transform change under the shadow.
+    inputs = _perfbench_inputs()
+    texts = [text for _, text, _ in inputs.gold_corpus(inputs.WORKLOADS["train-c07"], 1)]
+    counts = count_texts(texts, default_lexicons())
+    fitted = fit_counts(counts)
+    expected = transform_counts(counts, fitted)
+    monkeypatch.setattr(features, "sum", math.fsum, raising=False)
+    shadowed = transform_counts(counts, fitted)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(shadowed, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def test_fused_counting_equals_tokenize_then_count_on_the_benchmark_texts():
@@ -508,6 +523,33 @@ def test_classify_accepts_an_iterator_and_no_documents(bundles):
     docs = [Document("a", "zyblor :)"), Document("b", "")]
     assert classify(bundle, iter(docs)) == _reference_rows(bundle, docs)
     assert classify(bundle, []) == []
+
+
+def test_the_corpus_path_builds_no_token_stream(bundles, gold, tmp_path, monkeypatch):
+    # TokenStream checks tokens from outside the corpus path; the corpus
+    # path makes its own with str.split and needs none of its checks.
+    lexicons, emoticons = default_lexicons(), default_emoticons()
+    texts, docs = [d.doc.text for d in gold], [d.doc for d in gold]
+    bundle = bundles["shared_split"]
+    stack = ExtractorStack([em.extractor for em in bundle])
+    expected_counts = _reference_counts(texts, lexicons, emoticons)
+    expected_stacked = stack.count_texts(texts)
+    expected_rows = _reference_rows(bundle, docs)
+    save_bundle(bundle, tmp_path / "expected.emo")
+
+    def refuse(self):
+        raise AssertionError("the corpus path built a TokenStream")
+
+    monkeypatch.setattr(TokenStream, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built a TokenStream"):
+        tokenize("a")
+    _same_counts(count_texts(texts, lexicons, emoticons), expected_counts)
+    _same_counts(stack.count_texts(texts), expected_stacked)
+    trained = train_all(gold, ["joy", "anger"], TrainConfig(
+        shared_split=True, folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1))
+    save_bundle(trained, tmp_path / "trained.emo")
+    assert (tmp_path / "trained.emo").read_bytes() == (tmp_path / "expected.emo").read_bytes()
+    assert classify(trained, docs) == expected_rows
 
 
 def _stack_builds(monkeypatch):

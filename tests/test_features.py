@@ -9,7 +9,9 @@ from emoclf.errors import ContractViolation, EmptyCorpus, IncompatibleModel, Par
 from emoclf.features import (
     AUX_FEATURES,
     FeatureMatrix,
+    _added,
     assemble,
+    count_texts,
     emotion_category_block,
     extractor_from_dict,
     extractor_to_dict,
@@ -237,87 +239,93 @@ CUE_PIECES = sorted(DEFAULT_LEXICONS.politeness_cues) + [(word,) for word in CUE
 @given(st.lists(st.sampled_from(CUE_PIECES), max_size=8))
 @settings(max_examples=300)
 def test_scorers_equal_the_token_by_token_scan(pieces):
-    tokens = tuple(word for piece in pieces for word in piece)
-    doc = TokenStream(tokens)
-    assert politeness_score(doc, DEFAULT_LEXICONS) == _politeness_scan(tokens, DEFAULT_LEXICONS)
-    assert sentiment_scores(doc, DEFAULT_LEXICONS) == _sentiment_scan(tokens, DEFAULT_LEXICONS)
+    tokens = [word for piece in pieces for word in piece]
+    assert politeness_score(tokens, DEFAULT_LEXICONS) == _politeness_scan(tokens, DEFAULT_LEXICONS)
+    assert sentiment_scores(tokens, DEFAULT_LEXICONS) == _sentiment_scan(tokens, DEFAULT_LEXICONS)
 
 
 class TestPoliteness:
     def test_empty_doc_neutral(self):
-        assert politeness_score(TokenStream(()), EMPTY_LEXICONS) == 0.5
+        assert politeness_score((), EMPTY_LEXICONS) == 0.5
 
     def test_single_unit_cue(self):
         lex = make_lexicons(politeness={("please",): 1.0})
-        score = politeness_score(TokenStream(("please",)), lex)
+        score = politeness_score(("please",), lex)
         assert score == pytest.approx(0.7310585786300049, abs=1e-12)
 
     def test_cues_cancel(self):
         lex = make_lexicons(politeness={("please",): 1.0, ("rtfm",): -1.0})
-        assert politeness_score(TokenStream(("please", "rtfm")), lex) == 0.5
+        assert politeness_score(("please", "rtfm"), lex) == 0.5
 
     def test_longest_match_wins_and_does_not_overlap(self):
         lex = make_lexicons(politeness={("thank",): 0.5, ("thank", "you"): 2.0})
-        score = politeness_score(TokenStream(("thank", "you")), lex)
+        score = politeness_score(("thank", "you"), lex)
         assert score == pytest.approx(1 / (1 + math.exp(-2.0)), abs=1e-12)
 
     def test_longest_match_wins_whatever_the_cue_order(self):
         lex = make_lexicons(politeness={("thank", "you"): 2.0, ("thank",): 0.5})
-        score = politeness_score(TokenStream(("thank", "you")), lex)
+        score = politeness_score(("thank", "you"), lex)
         assert score == pytest.approx(1 / (1 + math.exp(-2.0)), abs=1e-12)
 
     def test_case_insensitive(self):
-        lex = make_lexicons(politeness={("please",): 1.0})
-        assert politeness_score(TokenStream(("PLEASE",)), lex) > 0.5
+        # The scorers take lowered tokens; count_texts does the lowering.
+        lex = make_lexicons(politeness={("thank", "you"): 1.0})
+        upper, lower = count_texts(["THANK You", "thank you"], lex).aux
+        assert upper.tolist() == lower.tolist() and upper[0] > 0.5
 
     @given(st.lists(st.sampled_from(["please", "rtfm", "word", "thank"]), max_size=12))
     @settings(max_examples=60)
     def test_range(self, tokens):
         lex = make_lexicons(politeness={("please",): 1.0, ("rtfm",): -1.0, ("thank",): 0.5})
-        assert 0.0 < politeness_score(TokenStream(tuple(tokens)), lex) < 1.0
+        assert 0.0 < politeness_score(tuple(tokens), lex) < 1.0
 
     @pytest.mark.parametrize("count", [709, 710, 745, 800])
     def test_large_negative_total_is_finite_and_not_above_exp(self, count):
         # exp(-total) overflows once total < about -709.78; the logistic is
         # then exp(total), which underflows to 0 below about -745.
         lex = make_lexicons(politeness={("rtfm",): -1.0})
-        score = politeness_score(TokenStream(("rtfm",) * count), lex)
+        score = politeness_score(("rtfm",) * count, lex)
         assert score == (1.0 / (1.0 + math.exp(count)) if count < 710 else math.exp(-count))
         assert 0.0 <= score < 1e-300
 
 
 class TestSentiment:
     def test_empty_doc_neutral_defaults(self):
-        assert sentiment_scores(TokenStream(()), EMPTY_LEXICONS) == (1, -1)
+        assert sentiment_scores((), EMPTY_LEXICONS) == (1, -1)
 
     def test_positive_word(self):
         lex = make_lexicons(sentiment={"love": 3})
-        assert sentiment_scores(TokenStream(("love",)), lex) == (3, -1)
+        assert sentiment_scores(("love",), lex) == (3, -1)
 
     def test_negation_flips(self):
         lex = make_lexicons(sentiment={"good": 2}, negations={"not"})
-        assert sentiment_scores(TokenStream(("not", "good")), lex) == (1, -2)
+        assert sentiment_scores(("not", "good"), lex) == (1, -2)
 
     def test_negation_window_is_two(self):
         lex = make_lexicons(sentiment={"good": 2}, negations={"not"})
-        assert sentiment_scores(TokenStream(("not", "so", "good")), lex) == (1, -2)
-        assert sentiment_scores(TokenStream(("not", "a", "b", "good")), lex) == (2, -1)
+        assert sentiment_scores(("not", "so", "good"), lex) == (1, -2)
+        assert sentiment_scores(("not", "a", "b", "good"), lex) == (2, -1)
 
     def test_booster_raises_magnitude(self):
         lex = make_lexicons(sentiment={"good": 2}, boosters={"very": 1})
-        assert sentiment_scores(TokenStream(("very", "good")), lex) == (3, -1)
+        assert sentiment_scores(("very", "good"), lex) == (3, -1)
 
     def test_downtoner_floors_at_one(self):
         lex = make_lexicons(sentiment={"fine": 1}, boosters={"slightly": -1})
-        assert sentiment_scores(TokenStream(("slightly", "fine")), lex) == (1, -1)
+        assert sentiment_scores(("slightly", "fine"), lex) == (1, -1)
 
     def test_clamped_to_five(self):
         lex = make_lexicons(sentiment={"awesome": 5}, boosters={"very": 1})
-        assert sentiment_scores(TokenStream(("very", "awesome")), lex) == (5, -1)
+        assert sentiment_scores(("very", "awesome"), lex) == (5, -1)
+
+    def test_case_insensitive(self):
+        lex = make_lexicons(sentiment={"good": 2}, boosters={"very": 1}, negations={"not"})
+        upper, lower = count_texts(["NOT Very GOOD", "not very good"], lex).aux
+        assert upper.tolist() == lower.tolist() and upper[2] == -3.0
 
     def test_strongest_of_each_sign(self):
         lex = make_lexicons(sentiment={"good": 2, "great": 3, "bad": -2})
-        assert sentiment_scores(TokenStream(("good", "bad", "great")), lex) == (3, -2)
+        assert sentiment_scores(("good", "bad", "great"), lex) == (3, -2)
 
     @given(
         st.lists(
@@ -332,22 +340,52 @@ class TestSentiment:
             boosters={"very": 1},
             negations={"not"},
         )
-        pos, neg = sentiment_scores(TokenStream(tuple(tokens)), lex)
+        pos, neg = sentiment_scores(tuple(tokens), lex)
         assert 1 <= pos <= 5
         assert -5 <= neg <= -1
 
 
 class TestUncertainty:
     def test_no_cue_is_certain(self):
-        assert uncertainty_score(TokenStream(("plain", "words")), EMPTY_LEXICONS) == 1.0
+        assert uncertainty_score(("plain", "words"), EMPTY_LEXICONS) == 1.0
 
     def test_single_cue(self):
         lex = make_lexicons(modality={"maybe": 0.0})
-        assert uncertainty_score(TokenStream(("maybe",)), lex) == 0.0
+        assert uncertainty_score(("maybe",), lex) == 0.0
 
     def test_mean_of_cues(self):
         lex = make_lexicons(modality={"maybe": 0.0, "certainly": 1.0})
-        assert uncertainty_score(TokenStream(("maybe", "certainly")), lex) == 0.5
+        assert uncertainty_score(("maybe", "certainly"), lex) == 0.5
+
+    def test_case_insensitive(self):
+        lex = make_lexicons(modality={"maybe": 0.0, "certainly": 1.0})
+        upper, lower = count_texts(["MAYBE Certainly", "maybe certainly"], lex).aux
+        assert upper.tolist() == lower.tolist() and upper[3] == 0.5
+
+
+def _left_to_right(values):
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
+# Cancellation where a compensated sum (math.fsum; sum() from Python 3.12)
+# keeps the small terms that adding left to right loses.
+LONG_SUM = [(-1.0) ** i * 10.0 ** (i % 23 - 11) for i in range(2000)]
+
+
+@pytest.mark.parametrize("values", [[], [0.1], [1.0, 1e-16, -1.0], LONG_SUM],
+                         ids=["empty", "one", "cancel", "long"])
+def test_float_sums_add_left_to_right(values):
+    assert _added(values).hex() == _left_to_right(values).hex()
+    if len(values) > 1:
+        assert _added(values) != math.fsum(values)
+
+
+@given(st.lists(st.floats(allow_nan=False), max_size=60))
+def test_float_sums_equal_the_left_to_right_oracle(values):
+    assert _added(iter(values)).hex() == _left_to_right(values).hex()
 
 
 class TestAssemble:

@@ -32,7 +32,7 @@ from emoclf.lexicons import LexiconSet, default_lexicons
 from emoclf.pipeline import TrainConfig, TuningGrid, classify, load_bundle, save_bundle, train_all
 from emoclf.svm import L2_HINGE, LinearModel, ModelStack, stacked_decision_values
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
-from emoclf.textprep import TokenStream, default_emoticons, strip_noise, tokenize
+from emoclf.textprep import default_emoticons, strip_noise, tokenize
 
 # Words every extractor may train on, words only extractor e trains on, and
 # words no extractor trains on.  Cue words of the default lexicons, case
@@ -188,7 +188,7 @@ def test_cue_scores_and_category_hits_equal_the_scorers(lexicons, texts):
     categories = [lexicons.emotion_categories[c] for c in sorted(lexicons.emotion_categories)]
     for i, text in enumerate(texts):
         stream = tokenize(strip_noise(text), emoticons)
-        scores = _aux_scores(stream, lexicons)
+        scores = _aux_scores(stream.lowered, lexicons)
         assert counts.aux[i].tobytes() == np.array(scores).tobytes()
         if lexicons.cue_words.isdisjoint(stream.lowered):
             # What the core writes for such a document without scoring it.
@@ -200,7 +200,7 @@ def test_cue_scores_and_category_hits_equal_the_scorers(lexicons, texts):
 def test_uncertainty_adds_its_weights_left_to_right(monkeypatch):
     lexicons = dataclasses.replace(
         TOY_LEXICONS, modality_cues={"up": 1.0, "tiny": 1e-16, "down": -1.0})
-    doc = TokenStream(("up", "tiny", "down"))
+    doc = ("up", "tiny", "down")
     assert uncertainty_score(doc, lexicons) == 0.0
     # Python 3.12's sum() compensates, as math.fsum does, and would give 3.3e-17.
     monkeypatch.setattr(features, "sum", math.fsum, raising=False)
