@@ -198,7 +198,7 @@ def cmd_train(args) -> int:
             log.write("emotion,fold,C,accuracy\n")
             for em in bundle:
                 for score in em.cv_folds:
-                    accuracy = score.confusion.metrics()[3]
+                    accuracy = score.confusion.metrics()[TUNE_METRICS["accuracy"]]
                     log.write(f"{em.emotion},{score.fold},{score.C!r},{accuracy!r}\n")
 
     for em in bundle:

@@ -380,13 +380,13 @@ def _labels_for(docs: Sequence[LabeledDocument], emotion: str) -> list[int]:
 
 
 def _fitted_problem(
-    counts: CorpusCounts, labels: Sequence[int], rows: np.ndarray, C: float, config: TrainConfig,
+    counts: CorpusCounts, labels: Sequence[int], rows: np.ndarray, config: TrainConfig,
 ) -> tuple[FittedExtractor, FeatureMatrix, TrainingProblem]:
     """An extractor fitted on ``rows`` of ``counts``, all rows' features, and the rows' problem."""
     fitted = fit_counts(counts.take(rows), config.min_df)
     features = transform_counts(counts, fitted)     # one call: each maps the whole term table
     problem = TrainingProblem.from_matrix(features.take(rows), [labels[i] for i in rows],
-                                          C=C, loss=config.loss, pos_cost=config.positive_cost)
+                                          loss=config.loss, pos_cost=config.positive_cost)
     return fitted, features, problem
 
 
@@ -397,8 +397,7 @@ def _fold_problem(
     """The fold's training problem, and its held-out rows and labels."""
     train_idx = np.flatnonzero(assignment != fold)
     held_idx = np.flatnonzero(assignment == fold)
-    # C is a placeholder: solve_folds solves at every cost of the grid.
-    _, features, problem = _fitted_problem(counts, labels, train_idx, 1.0, config)
+    _, features, problem = _fitted_problem(counts, labels, train_idx, config)
     return problem, features.take(held_idx), [labels[i] for i in held_idx]
 
 
@@ -484,9 +483,10 @@ def _final_model(
 ) -> EmotionModel:
     """Pick the cost from ``folds`` and train on the whole train partition at it."""
     chosen_c, cv_accuracy = _choose_cost(folds, config)
-    fitted, _, problem = _fitted_problem(counts, labels, np.arange(len(labels)), chosen_c, config)
+    fitted, _, problem = _fitted_problem(counts, labels, np.arange(len(labels)), config)
     seed = derive_seed(derive_seed(config.seed, "emotion", emotion), "final")
-    params = SolverParams(eps=config.eps, max_outer_iters=config.max_outer_iters, seed=seed)
+    params = SolverParams(C=chosen_c, eps=config.eps, max_outer_iters=config.max_outer_iters,
+                          seed=seed)
     model = train_dual_cd(problem, params, monitor=config.monitor)
     return EmotionModel(
         emotion=emotion,

@@ -26,10 +26,11 @@ a group takes folds only while ``state_bytes`` stays within
 gathering its rows as wide as its own widest row and ending before (steps x
 widest row) would pass a fixed slot count, so a long row takes a short chunk
 instead of widening every step of its group.
-Single problems, such as final models, run on ``train_dual_cd``.  Both
-solvers take each row's squared norm and multiplier on C from its
-``TrainingProblem``, where they are worked out once, and bounds and
-curvature from ``_bounds_and_diag``.  Solvers and scoring sum a row's
+Single problems, such as final models, run on ``train_dual_cd``.  C is a
+setting of the solve, not of the problem: ``SolverParams.C`` or a cost of
+the grid.  Both solvers take each row's squared norm and multiplier on C
+from its ``TrainingProblem``, where they are worked out once, and bounds
+and curvature from ``_bounds_and_diag``.  Solvers and scoring sum a row's
 products only through ``_row_dot``.
 
 Scoring takes one dot product per row.  ``stacked_decision_values`` scores
@@ -42,7 +43,7 @@ same models builds once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -65,8 +66,11 @@ class SolverParams:
     eps: float = 0.1
     max_outer_iters: int = 1000
     seed: int = 0
+    C: float = field(kw_only=True)
 
     def __post_init__(self):
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ContractViolation(f"costs must be positive and finite, not C={self.C!r}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ContractViolation("eps must be positive and finite")
         if self.max_outer_iters < 1:
@@ -88,7 +92,7 @@ class TrainingMonitor:
     objective_decreases: int = 0
     dual_objective: float = 0.0
     trainings: int = 0
-    final_alpha: np.ndarray | None = None   # multipliers of the last training
+    final_alpha: np.ndarray | None = None   # multipliers of the last train_dual_cd solve
 
     def record_step(self, gradient: float, delta: float, qdiag: float) -> None:
         self.steps += 1
@@ -100,13 +104,12 @@ class TrainingMonitor:
 
 @dataclass(frozen=True, eq=False)
 class TrainingProblem:
-    """Bias-augmented CSR rows with labels and the cost structure."""
+    """Bias-augmented CSR rows, labels, loss and class weight; the cost C is the solve's."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     y: np.ndarray                  # +1 / -1
-    C: float
     loss: str
     dimension: int                 # includes the bias slot
     pos_cost: float = 1.0          # multiplier on C for positive rows
@@ -135,22 +138,17 @@ class TrainingProblem:
         cls,
         matrix: FeatureMatrix,
         y: Sequence[int],
-        C: float,
         loss: str = L2_HINGE,
         pos_cost: float = 1.0,
     ) -> "TrainingProblem":
-        """Append the bias column to every row; y > 0 is the positive class.
-
-        ``train_dual_cd`` solves at ``C``; ``solve_folds`` ignores it and
-        solves at each cost of its grid instead.
-        """
+        """Append the bias column to every row; y > 0 is the positive class."""
         n = matrix.n_rows
         if len(y) != n or n < 2:
             raise ContractViolation("need at least two rows with matching labels")
         if loss not in (L1_HINGE, L2_HINGE):
             raise ContractViolation(f"unknown loss {loss!r}")
-        if not all(math.isfinite(v) and v > 0 for v in (C, pos_cost)):
-            raise ContractViolation("C and pos_cost must be positive and finite")
+        if not (math.isfinite(pos_cost) and pos_cost > 0):
+            raise ContractViolation("pos_cost must be positive and finite")
 
         signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
         if np.all(signs > 0) or np.all(signs < 0):
@@ -176,7 +174,6 @@ class TrainingProblem:
             indices=indices,
             data=data,
             y=signs,
-            C=float(C),
             loss=loss,
             dimension=raw_dim + 1,
             pos_cost=float(pos_cost),
@@ -212,14 +209,14 @@ def train_dual_cd(
     params: SolverParams,
     monitor: TrainingMonitor | None = None,
 ) -> LinearModel:
-    """Run dual coordinate descent to the requested tolerance.
+    """Run dual coordinate descent at cost ``params.C`` to the requested tolerance.
 
     Deterministic: the sweep permutations come from a PRNG seeded with
     ``params.seed``, and identical inputs reproduce ``w`` bit for bit.
     """
     n = problem.n_rows
     indptr, indices, data, y = problem.indptr, problem.indices, problem.data, problem.y
-    upper, dcoef = _bounds_and_diag(problem.loss, problem.C * problem.cost_scale)
+    upper, dcoef = _bounds_and_diag(problem.loss, params.C * problem.cost_scale)
     qdiag = problem.squared_norms + dcoef
     row_dot = _row_dot
 
@@ -299,22 +296,23 @@ def solve_folds(
 ) -> Iterator[tuple[int, int, LinearModel]]:
     """Solve every ``(problem, seed)`` at every cost; yield ``(problem index, cost index, model)``.
 
-    A problem's own ``C`` is ignored.  The costs of one problem share its
-    rows and its seed, so one numpy step advances every (problem, cost)
-    pair, and problem f at cost c ends where ``train_dual_cd(replace(
-    problem_f, C=c), SolverParams(eps, max_outer_iters, seed_f))`` does: the
-    same sweeps, and weights equal up to the order in which ``_row_dot``
-    sums a row (about 1e-15); a ``_row_dot`` that sums left to right makes
-    them equal bit for bit.  Problems are pulled one at a time and packed
-    into groups of consecutive ones, each solved once the next problem would
-    take its state past ``LOCKSTEP_STATE_BYTES`` or none is left; a group
-    holds at least one.  A problem's rows are packed into its group as it
-    arrives, so the problems do not pile up before the solve, and each model
-    is yielded as its pair stops, so the weight vectors do not either.
+    The costs of one problem share its rows and its seed, so one numpy step
+    advances every (problem, cost) pair, and problem f at cost c ends where
+    ``train_dual_cd(problem_f, SolverParams(C=c, eps=eps, max_outer_iters=
+    max_outer_iters, seed=seed_f))`` does: the same sweeps, and weights equal
+    up to the order in which ``_row_dot`` sums a row (about 1e-15); a
+    ``_row_dot`` that sums left to right makes them equal bit for bit.
+    Problems are pulled one at a time and packed into groups of consecutive
+    ones, each solved once the next problem would take its state past
+    ``LOCKSTEP_STATE_BYTES`` or none is left; a group holds at least one.  A
+    problem's rows are packed into its group as it arrives, so the problems
+    do not pile up before the solve, and each model is yielded as its pair
+    stops, so the weight vectors do not either.
     """
-    if not c_values or not all(math.isfinite(c) and c > 0 for c in c_values):
-        raise ContractViolation("costs must be a non-empty run of positive finite values")
-    SolverParams(eps=eps, max_outer_iters=max_outer_iters)     # checks the stopping rule
+    if not c_values:
+        raise ContractViolation("solve_folds needs a non-empty run of costs")
+    for c in c_values:      # checks each cost and the stopping rule
+        SolverParams(C=c, eps=eps, max_outer_iters=max_outer_iters)
     c_values = tuple(float(c) for c in c_values)
     group: _Lockstep | None = None
     for index, (problem, seed) in enumerate(problems):
@@ -450,8 +448,6 @@ class _Lockstep:
             if not self.live.any():
                 break
             self._drop_dead_columns()
-        if monitor is not None:
-            monitor.final_alpha = self._last_alpha
 
     def _steps(self, active, rows, width, violation, monitor) -> None:
         """One step per row of ``rows`` (steps x folds), at every cost of the state."""
@@ -512,7 +508,7 @@ class _Lockstep:
         entries = slice(self.starts[first], self.starts[last])
         offset, dim = self.weight_start[f], self.dims[f]
         w = self.w[offset:offset + dim, col].copy()
-        alpha = self._last_alpha = self.alpha[first:last, 0, col].copy()
+        alpha = self.alpha[first:last, 0, col].copy()
         reference = np.bincount(self.cols[entries] - offset,
                                 weights=np.repeat(alpha, self.lengths[first:last])
                                 * self.vals[entries],
@@ -577,11 +573,11 @@ def weights_from_alpha(problem: TrainingProblem, alpha: Sequence[float]) -> np.n
                        minlength=problem.dimension)
 
 
-def dual_objective(alpha: Sequence[float], problem: TrainingProblem) -> float:
-    """sum(alpha) - 0.5 * alpha' Qbar alpha, via the weight-vector identity."""
+def dual_objective(alpha: Sequence[float], problem: TrainingProblem, C: float) -> float:
+    """sum(alpha) - 0.5 * alpha' Qbar alpha at cost ``C``, via the weight-vector identity."""
     w = weights_from_alpha(problem, alpha)     # checks alpha's length
     a = np.asarray(alpha, dtype=np.float64)
-    _, dcoef = _bounds_and_diag(problem.loss, problem.C * problem.cost_scale)
+    _, dcoef = _bounds_and_diag(problem.loss, C * problem.cost_scale)
     quadratic = float(w @ w) + float(dcoef @ (a * a))
     return float(a.sum()) - 0.5 * quadratic
 

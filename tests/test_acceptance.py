@@ -75,14 +75,14 @@ def test_c01_solver_matches_independent_oracle():
         rows = FeatureMatrix.from_pairs(
             [[(j, X[i, j]) for j in range(d)] for i in range(n)], d
         )
-        problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
+        problem = TrainingProblem.from_matrix(rows, y, loss=loss)
         monitor = TrainingMonitor()
         train_dual_cd(
             problem,
-            SolverParams(eps=1e-8, max_outer_iters=50_000, seed=trial),
+            SolverParams(C=C, eps=1e-8, max_outer_iters=50_000, seed=trial),
             monitor,
         )
-        ours = dual_objective(monitor.final_alpha, problem)
+        ours = dual_objective(monitor.final_alpha, problem, C)
         _, reference = solve_dual_reference(augmented_dense(rows, d), y, C, loss)
         rel = abs(ours - reference) / max(abs(reference), 1e-12)
         worst = max(worst, rel)
@@ -95,8 +95,8 @@ def test_c01_solver_matches_independent_oracle():
 def test_c02_two_point_analytic_solution():
     """x1=(1,1) y=+1, x2=(-1,1) y=-1, C=1, squared hinge -> w=(0.8, 0)."""
     rows = FeatureMatrix.from_pairs([[(0, 1.0)], [(0, -1.0)]], 1)
-    problem = TrainingProblem.from_matrix(rows, [1, -1], C=1.0, loss=L2_HINGE)
-    model = train_dual_cd(problem, SolverParams(eps=1e-10, seed=0))
+    problem = TrainingProblem.from_matrix(rows, [1, -1], loss=L2_HINGE)
+    model = train_dual_cd(problem, SolverParams(C=1.0, eps=1e-10, seed=0))
     assert abs(model.w[0] - 0.8) <= 1e-6
     assert abs(model.w[1] - 0.0) <= 1e-6
     report("C02 analytic-two-point-case")

@@ -290,19 +290,19 @@ def scalar_fold_scores(counts, labels, plan, c_values, config):
         problem = TrainingProblem.from_matrix(
             features.take(train_idx),
             [1 if labels[i] else -1 for i in train_idx],
-            C=c_values[0],
             loss=config.loss,
             pos_cost=config.positive_cost,
         )
         held = features.take(held_idx)
         y_held = [labels[i] for i in held_idx]
         params = SolverParams(
+            C=c_values[0],
             eps=config.eps,
             max_outer_iters=config.max_outer_iters,
             seed=derive_seed(plan.seed, "solver", fold),
         )
         for c in c_values:
-            model = train_dual_cd(replace(problem, C=float(c)), params)
+            model = train_dual_cd(problem, replace(params, C=float(c)))
             scores.append(FoldScore(fold, c, Confusion.of(predict_rows(model, held), y_held),
                                     model.sweeps, model.final_violation))
     return scores

@@ -40,9 +40,9 @@ def dense_rows(X):
     )
 
 
-def two_point_problem(C=1.0, loss=L2_HINGE):
+def two_point_problem(loss=L2_HINGE):
     rows = dense_rows([[1.0], [-1.0]])
-    return TrainingProblem.from_matrix(rows, [1, -1], C=C, loss=loss)
+    return TrainingProblem.from_matrix(rows, [1, -1], loss=loss)
 
 
 def random_problem(rng, n=None, d=None, loss=None, C=None):
@@ -62,7 +62,7 @@ def sparse_problem(rng, n, d, loss, pos_cost=1.0):
     rows = FeatureMatrix.from_pairs([[(j, X[i, j]) for j in range(d)] for i in range(n)], d)
     y = np.ones(n, dtype=int)
     y[rng.permutation(n)[: max(1, n // 2)]] = -1
-    return TrainingProblem.from_matrix(rows, y, C=1.0, loss=loss, pos_cost=pos_cost), rows, y
+    return TrainingProblem.from_matrix(rows, y, loss=loss, pos_cost=pos_cost), rows, y
 
 
 def ragged_problem(rng, n, d, wide, loss, pos_cost=1.0):
@@ -73,7 +73,7 @@ def ragged_problem(rng, n, d, wide, loss, pos_cost=1.0):
     rows = FeatureMatrix.from_pairs([[(j, v) for j, v in enumerate(row)] for row in X], d + wide)
     y = np.ones(n + 3, dtype=int)
     y[rng.permutation(n + 3)[: (n + 3) // 2]] = -1
-    return TrainingProblem.from_matrix(rows, y, C=1.0, loss=loss, pos_cost=pos_cost)
+    return TrainingProblem.from_matrix(rows, y, loss=loss, pos_cost=pos_cost)
 
 
 def lockstep_models(problems, c_values, params, monitor=None):
@@ -113,35 +113,35 @@ def left_to_right_dot(a, b):
 
 class TestTwoPointAnalyticCase:
     def test_weights(self):
-        model = train_dual_cd(two_point_problem(), SolverParams(eps=1e-10, seed=3))
+        model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
         assert model.w == pytest.approx([0.8, 0.0], abs=1e-9)
 
     def test_alpha(self):
         monitor = TrainingMonitor()
-        train_dual_cd(two_point_problem(), SolverParams(eps=1e-10, seed=3), monitor)
+        train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3), monitor)
         assert monitor.final_alpha == pytest.approx([0.4, 0.4], abs=1e-9)
 
     def test_dual_objective_value(self):
-        assert dual_objective([0.4, 0.4], two_point_problem()) == pytest.approx(
+        assert dual_objective([0.4, 0.4], two_point_problem(), 1.0) == pytest.approx(
             0.4, abs=1e-12
         )
 
     def test_dual_objective_at_zero(self):
-        assert dual_objective([0.0, 0.0], two_point_problem()) == 0.0
+        assert dual_objective([0.0, 0.0], two_point_problem(), 1.0) == 0.0
 
     def test_decision_value(self):
-        model = train_dual_cd(two_point_problem(), SolverParams(eps=1e-10, seed=3))
+        model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
         x = FeatureMatrix.from_pairs([[(0, 1.0)]], 1)
         assert decision_values(model, x)[0] == pytest.approx(0.8, abs=1e-9)
 
     def test_predictions(self):
-        model = train_dual_cd(two_point_problem(), SolverParams(eps=1e-10, seed=3))
+        model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
         assert predict(model, FeatureMatrix.from_pairs([[(0, 1.0)]], 1)) == 1
         assert predict(model, FeatureMatrix.from_pairs([[(0, -1.0)]], 1)) == 0
 
     @pytest.mark.parametrize("n_rows", [0, 2])
     def test_predict_takes_exactly_one_row(self, n_rows):
-        model = train_dual_cd(two_point_problem(), SolverParams(eps=1e-10, seed=3))
+        model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
         with pytest.raises(ContractViolation, match="one row"):
             predict(model, FeatureMatrix.from_pairs([[(0, 1.0)]] * n_rows, 1))
 
@@ -156,23 +156,24 @@ class TestPredictEdges:
         assert predict(model, x) == 0  # exact ties go to absent
 
     def test_dimension_mismatch(self):
-        model = train_dual_cd(two_point_problem(), SolverParams(seed=0))
+        model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, seed=0))
         with pytest.raises(DimensionError):
             predict(model, FeatureMatrix.from_pairs([[(0, 1.0)]], 4))
 
 
 class TestConvergenceReport:
     def test_default_solve_converges(self):
-        model = train_dual_cd(two_point_problem(), SolverParams(seed=3))
+        params = SolverParams(C=1.0, seed=3)
+        model = train_dual_cd(two_point_problem(), params)
         assert model.converged is True
-        assert 1 <= model.sweeps < SolverParams().max_outer_iters
-        assert model.final_violation < SolverParams().eps
+        assert 1 <= model.sweeps < params.max_outer_iters
+        assert model.final_violation < params.eps
 
     def test_running_out_of_sweeps_is_reported(self):
         rng = np.random.RandomState(4)
         rows, y, C, loss = random_problem(rng, n=20, d=5, loss=L1_HINGE, C=8.0)
-        problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
-        model = train_dual_cd(problem, SolverParams(eps=1e-9, max_outer_iters=2, seed=1))
+        problem = TrainingProblem.from_matrix(rows, y, loss=loss)
+        model = train_dual_cd(problem, SolverParams(C=C, eps=1e-9, max_outer_iters=2, seed=1))
         assert model.converged is False
         assert model.sweeps == 2
         assert model.final_violation >= 1e-9
@@ -180,7 +181,21 @@ class TestConvergenceReport:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
     def test_tolerance_must_be_positive_and_finite(self, eps):
         with pytest.raises(ContractViolation, match="eps"):
-            SolverParams(eps=eps)
+            SolverParams(C=1.0, eps=eps)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_cost_must_be_positive_and_finite(self, C):
+        with pytest.raises(ContractViolation, match="C") as alone:
+            SolverParams(C=C)
+        with pytest.raises(ContractViolation) as in_grid:
+            next(solve_folds([(two_point_problem(), 0)], (1.0, C), 0.1, 1000))
+        assert str(in_grid.value) == str(alone.value)
+
+    def test_cost_is_required_by_keyword(self):
+        # A call written for (eps, max_outer_iters, seed) must not read eps as C.
+        with pytest.raises(TypeError):
+            SolverParams(0.1, 1000, 3)
+        assert SolverParams(0.1, 1000, 3, C=2.0).C == 2.0
 
 
 class TestBatchDecisions:
@@ -191,8 +206,8 @@ class TestBatchDecisions:
         # index order: the order every stored bundle was scored in.
         rng = np.random.RandomState(seed)
         rows, y, C, loss = random_problem(rng)
-        model = train_dual_cd(TrainingProblem.from_matrix(rows, y, C=C, loss=loss),
-                              SolverParams(seed=seed))
+        model = train_dual_cd(TrainingProblem.from_matrix(rows, y, loss=loss),
+                              SolverParams(C=C, seed=seed))
         d = rows.dimension
         sparse = FeatureMatrix.from_pairs(
             [[(j, v) for j, v in enumerate(rng.randn(d)) if rng.rand() < 0.6]
@@ -209,7 +224,7 @@ class TestBatchDecisions:
             assert predict_rows(model, matrix).tolist() == [int(v > 0.0) for v in expected]
 
     def test_dimension_mismatch(self):
-        model = train_dual_cd(two_point_problem(), SolverParams(seed=0))
+        model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, seed=0))
         with pytest.raises(DimensionError):
             decision_values(model, FeatureMatrix.from_pairs([[]], 4))
 
@@ -218,45 +233,37 @@ class TestProblemValidation:
     def test_single_class_rejected(self):
         rows = dense_rows([[1.0], [2.0]])
         with pytest.raises(DegenerateClass):
-            TrainingProblem.from_matrix(rows, [1, 1], C=1.0)
+            TrainingProblem.from_matrix(rows, [1, 1])
 
     def test_non_finite_rejected(self):
         rows = FeatureMatrix.from_pairs([[(0, float("nan"))], [(0, 1.0)]], 1)
         with pytest.raises(NumericError):
-            TrainingProblem.from_matrix(rows, [1, -1], C=1.0)
-
-    def test_nonpositive_c_rejected(self):
-        rows = dense_rows([[1.0], [-1.0]])
-        with pytest.raises(ContractViolation):
-            TrainingProblem.from_matrix(rows, [1, -1], C=0.0)
+            TrainingProblem.from_matrix(rows, [1, -1])
 
     def test_matrix_build_appends_the_bias_column(self):
         matrix = FeatureMatrix.from_pairs([[(2, -1.0), (0, 1.5)], [], [(1, 2.0)]], 3)
-        problem = TrainingProblem.from_matrix(matrix, [1, -1, 1], C=2.0, loss=L1_HINGE)
+        problem = TrainingProblem.from_matrix(matrix, [1, -1, 1], loss=L1_HINGE)
         assert problem.indptr.tolist() == [0, 3, 4, 6]
         assert problem.indices.tolist() == [0, 2, 3, 3, 1, 3]
         assert problem.data.tolist() == [1.5, -1.0, 1.0, 1.0, 2.0, 1.0]
         assert problem.y.tolist() == [1.0, -1.0, 1.0]
-        assert (problem.C, problem.loss, problem.dimension) == (2.0, L1_HINGE, 4)
+        assert (problem.loss, problem.dimension) == (L1_HINGE, 4)
+        assert not hasattr(problem, "C")        # the cost is the solve's
 
     def test_matrix_build_names_the_non_finite_row(self):
         rows = FeatureMatrix.from_pairs([[(0, 1.0)], [], [(1, float("inf"))]], 2)
         with pytest.raises(NumericError, match="row 2"):
-            TrainingProblem.from_matrix(rows, [1, -1, 1], C=1.0)
+            TrainingProblem.from_matrix(rows, [1, -1, 1])
 
-    @pytest.mark.parametrize("costs", [
-        {"C": float("nan")}, {"C": float("inf")},
-        {"pos_cost": float("nan")},
-    ])
-    def test_matrix_build_rejects_non_finite_costs(self, costs):
+    def test_matrix_build_rejects_a_non_finite_class_weight(self):
         matrix = dense_rows([[1.0], [-1.0]])
         with pytest.raises(ContractViolation, match="finite"):
-            TrainingProblem.from_matrix(matrix, [1, -1], **{"C": 1.0, **costs})
+            TrainingProblem.from_matrix(matrix, [1, -1], pos_cost=float("nan"))
 
     def test_matrix_build_needs_one_label_per_row(self):
         matrix = dense_rows([[1.0], [-1.0]])
         with pytest.raises(ContractViolation):
-            TrainingProblem.from_matrix(matrix, [1, -1, 1], C=1.0)
+            TrainingProblem.from_matrix(matrix, [1, -1, 1])
 
     def test_bias_is_augmented(self):
         problem = two_point_problem()
@@ -271,10 +278,10 @@ class TestSolverProperties:
     def test_monotone_feasible_and_consistent(self, seed):
         rng = np.random.RandomState(seed)
         rows, y, C, loss = random_problem(rng)
-        problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
+        problem = TrainingProblem.from_matrix(rows, y, loss=loss)
         monitor = TrainingMonitor()
         model = train_dual_cd(
-            problem, SolverParams(eps=1e-6, max_outer_iters=5000, seed=seed), monitor
+            problem, SolverParams(C=C, eps=1e-6, max_outer_iters=5000, seed=seed), monitor
         )
         assert monitor.objective_decreases == 0
         alpha = monitor.final_alpha
@@ -285,7 +292,7 @@ class TestSolverProperties:
         assert np.max(np.abs(model.w - rebuilt)) <= 1e-8
         # The monitor's incremental objective tracks the recomputed one.
         assert monitor.dual_objective == pytest.approx(
-            dual_objective(alpha, problem), rel=1e-9, abs=1e-9
+            dual_objective(alpha, problem, C), rel=1e-9, abs=1e-9
         )
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -293,8 +300,8 @@ class TestSolverProperties:
     def test_deterministic_given_seed(self, seed):
         rng = np.random.RandomState(seed)
         rows, y, C, loss = random_problem(rng)
-        problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
-        params = SolverParams(eps=1e-6, max_outer_iters=5000, seed=seed // 2)
+        problem = TrainingProblem.from_matrix(rows, y, loss=loss)
+        params = SolverParams(C=C, eps=1e-6, max_outer_iters=5000, seed=seed // 2)
         w1 = train_dual_cd(problem, params).w
         w2 = train_dual_cd(problem, params).w
         assert np.array_equal(w1, w2)
@@ -304,8 +311,8 @@ class TestSolverProperties:
         X = np.vstack([rng.randn(20, 3) + 4.0, rng.randn(20, 3) - 4.0])
         y = np.array([1] * 20 + [-1] * 20)
         rows = dense_rows(X)
-        problem = TrainingProblem.from_matrix(rows, y, C=8.0, loss=L2_HINGE)
-        model = train_dual_cd(problem, SolverParams(eps=1e-6, seed=1))
+        problem = TrainingProblem.from_matrix(rows, y, loss=L2_HINGE)
+        model = train_dual_cd(problem, SolverParams(C=8.0, eps=1e-6, seed=1))
         hits = sum(p == (1 if label > 0 else 0) for p, label in zip(predict_rows(model, rows), y))
         assert hits == len(y)
 
@@ -314,11 +321,11 @@ class TestSolverProperties:
         rows, y, _, _ = random_problem(rng, n=12, d=4, loss=L1_HINGE)
         doubled = rows.take(np.tile(np.arange(rows.n_rows), 2))
         y2 = np.concatenate([y, y])
-        problem_a = TrainingProblem.from_matrix(rows, y, C=1.0, loss=L1_HINGE)
-        problem_b = TrainingProblem.from_matrix(doubled, y2, C=0.5, loss=L1_HINGE)
-        params = SolverParams(eps=1e-10, max_outer_iters=100_000, seed=9)
+        problem_a = TrainingProblem.from_matrix(rows, y, loss=L1_HINGE)
+        problem_b = TrainingProblem.from_matrix(doubled, y2, loss=L1_HINGE)
+        params = SolverParams(C=1.0, eps=1e-10, max_outer_iters=100_000, seed=9)
         w_a = train_dual_cd(problem_a, params).w
-        w_b = train_dual_cd(problem_b, params).w
+        w_b = train_dual_cd(problem_b, replace(params, C=0.5)).w
         assert w_a == pytest.approx(w_b, abs=1e-5)
 
 
@@ -328,14 +335,14 @@ class TestOracleEquivalence:
         rng = np.random.RandomState(77)
         for trial in range(20):
             rows, y, C, _ = random_problem(rng, loss=loss)
-            problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
+            problem = TrainingProblem.from_matrix(rows, y, loss=loss)
             monitor = TrainingMonitor()
             train_dual_cd(
                 problem,
-                SolverParams(eps=1e-8, max_outer_iters=50_000, seed=trial),
+                SolverParams(C=C, eps=1e-8, max_outer_iters=50_000, seed=trial),
                 monitor,
             )
-            ours = dual_objective(monitor.final_alpha, problem)
+            ours = dual_objective(monitor.final_alpha, problem, C)
             raw_dim = rows.dimension
             _, reference = solve_dual_reference(
                 augmented_dense(rows, raw_dim), y, C, loss
@@ -346,12 +353,12 @@ class TestOracleEquivalence:
 class TestDualObjective:
     def test_alpha_length_checked(self):
         with pytest.raises(DimensionError):
-            dual_objective([0.1], two_point_problem())
+            dual_objective([0.1], two_point_problem(), 1.0)
 
     def test_matches_dense_formula(self):
         rng = np.random.RandomState(3)
         rows, y, C, loss = random_problem(rng, n=8, d=3)
-        problem = TrainingProblem.from_matrix(rows, y, C=C, loss=loss)
+        problem = TrainingProblem.from_matrix(rows, y, loss=loss)
         alpha = rng.rand(8)
         X = augmented_dense(rows, 3)
         Xy = X * np.asarray(y, float)[:, None]
@@ -359,7 +366,7 @@ class TestDualObjective:
         if loss == L2_HINGE:
             Q = Q + np.eye(8) / (2 * C)
         expected = alpha.sum() - 0.5 * alpha @ Q @ alpha
-        assert dual_objective(alpha, problem) == pytest.approx(expected, rel=1e-12)
+        assert dual_objective(alpha, problem, C) == pytest.approx(expected, rel=1e-12)
 
 
 class TestWeightsFromAlpha:
@@ -422,10 +429,10 @@ class TestLockstep:
             rng, int(rng.randint(2, 16)), int(rng.randint(1, 6)), int(rng.randint(30, 300)),
             loss, pos_cost))
         c_values = tuple(sorted({round(float(c), 4) for c in 10 ** rng.uniform(-2, 1, 3)}))
-        params = [SolverParams(eps=1e-3, max_outer_iters=max_outer_iters,
+        params = [SolverParams(C=1.0, eps=1e-3, max_outer_iters=max_outer_iters,
                                seed=int(rng.randint(2**31))) for _ in problems]
         scalar = TrainingMonitor()
-        references = {(f, g): train_dual_cd(replace(problems[f], C=c_values[g]), params[f], scalar)
+        references = {(f, g): train_dual_cd(problems[f], replace(params[f], C=c_values[g]), scalar)
                       for f in range(len(problems)) for g in range(len(c_values))}
         # Every step its own chunk, the default, and one chunk per sweep.
         for slots in (1, svm._CHUNK_SLOTS, 10**9):
@@ -461,9 +468,9 @@ class TestLockstep:
                                    loss, pos_cost)[0] for _ in range(3)]
         problems.insert(1, ragged_problem(rng, 12, 4, 60, loss, pos_cost))
         c_values = (0.05, 0.5, 2.0)
-        params = [SolverParams(eps=1e-2, seed=int(rng.randint(2**31))) for _ in problems]
+        params = [SolverParams(C=1.0, eps=1e-2, seed=int(rng.randint(2**31))) for _ in problems]
         scalar = TrainingMonitor()
-        references = {(f, g): train_dual_cd(replace(problems[f], C=c_values[g]), params[f], scalar)
+        references = {(f, g): train_dual_cd(problems[f], replace(params[f], C=c_values[g]), scalar)
                       for f in range(len(problems)) for g in range(len(c_values))}
         # Every fold alone, groups within the first two folds' state, and one group.
         budgets = (0, state_bytes(problems[:2], len(c_values)), svm.LOCKSTEP_STATE_BYTES)
@@ -487,7 +494,7 @@ class TestLockstep:
         rng = np.random.RandomState(11)
         built = [sparse_problem(rng, n, d, loss, pos_cost=2.0) for n, d in ((9, 3), (14, 5), (6, 2))]
         c_values = (0.1, 1.0, 5.0)
-        params = [SolverParams(eps=1e-8, max_outer_iters=50_000, seed=f) for f in range(3)]
+        params = [SolverParams(C=1.0, eps=1e-8, max_outer_iters=50_000, seed=f) for f in range(3)]
         monitor = TrainingMonitor()
         models = lockstep_models([problem for problem, _, _ in built], c_values, params, monitor)
         total = 0.0
@@ -515,18 +522,29 @@ class TestLockstep:
 
     def test_state_bytes_counts_real_entries_weights_and_multipliers(self):
         rng = np.random.RandomState(2)
-        small = TrainingProblem.from_matrix(dense_rows(rng.randn(4, 2)), [1, -1, 1, -1], C=1.0)
-        large = TrainingProblem.from_matrix(dense_rows(rng.randn(6, 5)), [1, -1] * 3, C=1.0)
+        small = TrainingProblem.from_matrix(dense_rows(rng.randn(4, 2)), [1, -1, 1, -1])
+        large = TrainingProblem.from_matrix(dense_rows(rng.randn(6, 5)), [1, -1] * 3)
         # 4 rows of 3 entries (2 features + bias) in dimension 3; 6 rows of 6 in dimension 6.
         assert state_bytes([small], 3) == 4 * 3 * 12 + (3 + 4) * 3 * 8
         assert state_bytes([small, large], 3) == (4 * 3 * 12 + (3 + 4) * 3 * 8
                                                   + 6 * 6 * 12 + (6 + 6) * 3 * 8)
         # Lengthening one row by 35 entries adds those entries only.
         pairs = [[(j, 1.0) for j in range(5)] for _ in range(6)]
-        short = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3, C=1.0)
+        short = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3)
         pairs[0] = [(j, 1.0) for j in range(40)]
-        long = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3, C=1.0)
+        long = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3)
         assert state_bytes([long], 3) == state_bytes([short], 3) + 35 * 12
+
+    def test_final_alpha_is_the_last_scalar_solve(self):
+        monitor = TrainingMonitor()
+        list(solve_folds([(two_point_problem(), 3)], (0.5, 1.0), 1e-10, 1000, monitor))
+        assert monitor.final_alpha is None
+        problem = two_point_problem()
+        model = train_dual_cd(problem, SolverParams(C=1.0, eps=1e-10, seed=3), monitor)
+        assert monitor.final_alpha == pytest.approx([0.4, 0.4], abs=1e-9)
+        assert np.max(np.abs(weights_from_alpha(problem, monitor.final_alpha) - model.w)) <= 1e-12
+        list(solve_folds([(two_point_problem(), 3)], (0.5,), 1e-10, 1000, monitor))
+        assert monitor.final_alpha == pytest.approx([0.4, 0.4], abs=1e-9)
 
     def test_solves_one_problem_and_nothing_for_none(self):
         models = list(solve_folds([(two_point_problem(), 3)], (1.0,), 1e-10, 1000))
@@ -543,7 +561,7 @@ class TestLockstep:
                                                       pulls):
         rng = np.random.RandomState(5)
         # Dense rows of one shape: every problem's state is the same size.
-        problems = [TrainingProblem.from_matrix(dense_rows(rng.randn(8, 4)), [1, -1] * 4, C=1.0)
+        problems = [TrainingProblem.from_matrix(dense_rows(rng.randn(8, 4)), [1, -1] * 4)
                     for _ in range(5)]
         monkeypatch.setattr(svm, "LOCKSTEP_STATE_BYTES",
                             budget_in_problems * state_bytes(problems[:1], 2))
