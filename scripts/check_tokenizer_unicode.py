@@ -2,10 +2,10 @@
 """Check the fused tokenizer against the reference on every code point.
 
 Each code point c that is neither a surrogate nor whitespace goes through
-``textprep.term_tokens`` and through ``textprep.tokenize`` + ``bears_term``
-in the forms c, ac, ca, aca and cc, with the default emoticon table.  The
-two must give the same lowered tokens and term flags: everything
-``term_tokens`` returns.
+``textprep.term_tokens`` and through the reference tokenizer of
+``tests/reference_features.py`` (``tokenize`` + ``bears_term``) in the forms
+c, ac, ca, aca and cc, with the default emoticon table.  The two must give
+the same lowered tokens and term flags: everything ``term_tokens`` returns.
 
     python scripts/check_tokenizer_unicode.py
 
@@ -16,9 +16,14 @@ about half a minute, so it runs as its own CI step, not in the test suite.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 from emoclf.lexicons import default_emoticons
-from emoclf.textprep import bears_term, term_tokens, tokenize
+from emoclf.textprep import bears_term, term_tokens
+
+# The reference tokenizer lives with the tests, not in the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_features import tokenize
 
 FORMS = ("{c}", "a{c}", "{c}a", "a{c}a", "{c}{c}")
 BLOCK = 4096        # code points per joined text

@@ -22,7 +22,6 @@ from .features import (
     FeatureMatrix,
     FittedExtractor,
     Vocabulary,
-    assemble,
     idf,
 )
 from .lexicons import LexiconSet, default_lexicons, load_lexicons
@@ -48,4 +47,4 @@ from .svm import (
     predict,
     train_dual_cd,
 )
-from .textprep import TokenStream, strip_noise, tokenize
+from .textprep import strip_noise

@@ -1,6 +1,6 @@
 """Sparse feature extraction: tf-idf n-grams plus lexical cue scores.
 
-A fitted extractor turns one token stream into one row laid out as six
+A fitted extractor turns each document into one row laid out as six
 contiguous blocks::
 
     [ n-grams | emotion categories | politeness | pos sent | neg sent | uncertainty ]
@@ -31,17 +31,18 @@ where an unknown n-gram is dropped at lookup, and its columns need no
 further mapping.  A caller that transforms many blocks for the same
 extractors builds the stack once.
 
-``assemble`` (or ``FittedExtractor.vectorize``) builds one document's row
-with plain loops, and the corpus path reproduces it bit for bit: every value
-comes from the same scalar formulas, and every float sum is added left to
-right by ``_added``.  The matching one-stream-at-a-time fit lives with the
-tests, in ``tests/reference_features.py``.
+This is the library's one feature path: ``FittedExtractor.vectorize`` is its
+one-document case.  The tests keep a single-document reference, a fit and a
+row built with plain loops over one token stream at a time, in
+``tests/reference_features.py``; the corpus path reproduces it bit for bit,
+because every value comes from the same scalar formulas and every float sum
+is added left to right by ``_added``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -58,13 +59,7 @@ from .errors import (
     ParseError,
 )
 from .lexicons import LexiconSet, default_emoticons
-from .textprep import (
-    TokenStream,
-    ngram_occurrences,
-    strip_noise,
-    term_tokens,
-    tokenize,
-)
+from .textprep import strip_noise, term_tokens
 
 EXTRACTOR_VERSION = "1"
 
@@ -148,14 +143,6 @@ class FittedExtractor:
     def dimension(self) -> int:
         return len(self.vocabulary) + len(self.categories) + len(AUX_FEATURES)
 
-    def layout(self) -> tuple[tuple[str, int, int], ...]:
-        """(block name, offset, width) triples covering the whole space."""
-        v, k = len(self.vocabulary), len(self.categories)
-        blocks = [("ngrams", 0, v), ("categories", v, k)]
-        for slot, name in enumerate(AUX_FEATURES):
-            blocks.append((name, v + k + slot, 1))
-        return tuple(blocks)
-
     def feature_names(self) -> list[str]:
         names = list(self.vocabulary.terms)
         names.extend(f"category:{category}" for category in self.categories)
@@ -163,8 +150,11 @@ class FittedExtractor:
         return names
 
     def vectorize(self, text: str) -> FeatureMatrix:
-        """Raw text straight to a one-row feature matrix (strip, tokenize, assemble)."""
-        return assemble(tokenize(strip_noise(text), self.emoticons), self)
+        """Raw text to a one-row feature matrix: the corpus path on a one-text corpus.
+
+        Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
+        """
+        return transform_counts(count_texts([text], self.lexicons, self.emoticons), self)
 
     def shares_text_work(self, other: "FittedExtractor") -> bool:
         """True when both tokenize and count any text identically.
@@ -199,39 +189,6 @@ def _added(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
-
-
-def _l2_normalized(pairs: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    norm = math.sqrt(_added(v * v for _, v in pairs))
-    if norm == 0.0:
-        return pairs
-    return [(i, v / norm) for i, v in pairs]
-
-
-def ngram_block(doc: TokenStream, fitted: FittedExtractor) -> list[tuple[int, float]]:
-    """Sorted (slot, tf-idf) pairs of in-vocabulary uni/bi-grams, L2-normalized."""
-    vocab = fitted.vocabulary
-    counts = Counter(ngram_occurrences(doc))
-    pairs = []
-    for term, tf in counts.items():
-        slot = vocab.index.get(term)
-        if slot is not None:
-            pairs.append((slot, tf * idf(vocab.df[slot], vocab.n_docs)))
-    pairs.sort()
-    return _l2_normalized(pairs)
-
-
-def emotion_category_block(doc: TokenStream, fitted: FittedExtractor) -> list[tuple[int, float]]:
-    """Sorted (slot, tf-idf) pairs per emotion category, counting its member words."""
-    n_docs = fitted.vocabulary.n_docs
-    token_counts = Counter(doc.lowered)
-    pairs = []
-    for slot, category in enumerate(fitted.categories):
-        words = fitted.lexicons.emotion_categories[category]
-        tf = sum(count for token, count in token_counts.items() if token in words)
-        if tf and fitted.category_df[slot]:
-            pairs.append((slot, tf * idf(fitted.category_df[slot], n_docs)))
-    return _l2_normalized(pairs)
 
 
 def politeness_score(tokens: Sequence[str], lexicons: LexiconSet) -> float:
@@ -301,20 +258,6 @@ def _aux_scores(tokens: Sequence[str], lexicons: LexiconSet) -> tuple[float, flo
         float(neg),
         uncertainty_score(tokens, lexicons),
     )
-
-
-def assemble(doc: TokenStream, fitted: FittedExtractor) -> FeatureMatrix:
-    """Concatenate all blocks into one row over the full feature space."""
-    v, k = len(fitted.vocabulary), len(fitted.categories)
-    pairs = ngram_block(doc, fitted)
-    pairs.extend((v + i, value) for i, value in emotion_category_block(doc, fitted))
-    for slot, raw in enumerate(_aux_scores(doc.lowered, fitted.lexicons)):
-        std = fitted.aux_std[slot]
-        if std > 0.0:
-            z = (raw - fitted.aux_mean[slot]) / std
-            if z != 0.0:
-                pairs.append((v + k + slot, z))
-    return FeatureMatrix.from_pairs([pairs], fitted.dimension)
 
 
 # --- corpus path: text work once, then array operations per fit ------------
@@ -627,7 +570,7 @@ def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
 
 
 def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # Each row's squares added in column order, exactly as _l2_normalized.
+    # Each row's squares added left to right, in column order.
     squares = values * values
     bounds = indptr.tolist()
     norms = np.array(
@@ -730,12 +673,13 @@ def _bigram_columns(terms: Sequence[str]) -> dict[tuple[str, str], int]:
 
 
 def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMatrix:
-    """``assemble`` for every document of a counted corpus.
+    """One feature row per document of a counted corpus.
 
     ``fitted`` must share the lexicons and emoticon table the counts were
-    made with.  Row i equals ``assemble`` of document i: same indices, same
-    values.  Transform a subset with ``transform_counts(counts.take(rows), fitted)``.
-    This is the one-extractor case of ``stacked_transform``.
+    made with.  Row i is document i's n-gram block, category block and
+    standardized cue scores, in that order.  Transform a subset with
+    ``transform_counts(counts.take(rows), fitted)``.  This is the
+    one-extractor case of ``stacked_transform``.
     """
     return stacked_transform(counts, [fitted])
 

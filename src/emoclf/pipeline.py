@@ -663,8 +663,9 @@ def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndar
     into the group's term table (``ExtractorStack.count_texts``), transformed
     once for all of the group's extractors (``stacked_transform``) and scored
     once (``stacked_decision_values``), on the group's prepared stacks.
-    Equal to ``predict(em.model, em.extractor.vectorize(text))`` for every
-    model and text, whatever the block size.
+    Equal, for every model and text and whatever the block size, to
+    ``predict`` of the text's own row: ``em.extractor.vectorize(text)``, or
+    the single-document reference in ``tests/reference_features.py``.
     """
     bits = {}
     for group in bundle.prediction_groups:

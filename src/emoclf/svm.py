@@ -649,7 +649,11 @@ def predict_rows(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
 
 
 def predict(model: LinearModel, x: FeatureMatrix) -> int:
-    """The 0/1 prediction for a one-row matrix, such as ``FittedExtractor.vectorize``'s."""
+    """The 0/1 prediction for a one-row matrix.
+
+    ``predict(model, extractor.vectorize(text))`` scores one text on its own;
+    ``pipeline.classify`` gives the same bit for it in a batch.
+    """
     if x.n_rows != 1:
         raise ContractViolation(f"predict scores one row, got {x.n_rows}")
     return int(predict_rows(model, x)[0])

@@ -2,17 +2,16 @@
 
 Raw corpus text (forum posts, issue comments) carries HTML tags, code
 fragments, and URLs that add nothing but vocabulary noise.  ``strip_noise``
-removes them; ``tokenize`` splits the remainder into a checked
-``TokenStream`` of surface tokens, case kept, and ``ngram_occurrences`` lists
-its lowercased n-grams.  Only lowered tokens feed n-grams, category hits and
-cue scores, so ``term_tokens``, the corpus path's tokenizer, returns the same
-tokens lowered, plus ``bears_term`` of each, in one pass and with no
-``TokenStream``.  A whitespace chunk whose first and last characters are
-alphanumeric is a single term-bearing token, so only the other chunks go
-through the splitter; a test over generated text and a sweep of every code
-point check it against ``tokenize``.  No stemming or lemmatization happens
-anywhere: inflected forms stay distinct vocabulary entries.  This module reads no
-files: the emoticon table ``tokenize`` keeps whole comes from ``lexicons``.
+removes them; ``term_tokens`` splits the remainder into tokens and returns
+them lowered, plus ``bears_term`` of each, in one pass: only lowered tokens
+feed n-grams, category hits and cue scores.  A whitespace chunk whose first
+and last characters are alphanumeric is a single term-bearing token, so only
+the other chunks go through the splitter; a test over generated text and a
+sweep of every code point check it against the reference tokenizer in
+``tests/reference_features.py``.  No stemming or lemmatization happens
+anywhere: inflected forms stay distinct vocabulary entries.  This module
+reads no files: the emoticon table ``term_tokens`` keeps whole comes from
+``lexicons``.
 
 ``strip_noise`` reads the text once, left to right.  One compiled pattern
 finds the next place where markup can begin ("<", ">", "```", "://" or
@@ -66,12 +65,6 @@ well-formed markup the two give the same words.  The known differences:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
-
-from .errors import ContractViolation
-from .lexicons import default_emoticons
 
 # Where a construct can begin; the text between two matches is plain.
 _NEXT = re.compile(r"[<>]|```|://|www\.")
@@ -218,33 +211,6 @@ def strip_noise(text: str) -> str:
     return _INDENTED_LINE.sub(" ", "".join(out))
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    """Ordered surface tokens of one document, case preserved."""
-
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        # str.split() drops empty tokens and splits at exactly the characters
-        # str.isspace() flags, so any bad token changes the round trip.
-        if " ".join(self.tokens).split() != list(self.tokens):
-            bad = next(t for t in self.tokens if not t or any(ch.isspace() for ch in t))
-            raise ContractViolation(f"token {bad!r} is empty or contains whitespace")
-
-    @cached_property
-    def lowered(self) -> tuple[str, ...]:
-        # From a list: tuple() of an iterator allocates a guessed size and
-        # resizes, and the freed tuples then pile up on CPython's per-size
-        # free lists, raising peak memory pass after pass.
-        return tuple([token.lower() for token in self.tokens])
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
-
-
 def _is_punct(ch: str) -> bool:
     return not ch.isalnum()
 
@@ -271,32 +237,21 @@ def _split_chunk(chunk: str, emoticons: frozenset[str]) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def tokenize(text: str, emoticons: frozenset[str] | None = None) -> TokenStream:
-    """Split on whitespace, then peel edge punctuation into its own tokens.
-
-    Emoticons from the table are kept whole even when they contain letters
-    (``:D``); contractions keep their internal apostrophe; numbers survive
-    intact because their punctuation is internal.
-    """
-    table = default_emoticons() if emoticons is None else emoticons
-    tokens: list[str] = []
-    for chunk in text.split():
-        tokens.extend(_split_chunk(chunk, table))
-    return TokenStream(tuple(tokens))
-
-
 def bears_term(token: str) -> bool:
     """Whether ``token`` can be an n-gram term: it has an alphanumeric character."""
     return any(ch.isalnum() for ch in token)
 
 
 def term_tokens(text: str, emoticons: frozenset[str]) -> tuple[list[str], list[bool]]:
-    """``tokenize(text, emoticons).lowered`` and ``bears_term`` of each token, in one pass.
+    """The tokens of ``text``, lowered, and ``bears_term`` of each, in one pass.
 
-    A chunk whose first and last characters are alphanumeric is one
-    term-bearing token whatever the emoticon table holds, so only the other
-    chunks go through the splitter and the per-character test.  The tokens
-    come from ``str.split``, so they need none of ``TokenStream``'s checks.
+    Split on whitespace, then peel edge punctuation into its own tokens.
+    Emoticons from the table are kept whole even when they contain letters
+    (``:D``); contractions keep their internal apostrophe; numbers survive
+    intact because their punctuation is internal.  A chunk whose first and
+    last characters are alphanumeric is one term-bearing token whatever the
+    emoticon table holds, so only the other chunks go through the splitter
+    and the per-character test.
     """
     lowered: list[str] = []
     termable: list[bool] = []
@@ -309,22 +264,3 @@ def term_tokens(text: str, emoticons: frozenset[str]) -> tuple[list[str], list[b
             lowered += map(str.lower, parts)
             termable += map(bears_term, parts)
     return lowered, termable
-
-
-def ngram_occurrences(stream: TokenStream) -> list[str]:
-    """Every n-gram occurrence, duplicates kept: all unigrams, then all bigrams.
-
-    Terms are lowercased.  Tokens without any alphanumeric character (bare
-    punctuation, emoticons) never become terms, and a bigram never bridges
-    such a token: clause-boundary punctuation cuts the pair.
-    """
-    low = stream.lowered
-    termable = [bears_term(token) for token in stream.tokens]
-    occurrences = [low[i] for i in range(len(low)) if termable[i]]
-    occurrences.extend(
-        f"{low[i]} {low[i + 1]}"
-        for i in range(len(low) - 1)
-        if termable[i] and termable[i + 1]
-    )
-    return occurrences
-

@@ -24,10 +24,7 @@ from emoclf.corpus import (
 )
 from emoclf.features import (
     FeatureMatrix,
-    assemble,
-    emotion_category_block,
     fit_counts,
-    ngram_block,
     transform_counts,
 )
 from emoclf.lexicons import LexiconSet
@@ -48,8 +45,14 @@ from emoclf.svm import (
     train_dual_cd,
 )
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
-from emoclf.textprep import TokenStream
-from reference_features import count_streams, fit
+from reference_features import (
+    TokenStream,
+    assemble,
+    count_streams,
+    emotion_category_block,
+    fit,
+    ngram_block,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

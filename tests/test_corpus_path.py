@@ -2,13 +2,15 @@
 
 Training counts each gold document once and fits/transforms row subsets of
 that count matrix; batch prediction counts each document once for all
-emotions whose extractors tokenize and count alike.  Both must reproduce
-``fit`` + ``assemble`` and ``predict(model, extractor.vectorize(text))``
-exactly, not to a tolerance.
+emotions whose extractors tokenize and count alike.  Both must reproduce the
+reference of ``tests/reference_features.py`` exactly, not to a tolerance:
+``fit`` + ``assemble``, and ``predict`` of each text's reference row.  So
+must ``FittedExtractor.vectorize``, the corpus path's one-document case.
 """
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import math
@@ -22,8 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emoclf
 import emoclf.features as features
 import emoclf.pipeline as pipeline
+import emoclf.textprep as textprep
 from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, stratified_split, write_gold_corpus
 from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus
@@ -31,14 +35,13 @@ from emoclf.features import (
     MAX_DOCUMENT_CHARS,
     ExtractorStack,
     FeatureMatrix,
-    assemble,
     count_texts,
     extractor_to_dict,
     fit_counts,
     stacked_transform,
     transform_counts,
 )
-from emoclf.lexicons import LexiconSet, default_lexicons
+from emoclf.lexicons import LexiconSet, default_emoticons, default_lexicons
 from emoclf.pipeline import (
     ModelBundle,
     TrainConfig,
@@ -59,15 +62,15 @@ from emoclf.svm import (
     stacked_decision_values,
 )
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
-from emoclf.textprep import (
+from emoclf.textprep import bears_term, strip_noise, term_tokens
+from reference_features import (
     TokenStream,
-    bears_term,
-    default_emoticons,
-    strip_noise,
-    term_tokens,
+    assemble,
+    count_streams,
+    fit,
+    reference_row,
     tokenize,
 )
-from reference_features import count_streams, fit
 
 # Tokens that hit every default inventory (categories, multi-word politeness
 # cues, sentiment with boosters and negations, modality), case variants,
@@ -246,7 +249,7 @@ def test_counting_raw_text_matches_the_reference_preprocessing():
     reference = fit(streams, lexicons, 1, emoticons)
     counts = count_texts(PROBE_TEXTS, lexicons, emoticons)
     _same_rows(transform_counts(counts, reference),
-               [reference.vectorize(text) for text in PROBE_TEXTS])
+               [assemble(stream, reference) for stream in streams])
 
 
 # Pieces the fused front end (``term_tokens``) must split exactly as
@@ -302,6 +305,32 @@ def test_fused_counting_equals_tokenize_then_count(emoticons, texts):
                  _reference_counts(texts, lexicons, emoticons))
 
 
+UNKNOWN_ONLY = "qqqq wwww eeee"
+
+
+@functools.lru_cache(maxsize=None)
+def _vectorize_extractor(emoticons):
+    """A reference fit over the probe texts and front-end pieces, with ``emoticons``."""
+    texts = [text for text in PROBE_TEXTS if text != UNKNOWN_ONLY] + FRONT_END_PIECES
+    texts.append(" ".join(FRONT_END_PIECES))
+    streams = [tokenize(strip_noise(text), emoticons) for text in texts]
+    return fit(streams, default_lexicons(), 1, emoticons)
+
+
+@pytest.mark.parametrize("emoticons", [default_emoticons(), TOY_EMOTICONS],
+                         ids=["default-emoticons", "toy-emoticons"])
+@given(texts=front_end_texts)
+@settings(max_examples=100, deadline=None)
+def test_vectorize_equals_the_reference_row(emoticons, texts):
+    fitted = _vectorize_extractor(emoticons)
+    assert not set(UNKNOWN_ONLY.split()) & set(fitted.vocabulary.terms)
+    for text in ["", UNKNOWN_ONLY, *PROBE_TEXTS, *texts]:
+        got, want = fitted.vectorize(text), reference_row(fitted, text)
+        assert got.dimension == want.dimension == fitted.dimension
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (text, name)
+
+
 def _perfbench_inputs():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
@@ -350,6 +379,14 @@ class TestDocumentSizeLimit:
         assert (err.value.position, err.value.limit) == (2, MAX_DOCUMENT_CHARS)
         assert err.value.length == len(texts[2])
         assert "document 2" in str(err.value) and str(MAX_DOCUMENT_CHARS) in str(err.value)
+
+    def test_vectorize_refuses_an_oversized_text(self):
+        fitted = _vectorize_extractor(default_emoticons())
+        assert fitted.vectorize("ab " * (MAX_DOCUMENT_CHARS // 3)).n_rows == 1
+        text = "z" * (MAX_DOCUMENT_CHARS + 1)
+        with pytest.raises(DocumentTooLarge) as err:
+            fitted.vectorize(text)
+        assert (err.value.position, err.value.length) == (0, len(text))
 
     def test_classify_refuses_an_oversized_document(self, bundles):
         docs = [Document("a", "zyblor"), Document("b", "z" * (MAX_DOCUMENT_CHARS + 1))]
@@ -416,7 +453,7 @@ class TestFeatureMatrixContract:
 def _reference_rows(bundle, docs):
     return [
         (doc.id, emotion, predict(bundle.models[emotion].model,
-                                  bundle.models[emotion].extractor.vectorize(doc.text)))
+                                  reference_row(bundle.models[emotion].extractor, doc.text)))
         for doc in docs
         for emotion in bundle.emotions
     ]
@@ -425,7 +462,7 @@ def _reference_rows(bundle, docs):
 def _reference_confusion(em, docs):
     tally = [0, 0, 0, 0]
     for labeled in docs:
-        guess = predict(em.model, em.extractor.vectorize(labeled.doc.text))
+        guess = predict(em.model, reference_row(em.extractor, labeled.doc.text))
         gold = labeled.labels[em.emotion]
         tally[{(1, 1): 0, (1, 0): 1, (0, 1): 2, (0, 0): 3}[(guess, gold)]] += 1
     return tuple(tally)
@@ -525,9 +562,15 @@ def test_classify_accepts_an_iterator_and_no_documents(bundles):
     assert classify(bundle, []) == []
 
 
-def test_the_corpus_path_builds_no_token_stream(bundles, gold, tmp_path, monkeypatch):
-    # TokenStream checks tokens from outside the corpus path; the corpus
-    # path makes its own with str.split and needs none of its checks.
+# The reference path that lives in tests/reference_features.py and nowhere
+# in the package.
+MOVED_NAMES = ("assemble", "ngram_block", "emotion_category_block", "_l2_normalized",
+               "tokenize", "TokenStream", "ngram_occurrences")
+
+
+def test_the_corpus_path_builds_no_token_stream(bundles, gold, tmp_path):
+    # The corpus path makes its tokens with str.split and has no TokenStream
+    # or any other part of the reference path to build.
     lexicons, emoticons = default_lexicons(), default_emoticons()
     texts, docs = [d.doc.text for d in gold], [d.doc for d in gold]
     bundle = bundles["shared_split"]
@@ -537,12 +580,8 @@ def test_the_corpus_path_builds_no_token_stream(bundles, gold, tmp_path, monkeyp
     expected_rows = _reference_rows(bundle, docs)
     save_bundle(bundle, tmp_path / "expected.emo")
 
-    def refuse(self):
-        raise AssertionError("the corpus path built a TokenStream")
-
-    monkeypatch.setattr(TokenStream, "__post_init__", refuse)
-    with pytest.raises(AssertionError, match="built a TokenStream"):
-        tokenize("a")
+    for module in (emoclf, features, textprep):
+        assert [name for name in MOVED_NAMES if hasattr(module, name)] == [], module.__name__
     _same_counts(count_texts(texts, lexicons, emoticons), expected_counts)
     _same_counts(stack.count_texts(texts), expected_stacked)
     trained = train_all(gold, ["joy", "anger"], TrainConfig(
@@ -621,8 +660,9 @@ for n in range(1, 26):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_classify_passes_keep_the_memory_high_water_mark():
-    # While TokenStream.lowered built its tuple from an iterator, the resized
-    # tuples piled up on CPython's tuple free lists, and this peak rose by
+    # While classification built a TokenStream per document, whose lowered
+    # tuple came from an iterator, the resized tuples piled up on CPython's
+    # tuple free lists, and this peak rose by
     # 2.6 MiB from pass 5 to pass 25 (Python 3.11, x86-64 Linux).
     src = Path(features.__file__).resolve().parents[1]
     result = subprocess.run(

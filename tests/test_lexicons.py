@@ -119,12 +119,10 @@ class TestDefaults:
     def test_emoticon_file_round_trips(self, tmp_path):
         import importlib.resources as resources
 
-        from emoclf import textprep
-
         path = tmp_path / "emoticons.txt"
         path.write_text(resources.files("emoclf.data").joinpath("emoticons.txt")
                         .read_text("utf-8"), encoding="utf-8")
-        assert load_emoticons(path) == default_emoticons() == textprep.default_emoticons()
+        assert load_emoticons(path) == default_emoticons()
 
     def test_missing_emoticon_file_rejected(self, tmp_path):
         with pytest.raises(LexiconError, match="absent.txt"):

@@ -3,8 +3,8 @@
 Prediction counts each block into its text-work group's term table
 (``ExtractorStack.count_texts``) instead of numbering the block's own terms.
 Its rows and decision values must be the same bits as ``count_texts`` +
-``stacked_transform`` and as ``FittedExtractor.vectorize``, one document at
-a time.  The counting core runs the cue scorers only on documents that hold
+``stacked_transform`` and as the single-document reference of
+``tests/reference_features.py``, one document at a time.  The counting core runs the cue scorers only on documents that hold
 a cue word and counts category hits with one lookup per token; both must
 give exactly what the scorers and a per-category scan give.
 """
@@ -28,11 +28,12 @@ from emoclf.features import (
     stacked_transform,
     uncertainty_score,
 )
-from emoclf.lexicons import LexiconSet, default_lexicons
+from emoclf.lexicons import LexiconSet, default_emoticons, default_lexicons
 from emoclf.pipeline import TrainConfig, TuningGrid, classify, load_bundle, save_bundle, train_all
 from emoclf.svm import L2_HINGE, LinearModel, ModelStack, stacked_decision_values
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
-from emoclf.textprep import default_emoticons, strip_noise, tokenize
+from emoclf.textprep import strip_noise
+from reference_features import reference_row, tokenize
 
 # Words every extractor may train on, words only extractor e trains on, and
 # words no extractor trains on.  Cue words of the default lexicons, case
@@ -99,7 +100,7 @@ def _check_block(stack, scoring, texts):
     for e, fitted in enumerate(stack.extractors):
         for i, text in enumerate(texts):
             start, end = got.indptr[e * n + i], got.indptr[e * n + i + 1]
-            single = fitted.vectorize(text)
+            single = reference_row(fitted, text)
             assert (got.indices[start:end] - offset).tobytes() == single.indices.tobytes()
             assert got.data[start:end].tobytes() == single.data.tobytes()
         offset += fitted.dimension

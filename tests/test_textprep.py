@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 from strip_oracle import strip_noise_fixpoint
 
 from emoclf.errors import ContractViolation
-from emoclf.textprep import (
-    TokenStream,
-    default_emoticons,
-    ngram_occurrences,
-    strip_noise,
-    tokenize,
-)
-from reference_features import ngram_terms
+from emoclf.lexicons import default_emoticons
+from emoclf.textprep import strip_noise
+from reference_features import TokenStream, ngram_occurrences, ngram_terms, tokenize
 
 
 class TestStripNoise:
