@@ -21,15 +21,17 @@ run only on documents that hold a cue word.  ``fit_counts`` and
 ``CorpusCounts.take`` picks the rows to fit or transform.
 
 ``stacked_transform`` transforms the same rows for several extractors into
-one matrix whose columns are their feature spaces side by side.  It works
-from an ``ExtractorStack``: a term table over the union of the extractors'
+one matrix whose columns are their feature spaces side by side.  It takes a
+prepared ``ExtractorStack``: a term table over the union of the extractors'
 vocabularies with each column's slot in every extractor, and the
-extractors' idf and scaling constants laid side by side.  Counting for
-fitting numbers the block's own terms as it sees them; prediction counts a
-block straight into its stack's table (``ExtractorStack.count_texts``),
-where an unknown n-gram is dropped at lookup, and its columns need no
-further mapping.  A caller that transforms many blocks for the same
-extractors builds the stack once.
+extractors' idf and scaling constants laid side by side.  The stack owns
+the text-work rule: extractors with equal lexicons and emoticon tables
+count any text alike, so one count serves them all.  It stacks only such
+extractors, and ``stacked_transform`` takes only counts made with the
+stack's pair.  Counting for fitting numbers the block's own terms as it
+sees them; prediction counts a block straight into its stack's table
+(``ExtractorStack.count_texts``), where an unknown n-gram is dropped at
+lookup, and its columns need no further mapping.
 
 This is the library's one feature path: ``FittedExtractor.vectorize`` is its
 one-document case.  The tests keep a single-document reference, a fit and a
@@ -155,18 +157,6 @@ class FittedExtractor:
         Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
         """
         return transform_counts(count_texts([text], self.lexicons, self.emoticons), self)
-
-    def shares_text_work(self, other: "FittedExtractor") -> bool:
-        """True when both tokenize and count any text identically.
-
-        Extractors fitted from one count matrix, or loaded from one bundle,
-        hold the same lexicon and emoticon objects when they share text
-        work, so for them this is an identity check.
-        """
-        return (
-            (self.emoticons is other.emoticons or self.emoticons == other.emoticons)
-            and (self.lexicons is other.lexicons or self.lexicons == other.lexicons)
-        )
 
     # Cached on first use, so loading a bundle stays cheap.
     @cached_property
@@ -584,6 +574,11 @@ def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 class ExtractorStack:
     """What ``stacked_transform`` needs of a sequence of extractors, worked out once.
 
+    ``lexicons`` and ``emoticons`` are the first extractor's, and every
+    extractor's pair must equal them (``ContractViolation`` otherwise).
+    Extractors fitted from one count matrix, or loaded from one bundle, hold
+    the same objects, so for them the check is an identity test.
+
     Its term table has one column per term of the extractors' vocabularies,
     in sorted order: ``terms`` names the columns, ``index`` maps each term
     to its column and ``pairs`` maps the (first, second) tokens of each
@@ -605,6 +600,12 @@ class ExtractorStack:
         if not extractors:
             raise ContractViolation("a stacked transform needs at least one extractor")
         self.extractors = tuple(extractors)
+        head = self.extractors[0]
+        self.lexicons, self.emoticons = head.lexicons, head.emoticons
+        if any((fitted.lexicons, fitted.emoticons) != (self.lexicons, self.emoticons)
+               for fitted in self.extractors):
+            raise ContractViolation(
+                "stacked extractors must share their lexicons and emoticon table")
         n_stack = len(self.extractors)
         vocabularies = [fitted.vocabulary for fitted in self.extractors]
         if n_stack == 1:
@@ -650,11 +651,9 @@ class ExtractorStack:
         """``count_texts`` into the term table, dropping n-grams no extractor knows.
 
         The counts' ``terms`` are the stack's own, which ``stacked_transform``
-        takes as its columns.  The extractors must share their lexicons and
-        emoticon table.
+        takes as its columns.
         """
-        head = self.extractors[0]
-        return _count(_term_streams(texts, head.emoticons), head.lexicons, head.emoticons, self)
+        return _count(_term_streams(texts, self.emoticons), self.lexicons, self.emoticons, self)
 
 
 def _bigram_columns(terms: Sequence[str]) -> dict[tuple[str, str], int]:
@@ -676,31 +675,32 @@ def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMa
     """One feature row per document of a counted corpus.
 
     ``fitted`` must share the lexicons and emoticon table the counts were
-    made with.  Row i is document i's n-gram block, category block and
-    standardized cue scores, in that order.  Transform a subset with
-    ``transform_counts(counts.take(rows), fitted)``.  This is the
-    one-extractor case of ``stacked_transform``.
+    made with (``ContractViolation`` otherwise).  Row i is document i's
+    n-gram block, category block and standardized cue scores, in that order.
+    Transform a subset with ``transform_counts(counts.take(rows), fitted)``.
+    This is the one-extractor case of ``stacked_transform``.
     """
-    return stacked_transform(counts, [fitted])
+    return stacked_transform(counts, ExtractorStack([fitted]))
 
 
-def stacked_transform(
-    counts: CorpusCounts, extractors: Sequence[FittedExtractor] | ExtractorStack
-) -> FeatureMatrix:
-    """Every extractor's ``transform_counts`` rows, stacked in one matrix.
+def stacked_transform(counts: CorpusCounts, stack: ExtractorStack) -> FeatureMatrix:
+    """Every stacked extractor's ``transform_counts`` rows, in one matrix.
 
-    The matrix has ``len(extractors) * counts.n_docs`` rows, extractor-major,
-    and its columns are the extractors' feature spaces laid side by side:
-    row ``e * n + i`` is row i of ``transform_counts(counts, extractors[e])``
-    with every index shifted by the dimensions of ``extractors[:e]``.  The
-    values are the same bits, because each comes from the same scalar
-    operations and each block's L2 norm is summed in the same order.  Every
-    extractor must share the lexicons and emoticon table the counts were made
-    with.  A caller that transforms many blocks for the same extractors
-    passes their ``ExtractorStack``, built once; a plain sequence is stacked
-    for this call.
+    The matrix has ``len(stack) * counts.n_docs`` rows, extractor-major, and
+    its columns are the extractors' feature spaces laid side by side: row
+    ``e * n + i`` is row i of ``transform_counts(counts, stack.extractors[e])``
+    with every index shifted by the dimensions of the extractors before e.
+    The values are the same bits, because each comes from the same scalar
+    operations and each block's L2 norm is summed in the same order.  The
+    category and cue blocks are read from the counts, so they must have been
+    made with the stack's lexicons and emoticon table; ``ContractViolation``
+    otherwise.  A caller that transforms many blocks for the same extractors
+    builds their ``ExtractorStack`` once.
     """
-    stack = extractors if isinstance(extractors, ExtractorStack) else ExtractorStack(extractors)
+    if (counts.lexicons, counts.emoticons) != (stack.lexicons, stack.emoticons):
+        raise ContractViolation(
+            "the counts were made with other lexicons or another emoticon table "
+            "than the stacked extractors'")
     n, k = counts.category_counts.shape
     n_stack = len(stack)
     offsets = stack.offsets

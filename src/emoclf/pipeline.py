@@ -24,7 +24,8 @@ Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
 and each fold fits and transforms its rows of that count matrix.  Batch
 prediction likewise counts each document once for all emotions whose
-extractors tokenize and count alike, and handles those emotions together:
+extractors share text work (equal lexicons and emoticon tables, the rule
+``features.ExtractorStack`` checks), and handles those emotions together:
 it goes through the documents in blocks of at most ``PREDICT_BLOCK_ROWS``
 (emotion, document) rows, each counted straight into the group's term
 table, with one stacked transform and one scoring pass per block.  Each
@@ -159,6 +160,8 @@ class TrainConfig:
     monitor: TrainingMonitor | None = None    # in-process only: needs one worker
 
     def __post_init__(self):
+        if not isinstance(self.grid, TuningGrid):
+            raise ContractViolation(f"grid must be a TuningGrid, got {type(self.grid).__name__}")
         if self.folds < 2:
             raise ContractViolation("need at least 2 folds")
         if not 0 < self.train_fraction < 1:
@@ -222,17 +225,26 @@ class ModelBundle:
     def prediction_groups(self) -> tuple[PredictionGroup, ...]:
         """The bundle's text-work groups, in emotion order, prepared for prediction.
 
-        Built on the first prediction and kept while the bundle lives;
-        loading a bundle does not build them, and saving one does not write
-        them.
+        Emotions whose extractors share text work (``features.ExtractorStack``)
+        form one group.  Built on the first prediction and kept while the
+        bundle lives; loading a bundle does not build them, and saving one
+        does not write them.
         """
+        works: list[tuple] = []     # each group's (lexicons, emoticons)
+        groups: list[list[EmotionModel]] = []
+        for em in self:
+            work = (em.extractor.lexicons, em.extractor.emoticons)
+            if work not in works:
+                works.append(work)
+                groups.append([])
+            groups[works.index(work)].append(em)
         return tuple(
             PredictionGroup(
                 emotions=tuple(em.emotion for em in group),
                 extractors=ExtractorStack([em.extractor for em in group]),
                 models=ModelStack([em.model for em in group]),
             )
-            for group in _text_work_groups(list(self))
+            for group in groups
         )
 
 
@@ -639,19 +651,6 @@ def train_all(
 # once.  Blocks bound the memory a long input takes; a 20-document batch is
 # still one block for up to 12 emotions.
 PREDICT_BLOCK_ROWS = 256
-
-
-def _text_work_groups(models: Sequence[EmotionModel]) -> list[list[EmotionModel]]:
-    """Models whose extractors tokenize and count text alike, in input order."""
-    groups: list[list[EmotionModel]] = []
-    for em in models:
-        for group in groups:
-            if group[0].extractor.shares_text_work(em.extractor):
-                group.append(em)
-                break
-        else:
-            groups.append([em])
-    return groups
 
 
 def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndarray]:

@@ -35,9 +35,9 @@ products only through ``_row_dot``.
 
 Scoring takes one dot product per row.  ``stacked_decision_values`` scores
 the stacked rows of several models in one pass; ``decision_values`` is its
-one-model case.  It works from a ``ModelStack``, the models' weights laid
-side by side and their biases, which a caller scoring many blocks with the
-same models builds once.
+one-model case.  It takes a prepared ``ModelStack``, the models' weights
+laid side by side and their biases, which a caller scoring many blocks with
+the same models builds once.
 """
 
 from __future__ import annotations
@@ -587,7 +587,7 @@ def decision_values(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
 
     This is the one-model case of ``stacked_decision_values``.
     """
-    return stacked_decision_values([model], rows)
+    return stacked_decision_values(ModelStack([model]), rows)
 
 
 class ModelStack:
@@ -608,21 +608,18 @@ class ModelStack:
         return len(self.biases)
 
 
-def stacked_decision_values(
-    models: Sequence[LinearModel] | ModelStack, rows: FeatureMatrix
-) -> np.ndarray:
-    """Each model's ``w . [x; 1]`` for its own share of stacked rows.
+def stacked_decision_values(stack: ModelStack, rows: FeatureMatrix) -> np.ndarray:
+    """Each stacked model's ``w . [x; 1]`` for its own share of stacked rows.
 
-    ``rows`` are ``len(models)`` equal runs of rows, model-major, over the
+    ``rows`` are ``len(stack)`` equal runs of rows, model-major, over the
     models' feature spaces laid side by side, as ``features.stacked_transform``
     builds them: model m scores rows ``m * n`` to ``(m + 1) * n - 1``, whose
     columns start at the sum of the earlier models' dimensions.  A caller
-    that scores many blocks with the same models passes their ``ModelStack``,
-    built once; a plain sequence is stacked for this call.
+    that scores many blocks with the same models builds their ``ModelStack``
+    once.
     """
-    if not models or rows.n_rows % len(models):
-        raise ContractViolation(f"{rows.n_rows} rows do not split among {len(models)} models")
-    stack = models if isinstance(models, ModelStack) else ModelStack(models)
+    if rows.n_rows % len(stack):
+        raise ContractViolation(f"{rows.n_rows} rows do not split among {len(stack)} models")
     weights = stack.weights
     if rows.dimension != weights.shape[0]:
         raise DimensionError(

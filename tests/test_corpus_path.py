@@ -145,7 +145,7 @@ def _bits(values: np.ndarray) -> list[int]:
 
 def _stack_equals_singles(block, extractors, models) -> None:
     """The stacked transform and scoring equal one extractor and one model at a time."""
-    stacked = stacked_transform(block, extractors)
+    stacked = stacked_transform(block, ExtractorStack(extractors))
     n, offset = block.n_docs, 0
     assert stacked.n_rows == len(extractors) * n
     expected_values = []
@@ -165,7 +165,7 @@ def _stack_equals_singles(block, extractors, models) -> None:
         expected_values.extend(_bits(values))
         offset += fitted.dimension
     assert stacked.dimension == offset
-    assert _bits(stacked_decision_values(models, stacked)) == expected_values
+    assert _bits(stacked_decision_values(ModelStack(models), stacked)) == expected_values
 
 
 @given(
@@ -619,6 +619,62 @@ def test_each_group_is_prepared_once_per_bundle(bundles, gold, monkeypatch, kind
     assert {id(stack) for stack in used} == {id(g.extractors) for g in bundle.prediction_groups}
     # Each text is still counted once per group in each call.
     assert len(calls) == 2 * groups * len(docs)
+
+
+def test_equal_but_distinct_text_work_forms_one_group(gold):
+    # Two runs' extractors hold equal lexicons that are different objects, as
+    # when each bundle was trained with its own copy of the lexicon files.
+    fast = dict(folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1)
+    copied = dataclasses.replace(default_lexicons())
+    assert copied is not default_lexicons() and copied == default_lexicons()
+    joy = train_all(gold, ["joy"], TrainConfig(lexicons=default_lexicons(), **fast))
+    anger = train_all(gold, ["anger"], TrainConfig(lexicons=copied, **fast))
+    bundle = ModelBundle(
+        emotions=("joy", "anger"),
+        models={"joy": joy.models["joy"], "anger": anger.models["anger"]},
+        master_seed=joy.master_seed,
+        config=joy.config,
+    )
+    assert bundle.models["anger"].extractor.lexicons is copied
+    assert [g.emotions for g in bundle.prediction_groups] == [("joy", "anger")]
+    docs = [d.doc for d in gold]
+    assert classify(bundle, docs) == _reference_rows(bundle, docs)
+
+
+# Lexicons and an emoticon table that count some texts differently from the defaults.
+def _other_text_work():
+    lexicons = default_lexicons()
+    other = dataclasses.replace(lexicons, negations=lexicons.negations | {"zyblor"})
+    return [(other, default_emoticons()), (lexicons, frozenset({":)"}))]
+
+
+SHORT_TEXTS = ["zyblor good day :)", "not a bad day <3", ""]
+
+
+def test_a_stack_refuses_extractors_that_do_not_share_text_work():
+    own = fit_counts(count_texts(SHORT_TEXTS, default_lexicons()), 1)
+    for lexicons, emoticons in _other_text_work():
+        odd = fit_counts(count_texts(SHORT_TEXTS, lexicons, emoticons), 1)
+        for extractors in ([own, odd], [odd, own], [own, own, odd]):
+            with pytest.raises(ContractViolation, match="share their lexicons"):
+                ExtractorStack(extractors)
+
+
+def test_counts_made_with_other_text_work_are_refused():
+    lexicons = default_lexicons()
+    fitted = fit_counts(count_texts(SHORT_TEXTS, lexicons), 1)
+    stack = ExtractorStack([fitted])
+    for other in _other_text_work():
+        counts = count_texts(SHORT_TEXTS, *other)
+        with pytest.raises(ContractViolation, match="counts were made with other"):
+            transform_counts(counts, fitted)
+        with pytest.raises(ContractViolation, match="counts were made with other"):
+            stacked_transform(counts, stack)
+    # Equal copies are the same text work.
+    emoticons = frozenset(list(default_emoticons()))
+    copied = count_texts(SHORT_TEXTS, dataclasses.replace(lexicons), emoticons)
+    _same_rows(stacked_transform(copied, stack),
+               [fitted.vectorize(text) for text in SHORT_TEXTS])
 
 
 def test_loading_prepares_nothing_and_predicting_changes_no_saved_byte(

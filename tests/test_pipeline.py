@@ -154,6 +154,12 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match=f"{name} must be at least 1"):
             TrainConfig(**{name: bad})
 
+    @pytest.mark.parametrize("grid", [(0.5, 1.0), [1.0], 1.0])
+    def test_rejects_a_grid_that_is_not_a_tuning_grid(self, grid):
+        # Accepted, it would fail every emotion's training on a missing c_values.
+        with pytest.raises(ContractViolation, match=f"TuningGrid, got {type(grid).__name__}"):
+            TrainConfig(grid=grid)
+
 
 class TestFoldPlan:
     def test_balanced_two_class(self):
