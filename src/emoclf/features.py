@@ -28,10 +28,13 @@ extractors' idf and scaling constants laid side by side.  The stack owns
 the text-work rule: extractors with equal lexicons and emoticon tables
 count any text alike, so one count serves them all.  It stacks only such
 extractors, and ``stacked_transform`` takes only counts made with the
-stack's pair.  Counting for fitting numbers the block's own terms as it
-sees them; prediction counts a block straight into its stack's table
-(``ExtractorStack.count_texts``), where an unknown n-gram is dropped at
-lookup, and its columns need no further mapping.
+stack's pair.  A bundle is one such unit: ``extractors_from_dicts`` loads
+its extractors with one lexicon set and emoticon table, and prediction
+stacks all of them (``pipeline.ModelBundle.stacks``).  Counting for
+fitting numbers the block's own terms as it sees them; prediction counts a
+block straight into its stack's table (``ExtractorStack.count_texts``),
+where an unknown n-gram is dropped at lookup, and its columns need no
+further mapping.
 
 This is the library's one feature path: ``FittedExtractor.vectorize`` is its
 one-document case.  The tests keep a single-document reference, a fit and a
@@ -575,9 +578,11 @@ class ExtractorStack:
     """What ``stacked_transform`` needs of a sequence of extractors, worked out once.
 
     ``lexicons`` and ``emoticons`` are the first extractor's, and every
-    extractor's pair must equal them (``ContractViolation`` otherwise).
-    Extractors fitted from one count matrix, or loaded from one bundle, hold
-    the same objects, so for them the check is an identity test.
+    extractor's pair must equal them (``ContractViolation`` otherwise); this
+    is the one place that checks text work.  A bundle's extractors, fitted
+    from one count matrix or loaded from one bundle, hold the same objects,
+    so for them the check is an identity test, and one stack serves every
+    emotion of the bundle.
 
     Its term table has one column per term of the extractors' vocabularies,
     in sorted order: ``terms`` names the columns, ``index`` maps each term
@@ -808,26 +813,38 @@ def _lexicons_from_dict(raw_lex: dict) -> LexiconSet:
     )
 
 
-def _built_once(loaded: list, key: str, raw, build):
-    """``build(raw)``, or the object built before from a ``key`` payload equal to ``raw``."""
-    for seen_key, seen, built in loaded:
-        if seen_key == key and seen == raw:
-            return built
-    built = build(raw)
-    loaded.append((key, raw, built))
-    return built
+def extractor_from_dict(payload: dict) -> FittedExtractor:
+    """The extractor ``extractor_to_dict`` wrote."""
+    return _extractor_from_dict(payload, None)
 
 
-def extractor_from_dict(payload: dict, loaded: list | None = None) -> FittedExtractor:
-    """The extractor ``extractor_to_dict`` wrote.
+def extractors_from_dicts(payloads: Mapping[str, dict]) -> dict[str, FittedExtractor]:
+    """The extractors of one bundle, keyed by emotion as ``payloads`` are, in their order.
 
-    ``loaded`` lets the extractors of one bundle share their lexicons and
-    emoticon table: the caller passes one list to every call, it records
-    each distinct ``lexicons`` and ``emoticons`` payload with the object
-    built from it, and a payload equal to a recorded one takes that object
-    instead of being built again.
+    A bundle's emotions share one lexicon set and emoticon table: every
+    later payload's ``lexicons`` and ``emoticons`` must equal the first's,
+    and its extractor takes the objects built from the first's, so a bundle
+    builds one ``LexiconSet``.  A payload with others raises ``ParseError``;
+    a malformed one raises the error it raises when loaded alone.
     """
-    memo = [] if loaded is None else loaded
+    names = iter(payloads)
+    first = next(names)
+    head = extractor_from_dict(payloads[first])
+    text_work = {key: payloads[first][key] for key in ("lexicons", "emoticons")}
+    extractors = {first: head}
+    for name in names:
+        payload = payloads[name]
+        if not (isinstance(payload, dict)
+                and all(payload.get(key) == raw for key, raw in text_work.items())):
+            extractor_from_dict(payload)    # a malformed payload fails as when loaded alone
+            raise ParseError(f"{name}: lexicons or emoticon table differ from {first}'s; "
+                             "the emotions of one bundle share both")
+        extractors[name] = _extractor_from_dict(payload, head)
+    return extractors
+
+
+def _extractor_from_dict(payload: dict, head: FittedExtractor | None) -> FittedExtractor:
+    """``extractor_from_dict``, taking ``head``'s lexicons and emoticon table when given."""
     try:
         if payload.get("kind") != "emoclf-extractor":
             raise ParseError("not an extractor payload")
@@ -836,7 +853,7 @@ def extractor_from_dict(payload: dict, loaded: list | None = None) -> FittedExtr
             raise IncompatibleModel(
                 f"extractor version {version!r} unsupported (expected {EXTRACTOR_VERSION!r})"
             )
-        lexicons = _built_once(memo, "lexicons", payload["lexicons"], _lexicons_from_dict)
+        lexicons = head.lexicons if head else _lexicons_from_dict(payload["lexicons"])
         vocab_raw = payload["vocabulary"]
         vocabulary = Vocabulary(
             terms=tuple(vocab_raw["terms"]),
@@ -850,7 +867,7 @@ def extractor_from_dict(payload: dict, loaded: list | None = None) -> FittedExtr
             category_df=tuple(int(c) for c in payload["category_df"]),
             aux_mean=tuple(float(m) for m in payload["aux_mean"]),
             aux_std=tuple(float(s) for s in payload["aux_std"]),
-            emoticons=_built_once(memo, "emoticons", payload["emoticons"], frozenset),
+            emoticons=head.emoticons if head else frozenset(payload["emoticons"]),
         )
         if tuple(payload["categories"]) != fitted.categories:
             raise ContractViolation("categories must be the lexicons' emotion categories, sorted")

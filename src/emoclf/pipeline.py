@@ -22,18 +22,19 @@ cross-validation decision flipped.
 
 Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
-and each fold fits and transforms its rows of that count matrix.  Batch
-prediction likewise counts each document once for all emotions whose
-extractors share text work (equal lexicons and emoticon tables, the rule
-``features.ExtractorStack`` checks), and handles those emotions together:
-it goes through the documents in blocks of at most ``PREDICT_BLOCK_ROWS``
-(emotion, document) rows, each counted straight into the group's term
-table, with one stacked transform and one scoring pass per block.  Each
-such text-work group is prepared once per bundle
-(``ModelBundle.prediction_groups``: its ``ExtractorStack``, which holds the
-term table, and ``ModelStack``), on the bundle's first prediction, and every
-block of every later call reuses it; loading a bundle builds none, and none
-is saved.
+and each fold fits and transforms its rows of that count matrix.  A bundle
+is one text-work unit: all of its emotions' extractors share one lexicon
+set and emoticon table (``train_all`` fits them all from one count matrix,
+``bundle_from_dict`` refuses a payload whose emotions differ in either, and
+``features.ExtractorStack`` checks it).  So batch prediction counts each
+document once for all emotions and handles them together: it goes through
+the documents in blocks of at most ``PREDICT_BLOCK_ROWS`` (emotion,
+document) rows, each counted straight into the bundle's term table, with
+one stacked transform and one scoring pass per block.  The stacks are
+prepared once per bundle (``ModelBundle.stacks``: an ``ExtractorStack``,
+which holds the term table, and a ``ModelStack``), on the bundle's first
+prediction, and every block of every later call reuses them; loading a
+bundle builds none, and none is saved.
 
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
@@ -55,6 +56,7 @@ import numpy as np
 
 from .corpus import (
     LabeledDocument,
+    SplitResult,
     atomic_write,
     stratified_split,
     validate_emotion_name,
@@ -78,8 +80,8 @@ from .features import (
     FeatureMatrix,
     FittedExtractor,
     count_texts,
-    extractor_from_dict,
     extractor_to_dict,
+    extractors_from_dicts,
     fit_counts,
     stacked_transform,
     transform_counts,
@@ -162,6 +164,10 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.grid, TuningGrid):
             raise ContractViolation(f"grid must be a TuningGrid, got {type(self.grid).__name__}")
+        for name in ("folds", "jobs", "min_df", "max_outer_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ContractViolation(f"{name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ContractViolation("need at least 2 folds")
         if not 0 < self.train_fraction < 1:
@@ -198,19 +204,6 @@ class EmotionModel:
     cv_folds: tuple[FoldScore, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionGroup:
-    """Emotions whose extractors tokenize and count text alike, ready to predict together.
-
-    The extractors and models are stacked once (``features.ExtractorStack``,
-    ``svm.ModelStack``), and every block of texts reuses both stacks.
-    """
-
-    emotions: tuple[str, ...]
-    extractors: ExtractorStack
-    models: ModelStack
-
-
 @dataclass(frozen=True)
 class ModelBundle:
     emotions: tuple[str, ...]
@@ -222,30 +215,15 @@ class ModelBundle:
         return (self.models[emotion] for emotion in self.emotions)
 
     @cached_property
-    def prediction_groups(self) -> tuple[PredictionGroup, ...]:
-        """The bundle's text-work groups, in emotion order, prepared for prediction.
+    def stacks(self) -> tuple[ExtractorStack, ModelStack]:
+        """Every emotion's extractor and model, stacked in emotion order for prediction.
 
-        Emotions whose extractors share text work (``features.ExtractorStack``)
-        form one group.  Built on the first prediction and kept while the
-        bundle lives; loading a bundle does not build them, and saving one
-        does not write them.
+        Built on the first prediction and kept while the bundle lives; loading
+        a bundle does not build them, and saving one does not write them.
+        ``ExtractorStack`` raises ``ContractViolation`` unless every
+        extractor shares the first's lexicons and emoticon table.
         """
-        works: list[tuple] = []     # each group's (lexicons, emoticons)
-        groups: list[list[EmotionModel]] = []
-        for em in self:
-            work = (em.extractor.lexicons, em.extractor.emoticons)
-            if work not in works:
-                works.append(work)
-                groups.append([])
-            groups[works.index(work)].append(em)
-        return tuple(
-            PredictionGroup(
-                emotions=tuple(em.emotion for em in group),
-                extractors=ExtractorStack([em.extractor for em in group]),
-                models=ModelStack([em.model for em in group]),
-            )
-            for group in groups
-        )
+        return ExtractorStack([em.extractor for em in self]), ModelStack([em.model for em in self])
 
 
 @dataclass(frozen=True)
@@ -489,6 +467,14 @@ def split_seed_for(emotion: str, config: TrainConfig) -> int:
     return derive_seed(config.seed, "emotion", emotion, "split")
 
 
+def _emotion_split(
+    gold: Sequence[LabeledDocument], emotions: Sequence[str], emotion: str, shared: bool,
+    fraction: float, seed: int,
+) -> SplitResult:
+    """``emotion``'s split of ``gold``; a ``shared`` one is stratified by ``emotions[0]``."""
+    return stratified_split(gold, emotions[0] if shared else emotion, fraction, seed)
+
+
 def _final_model(
     emotion: str, counts: CorpusCounts, labels: list[int], folds: tuple[FoldScore, ...],
     config: TrainConfig,
@@ -536,23 +522,23 @@ def _runs(emotions: Sequence[str], count: int) -> list[list[str]]:
 def _train_run(args) -> tuple[dict[str, EmotionModel], dict[str, Exception]]:
     """Train one run of emotions: ``(models, failures)``, keyed by emotion.
 
-    ``counts`` hold every ``gold`` document's counts, row for row.  Each
-    emotion is planned first: its split (stratified by ``shared_by`` when
-    set, else by the emotion), its train partition's rows of ``counts``, its
-    labels, a check that both classes are present, and its fold plan.  Then
-    all of the run's cross-validation problems go through one
-    ``_cross_validate`` stream, and then each emotion picks its cost and
-    trains its final model.  An exception fails only the emotion it belongs
-    to, except one from the solver, which ends the stream and so fails every
-    emotion in it.
+    ``counts`` hold every ``gold`` document's counts, row for row, and
+    ``run`` is a contiguous part of the bundle's ``emotions``.  Each emotion
+    of the run is planned first: its split (``_emotion_split``), its train
+    partition's rows of ``counts``, its labels, a check that both classes
+    are present, and its fold plan.  Then all of the run's cross-validation
+    problems go through one ``_cross_validate`` stream, and then each
+    emotion picks its cost and trains its final model.  An exception fails
+    only the emotion it belongs to, except one from the solver, which ends
+    the stream and so fails every emotion in it.
     """
-    gold, counts, emotions, shared_by, config = args
+    gold, counts, run, emotions, config = args
     failures: dict[str, Exception] = {}
     tasks = {}
-    for emotion in emotions:
+    for emotion in run:
         try:
-            split = stratified_split(gold, shared_by or emotion, config.train_fraction,
-                                     split_seed_for(emotion, config))
+            split = _emotion_split(gold, emotions, emotion, config.shared_split,
+                                   config.train_fraction, split_seed_for(emotion, config))
             train_counts = counts.take(split.train_index)
             labels = _labels_for(split.train, emotion)
             if not any(labels) or all(labels):
@@ -616,9 +602,8 @@ def train_all(
 
     counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
                          config.resolved_emoticons())
-    shared_by = emotions[0] if config.shared_split else None
     runs = _runs(emotions, workers)
-    tasks = [(gold, counts, run, shared_by, config) for run in runs]
+    tasks = [(gold, counts, run, emotions, config) for run in runs]
     models: dict[str, EmotionModel] = {}
     failures: dict[str, Exception] = {}
 
@@ -654,33 +639,30 @@ PREDICT_BLOCK_ROWS = 256
 
 
 def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndarray]:
-    """Each emotion's 0/1 prediction per text; each text is counted once per group.
+    """Each emotion's 0/1 prediction per text; each text is counted once.
 
-    The emotions of a text-work group (``ModelBundle.prediction_groups``) go
-    through the texts together, in blocks of at most ``PREDICT_BLOCK_ROWS``
-    stacked (emotion, text) rows.  Each block is counted once, straight
-    into the group's term table (``ExtractorStack.count_texts``), transformed
-    once for all of the group's extractors (``stacked_transform``) and scored
-    once (``stacked_decision_values``), on the group's prepared stacks.
-    Equal, for every model and text and whatever the block size, to
-    ``predict`` of the text's own row: ``em.extractor.vectorize(text)``, or
-    the single-document reference in ``tests/reference_features.py``.
+    The bundle's emotions go through the texts together, in blocks of at
+    most ``PREDICT_BLOCK_ROWS`` stacked (emotion, text) rows.  Each block is
+    counted once, straight into the bundle's term table
+    (``ExtractorStack.count_texts``), transformed once for every extractor
+    (``stacked_transform``) and scored once (``stacked_decision_values``),
+    on the bundle's prepared stacks (``ModelBundle.stacks``).  Equal, for
+    every model and text and whatever the block size, to ``predict`` of the
+    text's own row: ``em.extractor.vectorize(text)``, or the single-document
+    reference in ``tests/reference_features.py``.
     """
-    bits = {}
-    for group in bundle.prediction_groups:
-        step = max(1, PREDICT_BLOCK_ROWS // len(group.emotions))
-        decided = np.empty((len(group.emotions), len(texts)), dtype=np.int64)
-        for start in range(0, len(texts), step):
-            try:
-                counts = group.extractors.count_texts(texts[start:start + step])
-            except DocumentTooLarge as exc:     # its position in ``texts``, not in the block
-                raise DocumentTooLarge(start + exc.position, exc.length, exc.limit) from None
-            values = stacked_decision_values(
-                group.models, stacked_transform(counts, group.extractors))
-            # predict_rows' rule: strictly positive is 1, ties go negative.
-            decided[:, start:start + step] = values.reshape(len(group.emotions), -1) > 0.0
-        bits.update(zip(group.emotions, decided))
-    return bits
+    extractors, models = bundle.stacks
+    step = max(1, PREDICT_BLOCK_ROWS // len(extractors))
+    decided = np.empty((len(extractors), len(texts)), dtype=np.int64)
+    for start in range(0, len(texts), step):
+        try:
+            counts = extractors.count_texts(texts[start:start + step])
+        except DocumentTooLarge as exc:     # its position in ``texts``, not in the block
+            raise DocumentTooLarge(start + exc.position, exc.length, exc.limit) from None
+        values = stacked_decision_values(models, stacked_transform(counts, extractors))
+        # predict_rows' rule: strictly positive is 1, ties go negative.
+        decided[:, start:start + step] = values.reshape(len(extractors), -1) > 0.0
+    return dict(zip(bundle.emotions, decided))
 
 
 def classify(bundle: ModelBundle, docs) -> list[tuple[str, str, int]]:
@@ -724,8 +706,8 @@ def check_heldout_partitions(
     """
     for emotion in emotions:
         try:
-            split = stratified_split(gold, emotions[0] if config.shared_split else emotion,
-                                     config.train_fraction, split_seed_for(emotion, config))
+            split = _emotion_split(gold, emotions, emotion, config.shared_split,
+                                   config.train_fraction, split_seed_for(emotion, config))
         except DegenerateClass:
             continue
         if not split.test_index:
@@ -743,10 +725,8 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
     shared = bool(bundle.config.get("shared_split"))
     splits = {}
     for emotion in bundle.emotions:
-        stratify_by = bundle.emotions[0] if shared else emotion
-        splits[emotion] = stratified_split(
-            gold, stratify_by, fraction, bundle.models[emotion].split_seed
-        )
+        splits[emotion] = _emotion_split(gold, bundle.emotions, emotion, shared, fraction,
+                                         bundle.models[emotion].split_seed)
         if not splits[emotion].test_index:
             raise _no_heldout(emotion, fraction)
     tested = sorted(set().union(*(split.test_index for split in splits.values())))
@@ -802,15 +782,15 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         emotions = tuple(payload["emotions"])
         if not emotions or len(set(emotions)) != len(emotions):
             raise ValueError(f"emotions must be distinct and non-empty, got {list(emotions)}")
-        models = {}
-        # Emotions with equal lexicons and emoticons payloads share one object
-        # of each, built once, so grouping them for prediction is an identity check.
-        loaded: list = []
         for emotion in emotions:
             if validate_emotion_name(emotion) != emotion:
                 raise ValueError(f"emotion name {emotion!r} is not lowercase and stripped")
-            raw = payload["models"][emotion]
-            extractor = extractor_from_dict(raw["extractor"], loaded)
+        raws = {emotion: payload["models"][emotion] for emotion in emotions}
+        # ParseError unless every emotion shares the first one's lexicons and emoticons.
+        extractors = extractors_from_dicts({e: raw["extractor"] for e, raw in raws.items()})
+        models = {}
+        for emotion, raw in raws.items():
+            extractor = extractors[emotion]
             weights = np.asarray(raw["weights"], dtype=np.float64)
             if weights.ndim != 1 or weights.shape[0] != extractor.dimension + 1:
                 raise IncompatibleModel(

@@ -1,8 +1,8 @@
 """The corpus path against the single-document reference path.
 
 Training counts each gold document once and fits/transforms row subsets of
-that count matrix; batch prediction counts each document once for all
-emotions whose extractors tokenize and count alike.  Both must reproduce the
+that count matrix; batch prediction counts each document once for all of
+a bundle's emotions, whose extractors tokenize and count alike.  Both must reproduce the
 reference of ``tests/reference_features.py`` exactly, not to a tolerance:
 ``fit`` + ``assemble``, and ``predict`` of each text's reference row.  So
 must ``FittedExtractor.vectorize``, the corpus path's one-document case.
@@ -29,8 +29,14 @@ import emoclf.features as features
 import emoclf.pipeline as pipeline
 import emoclf.textprep as textprep
 from emoclf.cli import main
-from emoclf.corpus import Document, LabeledDocument, stratified_split, write_gold_corpus
-from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus
+from emoclf.corpus import (
+    Document,
+    LabeledDocument,
+    stratified_split,
+    write_gold_corpus,
+    write_input_corpus,
+)
+from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus, ParseError
 from emoclf.features import (
     MAX_DOCUMENT_CHARS,
     ExtractorStack,
@@ -480,11 +486,18 @@ def gold():
     return docs + extra
 
 
+FAST = dict(folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1)
+
+
 @pytest.fixture(scope="module")
 def bundles(gold):
-    fast = dict(folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1)
-    shared = train_all(gold, ["joy", "anger"], TrainConfig(shared_split=True, **fast))
-    joy = train_all(gold, ["joy"], TrainConfig(**fast))
+    return {kind: train_all(gold, ["joy", "anger"], TrainConfig(shared_split=shared, **FAST))
+            for kind, shared in (("shared_split", True), ("own_splits", False))}
+
+
+@pytest.fixture(scope="module")
+def mixed_bundle(gold, bundles):
+    """Joy with the default lexicons beside anger with others: no shared text work."""
     toy_lexicons = LexiconSet(
         emotion_categories={"grr": frozenset({"grumblex", "angry"})},
         politeness_cues={("please",): 1.0},
@@ -494,15 +507,15 @@ def bundles(gold):
         modality_cues={"maybe": -0.5},
     )
     anger = train_all(gold, ["anger"], TrainConfig(
-        lexicons=toy_lexicons, emoticons=frozenset({":)", "<3"}), **fast
+        lexicons=toy_lexicons, emoticons=frozenset({":)", "<3"}), **FAST
     ))
-    mixed = ModelBundle(
+    joy = bundles["own_splits"]
+    return ModelBundle(
         emotions=("joy", "anger"),
         models={"joy": joy.models["joy"], "anger": anger.models["anger"]},
         master_seed=joy.master_seed,
         config=joy.config,
     )
-    return {"shared_split": shared, "mixed_extractors": mixed}
 
 
 def _counting_text_passes(monkeypatch):
@@ -517,20 +530,20 @@ def _counting_text_passes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind, passes", [("shared_split", 1), ("mixed_extractors", 2)])
-def test_batch_classify_equals_per_document_predict(bundles, gold, monkeypatch, kind, passes):
+@pytest.mark.parametrize("kind", ["shared_split", "own_splits"])
+def test_batch_classify_equals_per_document_predict(bundles, gold, monkeypatch, kind):
     bundle = bundles[kind]
     docs = [d.doc for d in gold]
     calls = _counting_text_passes(monkeypatch)
     rows = classify(bundle, docs)
-    # Text work is shared only between extractors that tokenize and count alike.
-    assert len(calls) == passes * len(docs)
+    # A bundle's emotions share their text work: each text is counted once for all.
+    assert len(calls) == len(docs)
     monkeypatch.undo()
     assert rows == _reference_rows(bundle, docs)
     assert all(type(bit) is int for _, _, bit in rows)
 
 
-@pytest.mark.parametrize("kind", ["shared_split", "mixed_extractors"])
+@pytest.mark.parametrize("kind", ["shared_split", "own_splits"])
 def test_batch_evaluation_equals_per_document_tallies(bundles, gold, kind):
     bundle = bundles[kind]
     report = evaluate(bundle, gold)
@@ -544,7 +557,7 @@ def test_batch_evaluation_equals_per_document_tallies(bundles, gold, kind):
         assert (row.tp, row.fp, row.fn, row.tn) == _reference_confusion(em, split.test)
 
 
-@pytest.mark.parametrize("kind", ["shared_split", "mixed_extractors"])
+@pytest.mark.parametrize("kind", ["shared_split", "own_splits"])
 @pytest.mark.parametrize("block_rows", [1, 7, 10**6])
 def test_predictions_do_not_depend_on_the_block_size(bundles, gold, monkeypatch, kind, block_rows):
     bundle = bundles[kind]
@@ -602,8 +615,8 @@ def _stack_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("kind, groups", [("shared_split", 1), ("mixed_extractors", 2)])
-def test_each_group_is_prepared_once_per_bundle(bundles, gold, monkeypatch, kind, groups):
+@pytest.mark.parametrize("kind", ["shared_split", "own_splits"])
+def test_the_stacks_are_prepared_once_per_bundle(bundles, gold, monkeypatch, kind):
     bundle = dataclasses.replace(bundles[kind])     # a new bundle: nothing prepared yet
     docs = [d.doc for d in gold]
     built = _stack_builds(monkeypatch)
@@ -614,21 +627,19 @@ def test_each_group_is_prepared_once_per_bundle(bundles, gold, monkeypatch, kind
     calls = _counting_text_passes(monkeypatch)
     first = classify(bundle, docs)
     assert classify(bundle, docs) == first
-    assert len(bundle.prediction_groups) == groups
-    assert len(built) == 2 * groups     # one extractor stack and one model stack per group
-    assert {id(stack) for stack in used} == {id(g.extractors) for g in bundle.prediction_groups}
-    # Each text is still counted once per group in each call.
-    assert len(calls) == 2 * groups * len(docs)
+    assert built == list(bundle.stacks)     # one extractor stack and one model stack
+    assert {id(stack) for stack in used} == {id(bundle.stacks[0])}
+    # Each text is still counted once in each call.
+    assert len(calls) == 2 * len(docs)
 
 
-def test_equal_but_distinct_text_work_forms_one_group(gold):
+def test_equal_but_distinct_text_work_shares_one_stack(gold):
     # Two runs' extractors hold equal lexicons that are different objects, as
     # when each bundle was trained with its own copy of the lexicon files.
-    fast = dict(folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1)
     copied = dataclasses.replace(default_lexicons())
     assert copied is not default_lexicons() and copied == default_lexicons()
-    joy = train_all(gold, ["joy"], TrainConfig(lexicons=default_lexicons(), **fast))
-    anger = train_all(gold, ["anger"], TrainConfig(lexicons=copied, **fast))
+    joy = train_all(gold, ["joy"], TrainConfig(lexicons=default_lexicons(), **FAST))
+    anger = train_all(gold, ["anger"], TrainConfig(lexicons=copied, **FAST))
     bundle = ModelBundle(
         emotions=("joy", "anger"),
         models={"joy": joy.models["joy"], "anger": anger.models["anger"]},
@@ -636,7 +647,8 @@ def test_equal_but_distinct_text_work_forms_one_group(gold):
         config=joy.config,
     )
     assert bundle.models["anger"].extractor.lexicons is copied
-    assert [g.emotions for g in bundle.prediction_groups] == [("joy", "anger")]
+    extractors, models = bundle.stacks
+    assert len(extractors) == len(models) == 2 and extractors.lexicons is default_lexicons()
     docs = [d.doc for d in gold]
     assert classify(bundle, docs) == _reference_rows(bundle, docs)
 
@@ -680,7 +692,7 @@ def test_counts_made_with_other_text_work_are_refused():
 def test_loading_prepares_nothing_and_predicting_changes_no_saved_byte(
     bundles, gold, monkeypatch, tmp_path
 ):
-    trained = dataclasses.replace(bundles["mixed_extractors"])
+    trained = dataclasses.replace(bundles["own_splits"])
     path = tmp_path / "model.emo"
     save_bundle(trained, path)
     before = path.read_bytes()
@@ -693,7 +705,30 @@ def test_loading_prepares_nothing_and_predicting_changes_no_saved_byte(
         evaluate_heldout(bundle, gold)
         save_bundle(bundle, path)
         assert path.read_bytes() == before
-    assert len(built) == 2 * 2 * 2      # two groups in each of the two bundles
+    assert len(built) == 2 * 2      # an extractor stack and a model stack per bundle
+
+
+def test_a_bundle_without_shared_text_work_is_refused_at_its_first_prediction(
+    mixed_bundle, gold
+):
+    docs = [d.doc for d in gold]
+    for predict_all in (lambda: classify(mixed_bundle, docs),
+                        lambda: evaluate(mixed_bundle, gold),
+                        lambda: evaluate_heldout(mixed_bundle, gold)):
+        with pytest.raises(ContractViolation, match="share their lexicons"):
+            predict_all()
+
+
+def test_a_saved_bundle_without_shared_text_work_does_not_load(mixed_bundle, tmp_path, capsys):
+    path, posts, out = tmp_path / "mixed.emo", tmp_path / "posts.csv", tmp_path / "out.csv"
+    save_bundle(mixed_bundle, path)     # saving builds no stack, so nothing checks it
+    with pytest.raises(ParseError, match="anger: lexicons or emoticon table differ from joy's"):
+        load_bundle(path)
+    write_input_corpus(posts, [Document("a", "zyblor :)")])
+    assert main(["classify", "--model", str(path), "--input", str(posts),
+                 "--out", str(out)]) == 3
+    assert "differ from joy's" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Classifies a synthetic stream in 20-document batches, pass after pass, and

@@ -154,6 +154,14 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match=f"{name} must be at least 1"):
             TrainConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["folds", "jobs", "min_df", "max_outer_iters"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    def test_rejects_counts_that_are_not_integers(self, name, bad):
+        # Accepted, folds=2.5 would fail every emotion's training and
+        # min_df=1.5 would be written into the bundle.
+        with pytest.raises(ContractViolation, match=f"{name} must be an integer, got {bad!r}"):
+            TrainConfig(**{name: bad})
+
     @pytest.mark.parametrize("grid", [(0.5, 1.0), [1.0], 1.0])
     def test_rejects_a_grid_that_is_not_a_tuning_grid(self, grid):
         # Accepted, it would fail every emotion's training on a missing c_values.
@@ -579,8 +587,8 @@ class TestTrainAll:
         docs = with_failing_emotions(generate_planted_corpus(60, THREE_EMOTIONS, seed=4))
         config = TrainConfig(**FAST)
         counts = counts_for(docs, config)
-        models, failures = pipeline._train_run((docs, counts, ["joy", "surprise", "anger"], None,
-                                                config))
+        emotions = ["joy", "surprise", "anger"]
+        models, failures = pipeline._train_run((docs, counts, emotions, emotions, config))
         assert list(failures) == ["surprise"] and list(models) == ["joy", "anger"]
         alone = train_all(docs, ["joy", "anger"], config)
         for emotion in ("joy", "anger"):
@@ -693,8 +701,7 @@ class TestTrainAll:
         counts = counts_for(docs, config)
         for emotion in emotions:
             em = bundle.models[emotion]
-            models, _ = pipeline._train_run(
-                (docs, counts, [emotion], emotions[0] if shared_split else None, config))
+            models, _ = pipeline._train_run((docs, counts, [emotion], emotions, config))
             alone = models[emotion]
             assert_same_fold_scores(em.cv_folds, alone.cv_folds)
             assert (em.chosen_C, em.cv_accuracy) == (alone.chosen_C, alone.cv_accuracy)
@@ -926,7 +933,7 @@ class TestBundlePersistence:
 
 
 class TestBundleLexiconLoading:
-    """A bundle builds each distinct lexicons payload once and shares the object."""
+    """A bundle's emotions share one lexicons payload, built once into one object."""
 
     def _payload(self, emotions):
         one = bundle_to_dict(train_all(small_corpus(n=60), ["joy"], TrainConfig(**FAST)))
@@ -951,20 +958,20 @@ class TestBundleLexiconLoading:
         assert len(built) == 1
         assert all(em.extractor.lexicons is built[0] for em in bundle)
         assert len({id(em.extractor.emoticons) for em in bundle}) == 1
-        assert len(bundle.prediction_groups) == 1
+        extractors, models = bundle.stacks
+        assert len(extractors) == len(models) == 6 and extractors.lexicons is built[0]
         assert bundle_to_dict(bundle) == payload
 
-    def test_two_distinct_payloads_build_two(self, monkeypatch):
+    @pytest.mark.parametrize("edit", [
+        lambda extractor: extractor["lexicons"]["politeness"].update(zyblor=0.5),
+        lambda extractor: extractor["emoticons"].append("<zyblor>"),
+    ], ids=["lexicons", "emoticons"])
+    def test_a_later_emotion_with_other_text_work_is_refused(self, edit):
         payload = self._payload(("joy", "anger", "fear"))
-        payload["models"]["anger"]["extractor"]["lexicons"]["politeness"]["zyblor"] = 0.5
-        built = self._builds(monkeypatch)
-        bundle = bundle_from_dict(payload)
-        assert len(built) == 2
-        lexicons = [em.extractor.lexicons for em in bundle]
-        assert lexicons[0] is lexicons[2] is built[0] and lexicons[1] is built[1]
-        assert len({id(em.extractor.emoticons) for em in bundle}) == 1
-        assert [g.emotions for g in bundle.prediction_groups] == [("joy", "fear"), ("anger",)]
-        assert bundle_to_dict(bundle) == payload
+        edit(payload["models"]["anger"]["extractor"])
+        bundle_from_dict(dict(payload, emotions=["anger"]))     # well-formed alone
+        with pytest.raises(ParseError, match="anger: lexicons or emoticon table differ from joy's"):
+            bundle_from_dict(payload)
 
     def test_a_bad_later_payload_fails_as_when_loaded_alone(self):
         payload = self._payload(("joy", "anger"))

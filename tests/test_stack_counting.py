@@ -222,7 +222,6 @@ def test_the_table_is_built_on_the_first_prediction_not_on_load(tmp_path, monkey
     assert built == []
     docs = [Document(f"d{i}", labeled.doc.text) for i, labeled in enumerate(gold)]
     rows = classify(loaded, docs)
-    stacks = [group.extractors for group in loaded.prediction_groups]
-    assert built == [stack.terms for stack in stacks]
+    assert built == [loaded.stacks[0].terms]
     assert classify(loaded, docs) == rows
-    assert len(built) == len(stacks)
+    assert len(built) == 1
