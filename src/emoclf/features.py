@@ -41,7 +41,8 @@ one-document case.  The tests keep a single-document reference, a fit and a
 row built with plain loops over one token stream at a time, in
 ``tests/reference_features.py``; the corpus path reproduces it bit for bit,
 because every value comes from the same scalar formulas and every float sum
-is added left to right by ``_added``.
+is added left to right: the uncertainty mean by ``_added`` and each row's
+squares for its L2 norms by ``row_sums``, which ``svm`` scoring uses too.
 """
 
 from __future__ import annotations
@@ -562,14 +563,59 @@ def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
     )
 
 
+# ``row_sums`` adds rows in zero-padded grids of at most this many cells; a
+# row wider than that gets a grid of its own.
+_GRID_CELLS = 2**16
+
+
+def row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each CSR row's values added left to right: ``acc = 0.0; acc += x`` in entry order.
+
+    The rows are added in grids of at most ``_GRID_CELLS`` cells
+    (``_grid_sums``): all of them in one grid when that fits, else shortest
+    first, each grid taking rows while it stays within the cap, so a long
+    row costs its own entries only.
+    """
+    lengths = indptr[1:] - indptr[:-1]
+    if not values.size:     # every row sums to 0.0, and a grid has nothing to read
+        return np.zeros(len(lengths))
+    width = int(lengths.max()) + 1
+    if len(lengths) * width <= _GRID_CELLS:
+        return _grid_sums(values, indptr[:-1], lengths, width)
+    sums = np.empty(len(lengths))
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    start = 0
+    while start < len(order):
+        widths = ordered[start:start + _GRID_CELLS] + 1
+        fits = widths * np.arange(1, len(widths) + 1) <= _GRID_CELLS
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        rows = order[start:stop]
+        sums[rows] = _grid_sums(values, indptr[rows], ordered[start:stop],
+                                int(widths[stop - start - 1]))
+        start = stop
+    return sums
+
+
+def _grid_sums(values: np.ndarray, begin: np.ndarray, lengths: np.ndarray,
+               width: int) -> np.ndarray:
+    """Sums of the rows ``values[begin[i]:begin[i] + lengths[i]]``, through one grid.
+
+    Grid row i holds row i's values and then zeros, up to ``width`` cells,
+    which exceeds every row's length.  ``np.add.accumulate`` adds along each
+    grid row from its first value, where the loop starts from 0.0.  The two
+    running sums can differ only as -0.0 against 0.0, and adding a trailing
+    zero turns -0.0 into 0.0, so every row ends on the loop's sum.
+    """
+    columns = np.arange(width)
+    grid = values.take(begin[:, None] + columns, mode="clip")
+    grid[columns >= lengths[:, None]] = 0.0
+    return np.add.accumulate(grid, axis=1)[:, -1]
+
+
 def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     # Each row's squares added left to right, in column order.
-    squares = values * values
-    bounds = indptr.tolist()
-    norms = np.array(
-        [math.sqrt(_added(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])],
-        dtype=np.float64,
-    )
+    norms = np.sqrt(row_sums(indptr, values * values))
     norms[norms == 0.0] = 1.0
     return values / np.repeat(norms, np.diff(indptr))
 

@@ -26,15 +26,16 @@ and each fold fits and transforms its rows of that count matrix.  A bundle
 is one text-work unit: all of its emotions' extractors share one lexicon
 set and emoticon table (``train_all`` fits them all from one count matrix,
 ``bundle_from_dict`` refuses a payload whose emotions differ in either, and
-``features.ExtractorStack`` checks it).  So batch prediction counts each
-document once for all emotions and handles them together: it goes through
-the documents in blocks of at most ``PREDICT_BLOCK_ROWS`` (emotion,
-document) rows, each counted straight into the bundle's term table, with
-one stacked transform and one scoring pass per block.  The stacks are
-prepared once per bundle (``ModelBundle.stacks``: an ``ExtractorStack``,
-which holds the term table, and a ``ModelStack``), on the bundle's first
-prediction, and every block of every later call reuses them; loading a
-bundle builds none, and none is saved.
+``features.ExtractorStack`` checks it before any prediction or save).  So
+batch prediction counts each document once for all emotions and handles
+them together: it goes through the documents in blocks of at most
+``PREDICT_BLOCK_ROWS`` (emotion, document) rows, each counted straight into
+the bundle's term table, with one stacked transform and one scoring pass
+per block.  The stacks are prepared once per bundle
+(``ModelBundle.stacks``: an ``ExtractorStack``, which holds the term table,
+and a ``ModelStack``), on the bundle's first prediction or save, and every
+block of every later call reuses them; loading a bundle builds none, and
+none is saved.
 
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
@@ -164,7 +165,7 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.grid, TuningGrid):
             raise ContractViolation(f"grid must be a TuningGrid, got {type(self.grid).__name__}")
-        for name in ("folds", "jobs", "min_df", "max_outer_iters"):
+        for name in ("folds", "seed", "jobs", "min_df", "max_outer_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ContractViolation(f"{name} must be an integer, got {value!r}")
@@ -218,8 +219,8 @@ class ModelBundle:
     def stacks(self) -> tuple[ExtractorStack, ModelStack]:
         """Every emotion's extractor and model, stacked in emotion order for prediction.
 
-        Built on the first prediction and kept while the bundle lives; loading
-        a bundle does not build them, and saving one does not write them.
+        Built on the first prediction or save and kept while the bundle lives;
+        loading a bundle does not build them, and saving one does not write them.
         ``ExtractorStack`` raises ``ContractViolation`` unless every
         extractor shares the first's lexicons and emoticon table.
         """
@@ -765,6 +766,12 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
+    """Write ``bundle`` to ``path`` as JSON.
+
+    The bundle's stacks are prepared first, so a bundle whose emotions do not
+    share text work raises ``ContractViolation`` and writes no file.
+    """
+    bundle.stacks       # ExtractorStack checks the text-work rule
     with atomic_write(path) as handle:
         json.dump(bundle_to_dict(bundle), handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")

@@ -30,14 +30,16 @@ Single problems, such as final models, run on ``train_dual_cd``.  C is a
 setting of the solve, not of the problem: ``SolverParams.C`` or a cost of
 the grid.  Both solvers take each row's squared norm and multiplier on C
 from its ``TrainingProblem``, where they are worked out once, and bounds
-and curvature from ``_bounds_and_diag``.  Solvers and scoring sum a row's
-products only through ``_row_dot``.
+and curvature from ``_bounds_and_diag``.  Solvers sum a row's products
+only through ``_row_dot``, in the order BLAS adds them.
 
-Scoring takes one dot product per row.  ``stacked_decision_values`` scores
-the stacked rows of several models in one pass; ``decision_values`` is its
-one-model case.  It takes a prepared ``ModelStack``, the models' weights
-laid side by side and their biases, which a caller scoring many blocks with
-the same models builds once.
+Scoring adds each row's products left to right, with ``features.row_sums``,
+so a decision value does not depend on the BLAS kernel or on the row's
+place in its block.  ``stacked_decision_values`` scores the stacked rows of
+several models in one pass; ``decision_values`` is its one-model case.
+It takes a prepared ``ModelStack``, the models' weights laid side by side
+and their biases, which a caller scoring many blocks with the same models
+builds once.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, DegenerateClass, DimensionError, NumericError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, row_sums
 
 L1_HINGE = "l1"
 L2_HINGE = "l2"
 
 _W_CONSISTENCY_TOL = 1e-8
-# Every sum of a row's products: ``a @ b``, for two rows or stacks of them.
+# Every solver sum of a row's products: ``a @ b``, for two rows or stacks of them.
 _row_dot = np.matmul
 
 
@@ -595,14 +597,14 @@ class ModelStack:
 
     ``weights`` are the models' weights without their bias slots, laid side
     by side as ``features.ExtractorStack`` lays out their feature spaces;
-    ``biases`` are the bias slots as Python floats.
+    ``biases`` are the bias slots.
     """
 
     def __init__(self, models: Sequence[LinearModel]):
         if not models:
             raise ContractViolation("scoring needs at least one model")
         self.weights = np.concatenate([model.w[:-1] for model in models])
-        self.biases = [float(model.w[-1]) for model in models]
+        self.biases = np.array([model.w[-1] for model in models])
 
     def __len__(self) -> int:
         return len(self.biases)
@@ -626,18 +628,11 @@ def stacked_decision_values(stack: ModelStack, rows: FeatureMatrix) -> np.ndarra
             f"row dimension {rows.dimension} does not match model "
             f"dimension {weights.shape[0]}"
         )
-    n = rows.n_rows // len(stack)
-    # One dot per row: a single sparse product would sum in another order and
-    # could flip a decision that sits within rounding of zero.
-    row_weights = weights[rows.indices]
-    data, row_dot = rows.data, _row_dot
-    bounds = rows.indptr.tolist()
-    values = []
-    for m, bias in enumerate(stack.biases):
-        run = bounds[m * n:(m + 1) * n + 1]
-        values.extend(float(row_dot(row_weights[a:b], data[a:b])) + bias
-                      for a, b in zip(run, run[1:]))
-    return np.array(values, dtype=np.float64)
+    # Each row's products added left to right, whatever the row's place in
+    # the block: a sum in another order could flip a decision that sits
+    # within rounding of zero.
+    sums = row_sums(rows.indptr, weights[rows.indices] * rows.data)
+    return sums + np.repeat(stack.biases, rows.n_rows // len(stack))
 
 
 def predict_rows(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:

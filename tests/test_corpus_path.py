@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -52,6 +53,7 @@ from emoclf.pipeline import (
     ModelBundle,
     TrainConfig,
     TuningGrid,
+    bundle_to_dict,
     classify,
     evaluate,
     evaluate_heldout,
@@ -162,12 +164,14 @@ def _stack_equals_singles(block, extractors, models) -> None:
         assert (rows.indices - offset).tolist() == single.indices.tolist()
         assert _bits(rows.data) == _bits(single.data)
         values = decision_values(model, single)
-        # The per-row dot product the scoring path has always taken.
-        bounds = single.indptr.tolist()
-        assert _bits(values) == _bits(np.array([
-            float(model.w[single.indices[a:b]] @ single.data[a:b]) + float(model.w[-1])
-            for a, b in zip(bounds, bounds[1:])
-        ]))
+        # Each row's products added left to right, then its bias.
+        bounds, expected = single.indptr.tolist(), []
+        for a, b in zip(bounds, bounds[1:]):
+            acc = 0.0
+            for w, x in zip(model.w[single.indices[a:b]].tolist(), single.data[a:b].tolist()):
+                acc += w * x
+            expected.append(acc + float(model.w[-1]))
+        assert _bits(values) == _bits(np.array(expected))
         expected_values.extend(_bits(values))
         offset += fitted.dimension
     assert stacked.dimension == offset
@@ -694,11 +698,12 @@ def test_loading_prepares_nothing_and_predicting_changes_no_saved_byte(
 ):
     trained = dataclasses.replace(bundles["own_splits"])
     path = tmp_path / "model.emo"
-    save_bundle(trained, path)
-    before = path.read_bytes()
     built = _stack_builds(monkeypatch)
+    save_bundle(trained, path)      # prepares the stacks, to check the text-work rule
+    assert len(built) == 2
+    before = path.read_bytes()
     loaded = load_bundle(path)
-    assert built == []
+    assert len(built) == 2
     docs = [d.doc for d in gold]
     for bundle in (trained, loaded):
         classify(bundle, docs)
@@ -721,7 +726,12 @@ def test_a_bundle_without_shared_text_work_is_refused_at_its_first_prediction(
 
 def test_a_saved_bundle_without_shared_text_work_does_not_load(mixed_bundle, tmp_path, capsys):
     path, posts, out = tmp_path / "mixed.emo", tmp_path / "posts.csv", tmp_path / "out.csv"
-    save_bundle(mixed_bundle, path)     # saving builds no stack, so nothing checks it
+    with pytest.raises(ContractViolation, match="share their lexicons"):
+        save_bundle(mixed_bundle, path)
+    assert list(tmp_path.iterdir()) == []
+    # A file written some other way, as by editing a saved bundle's lexicons.
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(bundle_to_dict(mixed_bundle), handle)
     with pytest.raises(ParseError, match="anger: lexicons or emoticon table differ from joy's"):
         load_bundle(path)
     write_input_corpus(posts, [Document("a", "zyblor :)")])

@@ -1,10 +1,13 @@
+import builtins
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emoclf.features as features
 from emoclf.errors import ContractViolation, EmptyCorpus, IncompatibleModel, ParseError
 from emoclf.features import (
     AUX_FEATURES,
@@ -15,6 +18,7 @@ from emoclf.features import (
     extractor_to_dict,
     idf,
     politeness_score,
+    row_sums,
     sentiment_scores,
     uncertainty_score,
 )
@@ -382,6 +386,47 @@ def test_float_sums_add_left_to_right(values):
 @given(st.lists(st.floats(allow_nan=False), max_size=60))
 def test_float_sums_equal_the_left_to_right_oracle(values):
     assert _added(iter(values)).hex() == _left_to_right(values).hex()
+
+
+def _row_sum_case(name):
+    """(indptr, values) of one ``row_sums`` case."""
+    rng = np.random.default_rng(list(name.encode()))
+    if name == "negative zero":
+        # The loop adds -0.0 to 0.0 and keeps 0.0, also for the widest row.
+        rows = [[-0.0], [-0.0, -0.0], [1.0, -1.0], [-0.0, 2.5, -0.0], [5e-324, -0.0],
+                [-0.0] * 4]
+        lengths = [len(row) for row in rows]
+        values = np.array([x for row in rows for x in row])
+    else:
+        lengths = {
+            "empty matrix": [],
+            "empty rows": [0, 3, 0, 0, 2, 0],
+            "one entry": [1] * 9,
+            # Shortest first, these fill several grids of _GRID_CELLS cells.
+            "several grids": rng.integers(0, 400, 1000),
+            # The last row is all -0.0, in a grid of its own.
+            "longer than a grid": [3, features._GRID_CELLS + 500, 0, 7, features._GRID_CELLS],
+        }[name]
+        n = int(np.sum(lengths))
+        # Magnitudes 24 decades apart, so the order of adding shows.
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        values[rng.random(n) < 0.05] = -0.0
+        if name == "longer than a grid":
+            values[-lengths[-1]:] = -0.0
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]), values
+
+
+@pytest.mark.parametrize("name", ["empty matrix", "empty rows", "one entry", "negative zero",
+                                  "several grids", "longer than a grid"])
+def test_row_sums_add_each_row_left_to_right(monkeypatch, name):
+    # Python 3.12's sum() compensates, as math.fsum does; nothing may use it.
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    indptr, values = _row_sum_case(name)
+    expected = [_left_to_right(values[a:b].tolist())
+                for a, b in zip(indptr.tolist(), indptr[1:].tolist())]
+    got = row_sums(indptr, values)
+    assert got.dtype == np.float64
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
 
 
 class TestAssemble:

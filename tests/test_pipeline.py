@@ -162,6 +162,13 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match=f"{name} must be an integer, got {bad!r}"):
             TrainConfig(**{name: bad})
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_rejects_a_seed_that_is_not_an_integer(self, bad):
+        # Accepted, seed=1.5 would train as seed 1 but be written into the
+        # bundle as 1.5, so a save, load and save would change its bytes.
+        with pytest.raises(ContractViolation, match=f"seed must be an integer, got {bad!r}"):
+            TrainConfig(seed=bad)
+
     @pytest.mark.parametrize("grid", [(0.5, 1.0), [1.0], 1.0])
     def test_rejects_a_grid_that_is_not_a_tuning_grid(self, grid):
         # Accepted, it would fail every emotion's training on a missing c_values.

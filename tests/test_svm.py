@@ -202,8 +202,8 @@ class TestBatchDecisions:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_rows_score_exactly_like_single_vectors(self, seed):
-        # Each row is one dot of its own entries plus the bias, summed in
-        # index order: the order every stored bundle was scored in.
+        # Each row is its own entries' products added left to right, in
+        # index order, plus the bias, wherever the row sits in the matrix.
         rng = np.random.RandomState(seed)
         rows, y, C, loss = random_problem(rng)
         model = train_dual_cd(TrainingProblem.from_matrix(rows, y, loss=loss),
@@ -217,7 +217,7 @@ class TestBatchDecisions:
         for matrix in (rows, sparse):
             bounds = matrix.indptr.tolist()
             expected = [
-                float(w[matrix.indices[a:b]] @ matrix.data[a:b]) + w[-1]
+                float(left_to_right_dot(w[matrix.indices[a:b]], matrix.data[a:b])) + w[-1]
                 for a, b in zip(bounds, bounds[1:])
             ]
             assert decision_values(model, matrix).tolist() == expected
