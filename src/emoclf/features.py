@@ -18,7 +18,14 @@ occurrence a column and counts all (document, column) cells with one
 ``np.unique``; category hits take one lookup per token, and the cue scorers
 run only on documents that hold a cue word.  ``fit_counts`` and
 ``transform_counts`` then work with array operations;
-``CorpusCounts.take`` picks the rows to fit or transform.
+``CorpusCounts.take`` picks the rows to fit or transform.  A fit's
+vocabulary is a sorted subset of the counts' sorted term table, so
+``ExtractorStack.fitted_on`` lays out one fit's feature space straight
+from the count arrays, over that table, with no ``FittedExtractor``:
+training transforms every fold, and the final model's rows, that way, and
+builds an extractor only for the bundle.  idf depends on df alone, so
+``_idfs`` calls ``idf`` once per distinct df, for these spaces and for
+``FittedExtractor.ngram_idf`` alike.
 
 ``stacked_transform`` transforms the same rows for several extractors into
 one matrix whose columns are their feature spaces side by side.  It takes a
@@ -37,8 +44,9 @@ where an unknown n-gram is dropped at lookup, and its columns need no
 further mapping.
 
 This is the library's one feature path: ``FittedExtractor.vectorize`` is its
-one-document case.  The tests keep a single-document reference, a fit and a
-row built with plain loops over one token stream at a time, in
+one-document case, on the extractor's one-extractor stack, built once
+(``FittedExtractor.stack``).  The tests keep a single-document reference, a
+fit and a row built with plain loops over one token stream at a time, in
 ``tests/reference_features.py``; the corpus path reproduces it bit for bit,
 because every value comes from the same scalar formulas and every float sum
 is added left to right: the uncertainty mean by ``_added`` and each row's
@@ -116,6 +124,17 @@ def idf(df: int, n_docs: int) -> float:
     return math.log((1 + n_docs) / (1 + df)) + 1.0
 
 
+def _idfs(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """``idf(d, n_docs)`` of every ``d`` in ``df``, bit for bit, and 0.0 where ``d`` is 0.
+
+    idf depends on df alone, so ``idf`` runs once per distinct value.  Its
+    ``math.log`` is libm's; nothing ties numpy's ``log`` to the same bits.
+    """
+    values, inverse = np.unique(df, return_inverse=True)
+    table = np.array([idf(d, n_docs) if d else 0.0 for d in values.tolist()], dtype=np.float64)
+    return table[inverse]
+
+
 @dataclass(frozen=True)
 class FittedExtractor:
     """Frozen feature space: vocabulary, lexicons, and scaling statistics."""
@@ -158,23 +177,27 @@ class FittedExtractor:
     def vectorize(self, text: str) -> FeatureMatrix:
         """Raw text to a one-row feature matrix: the corpus path on a one-text corpus.
 
+        The text's own terms are mapped through ``stack``, built once.  It
+        is not counted into the stack's table: that would keep the table's
+        bigram lookup (``ExtractorStack.pairs``) alive on every extractor.
         Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
         """
         return transform_counts(count_texts([text], self.lexicons, self.emoticons), self)
 
     # Cached on first use, so loading a bundle stays cheap.
     @cached_property
+    def stack(self) -> "ExtractorStack":
+        """The one-extractor ``ExtractorStack`` that ``vectorize`` and ``transform_counts`` use."""
+        return ExtractorStack([self])
+
+    @cached_property
     def ngram_idf(self) -> np.ndarray:
-        vocab = self.vocabulary
-        return np.array([idf(df, vocab.n_docs) for df in vocab.df], dtype=np.float64)
+        return _idfs(np.array(self.vocabulary.df, dtype=np.int64), self.vocabulary.n_docs)
 
     @cached_property
     def category_idf(self) -> np.ndarray:
         """idf per category slot; 0 where no training document hit the category."""
-        n_docs = self.vocabulary.n_docs
-        return np.array(
-            [idf(df, n_docs) if df else 0.0 for df in self.category_df], dtype=np.float64
-        )
+        return _idfs(np.array(self.category_df, dtype=np.int64), self.vocabulary.n_docs)
 
 
 def _added(values: Iterable[float]) -> float:
@@ -543,10 +566,7 @@ def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
     stddev disables the feature).  Fit on a subset with
     ``fit_counts(counts.take(rows))``.
     """
-    if counts.n_docs == 0:
-        raise EmptyCorpus("cannot fit an extractor on zero documents")
-    df = np.bincount(counts.indices, minlength=len(counts.terms))
-    keep = df >= max(min_df, 1)
+    df, keep, category_df, aux_mean, aux_std = _fit_statistics(counts, min_df)
     vocabulary = Vocabulary(
         terms=tuple(compress(counts.terms, keep.tolist())),
         df=tuple(df[keep].tolist()),
@@ -556,11 +576,25 @@ def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
     return FittedExtractor(
         vocabulary=vocabulary,
         lexicons=counts.lexicons,
-        category_df=tuple(np.count_nonzero(counts.category_counts > 0, axis=0).tolist()),
-        aux_mean=tuple(float(m) for m in counts.aux.mean(axis=0)),
-        aux_std=tuple(float(s) for s in counts.aux.std(axis=0)),
+        category_df=tuple(category_df.tolist()),
+        aux_mean=tuple(aux_mean.tolist()),
+        aux_std=tuple(aux_std.tolist()),
         emoticons=counts.emoticons,
     )
+
+
+def _fit_statistics(counts: CorpusCounts, min_df: int):
+    """What a fit takes from a counted corpus, as arrays.
+
+    Each column's document frequency and whether it is kept, each
+    category's document frequency, and the cue scores' means and
+    population stddevs.
+    """
+    if counts.n_docs == 0:
+        raise EmptyCorpus("cannot fit an extractor on zero documents")
+    df = np.bincount(counts.indices, minlength=len(counts.terms))
+    return (df, df >= max(min_df, 1), np.count_nonzero(counts.category_counts > 0, axis=0),
+            counts.aux.mean(axis=0), counts.aux.std(axis=0))
 
 
 # ``row_sums`` adds rows in zero-padded grids of at most this many cells; a
@@ -638,13 +672,17 @@ class ExtractorStack:
     the last column is all -1 and stands for a term no extractor knows.
     Every vocabulary is sorted too, so each extractor's slots rise with the
     column.  ``count_texts`` counts texts straight into the table, and a
-    stack of one extractor uses its vocabulary's terms and index, whose
-    columns are already its slots.  ``pairs`` is built on the first count.
+    stack of one extractor uses its vocabulary's terms, whose columns are
+    already its slots.  ``index`` and ``pairs`` are built on first use.
 
     The other fields are the extractors' constants laid side by side: where
     each feature space and each category block starts, the n-gram idf over
     the whole stacked space, and the category idf and cue scalers of each
     extractor, shaped (extractor, 1, slot) to broadcast over documents.
+
+    ``fitted_on`` builds the stack of one fit straight from a count matrix,
+    with no ``FittedExtractor``: training builds every fold's rows, and the
+    final model's, on such a stack.
     """
 
     def __init__(self, extractors: Sequence[FittedExtractor]):
@@ -652,46 +690,84 @@ class ExtractorStack:
             raise ContractViolation("a stacked transform needs at least one extractor")
         self.extractors = tuple(extractors)
         head = self.extractors[0]
-        self.lexicons, self.emoticons = head.lexicons, head.emoticons
-        if any((fitted.lexicons, fitted.emoticons) != (self.lexicons, self.emoticons)
+        if any((fitted.lexicons, fitted.emoticons) != (head.lexicons, head.emoticons)
                for fitted in self.extractors):
             raise ContractViolation(
                 "stacked extractors must share their lexicons and emoticon table")
-        n_stack = len(self.extractors)
         vocabularies = [fitted.vocabulary for fitted in self.extractors]
-        if n_stack == 1:
-            self.terms, self.index = vocabularies[0].terms, vocabularies[0].index
+        if len(vocabularies) == 1:
+            self.terms = vocabularies[0].terms
+            slots = np.arange(len(self.terms) + 1, dtype=np.int64)[None]
+            slots[0, -1] = -1
         else:
             # Each vocabulary's new terms stay one sorted run, which sorted() merges.
             self.terms = tuple(sorted(dict.fromkeys(chain.from_iterable(
                 vocab.terms for vocab in vocabularies))))
-            self.index = dict(zip(self.terms, count()))
-        self.slots = np.full((n_stack, len(self.terms) + 1), -1, dtype=np.int64)
-        for row, vocab in zip(self.slots, vocabularies):
-            columns = np.arange(len(vocab)) if n_stack == 1 else np.fromiter(
-                map(self.index.__getitem__, vocab.terms), np.int64, len(vocab))
-            row[columns] = np.arange(len(vocab))
+            slots = np.full((len(vocabularies), len(self.terms) + 1), -1, dtype=np.int64)
+            for row, vocab in zip(slots, vocabularies):
+                row[np.fromiter(map(self.index.__getitem__, vocab.terms), np.int64,
+                                len(vocab))] = np.arange(len(vocab))
+        self._lay_out(head.lexicons, head.emoticons, slots, [
+            (fitted.ngram_idf, fitted.category_idf, fitted.aux_mean, fitted.aux_std)
+            for fitted in self.extractors])
 
-        widths = [len(vocab) for vocab in vocabularies]
-        self.offsets = np.array([0, *accumulate(fitted.dimension for fitted in self.extractors)])
+    @classmethod
+    def fitted_on(cls, counts: CorpusCounts, min_df: int = 2) -> "ExtractorStack":
+        """``ExtractorStack([fit_counts(counts, min_df)])``, worked out from the count arrays.
+
+        Its term table is ``counts.terms`` itself, so ``stacked_transform``
+        takes the columns of counts that share the table (``counts``, and
+        the counts it was taken from) as they are, into rows of the same
+        bits.  A fit's vocabulary is the kept columns in order, so a kept
+        column's slot is its rank among them.  The idf comes from
+        ``_idfs`` and the scalers from ``_fit_statistics``, as
+        ``fit_counts`` has them; ``extractors`` is empty.
+        """
+        df, keep, category_df, aux_mean, aux_std = _fit_statistics(counts, min_df)
+        stack = cls.__new__(cls)
+        stack.extractors = ()
+        stack.terms = counts.terms
+        slots = np.full((1, len(keep) + 1), -1, dtype=np.int64)
+        slots[0, :-1][keep] = np.arange(np.count_nonzero(keep))
+        stack._lay_out(counts.lexicons, counts.emoticons, slots, [(
+            _idfs(df[keep], counts.n_docs), _idfs(category_df, counts.n_docs), aux_mean,
+            aux_std)])
+        return stack
+
+    def _lay_out(self, lexicons: LexiconSet, emoticons: frozenset[str], slots: np.ndarray,
+                 spaces: Sequence[tuple]) -> None:
+        """The fields from ``slots`` and each extractor's space.
+
+        A space is (n-gram idf, category idf, cue means, cue stddevs).
+        """
+        self.lexicons, self.emoticons, self.slots = lexicons, emoticons, slots
+        n_stack = len(spaces)
+        ngram_idfs, category_idfs, means, stds = zip(*spaces)
+        widths = [len(values) for values in ngram_idfs]
+        dimensions = [width + len(category) + len(AUX_FEATURES)
+                      for width, category in zip(widths, category_idfs)]
+        self.offsets = np.array([0, *accumulate(dimensions)])
         self.category_offsets = self.offsets[:-1] + widths
         self.ngram_idf = np.zeros(self.offsets[-1])
-        for start, width, fitted in zip(self.offsets.tolist(), widths, self.extractors):
-            self.ngram_idf[start:start + width] = fitted.ngram_idf
-        self.category_idf = np.array(
-            [fitted.category_idf for fitted in self.extractors]).reshape(n_stack, 1, -1)
-        self.aux_mean = np.array(
-            [fitted.aux_mean for fitted in self.extractors]).reshape(n_stack, 1, -1)
-        std = np.array([fitted.aux_std for fitted in self.extractors]).reshape(n_stack, 1, -1)
+        for start, width, values in zip(self.offsets.tolist(), widths, ngram_idfs):
+            self.ngram_idf[start:start + width] = values
+        self.category_idf = np.array(category_idfs).reshape(n_stack, 1, -1)
+        self.aux_mean = np.array(means).reshape(n_stack, 1, -1)
+        std = np.array(stds).reshape(n_stack, 1, -1)
         self.aux_active = std > 0.0
         self.aux_std = np.where(self.aux_active, std, 1.0)
 
     def __len__(self) -> int:
-        return len(self.extractors)
+        return len(self.slots)
 
     @property
     def dimension(self) -> int:
         return int(self.offsets[-1])
+
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        """term -> column."""
+        return dict(zip(self.terms, count()))
 
     @cached_property
     def pairs(self) -> Mapping[tuple[str, str], int]:
@@ -729,9 +805,9 @@ def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMa
     made with (``ContractViolation`` otherwise).  Row i is document i's
     n-gram block, category block and standardized cue scores, in that order.
     Transform a subset with ``transform_counts(counts.take(rows), fitted)``.
-    This is the one-extractor case of ``stacked_transform``.
+    This is the one-extractor case of ``stacked_transform``, on ``fitted.stack``.
     """
-    return stacked_transform(counts, ExtractorStack([fitted]))
+    return stacked_transform(counts, fitted.stack)
 
 
 def stacked_transform(counts: CorpusCounts, stack: ExtractorStack) -> FeatureMatrix:

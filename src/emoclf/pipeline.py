@@ -22,7 +22,10 @@ cross-validation decision flipped.
 
 Text work happens once per corpus, not once per (fold, cost, emotion):
 ``train_all`` counts every gold document once (``features.count_texts``),
-and each fold fits and transforms its rows of that count matrix.  A bundle
+and each fold's feature space comes straight from its rows of that count
+matrix (``features.ExtractorStack.fitted_on``), with no extractor object;
+only the final model's extractor, which the bundle keeps, is built by
+``features.fit_counts``.  A bundle
 is one text-work unit: all of its emotions' extractors share one lexicon
 set and emoticon table (``train_all`` fits them all from one count matrix,
 ``bundle_from_dict`` refuses a payload whose emotions differ in either, and
@@ -85,7 +88,6 @@ from .features import (
     extractors_from_dicts,
     fit_counts,
     stacked_transform,
-    transform_counts,
 )
 from .lexicons import LexiconSet, default_emoticons, default_lexicons
 from .svm import (
@@ -370,25 +372,43 @@ def _labels_for(docs: Sequence[LabeledDocument], emotion: str) -> list[int]:
     return labels
 
 
+def _problem(features: FeatureMatrix, labels: Sequence[int], config: TrainConfig
+             ) -> TrainingProblem:
+    return TrainingProblem.from_matrix(features, labels, loss=config.loss,
+                                       pos_cost=config.positive_cost)
+
+
 def _fitted_problem(
-    counts: CorpusCounts, labels: Sequence[int], rows: np.ndarray, config: TrainConfig,
-) -> tuple[FittedExtractor, FeatureMatrix, TrainingProblem]:
-    """An extractor fitted on ``rows`` of ``counts``, all rows' features, and the rows' problem."""
-    fitted = fit_counts(counts.take(rows), config.min_df)
-    features = transform_counts(counts, fitted)     # one call: each maps the whole term table
-    problem = TrainingProblem.from_matrix(features.take(rows), [labels[i] for i in rows],
-                                          loss=config.loss, pos_cost=config.positive_cost)
-    return fitted, features, problem
+    counts: CorpusCounts, labels: Sequence[int], config: TrainConfig,
+) -> tuple[FittedExtractor, TrainingProblem]:
+    """The final model's extractor, fitted on every row of ``counts``, and those rows' problem.
+
+    The rows come from ``ExtractorStack.fitted_on``, as a fold's do: they
+    are ``transform_counts(counts, fitted)``'s, bit for bit, without
+    mapping the corpus's terms onto the vocabulary.  So training caches no
+    stack on the extractor, and none travels with it from a worker process.
+    """
+    features = stacked_transform(counts, ExtractorStack.fitted_on(counts, config.min_df))
+    return fit_counts(counts, config.min_df), _problem(features, labels, config)
 
 
 def _fold_problem(
     counts: CorpusCounts, labels: Sequence[int], assignment: np.ndarray, fold: int,
     config: TrainConfig,
 ) -> tuple[TrainingProblem, FeatureMatrix, list[int]]:
-    """The fold's training problem, and its held-out rows and labels."""
+    """The fold's training problem, and its held-out rows and labels.
+
+    The fold's feature space comes straight from its training rows of the
+    count matrix (``ExtractorStack.fitted_on``), with no ``FittedExtractor``;
+    its rows are those of ``transform_counts(counts, fit_counts(counts.take(
+    train rows), min_df))``, bit for bit.  One transform serves the
+    training and the held-out rows.
+    """
     train_idx = np.flatnonzero(assignment != fold)
     held_idx = np.flatnonzero(assignment == fold)
-    _, features, problem = _fitted_problem(counts, labels, train_idx, config)
+    space = ExtractorStack.fitted_on(counts.take(train_idx), config.min_df)
+    features = stacked_transform(counts, space)
+    problem = _problem(features.take(train_idx), [labels[i] for i in train_idx], config)
     return problem, features.take(held_idx), [labels[i] for i in held_idx]
 
 
@@ -482,7 +502,7 @@ def _final_model(
 ) -> EmotionModel:
     """Pick the cost from ``folds`` and train on the whole train partition at it."""
     chosen_c, cv_accuracy = _choose_cost(folds, config)
-    fitted, _, problem = _fitted_problem(counts, labels, np.arange(len(labels)), config)
+    fitted, problem = _fitted_problem(counts, labels, config)
     seed = derive_seed(derive_seed(config.seed, "emotion", emotion), "final")
     params = SolverParams(C=chosen_c, eps=config.eps, max_outer_iters=config.max_outer_iters,
                           seed=seed)

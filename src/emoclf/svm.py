@@ -26,7 +26,8 @@ a group takes folds only while ``state_bytes`` stays within
 gathering its rows as wide as its own widest row and ending before (steps x
 widest row) would pass a fixed slot count, so a long row takes a short chunk
 instead of widening every step of its group.
-Single problems, such as final models, run on ``train_dual_cd``.  C is a
+Single problems, such as final models, run on ``train_dual_cd``, which
+does its per-row scalar arithmetic on Python floats.  C is a
 setting of the solve, not of the problem: ``SolverParams.C`` or a cost of
 the grid.  Both solvers take each row's squared norm and multiplier on C
 from its ``TrainingProblem``, where they are worked out once, and bounds
@@ -214,16 +215,23 @@ def train_dual_cd(
     """Run dual coordinate descent at cost ``params.C`` to the requested tolerance.
 
     Deterministic: the sweep permutations come from a PRNG seeded with
-    ``params.seed``, and identical inputs reproduce ``w`` bit for bit.
+    ``params.seed``, and identical inputs reproduce ``w`` bit for bit.  The
+    per-row scalars (labels, bounds, curvature, multipliers, gradients) are
+    Python floats, read once from the problem's arrays, and each row's
+    index and value views are sliced once; every step is the same IEEE
+    double operation, in the same order, as on numpy scalars.  Only ``w``
+    and the rows stay arrays, and ``_row_dot`` sums each row's products.
     """
     n = problem.n_rows
-    indptr, indices, data, y = problem.indptr, problem.indices, problem.data, problem.y
     upper, dcoef = _bounds_and_diag(problem.loss, params.C * problem.cost_scale)
-    qdiag = problem.squared_norms + dcoef
+    qdiag = (problem.squared_norms + dcoef).tolist()
+    upper, dcoef, y = upper.tolist(), dcoef.tolist(), problem.y.tolist()
+    bounds = problem.indptr.tolist()
+    rows = [(problem.indices[a:b], problem.data[a:b]) for a, b in zip(bounds, bounds[1:])]
     row_dot = _row_dot
 
     w = np.zeros(problem.dimension)
-    alpha = np.zeros(n)
+    alpha = [0.0] * n
     rng = np.random.RandomState(params.seed & 0xFFFFFFFF)
 
     if monitor is not None:
@@ -231,15 +239,11 @@ def train_dual_cd(
 
     max_violation = 0.0
     for sweeps in range(1, params.max_outer_iters + 1):
-        order = rng.permutation(n)
         max_violation = 0.0
-        for i in order:
-            start, end = indptr[i], indptr[i + 1]
-            cols = indices[start:end]
-            vals = data[start:end]
-            gradient = y[i] * row_dot(w[cols], vals) - 1.0 + dcoef[i] * alpha[i]
-
+        for i in rng.permutation(n).tolist():
+            cols, vals = rows[i]
             a = alpha[i]
+            gradient = y[i] * float(row_dot(w[cols], vals)) - 1.0 + dcoef[i] * a
             if a <= 0.0:
                 projected = min(gradient, 0.0)
             elif a >= upper[i]:
@@ -262,9 +266,10 @@ def train_dual_cd(
         if max_violation < params.eps:
             break
 
+    alpha = np.array(alpha)
     _check_weight_consistency(w, weights_from_alpha(problem, alpha))
     if monitor is not None:
-        monitor.final_alpha = alpha.copy()
+        monitor.final_alpha = alpha
     return LinearModel(
         w=w,
         loss=problem.loss,

@@ -341,6 +341,25 @@ def test_vectorize_equals_the_reference_row(emoticons, texts):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (text, name)
 
 
+def test_vectorize_and_transform_counts_build_one_stack(monkeypatch):
+    fitted = dataclasses.replace(_vectorize_extractor(default_emoticons()))   # nothing cached
+    built = []
+    build = ExtractorStack.__init__
+
+    def counting(stack, extractors):
+        built.append(tuple(extractors))
+        build(stack, extractors)
+
+    monkeypatch.setattr(ExtractorStack, "__init__", counting)
+    for text in ["", UNKNOWN_ONLY, *PROBE_TEXTS] * 2:
+        got, want = fitted.vectorize(text), reference_row(fitted, text)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (text, name)
+    counts = count_texts(PROBE_TEXTS, fitted.lexicons, fitted.emoticons)
+    assert transform_counts(counts, fitted).n_rows == len(PROBE_TEXTS)
+    assert built == [(fitted,)] and fitted.stack.extractors == (fitted,)
+
+
 def _perfbench_inputs():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)

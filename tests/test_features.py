@@ -4,22 +4,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emoclf.features as features
 from emoclf.errors import ContractViolation, EmptyCorpus, IncompatibleModel, ParseError
 from emoclf.features import (
     AUX_FEATURES,
+    ExtractorStack,
     FeatureMatrix,
     _added,
     count_texts,
     extractor_from_dict,
     extractor_to_dict,
+    fit_counts,
     idf,
     politeness_score,
     row_sums,
     sentiment_scores,
+    stacked_transform,
+    transform_counts,
     uncertainty_score,
 )
 from emoclf.lexicons import LexiconSet, default_lexicons
@@ -101,6 +105,16 @@ class TestIdf:
         values = [idf(df, n) for df in range(1, n + 1)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v >= 1.0 for v in values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 97, 840, 1200, 4001])
+    def test_per_distinct_df_idf_equals_idf_bit_for_bit(self, n):
+        # Every df of 1..n, in shuffled order with repeats, and the 0 of a
+        # category no document hit.
+        df = np.random.default_rng(n).permutation(np.repeat(np.arange(n + 1), 2))
+        got = features._idfs(df, n)
+        assert got.dtype == np.float64
+        assert [x.hex() for x in got.tolist()] == [
+            (idf(d, n) if d else 0.0).hex() for d in df.tolist()]
 
 
 class TestFit:
@@ -427,6 +441,44 @@ def test_row_sums_add_each_row_left_to_right(monkeypatch, name):
     got = row_sums(indptr, values)
     assert got.dtype == np.float64
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+
+
+# Category words: "glad" is planted, "dread" sometimes, "furious" never, so
+# a fold can have categories with hits and with zero df.  No politeness cue
+# exists, so the politeness score's stddev is always zero.
+FOLD_LEXICONS = make_lexicons(
+    categories={"joy": frozenset({"glad"}), "fear": frozenset({"dread"}),
+                "anger": frozenset({"furious"})},
+    sentiment={"good": 2, "bad": -3}, negations=("not",), modality={"maybe": 0.5},
+)
+FOLD_WORDS = ["a", "b", "c", "d", "glad", "dread", "good", "bad", "not", "maybe"]
+
+
+@st.composite
+def fold_cases(draw):
+    texts = draw(st.lists(st.lists(st.sampled_from(FOLD_WORDS), max_size=6).map(" ".join),
+                          min_size=1, max_size=12))
+    rows = draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=len(texts)))
+    return texts, rows, draw(st.integers(1, 3))
+
+
+@given(fold_cases())
+@example((["a b", "a", "", "b c"], [0, 1, 2, 3], 2))   # df == min_df, an empty document
+@example((["a", "b", "glad c", "good"], [0, 1, 2], 3))  # no n-gram reaches min_df
+@example((["glad a", "b", "dread"], [0, 1], 1))         # "dread" only outside the fold
+@example((["", ""], [1], 1))                            # nothing but empty documents
+@settings(max_examples=300, deadline=None)
+def test_fold_stack_equals_fit_then_transform_byte_for_byte(case):
+    texts, rows, min_df = case
+    counts = count_texts(texts, FOLD_LEXICONS)
+    fold = counts.take(rows)
+    stack = ExtractorStack.fitted_on(fold, min_df)
+    assert stack.terms is counts.terms and len(stack) == 1
+    expected = transform_counts(counts, fit_counts(fold, min_df))
+    got = stacked_transform(counts, stack)
+    assert got.dimension == expected.dimension
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 class TestAssemble:

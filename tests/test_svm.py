@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dual_oracle import augmented_dense, solve_dual_reference
+from reference_solver import numpy_scalar_dual_cd
 from emoclf import svm
 from emoclf.errors import (
     ContractViolation,
@@ -327,6 +328,47 @@ class TestSolverProperties:
         w_a = train_dual_cd(problem_a, params).w
         w_b = train_dual_cd(problem_b, replace(params, C=0.5)).w
         assert w_a == pytest.approx(w_b, abs=1e-5)
+
+
+class TestNumpyScalarReference:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        loss=st.sampled_from([L1_HINGE, L2_HINGE]),
+        pos_cost=st.sampled_from([1.0, 0.4, 2.5]),
+        max_outer_iters=st.sampled_from([1, 2, 1000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_python_floats_give_the_numpy_scalar_solve_bit_for_bit(
+            self, seed, loss, pos_cost, max_outer_iters):
+        rng = np.random.RandomState(seed)
+        n, d = int(rng.randint(2, 30)), int(rng.randint(1, 8))
+        if rng.rand() < 0.5:
+            problem = sparse_problem(rng, n, d, loss, pos_cost)[0]
+        else:
+            problem = ragged_problem(rng, n, d, int(rng.randint(5, 60)), loss, pos_cost)
+        params = SolverParams(C=float(10 ** rng.uniform(-2, 1)), eps=1e-3,
+                              max_outer_iters=max_outer_iters, seed=int(rng.randint(2**31)))
+        monitor, reference_monitor = TrainingMonitor(), TrainingMonitor()
+        model = train_dual_cd(problem, params, monitor)
+        reference = numpy_scalar_dual_cd(problem, params, reference_monitor)
+        assert model.w.tobytes() == reference.w.tobytes()
+        assert monitor.final_alpha.tobytes() == reference_monitor.final_alpha.tobytes()
+        assert (model.sweeps, model.converged, model.loss, model.seed) == (
+            reference.sweeps, reference.converged, reference.loss, reference.seed)
+        assert model.sweeps <= max_outer_iters
+        assert model.final_violation.hex() == reference.final_violation.hex()
+        for counter in ("trainings", "sweeps", "steps", "objective_decreases"):
+            assert getattr(monitor, counter) == getattr(reference_monitor, counter), counter
+        assert float(monitor.dual_objective).hex() == float(reference_monitor.dual_objective).hex()
+
+    def test_a_solve_cut_short_is_the_reference_solve_cut_short(self):
+        problem = sparse_problem(np.random.RandomState(7), 40, 6, L1_HINGE, 2.5)[0]
+        params = SolverParams(C=4.0, eps=1e-12, max_outer_iters=3, seed=11)
+        model, reference = train_dual_cd(problem, params), numpy_scalar_dual_cd(problem, params)
+        assert (model.sweeps, model.converged) == (reference.sweeps, reference.converged) == (
+            3, False)
+        assert model.w.tobytes() == reference.w.tobytes()
+        assert model.final_violation == reference.final_violation
 
 
 class TestOracleEquivalence:
