@@ -331,27 +331,6 @@ class FeatureMatrix:
             if not val.all():
                 raise ContractViolation("explicit zeros are not stored")
 
-    @classmethod
-    def from_pairs(
-        cls, rows: Iterable[Iterable[tuple[int, float]]], dimension: int
-    ) -> "FeatureMatrix":
-        """One row per sequence of (index, value) pairs, given in any order.
-
-        Each row is sorted by index and its zero values are dropped.
-        """
-        indptr, indices, data = [0], [], []
-        for pairs in rows:
-            kept = sorted((i, v) for i, v in pairs if v != 0.0)
-            indices.extend(i for i, _ in kept)
-            data.extend(v for _, v in kept)
-            indptr.append(len(indices))
-        return cls(
-            np.array(indptr, dtype=np.int64),
-            np.array(indices, dtype=np.int64),
-            np.array(data, dtype=np.float64),
-            dimension,
-        )
-
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
@@ -878,8 +857,8 @@ def stacked_transform(counts: CorpusCounts, stack: ExtractorStack) -> FeatureMat
         at = np.arange(len(block_rows)) + shift[block_rows]
         indices[at] = block_indices
         data[at] = block_values
-    # No value is zero: tf, idf >= 1 and cue entries are kept only when
-    # nonzero, so nothing is left for from_pairs' zero filter to drop.
+    # No value is zero, as FeatureMatrix requires: tf, idf >= 1 and cue
+    # entries are kept only when nonzero.
     return FeatureMatrix(out_ptr, indices, data, stack.dimension)
 
 
@@ -996,6 +975,7 @@ def _extractor_from_dict(payload: dict, head: FittedExtractor | None) -> FittedE
         return fitted
     except (IncompatibleModel, ParseError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError,
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             ContractViolation, LexiconError) as exc:
+        # OverflowError: int() of an infinite count, seed or lexicon strength.
         raise ParseError(f"malformed extractor payload: {exc}") from exc

@@ -828,12 +828,16 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                 raise IncompatibleModel(f"{emotion}: non-finite weights")
             if raw["loss"] not in (L1_HINGE, L2_HINGE):
                 raise ValueError(f"{emotion}: unknown loss {raw['loss']!r}")
+            chosen_C, cv_accuracy = float(raw["chosen_C"]), float(raw["cv_accuracy"])
+            if not (math.isfinite(chosen_C) and math.isfinite(cv_accuracy)):
+                raise ValueError(f"{emotion}: chosen_C {chosen_C} and cv_accuracy "
+                                 f"{cv_accuracy} must be finite")
             models[emotion] = EmotionModel(
                 emotion=emotion,
                 extractor=extractor,
                 model=LinearModel(w=weights, loss=raw["loss"], seed=int(raw["solver_seed"])),
-                chosen_C=float(raw["chosen_C"]),
-                cv_accuracy=float(raw["cv_accuracy"]),
+                chosen_C=chosen_C,
+                cv_accuracy=cv_accuracy,
                 split_seed=int(raw["split_seed"]),
             )
         return ModelBundle(
@@ -844,7 +848,9 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         )
     except (ParseError, IncompatibleModel):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, MalformedHeader) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
+            MalformedHeader) as exc:
+        # OverflowError: int() of an infinite seed, or float() of a huge integer.
         raise ParseError(f"malformed bundle payload: {exc}") from exc
 
 

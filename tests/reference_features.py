@@ -17,7 +17,8 @@ independent oracle it must reproduce bit for bit, written with plain loops:
   ``transform_counts`` must give the same row.  ``reference_row`` runs the
   whole path on one raw text, as ``FittedExtractor.vectorize`` does.
 
-``count_streams`` counts already tokenized streams with the package's
+``matrix_from_pairs`` builds a ``FeatureMatrix`` from ``(index, value)``
+pairs per row.  ``count_streams`` counts already tokenized streams with the package's
 counting core (``features._count``), so tests can build a ``CorpusCounts``
 without going through ``count_texts``.
 """
@@ -194,6 +195,27 @@ def emotion_category_block(doc: TokenStream, fitted: FittedExtractor) -> list[tu
     return _l2_normalized(pairs)
 
 
+def matrix_from_pairs(
+    rows: Iterable[Iterable[tuple[int, float]]], dimension: int
+) -> FeatureMatrix:
+    """One row per sequence of (index, value) pairs, given in any order.
+
+    Each row is sorted by index and its zero values are dropped.
+    """
+    indptr, indices, data = [0], [], []
+    for pairs in rows:
+        kept = sorted((i, v) for i, v in pairs if v != 0.0)
+        indices.extend(i for i, _ in kept)
+        data.extend(v for _, v in kept)
+        indptr.append(len(indices))
+    return FeatureMatrix(
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(data, dtype=np.float64),
+        dimension,
+    )
+
+
 def assemble(doc: TokenStream, fitted: FittedExtractor) -> FeatureMatrix:
     """Concatenate all blocks into one row over the full feature space."""
     v, k = len(fitted.vocabulary), len(fitted.categories)
@@ -205,7 +227,7 @@ def assemble(doc: TokenStream, fitted: FittedExtractor) -> FeatureMatrix:
             z = (raw - fitted.aux_mean[slot]) / std
             if z != 0.0:
                 pairs.append((v + k + slot, z))
-    return FeatureMatrix.from_pairs([pairs], fitted.dimension)
+    return matrix_from_pairs([pairs], fitted.dimension)
 
 
 def reference_row(fitted: FittedExtractor, text: str) -> FeatureMatrix:

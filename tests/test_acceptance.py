@@ -23,7 +23,6 @@ from emoclf.corpus import (
     write_gold_corpus,
 )
 from emoclf.features import (
-    FeatureMatrix,
     fit_counts,
     transform_counts,
 )
@@ -51,6 +50,7 @@ from reference_features import (
     count_streams,
     emotion_category_block,
     fit,
+    matrix_from_pairs,
     ngram_block,
 )
 
@@ -75,7 +75,7 @@ def test_c01_solver_matches_independent_oracle():
         y[rng.permutation(n)[: max(1, n // 2)]] = -1
         C = float(DEFAULT_C_GRID[rng.randint(len(DEFAULT_C_GRID))])
         loss = L1_HINGE if trial % 2 else L2_HINGE
-        rows = FeatureMatrix.from_pairs(
+        rows = matrix_from_pairs(
             [[(j, X[i, j]) for j in range(d)] for i in range(n)], d
         )
         problem = TrainingProblem.from_matrix(rows, y, loss=loss)
@@ -97,7 +97,7 @@ def test_c01_solver_matches_independent_oracle():
 
 def test_c02_two_point_analytic_solution():
     """x1=(1,1) y=+1, x2=(-1,1) y=-1, C=1, squared hinge -> w=(0.8, 0)."""
-    rows = FeatureMatrix.from_pairs([[(0, 1.0)], [(0, -1.0)]], 1)
+    rows = matrix_from_pairs([[(0, 1.0)], [(0, -1.0)]], 1)
     problem = TrainingProblem.from_matrix(rows, [1, -1], loss=L2_HINGE)
     model = train_dual_cd(problem, SolverParams(C=1.0, eps=1e-10, seed=0))
     assert abs(model.w[0] - 0.8) <= 1e-6

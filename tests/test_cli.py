@@ -53,6 +53,35 @@ MANIFEST_DEFECTS = {
 }
 
 
+# Numbers of every emotion's model entry that a bundle loader passes to int():
+# path to the field -> nothing (a scalar), its first item (a list) or the
+# value of its first key (a map).
+INTEGER_FIELDS = {
+    "sentiment": ("extractor", "lexicons", "sentiment"),
+    "boosters": ("extractor", "lexicons", "boosters"),
+    "df": ("extractor", "vocabulary", "df"),
+    "category_df": ("extractor", "category_df"),
+    "n_docs": ("extractor", "vocabulary", "n_docs"),
+    "min_df": ("extractor", "vocabulary", "min_df"),
+    "solver_seed": ("solver_seed",),
+    "split_seed": ("split_seed",),
+}
+
+
+def _set_in_every_model(payload, path, value):
+    for entry in payload["models"].values():
+        *parents, name = path
+        for key in parents:
+            entry = entry[key]
+        field = entry[name]
+        if isinstance(field, dict):
+            field[next(iter(field))] = value
+        elif isinstance(field, list):
+            field[0] = value
+        else:
+            entry[name] = value
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "emoclf", *map(str, args)],
@@ -461,6 +490,47 @@ class TestPolitenessExtremes:
         assert code == 3, err
         assert "malformed extractor payload" in err and "'please'" in err
         assert not (tmp_path / "pred.csv").exists()
+
+
+class TestNonFiniteBundleNumbers:
+    """A bundle number that is not finite is a model error (exit 3), not an internal one."""
+
+    def _classify_edited_bundle(self, tmp_path, trained, capsys, edit):
+        bundle_path, _, _ = trained
+        payload = json.loads(bundle_path.read_text(encoding="utf-8"))
+        edit(payload)
+        bad = tmp_path / "bad.emo"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        input_path = tmp_path / "input.csv"
+        write_input_corpus(input_path, [Document("1", "please help")])
+        code = main(["classify", "--model", str(bad), "--input", str(input_path),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert not (tmp_path / "pred.csv").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS) + ["master_seed"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_integer_in_bundle_exits_3(self, tmp_path, trained, field, value, capsys):
+        # int() of an Infinity raises OverflowError, which used to exit 1.
+        def edit(payload):
+            if field == "master_seed":
+                payload[field] = value
+            else:
+                _set_in_every_model(payload, INTEGER_FIELDS[field], value)
+
+        code, err = self._classify_edited_bundle(tmp_path, trained, capsys, edit)
+        assert code == 3, err
+        assert "malformed" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("field", ["chosen_C", "cv_accuracy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tuning_result_in_bundle_exits_3(self, tmp_path, trained, field, value,
+                                                         capsys):
+        code, err = self._classify_edited_bundle(
+            tmp_path, trained, capsys,
+            lambda payload: _set_in_every_model(payload, (field,), value))
+        assert code == 3, err
+        assert "malformed bundle payload" in err and "must be finite" in err
 
 
 class TestUndecodableInput:

@@ -12,7 +12,6 @@ from emoclf.errors import ContractViolation, EmptyCorpus, IncompatibleModel, Par
 from emoclf.features import (
     AUX_FEATURES,
     ExtractorStack,
-    FeatureMatrix,
     _added,
     count_texts,
     extractor_from_dict,
@@ -27,7 +26,14 @@ from emoclf.features import (
     uncertainty_score,
 )
 from emoclf.lexicons import LexiconSet, default_lexicons
-from reference_features import TokenStream, assemble, emotion_category_block, fit, ngram_block
+from reference_features import (
+    TokenStream,
+    assemble,
+    emotion_category_block,
+    fit,
+    matrix_from_pairs,
+    ngram_block,
+)
 
 
 def make_lexicons(
@@ -59,28 +65,28 @@ def row_pairs(matrix, i=0):
 
 class TestFromPairs:
     def test_valid(self):
-        m = FeatureMatrix.from_pairs([[(3, 1.0), (0, 2.0)], [(4, -1.0), (1, 5.0)]], 5)
+        m = matrix_from_pairs([[(3, 1.0), (0, 2.0)], [(4, -1.0), (1, 5.0)]], 5)
         assert m.n_rows == 2 and m.dimension == 5
         assert row_pairs(m, 0) == [(0, 2.0), (3, 1.0)]
         assert row_pairs(m, 1) == [(1, 5.0), (4, -1.0)]
 
     def test_zero_values_dropped(self):
-        assert row_pairs(FeatureMatrix.from_pairs([[(1, 0.0), (2, 3.0)]], 4)) == [(2, 3.0)]
+        assert row_pairs(matrix_from_pairs([[(1, 0.0), (2, 3.0)]], 4)) == [(2, 3.0)]
 
     def test_out_of_range_rejected(self):
         for pairs in ([(5, 1.0)], [(-1, 1.0)]):
             with pytest.raises(ContractViolation, match="out of range"):
-                FeatureMatrix.from_pairs([pairs], 5)
+                matrix_from_pairs([pairs], 5)
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ContractViolation, match="strictly increasing"):
-            FeatureMatrix.from_pairs([[(1, 1.0), (1, 2.0)]], 4)
+            matrix_from_pairs([[(1, 1.0), (1, 2.0)]], 4)
 
     def test_empty_rows(self):
-        m = FeatureMatrix.from_pairs([[], [(2, 1.0)], [(0, 0.0)]], 3)
+        m = matrix_from_pairs([[], [(2, 1.0)], [(0, 0.0)]], 3)
         assert m.indptr.tolist() == [0, 0, 1, 1]
         assert row_pairs(m, 0) == row_pairs(m, 2) == []
-        assert FeatureMatrix.from_pairs([], 3).n_rows == 0
+        assert matrix_from_pairs([], 3).n_rows == 0
 
 
 class TestIdf:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dual_oracle import augmented_dense, solve_dual_reference
+from reference_features import matrix_from_pairs
 from reference_solver import numpy_scalar_dual_cd
 from emoclf import svm
 from emoclf.errors import (
@@ -14,7 +15,6 @@ from emoclf.errors import (
     DimensionError,
     NumericError,
 )
-from emoclf.features import FeatureMatrix
 from emoclf.svm import (
     L1_HINGE,
     L2_HINGE,
@@ -36,7 +36,7 @@ from emoclf.svm import (
 def dense_rows(X):
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
-    return FeatureMatrix.from_pairs(
+    return matrix_from_pairs(
         [[(j, X[i, j]) for j in range(d)] for i in range(X.shape[0])], d
     )
 
@@ -60,7 +60,7 @@ def random_problem(rng, n=None, d=None, loss=None, C=None):
 def sparse_problem(rng, n, d, loss, pos_cost=1.0):
     """A problem whose rows differ in length: each entry is kept with probability 0.6."""
     X = rng.randn(n, d) * (rng.rand(n, d) < 0.6)
-    rows = FeatureMatrix.from_pairs([[(j, X[i, j]) for j in range(d)] for i in range(n)], d)
+    rows = matrix_from_pairs([[(j, X[i, j]) for j in range(d)] for i in range(n)], d)
     y = np.ones(n, dtype=int)
     y[rng.permutation(n)[: max(1, n // 2)]] = -1
     return TrainingProblem.from_matrix(rows, y, loss=loss, pos_cost=pos_cost), rows, y
@@ -71,7 +71,7 @@ def ragged_problem(rng, n, d, wide, loss, pos_cost=1.0):
     X = np.zeros((n + 3, d + wide))
     X[:n, :d] = rng.randn(n, d) * (rng.rand(n, d) < 0.6)
     X[n] = rng.randn(d + wide)
-    rows = FeatureMatrix.from_pairs([[(j, v) for j, v in enumerate(row)] for row in X], d + wide)
+    rows = matrix_from_pairs([[(j, v) for j, v in enumerate(row)] for row in X], d + wide)
     y = np.ones(n + 3, dtype=int)
     y[rng.permutation(n + 3)[: (n + 3) // 2]] = -1
     return TrainingProblem.from_matrix(rows, y, loss=loss, pos_cost=pos_cost)
@@ -132,19 +132,19 @@ class TestTwoPointAnalyticCase:
 
     def test_decision_value(self):
         model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
-        x = FeatureMatrix.from_pairs([[(0, 1.0)]], 1)
+        x = matrix_from_pairs([[(0, 1.0)]], 1)
         assert decision_values(model, x)[0] == pytest.approx(0.8, abs=1e-9)
 
     def test_predictions(self):
         model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
-        assert predict(model, FeatureMatrix.from_pairs([[(0, 1.0)]], 1)) == 1
-        assert predict(model, FeatureMatrix.from_pairs([[(0, -1.0)]], 1)) == 0
+        assert predict(model, matrix_from_pairs([[(0, 1.0)]], 1)) == 1
+        assert predict(model, matrix_from_pairs([[(0, -1.0)]], 1)) == 0
 
     @pytest.mark.parametrize("n_rows", [0, 2])
     def test_predict_takes_exactly_one_row(self, n_rows):
         model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, eps=1e-10, seed=3))
         with pytest.raises(ContractViolation, match="one row"):
-            predict(model, FeatureMatrix.from_pairs([[(0, 1.0)]] * n_rows, 1))
+            predict(model, matrix_from_pairs([[(0, 1.0)]] * n_rows, 1))
 
 
 class TestPredictEdges:
@@ -152,14 +152,14 @@ class TestPredictEdges:
         from emoclf.svm import LinearModel
 
         model = LinearModel(w=np.zeros(3), loss=L2_HINGE)
-        x = FeatureMatrix.from_pairs([[(0, 5.0)]], 2)
+        x = matrix_from_pairs([[(0, 5.0)]], 2)
         assert decision_values(model, x)[0] == 0.0
         assert predict(model, x) == 0  # exact ties go to absent
 
     def test_dimension_mismatch(self):
         model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, seed=0))
         with pytest.raises(DimensionError):
-            predict(model, FeatureMatrix.from_pairs([[(0, 1.0)]], 4))
+            predict(model, matrix_from_pairs([[(0, 1.0)]], 4))
 
 
 class TestConvergenceReport:
@@ -210,7 +210,7 @@ class TestBatchDecisions:
         model = train_dual_cd(TrainingProblem.from_matrix(rows, y, loss=loss),
                               SolverParams(C=C, seed=seed))
         d = rows.dimension
-        sparse = FeatureMatrix.from_pairs(
+        sparse = matrix_from_pairs(
             [[(j, v) for j, v in enumerate(rng.randn(d)) if rng.rand() < 0.6]
              for _ in range(8)], d,
         )
@@ -227,7 +227,7 @@ class TestBatchDecisions:
     def test_dimension_mismatch(self):
         model = train_dual_cd(two_point_problem(), SolverParams(C=1.0, seed=0))
         with pytest.raises(DimensionError):
-            decision_values(model, FeatureMatrix.from_pairs([[]], 4))
+            decision_values(model, matrix_from_pairs([[]], 4))
 
 
 class TestProblemValidation:
@@ -237,12 +237,12 @@ class TestProblemValidation:
             TrainingProblem.from_matrix(rows, [1, 1])
 
     def test_non_finite_rejected(self):
-        rows = FeatureMatrix.from_pairs([[(0, float("nan"))], [(0, 1.0)]], 1)
+        rows = matrix_from_pairs([[(0, float("nan"))], [(0, 1.0)]], 1)
         with pytest.raises(NumericError):
             TrainingProblem.from_matrix(rows, [1, -1])
 
     def test_matrix_build_appends_the_bias_column(self):
-        matrix = FeatureMatrix.from_pairs([[(2, -1.0), (0, 1.5)], [], [(1, 2.0)]], 3)
+        matrix = matrix_from_pairs([[(2, -1.0), (0, 1.5)], [], [(1, 2.0)]], 3)
         problem = TrainingProblem.from_matrix(matrix, [1, -1, 1], loss=L1_HINGE)
         assert problem.indptr.tolist() == [0, 3, 4, 6]
         assert problem.indices.tolist() == [0, 2, 3, 3, 1, 3]
@@ -252,7 +252,7 @@ class TestProblemValidation:
         assert not hasattr(problem, "C")        # the cost is the solve's
 
     def test_matrix_build_names_the_non_finite_row(self):
-        rows = FeatureMatrix.from_pairs([[(0, 1.0)], [], [(1, float("inf"))]], 2)
+        rows = matrix_from_pairs([[(0, 1.0)], [], [(1, float("inf"))]], 2)
         with pytest.raises(NumericError, match="row 2"):
             TrainingProblem.from_matrix(rows, [1, -1, 1])
 
@@ -572,9 +572,9 @@ class TestLockstep:
                                                   + 6 * 6 * 12 + (6 + 6) * 3 * 8)
         # Lengthening one row by 35 entries adds those entries only.
         pairs = [[(j, 1.0) for j in range(5)] for _ in range(6)]
-        short = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3)
+        short = TrainingProblem.from_matrix(matrix_from_pairs(pairs, 40), [1, -1] * 3)
         pairs[0] = [(j, 1.0) for j in range(40)]
-        long = TrainingProblem.from_matrix(FeatureMatrix.from_pairs(pairs, 40), [1, -1] * 3)
+        long = TrainingProblem.from_matrix(matrix_from_pairs(pairs, 40), [1, -1] * 3)
         assert state_bytes([long], 3) == state_bytes([short], 3) + 35 * 12
 
     def test_final_alpha_is_the_last_scalar_solve(self):

@@ -1,3 +1,5 @@
+import functools
+import random
 import sys
 import time
 from pathlib import Path
@@ -5,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strip_oracle import strip_noise_fixpoint
+from strip_oracle import markup_soup, strip_noise_fixpoint, strip_noise_scan
 
 from emoclf.errors import ContractViolation
 from emoclf.lexicons import default_emoticons
@@ -108,6 +110,19 @@ def workload_inputs():
     return inputs
 
 
+@pytest.fixture(scope="module")
+def benchmark_texts(workload_inputs):
+    """The gold corpus and classify stream texts of a workload's seed."""
+
+    @functools.cache
+    def texts(workload, seed):
+        spec = workload_inputs.WORKLOADS[workload]
+        gold = [text for _, text, _ in workload_inputs.gold_corpus(spec, seed)]
+        return gold + [text for _, text in workload_inputs.classify_stream(spec, seed)]
+
+    return texts
+
+
 class TestStripAgainstOracle:
     """The one-pass scan against the regex fixpoint it replaced (tests/strip_oracle.py)."""
 
@@ -120,10 +135,8 @@ class TestStripAgainstOracle:
 
     @pytest.mark.parametrize("workload", ["train-c07", "multi-6emo", "forum-markup"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_byte_equal_to_the_fixpoint_on_benchmark_texts(self, workload_inputs, workload, seed):
-        spec = workload_inputs.WORKLOADS[workload]
-        texts = [text for _, text, _ in workload_inputs.gold_corpus(spec, seed)]
-        texts += [text for _, text in workload_inputs.classify_stream(spec, seed)]
+    def test_byte_equal_to_the_fixpoint_on_benchmark_texts(self, benchmark_texts, workload, seed):
+        texts = benchmark_texts(workload, seed)
         assert [strip_noise(t) for t in texts] == [strip_noise_fixpoint(t) for t in texts]
 
     def test_documented_whitespace_difference(self):
@@ -131,6 +144,41 @@ class TestStripAgainstOracle:
         text = "www.b.com/p <code>x=1</code> <<a>>"
         assert strip_noise_fixpoint(text) == " "
         assert strip_noise(text) == "     "
+
+
+class TestStripAgainstScan:
+    """strip_noise, which takes tag runs and bracket runs in one step each,
+    against the scan that took one step per construct (tests/strip_oracle.py)."""
+
+    @pytest.mark.parametrize("text", [
+        "<p>a</p><b>b</b> c <i>d</i>",                         # a tag run
+        "<p>\n    x</p>\n  <b>y</b>   z",                      # newlines inside a run
+        "<b>x</b> <code>y</code> <i>z</i> <CODE>w</CODE>",     # code openers end a run
+        "<code>a <code>b <b>c</b> <CODE>d",                    # ... until none has a closer
+        "<b>ww</b>w<i>www.x</i> <b>:</b>: ``<i>``</i>`<b>```</b>```",
+        "a:b <b>x</b>c:d ww.x http://a.io/<i>y</i> <b>z</b>",  # near misses and URLs
+        "a <<<b c",
+        "a >>> b <<x> y",
+        "<<<a>>> <<b>>>> <<<c>> d >>",
+        "<<a <> b>> c <> >",
+        "\n    <<a <> b>> c",                                  # "<>" on an indented line
+        "<b>a</b>\n    <i>b</i>\n  <p>c</p>   d",
+        "<>1\n  <b><<<<``>>><<>>",                             # open tags after a run's first
+        ">.<code<a\n  </b><code><>>>>",                        # line state after a run
+    ])
+    def test_byte_equal_on_runs_and_near_misses(self, text):
+        assert strip_noise(text) == strip_noise_scan(text)
+
+    def test_byte_equal_on_seeded_markup_soup(self):
+        rng = random.Random(26)
+        texts = [markup_soup(rng) for _ in range(30_000)]
+        assert [strip_noise(t) for t in texts] == [strip_noise_scan(t) for t in texts]
+
+    @pytest.mark.parametrize("workload", ["train-c07", "multi-6emo", "forum-markup"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_byte_equal_on_benchmark_texts(self, benchmark_texts, workload, seed):
+        texts = benchmark_texts(workload, seed)
+        assert [strip_noise(t) for t in texts] == [strip_noise_scan(t) for t in texts]
 
 
 class TestStripRules:
@@ -188,6 +236,9 @@ _HOSTILE = {
     "www run": lambda n: "www." * (n // 4),
     "separators without a scheme": lambda n: "1://" * (n // 4),
     "indented lines": lambda n: "     x\n" * (n // 7),
+    "tag runs": lambda n: "<b>x</b> " * (n // 9),
+    "bracket runs": lambda n: ("<" * 50 + "a" + ">" * 50 + " ") * (n // 102),
+    "close brackets": lambda n: ">" * n,
 }
 
 
@@ -198,6 +249,12 @@ def test_hostile_megabyte_is_stripped_in_linear_time(family):
     once = strip_noise(text)
     assert time.perf_counter() - started < 10.0
     assert len(once) <= len(text)
+
+
+@pytest.mark.parametrize("family", sorted(_HOSTILE))
+def test_hostile_prefix_is_stripped_like_the_scan(family):
+    text = _HOSTILE[family](1 << 20)[: 1 << 16]
+    assert strip_noise(text) == strip_noise_scan(text)
 
 
 class TestTokenize:
