@@ -35,7 +35,7 @@ extractors' idf and scaling constants laid side by side.  The stack owns
 the text-work rule: extractors with equal lexicons and emoticon tables
 count any text alike, so one count serves them all.  It stacks only such
 extractors, and ``stacked_transform`` takes only counts made with the
-stack's pair.  A bundle is one such unit: ``extractors_from_dicts`` loads
+stack's pair.  A bundle is one such unit: ``pipeline.load_bundle`` loads
 its extractors with one lexicon set and emoticon table, and prediction
 stacks all of them (``pipeline.ModelBundle.stacks``).  Counting for
 fitting numbers the block's own terms as it sees them; prediction counts a
@@ -64,18 +64,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    DocumentTooLarge,
-    EmptyCorpus,
-    IncompatibleModel,
-    LexiconError,
-    ParseError,
-)
+from .errors import ContractViolation, DocumentTooLarge, EmptyCorpus
 from .lexicons import LexiconSet, default_emoticons
 from .textprep import strip_noise, term_tokens
-
-EXTRACTOR_VERSION = "1"
 
 # The longest text ``count_texts`` accepts.  It equals the csv module's
 # default field size limit, which bounds a document read from a corpus file,
@@ -861,121 +852,3 @@ def stacked_transform(counts: CorpusCounts, stack: ExtractorStack) -> FeatureMat
     # entries are kept only when nonzero.
     return FeatureMatrix(out_ptr, indices, data, stack.dimension)
 
-
-# --- serialization ---------------------------------------------------------
-
-def extractor_to_dict(fitted: FittedExtractor) -> dict:
-    lex = fitted.lexicons
-    return {
-        "kind": "emoclf-extractor",
-        "version": EXTRACTOR_VERSION,
-        "lowercase_ngrams": True,
-        "idf": "ln((1+n_docs)/(1+df))+1",
-        "aux_standardized": True,
-        "vocabulary": {
-            "terms": list(fitted.vocabulary.terms),
-            "df": list(fitted.vocabulary.df),
-            "n_docs": fitted.vocabulary.n_docs,
-            "min_df": fitted.vocabulary.min_df,
-        },
-        "categories": list(fitted.categories),
-        "category_df": list(fitted.category_df),
-        "aux_features": list(AUX_FEATURES),
-        "aux_mean": list(fitted.aux_mean),
-        "aux_std": list(fitted.aux_std),
-        "emoticons": sorted(fitted.emoticons),
-        "lexicons": {
-            "emotion_categories": {
-                category: sorted(words)
-                for category, words in lex.emotion_categories.items()
-            },
-            "politeness": {" ".join(phrase): w for phrase, w in lex.politeness_cues.items()},
-            "sentiment": dict(lex.sentiment),
-            "boosters": dict(lex.boosters),
-            "negations": sorted(lex.negations),
-            "modality": dict(lex.modality_cues),
-        },
-    }
-
-
-def _lexicons_from_dict(raw_lex: dict) -> LexiconSet:
-    return LexiconSet(
-        emotion_categories={
-            category: frozenset(words)
-            for category, words in raw_lex["emotion_categories"].items()
-        },
-        politeness_cues={
-            tuple(phrase.split()): float(w) for phrase, w in raw_lex["politeness"].items()
-        },
-        sentiment={w: int(s) for w, s in raw_lex["sentiment"].items()},
-        boosters={w: int(s) for w, s in raw_lex["boosters"].items()},
-        negations=frozenset(raw_lex["negations"]),
-        modality_cues={w: float(s) for w, s in raw_lex["modality"].items()},
-    )
-
-
-def extractor_from_dict(payload: dict) -> FittedExtractor:
-    """The extractor ``extractor_to_dict`` wrote."""
-    return _extractor_from_dict(payload, None)
-
-
-def extractors_from_dicts(payloads: Mapping[str, dict]) -> dict[str, FittedExtractor]:
-    """The extractors of one bundle, keyed by emotion as ``payloads`` are, in their order.
-
-    A bundle's emotions share one lexicon set and emoticon table: every
-    later payload's ``lexicons`` and ``emoticons`` must equal the first's,
-    and its extractor takes the objects built from the first's, so a bundle
-    builds one ``LexiconSet``.  A payload with others raises ``ParseError``;
-    a malformed one raises the error it raises when loaded alone.
-    """
-    names = iter(payloads)
-    first = next(names)
-    head = extractor_from_dict(payloads[first])
-    text_work = {key: payloads[first][key] for key in ("lexicons", "emoticons")}
-    extractors = {first: head}
-    for name in names:
-        payload = payloads[name]
-        if not (isinstance(payload, dict)
-                and all(payload.get(key) == raw for key, raw in text_work.items())):
-            extractor_from_dict(payload)    # a malformed payload fails as when loaded alone
-            raise ParseError(f"{name}: lexicons or emoticon table differ from {first}'s; "
-                             "the emotions of one bundle share both")
-        extractors[name] = _extractor_from_dict(payload, head)
-    return extractors
-
-
-def _extractor_from_dict(payload: dict, head: FittedExtractor | None) -> FittedExtractor:
-    """``extractor_from_dict``, taking ``head``'s lexicons and emoticon table when given."""
-    try:
-        if payload.get("kind") != "emoclf-extractor":
-            raise ParseError("not an extractor payload")
-        version = payload["version"]
-        if version != EXTRACTOR_VERSION:
-            raise IncompatibleModel(
-                f"extractor version {version!r} unsupported (expected {EXTRACTOR_VERSION!r})"
-            )
-        lexicons = head.lexicons if head else _lexicons_from_dict(payload["lexicons"])
-        vocab_raw = payload["vocabulary"]
-        vocabulary = Vocabulary(
-            terms=tuple(vocab_raw["terms"]),
-            df=tuple(int(c) for c in vocab_raw["df"]),
-            n_docs=int(vocab_raw["n_docs"]),
-            min_df=int(vocab_raw["min_df"]),
-        )
-        fitted = FittedExtractor(
-            vocabulary=vocabulary,
-            lexicons=lexicons,
-            category_df=tuple(int(c) for c in payload["category_df"]),
-            aux_mean=tuple(float(m) for m in payload["aux_mean"]),
-            aux_std=tuple(float(s) for s in payload["aux_std"]),
-            emoticons=head.emoticons if head else frozenset(payload["emoticons"]),
-        )
-        if tuple(payload["categories"]) != fitted.categories:
-            raise ContractViolation("categories must be the lexicons' emotion categories, sorted")
-        return fitted
-    except (IncompatibleModel, ParseError):
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
-            ContractViolation, LexiconError) as exc:
-        # OverflowError: int() of an infinite count, seed or lexicon strength.
-        raise ParseError(f"malformed extractor payload: {exc}") from exc

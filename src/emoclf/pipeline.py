@@ -52,6 +52,7 @@ import hashlib
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -72,6 +73,7 @@ from .errors import (
     EmptyCorpus,
     EmptyEmotionSet,
     IncompatibleModel,
+    LexiconError,
     MalformedHeader,
     MissingLabel,
     ParseError,
@@ -79,13 +81,13 @@ from .errors import (
     TooFewPositives,
 )
 from .features import (
+    AUX_FEATURES,
     CorpusCounts,
     ExtractorStack,
     FeatureMatrix,
     FittedExtractor,
+    Vocabulary,
     count_texts,
-    extractor_to_dict,
-    extractors_from_dicts,
     fit_counts,
     stacked_transform,
 )
@@ -106,6 +108,8 @@ from .svm import (
 
 BUNDLE_FORMAT = "emoclf-bundle"
 BUNDLE_VERSION = "1"
+EXTRACTOR_KIND = "emoclf-extractor"
+EXTRACTOR_VERSION = "1"
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.10, 0.20, 0.25, 0.50, 1.0, 2.0, 4.0, 8.0)
 
@@ -761,6 +765,120 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
 
 
 # --- bundle persistence -------------------------------------------------------
+#
+# The bundle file format, writer and reader, lives here alone: ``features``
+# knows fitted extractors, not how a bundle stores them.  The reader takes a
+# number only as the writer writes it: an integer field holds an integer, a
+# real field an integer or a float (a bool is neither), and a float holds each.
+
+@contextmanager
+def _malformed(section: str):
+    """Raise a read error of the block as ``ParseError("malformed {section} payload: ...")``."""
+    try:
+        yield
+    except (ParseError, IncompatibleModel):
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
+            ContractViolation, LexiconError, MalformedHeader) as exc:
+        raise ParseError(f"malformed {section} payload: {exc}") from exc
+
+
+def _number(holder, key, *kinds: type):
+    """``holder[key]``, if its type is in ``kinds`` (a bool's is not int) and a float holds it."""
+    value = holder[key]
+    if type(value) not in kinds:
+        raise TypeError(f"{key!r} must be {'/'.join(k.__name__ for k in kinds)}, got {value!r:.30}")
+    float(value)                # OverflowError beyond a float's range
+    return value
+
+
+def _items(holder, key, *kinds: type) -> list:
+    """``holder[key]``, if it is a list and its items' types are in ``kinds`` (as ``_number``)."""
+    values = holder[key]
+    if type(values) is not list or not set(map(type, values)) <= set(kinds):
+        raise TypeError(f"{key!r} must be a list of {'/'.join(k.__name__ for k in kinds)}, "
+                        f"got {values!r:.40}")
+    return values
+
+
+def _extractor_constants() -> dict:
+    """The fields every extractor payload holds with the same value, which its model assumes."""
+    return {"lowercase_ngrams": True, "idf": "ln((1+n_docs)/(1+df))+1",
+            "aux_standardized": True, "aux_features": list(AUX_FEATURES)}
+
+
+def _extractor_payload(fitted: FittedExtractor) -> dict:
+    lex, vocabulary = fitted.lexicons, fitted.vocabulary
+    return {
+        "kind": EXTRACTOR_KIND,
+        "version": EXTRACTOR_VERSION,
+        **_extractor_constants(),
+        "vocabulary": {"terms": list(vocabulary.terms), "df": list(vocabulary.df),
+                       "n_docs": vocabulary.n_docs, "min_df": vocabulary.min_df},
+        "categories": list(fitted.categories),
+        "category_df": list(fitted.category_df),
+        "aux_mean": list(fitted.aux_mean),
+        "aux_std": list(fitted.aux_std),
+        "emoticons": sorted(fitted.emoticons),
+        "lexicons": {
+            "emotion_categories": {
+                category: sorted(words) for category, words in lex.emotion_categories.items()
+            },
+            "politeness": {" ".join(phrase): w for phrase, w in lex.politeness_cues.items()},
+            "sentiment": dict(lex.sentiment),
+            "boosters": dict(lex.boosters),
+            "negations": sorted(lex.negations),
+            "modality": dict(lex.modality_cues),
+        },
+    }
+
+
+def _text_work(payload: dict) -> tuple[LexiconSet, frozenset[str]]:
+    """The lexicon set and emoticon table of an extractor payload; each lexicon is a map."""
+    with _malformed("extractor"):
+        raw = payload["lexicons"]
+        words, polite, modal = raw["emotion_categories"], raw["politeness"], raw["modality"]
+        lexicons = LexiconSet(
+            emotion_categories={c: frozenset(_items(words, c, str)) for c in words.keys()},
+            politeness_cues={tuple(phrase.split()): _number(polite, phrase, int, float)
+                             for phrase in polite.keys()},
+            sentiment={w: _number(raw["sentiment"], w, int) for w in raw["sentiment"].keys()},
+            boosters={w: _number(raw["boosters"], w, int) for w in raw["boosters"].keys()},
+            negations=frozenset(_items(raw, "negations", str)),
+            modality_cues={w: _number(modal, w, int, float) for w in modal.keys()},
+        )
+        return lexicons, frozenset(_items(payload, "emoticons", str))
+
+
+def _extractor_from_payload(payload: dict, lexicons: LexiconSet,
+                            emoticons: frozenset[str]) -> FittedExtractor:
+    """The extractor ``_extractor_payload`` wrote, with the given lexicons and emoticon table."""
+    with _malformed("extractor"):
+        if payload.get("kind") != EXTRACTOR_KIND:
+            raise ParseError("not an extractor payload")
+        if payload["version"] != EXTRACTOR_VERSION:
+            raise IncompatibleModel(f"extractor version {payload['version']!r} unsupported "
+                                    f"(expected {EXTRACTOR_VERSION!r})")
+        for key, value in _extractor_constants().items():
+            if type(payload[key]) is not type(value) or payload[key] != value:
+                raise ValueError(f"{key} must be {value!r}, got {payload[key]!r:.40}")
+        raw = payload["vocabulary"]
+        # Every df and category_df must lie in [0, n_docs], so a float holds each.
+        fitted = FittedExtractor(
+            vocabulary=Vocabulary(terms=tuple(_items(raw, "terms", str)),
+                                  df=tuple(_items(raw, "df", int)),
+                                  n_docs=_number(raw, "n_docs", int),
+                                  min_df=_number(raw, "min_df", int)),
+            lexicons=lexicons,
+            category_df=tuple(_items(payload, "category_df", int)),
+            aux_mean=tuple(_items(payload, "aux_mean", int, float)),
+            aux_std=tuple(_items(payload, "aux_std", int, float)),
+            emoticons=emoticons,
+        )
+        if payload["categories"] != list(fitted.categories):
+            raise ContractViolation("categories must be the lexicons' emotion categories, sorted")
+        return fitted
+
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:
     payload = {
@@ -780,7 +898,7 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
             "loss": em.model.loss,
             "solver_seed": em.model.seed,
             "weights": [float(v) for v in em.model.w],
-            "extractor": extractor_to_dict(em.extractor),
+            "extractor": _extractor_payload(em.extractor),
         }
     return payload
 
@@ -798,27 +916,40 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def bundle_from_dict(payload: dict) -> ModelBundle:
-    try:
+    """The bundle ``bundle_to_dict`` wrote.
+
+    Every emotion's extractor takes the first emotion's lexicons and emoticon
+    table, read once.  A later emotion whose raw ones differ is refused; it
+    is read on its own first, so that a malformed one fails as it would alone.
+    """
+    with _malformed("bundle"):
         if payload.get("format") != BUNDLE_FORMAT:
             raise ParseError("not a model bundle")
         if payload["version"] != BUNDLE_VERSION:
-            raise IncompatibleModel(
-                f"bundle version {payload['version']!r} unsupported "
-                f"(expected {BUNDLE_VERSION!r})"
-            )
-        emotions = tuple(payload["emotions"])
+            raise IncompatibleModel(f"bundle version {payload['version']!r} unsupported "
+                                    f"(expected {BUNDLE_VERSION!r})")
+        emotions = tuple(_items(payload, "emotions", str))
         if not emotions or len(set(emotions)) != len(emotions):
             raise ValueError(f"emotions must be distinct and non-empty, got {list(emotions)}")
         for emotion in emotions:
             if validate_emotion_name(emotion) != emotion:
                 raise ValueError(f"emotion name {emotion!r} is not lowercase and stripped")
-        raws = {emotion: payload["models"][emotion] for emotion in emotions}
-        # ParseError unless every emotion shares the first one's lexicons and emoticons.
-        extractors = extractors_from_dicts({e: raw["extractor"] for e, raw in raws.items()})
-        models = {}
-        for emotion, raw in raws.items():
-            extractor = extractors[emotion]
-            weights = np.asarray(raw["weights"], dtype=np.float64)
+        if payload["models"].keys() != set(emotions):
+            raise ValueError(f"models {list(payload['models'])} are not those of the emotions")
+        if type(payload["config"]) is not dict:
+            raise TypeError("config must be a map")
+        head = payload["models"][emotions[0]]["extractor"]
+        shared, models = _text_work(head), {}
+        for emotion in emotions:
+            raw = payload["models"][emotion]
+            own = raw["extractor"]
+            if not (isinstance(own, dict)
+                    and all(own.get(key) == head[key] for key in ("lexicons", "emoticons"))):
+                _extractor_from_payload(own, *_text_work(own))
+                raise ParseError(f"{emotion}: lexicons or emoticon table differ from "
+                                 f"{emotions[0]}'s; the emotions of one bundle share both")
+            extractor = _extractor_from_payload(own, *shared)
+            weights = np.asarray(_items(raw, "weights", int, float), dtype=np.float64)
             if weights.ndim != 1 or weights.shape[0] != extractor.dimension + 1:
                 raise IncompatibleModel(
                     f"{emotion}: weight length {weights.shape} does not match "
@@ -828,30 +959,26 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                 raise IncompatibleModel(f"{emotion}: non-finite weights")
             if raw["loss"] not in (L1_HINGE, L2_HINGE):
                 raise ValueError(f"{emotion}: unknown loss {raw['loss']!r}")
-            chosen_C, cv_accuracy = float(raw["chosen_C"]), float(raw["cv_accuracy"])
+            chosen_C = _number(raw, "chosen_C", int, float)
+            cv_accuracy = _number(raw, "cv_accuracy", int, float)
             if not (math.isfinite(chosen_C) and math.isfinite(cv_accuracy)):
                 raise ValueError(f"{emotion}: chosen_C {chosen_C} and cv_accuracy "
                                  f"{cv_accuracy} must be finite")
             models[emotion] = EmotionModel(
                 emotion=emotion,
                 extractor=extractor,
-                model=LinearModel(w=weights, loss=raw["loss"], seed=int(raw["solver_seed"])),
+                model=LinearModel(w=weights, loss=raw["loss"],
+                                  seed=_number(raw, "solver_seed", int)),
                 chosen_C=chosen_C,
                 cv_accuracy=cv_accuracy,
-                split_seed=int(raw["split_seed"]),
+                split_seed=_number(raw, "split_seed", int),
             )
         return ModelBundle(
             emotions=emotions,
             models=models,
-            master_seed=int(payload["master_seed"]),
+            master_seed=_number(payload, "master_seed", int),
             config=dict(payload["config"]),
         )
-    except (ParseError, IncompatibleModel):
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
-            MalformedHeader) as exc:
-        # OverflowError: int() of an infinite seed, or float() of a huge integer.
-        raise ParseError(f"malformed bundle payload: {exc}") from exc
 
 
 def load_bundle(path) -> ModelBundle:

@@ -17,6 +17,9 @@ ANGER_KEYWORDS = ("grumblex", "snarlit", "vexopod", "irktron", "fumeply")
 
 FAST_FLAGS = ["--folds", "3", "--grid", "0.25,1", "--min-df", "1"]
 
+# An edit's new value that deletes its field.
+DELETED = object()
+
 # Edits that break a bundled extractor: path to a field -> new value from old.
 EXTRACTOR_DEFECTS = {
     "unknown category": {("categories",): lambda v: ["no_such_category"] + v[1:]},
@@ -32,6 +35,15 @@ EXTRACTOR_DEFECTS = {
         ("vocabulary", "df"): lambda v: [0] + v[1:],
     },
     "reversed terms": {("vocabulary", "terms"): lambda v: v[::-1]},
+    # The fields every payload holds with one value, edited and deleted.
+    "edited lowercase_ngrams": {("lowercase_ngrams",): lambda v: False},
+    "deleted lowercase_ngrams": {("lowercase_ngrams",): lambda v: DELETED},
+    "edited idf": {("idf",): lambda v: "ln(n_docs/df)"},
+    "deleted idf": {("idf",): lambda v: DELETED},
+    "edited aux_standardized": {("aux_standardized",): lambda v: 1},   # == True, but not true
+    "deleted aux_standardized": {("aux_standardized",): lambda v: DELETED},
+    "edited aux_features": {("aux_features",): lambda v: v[::-1]},
+    "deleted aux_features": {("aux_features",): lambda v: DELETED},
 }
 
 
@@ -53,9 +65,9 @@ MANIFEST_DEFECTS = {
 }
 
 
-# Numbers of every emotion's model entry that a bundle loader passes to int():
-# path to the field -> nothing (a scalar), its first item (a list) or the
-# value of its first key (a map).
+# Numbers of every emotion's model entry that must be JSON integers: path to
+# the field -> nothing (a scalar), its first item (a list) or the value of its
+# first key (a map).
 INTEGER_FIELDS = {
     "sentiment": ("extractor", "lexicons", "sentiment"),
     "boosters": ("extractor", "lexicons", "boosters"),
@@ -307,6 +319,8 @@ class TestClassify:
             for key in (*at, *parents):
                 field = field[key]
             field[name] = broken(field[name])
+            if field[name] is DELETED:
+                del field[name]
         bad = tmp_path / "bad.emo"
         bad.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ParseError, match=message):
@@ -493,7 +507,8 @@ class TestPolitenessExtremes:
 
 
 class TestNonFiniteBundleNumbers:
-    """A bundle number that is not finite is a model error (exit 3), not an internal one."""
+    """A bundle number that is not finite, or not an integer where one belongs, is a
+    model error (exit 3), not an internal one."""
 
     def _classify_edited_bundle(self, tmp_path, trained, capsys, edit):
         bundle_path, _, _ = trained
@@ -509,9 +524,12 @@ class TestNonFiniteBundleNumbers:
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS) + ["master_seed"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 42.5, True,
+                                       pytest.param(10**400, id="10**400")])
     def test_infinite_integer_in_bundle_exits_3(self, tmp_path, trained, field, value, capsys):
-        # int() of an Infinity raises OverflowError, which used to exit 1.
+        # Each must be a JSON integer that a float can hold: int() would take
+        # 42.5 as 42 and True as 1, and an n_docs beyond a float's range
+        # overflows idf at classify time.
         def edit(payload):
             if field == "master_seed":
                 payload[field] = value
@@ -531,6 +549,131 @@ class TestNonFiniteBundleNumbers:
             lambda payload: _set_in_every_model(payload, (field,), value))
         assert code == 3, err
         assert "malformed bundle payload" in err and "must be finite" in err
+
+
+class _Overtime(BaseException):
+    """A fuzz case ran past its time limit (a BaseException, so ``cli.main`` cannot catch it)."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime
+
+
+class TestBundleMutationFuzz:
+    """Seeded one-leaf mutations of a two-emotion bundle's JSON.
+
+    A field is a node's path with list positions, and the keys of a map of
+    more than 16 entries (a lexicon), taken as one.  Every field meets every
+    mutation once, at a node of the field drawn with a fixed seed: about
+    1,300 cases.  The emotions of a bundle repeat one lexicon set and
+    emoticon table, so a mutation there is made in every emotion alike;
+    made in one, the emotions differ and the bundle is refused before the
+    mutated value is read.
+
+    Each mutated payload must either fail to load as ``ParseError`` or
+    ``IncompatibleModel``, or load to a bundle whose ``bundle_to_dict``
+    equals it.  Every tenth also goes through ``emoclf classify``, which must
+    exit 0, or 3 with an ``error:`` line, never 1.  A case that runs past its
+    time limit fails the test instead of hanging it.
+    """
+
+    SECONDS_PER_CASE = 5.0
+    MUTATIONS = ("other type", True, 42.5, 0, -1, 10**400, math.nan, math.inf, -math.inf,
+                 "empty list", "empty map", "delete")
+    TEXT_WORK = (("extractor", "lexicons"), ("extractor", "emoticons"))
+
+    @classmethod
+    def _nodes(cls, node, path=(), field=()):
+        """(field, path) of every node below ``node``."""
+        if isinstance(node, list):
+            items, shared = enumerate(node), True
+        elif isinstance(node, dict):
+            items, shared = node.items(), len(node) > 16
+        else:
+            return
+        for key, child in items:
+            below = (path + (key,), field + ("*" if shared else key,))
+            yield below[1], below[0]
+            yield from cls._nodes(child, *below)
+
+    @classmethod
+    def _in_text_work(cls, path):
+        """Whether ``path`` leads into an emotion's lexicons or emoticon table."""
+        return path[0] == "models" and path[2:4] in cls.TEXT_WORK
+
+    @classmethod
+    def _cases(cls, payload, rng):
+        """A (path, mutation) pair for every field and mutation, at a random node of the field."""
+        fields = {}
+        for field, path in cls._nodes(payload):
+            if cls._in_text_work(field):
+                field = ("models", "*", *field[2:])     # the same node in every emotion
+            fields.setdefault(field, []).append(path)
+        return [(rng.choice(paths), mutation)
+                for paths in fields.values() for mutation in cls.MUTATIONS]
+
+    @classmethod
+    def _mutate(cls, payload, path, mutation):
+        """Apply ``mutation`` at ``path``, and in every emotion if the node is text work."""
+        paths = [path]
+        if cls._in_text_work(path):
+            paths = [("models", emotion, *path[2:]) for emotion in payload["models"]]
+        for *parents, key in paths:
+            node = payload
+            for step in parents:
+                node = node[step]
+            if mutation == "delete":
+                del node[key]
+            else:
+                node[key] = {"other type": 7 if isinstance(node[key], str) else "7",
+                             "empty list": [], "empty map": {}}.get(mutation, mutation)
+
+    def test_each_mutation_is_refused_or_round_trips(self, tmp_path, trained, capsys):
+        import random
+        import signal
+
+        from emoclf.errors import IncompatibleModel
+        from emoclf.pipeline import bundle_from_dict, bundle_to_dict
+
+        bundle_path, _, _ = trained
+        text = bundle_path.read_text(encoding="utf-8")
+        input_path = tmp_path / "input.csv"
+        write_input_corpus(input_path, [Document("1", "please help, glad :)"),
+                                        Document("2", "grumblex snarlit")])
+        cases, failures = self._cases(json.loads(text), random.Random(27)), []
+        assert 1_000 <= len(cases) <= 1_500
+        previous = signal.signal(signal.SIGALRM, _overtime)
+        try:
+            for number, (path, mutation) in enumerate(cases):
+                what = f"{'/'.join(map(str, path))} <- {mutation!r:.12}"
+                payload = json.loads(text)
+                self._mutate(payload, path, mutation)
+                encoded = json.dumps(payload)
+                mutated = json.loads(encoded)   # the payload as load_bundle reads it
+                signal.setitimer(signal.ITIMER_REAL, self.SECONDS_PER_CASE)
+                try:
+                    try:
+                        if bundle_to_dict(bundle_from_dict(mutated)) != mutated:
+                            failures.append(f"{what}: loads but saves another payload")
+                    except (ParseError, IncompatibleModel):
+                        pass
+                    except Exception as exc:    # noqa: BLE001 - the failure under test
+                        failures.append(f"{what}: {exc!r}")
+                    if number % 10 == 0:
+                        bad = tmp_path / "mutated.emo"
+                        bad.write_text(encoded, encoding="utf-8")
+                        code = main(["classify", "--model", str(bad), "--input",
+                                     str(input_path), "--out", str(tmp_path / "pred.csv")])
+                        err = capsys.readouterr().err
+                        if not (code == 0 or code == 3 and err.startswith("error:")):
+                            failures.append(f"{what}: classify exited {code}: {err.strip()}")
+                except _Overtime:
+                    failures.append(f"{what}: over {self.SECONDS_PER_CASE} s")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert not failures, f"{len(failures)} of {len(cases)} cases:\n" + "\n".join(failures[:20])
 
 
 class TestUndecodableInput:

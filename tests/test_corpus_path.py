@@ -43,7 +43,6 @@ from emoclf.features import (
     ExtractorStack,
     FeatureMatrix,
     count_texts,
-    extractor_to_dict,
     fit_counts,
     stacked_transform,
     transform_counts,
@@ -53,6 +52,7 @@ from emoclf.pipeline import (
     ModelBundle,
     TrainConfig,
     TuningGrid,
+    _extractor_payload,
     bundle_to_dict,
     classify,
     evaluate,
@@ -132,7 +132,7 @@ def test_fold_matrix_rows_equal_reference_assemble(docs, min_df, data):
 
     reference = fit([streams[i] for i in train], lexicons, min_df, emoticons)
     fitted = fit_counts(counts.take(train), min_df)
-    assert extractor_to_dict(fitted) == extractor_to_dict(reference)
+    assert _extractor_payload(fitted) == _extractor_payload(reference)
 
     # Every row of the corpus, held out or not, as the folds transform it.
     features = transform_counts(counts, fitted)

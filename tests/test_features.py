@@ -14,8 +14,6 @@ from emoclf.features import (
     ExtractorStack,
     _added,
     count_texts,
-    extractor_from_dict,
-    extractor_to_dict,
     fit_counts,
     idf,
     politeness_score,
@@ -26,6 +24,8 @@ from emoclf.features import (
     uncertainty_score,
 )
 from emoclf.lexicons import LexiconSet, default_lexicons
+from emoclf.pipeline import EmotionModel, ModelBundle, bundle_from_dict, bundle_to_dict
+from emoclf.svm import L1_HINGE, LinearModel
 from reference_features import (
     TokenStream,
     assemble,
@@ -558,21 +558,31 @@ class TestAssemble:
 class TestExtractorSerialization:
     """The extractor payload a bundle stores, through a JSON round trip as in a bundle file."""
 
+    @staticmethod
+    def _payload(fitted):
+        """A one-emotion bundle around ``fitted``, as its file holds it."""
+        model = EmotionModel("joy", fitted, LinearModel(np.zeros(fitted.dimension + 1), L1_HINGE),
+                             chosen_C=1.0, cv_accuracy=0.5, split_seed=0)
+        bundle = ModelBundle(("joy",), {"joy": model}, master_seed=0, config={})
+        return json.loads(json.dumps(bundle_to_dict(bundle)))
+
     def test_round_trip_identical_vectors(self):
         fitted = TestAssemble()._fitted()
-        loaded = extractor_from_dict(json.loads(json.dumps(extractor_to_dict(fitted))))
+        loaded = bundle_from_dict(self._payload(fitted)).models["joy"].extractor
         probe = ["good glad please maybe", "bad news", "", "glad glad ok :)"]
         for text in probe:
             assert row_pairs(fitted.vectorize(text)) == row_pairs(loaded.vectorize(text))
 
     def test_unknown_version_rejected(self):
-        payload = extractor_to_dict(TestAssemble()._fitted())
-        payload["version"] = "99"
+        payload = self._payload(TestAssemble()._fitted())
+        payload["models"]["joy"]["extractor"]["version"] = "99"
         with pytest.raises(IncompatibleModel):
-            extractor_from_dict(payload)
+            bundle_from_dict(payload)
 
     def test_truncated_payload_rejected(self):
-        payload = extractor_to_dict(TestAssemble()._fitted())
-        kept = list(payload)[: len(payload) // 2]      # the first half, in written order
+        payload = self._payload(TestAssemble()._fitted())
+        extractor = payload["models"]["joy"]["extractor"]
+        kept = list(extractor)[: len(extractor) // 2]      # the first half, in written order
+        payload["models"]["joy"]["extractor"] = {key: extractor[key] for key in kept}
         with pytest.raises(ParseError, match="malformed extractor payload"):
-            extractor_from_dict({key: payload[key] for key in kept})
+            bundle_from_dict(payload)

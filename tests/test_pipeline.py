@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoclf import features, pipeline, svm
+from emoclf import pipeline, svm
 from emoclf.corpus import Document, LabeledDocument, stratified_split
 from emoclf.errors import (
     ContractViolation,
@@ -948,6 +948,11 @@ class TestBundleLexiconLoading:
         models = {e: json.loads(json.dumps(one["models"]["joy"])) for e in emotions}
         return dict(one, emotions=list(emotions), models=models)
 
+    @staticmethod
+    def _alone(payload, emotion):
+        """``payload`` cut down to ``emotion``'s model."""
+        return dict(payload, emotions=[emotion], models={emotion: payload["models"][emotion]})
+
     def _builds(self, monkeypatch):
         built = []
 
@@ -955,7 +960,7 @@ class TestBundleLexiconLoading:
             built.append(LexiconSet(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(features, "LexiconSet", build)
+        monkeypatch.setattr(pipeline, "LexiconSet", build)
         return built
 
     def test_six_equal_payloads_build_one_lexicon_set(self, monkeypatch):
@@ -976,7 +981,7 @@ class TestBundleLexiconLoading:
     def test_a_later_emotion_with_other_text_work_is_refused(self, edit):
         payload = self._payload(("joy", "anger", "fear"))
         edit(payload["models"]["anger"]["extractor"])
-        bundle_from_dict(dict(payload, emotions=["anger"]))     # well-formed alone
+        bundle_from_dict(self._alone(payload, "anger"))     # well-formed alone
         with pytest.raises(ParseError, match="anger: lexicons or emoticon table differ from joy's"):
             bundle_from_dict(payload)
 
@@ -984,7 +989,7 @@ class TestBundleLexiconLoading:
         payload = self._payload(("joy", "anger"))
         payload["models"]["anger"]["extractor"]["lexicons"]["sentiment"]["good"] = 9
         with pytest.raises(ParseError) as alone:
-            bundle_from_dict(dict(payload, emotions=["anger"]))
+            bundle_from_dict(self._alone(payload, "anger"))
         with pytest.raises(ParseError) as after_another:
             bundle_from_dict(payload)
         assert str(after_another.value) == str(alone.value)
