@@ -14,9 +14,10 @@ Fitting and transforming work on a ``CorpusCounts``, the text work of a
 corpus done once.  ``count_texts`` makes one pass per document:
 ``strip_noise``, then ``textprep.term_tokens``.  Its counting core lays a
 block's token streams end to end in one flat run, gives every n-gram
-occurrence a column and counts all (document, column) cells with one
-``np.unique``; category hits take one lookup per token, and the cue scorers
-run only on documents that hold a cue word.  ``fit_counts`` and
+occurrence a column from one term map (a bigram is its two tokens joined
+by a space, which no token holds) and counts all (document, column) cells
+with one ``np.unique``; category hits take one lookup per token, and the
+cue scorers run only on documents that hold a cue word.  ``fit_counts`` and
 ``transform_counts`` then work with array operations;
 ``CorpusCounts.take`` picks the rows to fit or transform.  A fit's
 vocabulary is a sorted subset of the counts' sorted term table, so
@@ -44,13 +45,14 @@ where an unknown n-gram is dropped at lookup, and its columns need no
 further mapping.
 
 This is the library's one feature path: ``FittedExtractor.vectorize`` is its
-one-document case, on the extractor's one-extractor stack, built once
-(``FittedExtractor.stack``).  The tests keep a single-document reference, a
-fit and a row built with plain loops over one token stream at a time, in
-``tests/reference_features.py``; the corpus path reproduces it bit for bit,
-because every value comes from the same scalar formulas and every float sum
-is added left to right: the uncertainty mean by ``_added`` and each row's
-squares for its L2 norms by ``row_sums``, which ``svm`` scoring uses too.
+one-document case, counted into the extractor's one-extractor stack, built
+once (``FittedExtractor.stack``).  The tests keep a single-document
+reference, a fit and a row built with plain loops over one token stream at
+a time, in ``tests/reference_features.py``; the corpus path reproduces it
+bit for bit, because every value comes from the same scalar formulas and
+every float sum is added left to right: the uncertainty mean by ``_added``
+and each row's squares for its L2 norms by ``row_sums``, which ``svm``
+scoring uses too.
 """
 
 from __future__ import annotations
@@ -168,12 +170,11 @@ class FittedExtractor:
     def vectorize(self, text: str) -> FeatureMatrix:
         """Raw text to a one-row feature matrix: the corpus path on a one-text corpus.
 
-        The text's own terms are mapped through ``stack``, built once.  It
-        is not counted into the stack's table: that would keep the table's
-        bigram lookup (``ExtractorStack.pairs``) alive on every extractor.
-        Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
+        The text is counted into ``stack``'s term table, as prediction counts
+        a block into its bundle's stack.  Raises ``DocumentTooLarge`` for a
+        text longer than ``MAX_DOCUMENT_CHARS``.
         """
-        return transform_counts(count_texts([text], self.lexicons, self.emoticons), self)
+        return stacked_transform(self.stack.count_texts([text]), self.stack)
 
     # Cached on first use, so loading a bundle stays cheap.
     @cached_property
@@ -384,16 +385,15 @@ _RUN_DOCS = 256
 def _count_run(
     run: Sequence[tuple[Sequence[str], Sequence[bool]]],
     lexicons: LexiconSet,
-    unigram_columns,
-    bigram_columns,
+    term_columns,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row and column of every n-gram occurrence of ``run``, its category hits and cue scores.
 
     The documents' lowered tokens (``term_tokens``) are laid end to end in one flat run.
-    ``unigram_columns`` maps the term-bearing tokens, and ``bigram_columns``
-    the (first, second) pairs of adjacent term-bearing tokens of one
-    document, to columns; a column below 0 drops the occurrence.  Only a
-    document holding a category word or a cue word is looked at again.
+    ``term_columns`` maps terms to columns: the term-bearing tokens, then
+    each pair of adjacent term-bearing tokens of one document, joined by a
+    space; a column below 0 drops the occurrence.  Only a document holding
+    a category word or a cue word is looked at again.
     """
     tokens: list[str] = []
     termable: list[bool] = []
@@ -414,9 +414,8 @@ def _count_run(
     doc_of = np.repeat(np.arange(len(run)), lengths)
     bears = np.frombuffer(bytes(termable), dtype=bool)
     paired = bears[:-1] & bears[1:] & (doc_of[:-1] == doc_of[1:])   # no bigram spans two documents
-    bigrams = compress(zip(tokens, islice(tokens, 1, None)), paired.tolist())
-    columns = np.fromiter(
-        chain(unigram_columns(compress(tokens, termable)), bigram_columns(bigrams)), np.int64)
+    bigrams = map(" ".join, compress(zip(tokens, islice(tokens, 1, None)), paired.tolist()))
+    columns = np.fromiter(term_columns(chain(compress(tokens, termable), bigrams)), np.int64)
     rows = np.concatenate((doc_of[bears], doc_of[:-1][paired]))
 
     k = len(lexicons.emotion_categories)
@@ -434,22 +433,19 @@ def _count(
     """The one counting core: each document is its lowered tokens and their ``bears_term`` flags.
 
     Without ``stack``, the columns are the documents' own terms, numbered as
-    they are seen; each distinct bigram pair is joined into its term once,
-    and the terms are then sorted.  With ``stack``, the columns are the
-    stack's term table and an n-gram no extractor knows is dropped.
+    they are seen, and the terms are then sorted.  With ``stack``, the
+    columns are the stack's term table (``index``) and an n-gram no
+    extractor knows is dropped.
     """
     if stack is None:
-        new_column = count().__next__
-        unigrams: dict = defaultdict(new_column)
-        pairs: dict = defaultdict(new_column)
+        seen: dict = defaultdict(count().__next__)
         rows, columns, categories, aux = _count_runs(
-            docs, lexicons, partial(map, unigrams.__getitem__), partial(map, pairs.__getitem__))
-        terms, rank = _sorted_terms(unigrams, pairs)
-        del unigrams, pairs             # before the cells are counted: a corpus's table is large
+            docs, lexicons, partial(map, seen.__getitem__))
+        terms, rank = _sorted_terms(seen)
+        del seen                # before the cells are counted: a corpus's table is large
         columns = rank[columns]
     else:
-        rows, columns, categories, aux = _count_runs(
-            docs, lexicons, partial(_known, stack.index), partial(_known, stack.pairs))
+        rows, columns, categories, aux = _count_runs(docs, lexicons, partial(_known, stack.index))
         terms = stack.terms
         known = columns >= 0
         rows, columns = rows[known], columns[known]
@@ -471,7 +467,7 @@ def _count(
     )
 
 
-def _count_runs(docs, lexicons: LexiconSet, unigram_columns, bigram_columns):
+def _count_runs(docs, lexicons: LexiconSet, term_columns):
     """``_count_run`` over runs of at most ``_RUN_DOCS`` documents, joined."""
     k = len(lexicons.emotion_categories)
     none = np.empty(0, dtype=np.int64)
@@ -479,19 +475,21 @@ def _count_runs(docs, lexicons: LexiconSet, unigram_columns, bigram_columns):
     n_docs = 0
     docs = iter(docs)
     while run := list(islice(docs, _RUN_DOCS)):
-        rows, *rest = _count_run(run, lexicons, unigram_columns, bigram_columns)
+        rows, *rest = _count_run(run, lexicons, term_columns)
         runs.append((rows + n_docs, *rest))
         n_docs += len(run)
     return tuple(map(np.concatenate, zip(*runs)))
 
 
-def _sorted_terms(unigrams: Mapping[str, int], pairs: Mapping[tuple[str, str], int]):
-    """A grown table's terms in sorted order, and the rank of each column among them."""
-    names = list(chain(unigrams, map(" ".join, pairs)))
-    columns = np.fromiter(chain(unigrams.values(), pairs.values()), np.int64, len(names))
+def _sorted_terms(seen: Mapping[str, int]):
+    """A grown table's terms in sorted order, and the rank of each column among them.
+
+    ``seen`` numbers its terms 0, 1, ... in insertion order.
+    """
+    names = list(seen)
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.int64)
-    rank[columns[order]] = np.arange(len(names))
+    rank[order] = np.arange(len(names))
     return tuple(map(names.__getitem__, order)), rank
 
 
@@ -635,15 +633,13 @@ class ExtractorStack:
     emotion of the bundle.
 
     Its term table has one column per term of the extractors' vocabularies,
-    in sorted order: ``terms`` names the columns, ``index`` maps each term
-    to its column and ``pairs`` maps the (first, second) tokens of each
-    bigram term to its column.  Row e of ``slots`` holds each column's slot
-    in extractor e's vocabulary, or -1 where that vocabulary lacks the term;
-    the last column is all -1 and stands for a term no extractor knows.
-    Every vocabulary is sorted too, so each extractor's slots rise with the
-    column.  ``count_texts`` counts texts straight into the table, and a
-    stack of one extractor uses its vocabulary's terms, whose columns are
-    already its slots.  ``index`` and ``pairs`` are built on first use.
+    in sorted order: ``terms`` names the columns and ``index``, built on
+    first use, maps each term to its column.  Row e of ``slots`` holds each
+    column's slot in extractor e's vocabulary, or -1 where that vocabulary
+    lacks the term; the last column is all -1 and stands for a term no
+    extractor knows.  Every vocabulary is sorted too, so each extractor's
+    slots rise with the column.  ``count_texts`` counts texts straight into
+    the table, looking unigrams and bigrams alike up in ``index``.
 
     The other fields are the extractors' constants laid side by side: where
     each feature space and each category block starts, the n-gram idf over
@@ -665,18 +661,13 @@ class ExtractorStack:
             raise ContractViolation(
                 "stacked extractors must share their lexicons and emoticon table")
         vocabularies = [fitted.vocabulary for fitted in self.extractors]
-        if len(vocabularies) == 1:
-            self.terms = vocabularies[0].terms
-            slots = np.arange(len(self.terms) + 1, dtype=np.int64)[None]
-            slots[0, -1] = -1
-        else:
-            # Each vocabulary's new terms stay one sorted run, which sorted() merges.
-            self.terms = tuple(sorted(dict.fromkeys(chain.from_iterable(
-                vocab.terms for vocab in vocabularies))))
-            slots = np.full((len(vocabularies), len(self.terms) + 1), -1, dtype=np.int64)
-            for row, vocab in zip(slots, vocabularies):
-                row[np.fromiter(map(self.index.__getitem__, vocab.terms), np.int64,
-                                len(vocab))] = np.arange(len(vocab))
+        # Each vocabulary's new terms stay one sorted run, which sorted() merges.
+        self.terms = tuple(sorted(dict.fromkeys(chain.from_iterable(
+            vocab.terms for vocab in vocabularies))))
+        slots = np.full((len(vocabularies), len(self.terms) + 1), -1, dtype=np.int64)
+        for row, vocab in zip(slots, vocabularies):
+            row[np.fromiter(map(self.index.__getitem__, vocab.terms), np.int64,
+                            len(vocab))] = np.arange(len(vocab))
         self._lay_out(head.lexicons, head.emoticons, slots, [
             (fitted.ngram_idf, fitted.category_idf, fitted.aux_mean, fitted.aux_std)
             for fitted in self.extractors])
@@ -739,11 +730,6 @@ class ExtractorStack:
         """term -> column."""
         return dict(zip(self.terms, count()))
 
-    @cached_property
-    def pairs(self) -> Mapping[tuple[str, str], int]:
-        """(first, second) token pair -> column, for every bigram term."""
-        return _bigram_columns(self.terms)
-
     def count_texts(self, texts: Sequence[str]) -> CorpusCounts:
         """``count_texts`` into the term table, dropping n-grams no extractor knows.
 
@@ -751,21 +737,6 @@ class ExtractorStack:
         takes as its columns.
         """
         return _count(_term_streams(texts, self.emoticons), self.lexicons, self.emoticons, self)
-
-
-def _bigram_columns(terms: Sequence[str]) -> dict[tuple[str, str], int]:
-    """(first, second) -> position of each term holding a space, split at its first space.
-
-    A bigram of tokens a and b, which hold no whitespace, is the term
-    ``a + " " + b`` exactly when its pair is a key.  A key with an empty or
-    spaced part, from a term no tokens can form, never matches.
-    """
-    pairs = {}
-    for column, term in enumerate(terms):
-        first, space, second = term.partition(" ")
-        if space:
-            pairs[first, second] = column
-    return pairs
 
 
 def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMatrix:

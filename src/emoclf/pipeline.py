@@ -770,6 +770,9 @@ def evaluate_heldout(bundle: ModelBundle, gold: Sequence[LabeledDocument]) -> Ev
 # knows fitted extractors, not how a bundle stores them.  The reader takes a
 # number only as the writer writes it: an integer field holds an integer, a
 # real field an integer or a float (a bool is neither), and a float holds each.
+# It takes a word list only sorted and without repeats, and a politeness
+# phrase only with its words joined by single spaces, as the writer writes
+# them, so a bundle that loads saves back to the same payload.
 
 @contextmanager
 def _malformed(section: str):
@@ -788,7 +791,7 @@ def _number(holder, key, *kinds: type):
     value = holder[key]
     if type(value) not in kinds:
         raise TypeError(f"{key!r} must be {'/'.join(k.__name__ for k in kinds)}, got {value!r:.30}")
-    float(value)                # OverflowError beyond a float's range
+    _check_float_range(key, [value])
     return value
 
 
@@ -798,7 +801,33 @@ def _items(holder, key, *kinds: type) -> list:
     if type(values) is not list or not set(map(type, values)) <= set(kinds):
         raise TypeError(f"{key!r} must be a list of {'/'.join(k.__name__ for k in kinds)}, "
                         f"got {values!r:.40}")
+    if int in kinds:
+        _check_float_range(key, values)
     return values
+
+
+def _check_float_range(key, numbers: list) -> None:
+    """Refuse, naming ``key``, an integer among ``numbers`` that no float holds."""
+    try:
+        list(map(float, numbers))
+    except OverflowError:
+        raise ValueError(f"{key!r} must lie within a float's range") from None
+
+
+def _word_set(holder, key) -> frozenset[str]:
+    """``holder[key]``, a list of strings in strictly increasing order, as a set."""
+    words = _items(holder, key, str)
+    if any(map(str.__ge__, words, words[1:])):
+        raise ValueError(f"{key!r} must be sorted without repeats, got {words!r:.40}")
+    return frozenset(words)
+
+
+def _phrase(key: str) -> tuple[str, ...]:
+    """The words of a politeness key, which must be them joined by single spaces."""
+    words = tuple(key.split())
+    if key != " ".join(words):
+        raise ValueError(f"politeness phrase {key!r} must be its words joined by single spaces")
+    return words
 
 
 def _extractor_constants() -> dict:
@@ -839,15 +868,15 @@ def _text_work(payload: dict) -> tuple[LexiconSet, frozenset[str]]:
         raw = payload["lexicons"]
         words, polite, modal = raw["emotion_categories"], raw["politeness"], raw["modality"]
         lexicons = LexiconSet(
-            emotion_categories={c: frozenset(_items(words, c, str)) for c in words.keys()},
-            politeness_cues={tuple(phrase.split()): _number(polite, phrase, int, float)
+            emotion_categories={c: _word_set(words, c) for c in words.keys()},
+            politeness_cues={_phrase(phrase): _number(polite, phrase, int, float)
                              for phrase in polite.keys()},
             sentiment={w: _number(raw["sentiment"], w, int) for w in raw["sentiment"].keys()},
             boosters={w: _number(raw["boosters"], w, int) for w in raw["boosters"].keys()},
-            negations=frozenset(_items(raw, "negations", str)),
+            negations=_word_set(raw, "negations"),
             modality_cues={w: _number(modal, w, int, float) for w in modal.keys()},
         )
-        return lexicons, frozenset(_items(payload, "emoticons", str))
+        return lexicons, _word_set(payload, "emoticons")
 
 
 def _extractor_from_payload(payload: dict, lexicons: LexiconSet,

@@ -506,22 +506,24 @@ class TestPolitenessExtremes:
         assert not (tmp_path / "pred.csv").exists()
 
 
+def _classify_edited_bundle(tmp_path, trained, capsys, edit):
+    """``emoclf classify`` on the trained bundle after ``edit(payload)``: (exit code, stderr)."""
+    bundle_path, _, _ = trained
+    payload = json.loads(bundle_path.read_text(encoding="utf-8"))
+    edit(payload)
+    bad = tmp_path / "bad.emo"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    input_path = tmp_path / "input.csv"
+    write_input_corpus(input_path, [Document("1", "please help")])
+    code = main(["classify", "--model", str(bad), "--input", str(input_path),
+                 "--out", str(tmp_path / "pred.csv")])
+    assert not (tmp_path / "pred.csv").exists()
+    return code, capsys.readouterr().err
+
+
 class TestNonFiniteBundleNumbers:
     """A bundle number that is not finite, or not an integer where one belongs, is a
     model error (exit 3), not an internal one."""
-
-    def _classify_edited_bundle(self, tmp_path, trained, capsys, edit):
-        bundle_path, _, _ = trained
-        payload = json.loads(bundle_path.read_text(encoding="utf-8"))
-        edit(payload)
-        bad = tmp_path / "bad.emo"
-        bad.write_text(json.dumps(payload), encoding="utf-8")
-        input_path = tmp_path / "input.csv"
-        write_input_corpus(input_path, [Document("1", "please help")])
-        code = main(["classify", "--model", str(bad), "--input", str(input_path),
-                     "--out", str(tmp_path / "pred.csv")])
-        assert not (tmp_path / "pred.csv").exists()
-        return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS) + ["master_seed"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, 42.5, True,
@@ -536,19 +538,67 @@ class TestNonFiniteBundleNumbers:
             else:
                 _set_in_every_model(payload, INTEGER_FIELDS[field], value)
 
-        code, err = self._classify_edited_bundle(tmp_path, trained, capsys, edit)
+        code, err = _classify_edited_bundle(tmp_path, trained, capsys, edit)
         assert code == 3, err
         assert "malformed" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("field", ["n_docs", "chosen_C", "weights", "aux_mean"])
+    def test_an_integer_beyond_a_float_names_its_field(self, tmp_path, trained, field, capsys):
+        path = {"n_docs": INTEGER_FIELDS["n_docs"], "aux_mean": ("extractor", "aux_mean")}
+        code, err = _classify_edited_bundle(
+            tmp_path, trained, capsys,
+            lambda payload: _set_in_every_model(payload, path.get(field, (field,)), 10**400))
+        assert code == 3, err
+        assert f"'{field}' must lie within a float's range" in err, err
 
     @pytest.mark.parametrize("field", ["chosen_C", "cv_accuracy"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tuning_result_in_bundle_exits_3(self, tmp_path, trained, field, value,
                                                          capsys):
-        code, err = self._classify_edited_bundle(
+        code, err = _classify_edited_bundle(
             tmp_path, trained, capsys,
             lambda payload: _set_in_every_model(payload, (field,), value))
         assert code == 3, err
         assert "malformed bundle payload" in err and "must be finite" in err
+
+
+def _spaced_twice(polite):
+    """``polite`` with the space of its first multi-word phrase doubled."""
+    key = next(key for key in polite if " " in key)
+    polite[key.replace(" ", "  ")] = polite.pop(key)
+    return polite
+
+
+# Edits of every emotion's lexicons or emoticon table that the reader would
+# otherwise normalize: name -> (path from the extractor, edit, what stderr names).
+NORMALIZED_TEXT_WORK = {
+    "repeated emoticon": (("emoticons",), lambda v: v[:1] + v, "'emoticons'"),
+    "reversed negations": (("lexicons", "negations"), lambda v: v[::-1], "'negations'"),
+    "repeated category word": (("lexicons", "emotion_categories", "joy"),
+                               lambda v: v[:1] + v, "'joy'"),
+    "politeness key with two spaces": (("lexicons", "politeness"), _spaced_twice,
+                                       "politeness phrase"),
+}
+
+
+class TestBundleTextWorkAsWritten:
+    """The reader refuses lexicons and emoticons the writer would not write, rather than
+    normalizing them into a bundle that saves to another payload."""
+
+    @pytest.mark.parametrize("case", sorted(NORMALIZED_TEXT_WORK))
+    def test_classify_exits_3_naming_the_field(self, tmp_path, trained, case, capsys):
+        (*parents, name), broken, named = NORMALIZED_TEXT_WORK[case]
+
+        def edit(payload):
+            for model in payload["models"].values():
+                field = model["extractor"]
+                for key in parents:
+                    field = field[key]
+                field[name] = broken(field[name])
+
+        code, err = _classify_edited_bundle(tmp_path, trained, capsys, edit)
+        assert code == 3, err
+        assert "malformed extractor payload" in err and named in err, err
 
 
 class _Overtime(BaseException):
@@ -674,6 +724,94 @@ class TestBundleMutationFuzz:
         finally:
             signal.signal(signal.SIGALRM, previous)
         assert not failures, f"{len(failures)} of {len(cases)} cases:\n" + "\n".join(failures[:20])
+
+
+class TestInputByteMutationFuzz:
+    """Seeded byte mutations of the files a user hands the command line.
+
+    Each case edits one to four bytes of a small gold CSV (``emoclf
+    train``), an input CSV (``emoclf classify``), one lexicon file
+    (``--lexicon-dir``) or the emoticon file (``--emoticons``): it sets,
+    inserts or deletes a byte, or copies a stretch of the file elsewhere.
+    Most inserted bytes are printable or CSV syntax; some are any byte, so
+    a case may also not be UTF-8.  Each run must exit 0, or 2 or 3 with an
+    ``error:`` line, never 1 (an internal error), within its time limit.
+    240 cases, a few seconds.
+    """
+
+    CASES_PER_FILE = 60
+    SECONDS_PER_CASE = 5.0
+    BYTES = b'\x00\n\r\t ",#-.:' + bytes(range(32, 127))
+    TRAIN_FLAGS = ["--folds", "2", "--grid", "1", "--min-df", "1"]
+
+    @classmethod
+    def _mutated(cls, raw: bytes, rng) -> bytes:
+        data = bytearray(raw)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(data) + 1)
+            byte = rng.randrange(256) if rng.random() < 0.2 else rng.choice(cls.BYTES)
+            edit = rng.randrange(4)
+            if edit == 0:
+                data[at:at + 1] = bytes([byte])
+            elif edit == 1:
+                data[at:at] = bytes([byte])
+            elif edit == 2:
+                del data[at:at + rng.randint(1, 8)]
+            else:
+                start = rng.randrange(len(data) + 1)
+                data[at:at] = data[start:start + rng.randint(1, 16)]
+        return bytes(data)
+
+    def test_each_mutated_file_exits_0_2_or_3(self, tmp_path, trained, capsys):
+        import importlib.resources as resources
+        import random
+        import signal
+
+        from emoclf.lexicons import LEXICON_FILES
+
+        gold = tmp_path / "gold.csv"
+        docs = generate_planted_corpus(
+            24, {"joy": DEFAULT_KEYWORDS, "anger": ANGER_KEYWORDS}, seed=28)
+        write_gold_corpus(gold, docs, ["joy", "anger"])
+        posts = tmp_path / "posts.csv"
+        write_input_corpus(posts, [labeled.doc for labeled in docs[:8]])
+        lexicon_dir = tmp_path / "lexicons"
+        lexicon_dir.mkdir()
+        data = resources.files("emoclf.data")
+        for name in (*LEXICON_FILES, "emoticons.txt"):
+            (lexicon_dir / name).write_bytes(data.joinpath(name).read_bytes())
+        bundle_path, _, _ = trained
+        train = ["train", "--gold", gold, "--out", tmp_path / "m.emo", *self.TRAIN_FLAGS]
+        classify = ["classify", "--model", bundle_path, "--input", posts,
+                    "--out", tmp_path / "pred.csv"]
+        lexicons = [*train, "--lexicon-dir", lexicon_dir]
+        emoticons = [*train, "--emoticons", lexicon_dir / "emoticons.txt"]
+        # Every file meets CASES_PER_FILE mutations; the lexicon files take turns.
+        cases = [case for number in range(self.CASES_PER_FILE) for case in (
+            (gold, train), (posts, classify),
+            (lexicon_dir / LEXICON_FILES[number % len(LEXICON_FILES)], lexicons),
+            (lexicon_dir / "emoticons.txt", emoticons))]
+        rng, failures = random.Random(28), []
+        previous = signal.signal(signal.SIGALRM, _overtime)
+        try:
+            for number, (path, args) in enumerate(cases):
+                raw = path.read_bytes()
+                path.write_bytes(self._mutated(raw, rng))
+                what = f"case {number} ({path.name})"
+                signal.setitimer(signal.ITIMER_REAL, self.SECONDS_PER_CASE)
+                try:
+                    code = main([str(arg) for arg in args])
+                    err = capsys.readouterr().err
+                    if not (code == 0 or code in (2, 3) and err.startswith("error:")):
+                        failures.append(f"{what}: exited {code}: {err.strip()}")
+                except _Overtime:
+                    failures.append(f"{what}: over {self.SECONDS_PER_CASE} s")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    path.write_bytes(raw)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert not failures, f"{len(failures)} of {len(cases)} cases:\n" + "\n".join(failures[:5])
 
 
 class TestUndecodableInput:

@@ -976,7 +976,7 @@ class TestBundleLexiconLoading:
 
     @pytest.mark.parametrize("edit", [
         lambda extractor: extractor["lexicons"]["politeness"].update(zyblor=0.5),
-        lambda extractor: extractor["emoticons"].append("<zyblor>"),
+        lambda extractor: extractor.update(emoticons=sorted(extractor["emoticons"] + ["<zyblor>"])),
     ], ids=["lexicons", "emoticons"])
     def test_a_later_emotion_with_other_text_work_is_refused(self, edit):
         payload = self._payload(("joy", "anger", "fear"))

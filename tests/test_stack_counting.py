@@ -107,6 +107,13 @@ def _check_block(stack, scoring, texts):
     # A bundle term no tokens can form never fires.
     hostile = [stack.index[term] for term in HOSTILE_TERMS if term in stack.index]
     assert not np.isin(table.indices, hostile).any()
+    # One document at a time through ``vectorize``, with the hostile terms
+    # in the extractor's own table.
+    for fitted in stack.extractors:
+        fitted = _with_terms(fitted, HOSTILE_TERMS)
+        for text in texts:
+            got, want = fitted.vectorize(text), reference_row(fitted, text)
+            assert _bytes(got) == _bytes(want)
 
 
 @pytest.mark.parametrize("n_stack", [1, 3])
@@ -134,10 +141,6 @@ def test_the_table_is_sorted_and_each_extractors_slots_rise_with_the_column():
         assert row[row >= 0].tolist() == list(range(len(fitted.vocabulary)))
         known = np.flatnonzero(row[:-1] >= 0)
         assert [stack.terms[c] for c in known] == list(fitted.vocabulary.terms)
-    assert stack.pairs[("alpha", "beta")] == stack.index["alpha beta"]
-    assert stack.pairs[("alpha", " beta")] == stack.index["alpha  beta"]
-    assert stack.pairs[("alpha", "beta gamma")] == stack.index["alpha beta gamma"]
-    assert sorted(stack.pairs.values()) == [c for c, t in enumerate(stack.terms) if " " in t]
 
 
 @given(first=words, second=words, data=st.data())
@@ -215,13 +218,17 @@ def test_the_table_is_built_on_the_first_prediction_not_on_load(tmp_path, monkey
                        TrainConfig(folds=3, grid=TuningGrid((1.0,)), min_df=1))
     save_bundle(bundle, tmp_path / "model.emo")
     built = []
-    build = features._bigram_columns
-    monkeypatch.setattr(features, "_bigram_columns",
-                        lambda terms: built.append(terms) or build(terms))
+    build = ExtractorStack.__init__
+
+    def counting(stack, extractors):
+        built.append(stack)
+        build(stack, extractors)
+
+    monkeypatch.setattr(ExtractorStack, "__init__", counting)
     loaded = load_bundle(tmp_path / "model.emo")
     assert built == []
     docs = [Document(f"d{i}", labeled.doc.text) for i, labeled in enumerate(gold)]
     rows = classify(loaded, docs)
-    assert built == [loaded.stacks[0].terms]
+    assert built == [loaded.stacks[0]]
     assert classify(loaded, docs) == rows
     assert len(built) == 1
