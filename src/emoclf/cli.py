@@ -26,19 +26,17 @@ from .errors import (
     ParseError,
 )
 from .lexicons import load_emoticons, load_lexicons
+from .linear import L1_HINGE, L2_HINGE
 from .pipeline import (
     TUNE_METRICS,
     TrainConfig,
     TuningGrid,
-    check_heldout_partitions,
     classify,
     evaluate,
     evaluate_heldout,
     load_bundle,
     save_bundle,
-    train_all,
 )
-from .svm import L1_HINGE, L2_HINGE
 
 LEXICON_DIR_ENV = "EMOCLF_LEXICONS"
 
@@ -183,6 +181,8 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    from .training import check_heldout_partitions, train_all  # classify never loads the trainer
+
     gold, header_emotions = read_gold_corpus(args.gold)
     emotions = select_emotions(args.emotions, header_emotions)
     config = _config_from_args(args)

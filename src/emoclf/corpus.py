@@ -23,9 +23,7 @@ import csv
 import os
 import random
 import re
-import uuid
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
@@ -120,7 +118,7 @@ def atomic_write(path) -> Iterator[TextIO]:
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
-    temp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    temp = os.path.join(directory, f".{name}.{os.urandom(16).hex()}.tmp")
     # Mode "x" creates the file with the permissions a plain open would give;
     # tempfile.mkstemp would make it readable by its owner only.
     try:
@@ -231,13 +229,6 @@ def write_predictions(path, rows: Iterable[tuple[str, str, int]]) -> None:
     ))
 
 
-def _train_count(class_size: int, train_fraction) -> int:
-    # Exact decimal arithmetic so 0.7 * 45 is 31.5 on the nose, then
-    # round-half-even at the cut; float multiplication would land a hair
-    # under .5 and push borderline strata the wrong way.
-    return round(class_size * Fraction(str(train_fraction)))
-
-
 def stratified_split(
     corpus: Sequence[LabeledDocument],
     target: str,
@@ -250,6 +241,8 @@ def stratified_split(
     ``round(train_fraction * class_size)``, so per-class train counts are a
     pure function of the class size; the seed changes membership only.
     """
+    from fractions import Fraction  # imported here: only splitting needs it
+
     fraction = Fraction(str(train_fraction))
     if not 0 < fraction < 1:
         raise ContractViolation(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -268,7 +261,10 @@ def stratified_split(
     for value in (1, 0):
         order = list(by_class[value])
         rng.shuffle(order)
-        cut = _train_count(len(order), train_fraction)
+        # Exact decimal arithmetic so 0.7 * 45 is 31.5 on the nose, then
+        # round-half-even at the cut; float multiplication would land a hair
+        # under .5 and push borderline strata the wrong way.
+        cut = round(len(order) * fraction)
         train_idx.extend(order[:cut])
         test_idx.extend(order[cut:])
 

@@ -51,7 +51,7 @@ reference, a fit and a row built with plain loops over one token stream at
 a time, in ``tests/reference_features.py``; the corpus path reproduces it
 bit for bit, because every value comes from the same scalar formulas and
 every float sum is added left to right: the uncertainty mean by ``_added``
-and each row's squares for its L2 norms by ``row_sums``, which ``svm``
+and each row's squares for its L2 norms by ``row_sums``, which ``linear``
 scoring uses too.
 """
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoclf import pipeline, svm
+from emoclf import pipeline, svm, training
 from emoclf.corpus import Document, LabeledDocument, stratified_split
 from emoclf.errors import (
     ContractViolation,
@@ -79,10 +79,10 @@ def cross_validate(docs, seed, config, emotion="joy"):
     """
     labels = [d.labels[emotion] for d in docs]
     plan = make_fold_plan(labels, config.folds, seed)
-    [folds] = pipeline._cross_validate([(counts_for(docs, config), labels, plan)], config)
+    [folds] = training._cross_validate([(counts_for(docs, config), labels, plan)], config)
     if isinstance(folds, Exception):
         raise folds
-    return (*pipeline._choose_cost(folds, config), folds)
+    return (*training._choose_cost(folds, config), folds)
 
 
 THREE_EMOTIONS = {
@@ -300,7 +300,7 @@ class TestSelection:
 def scalar_fold_scores(counts, labels, plan, c_values, config):
     """Cross-validation as one ``train_dual_cd`` per (fold, C), fold-major.
 
-    The reference for the lockstep solves in ``pipeline._cross_validate``.
+    The reference for the lockstep solves in ``training._cross_validate``.
     """
     assignment = np.asarray(plan.assignment)
     scores = []
@@ -345,11 +345,11 @@ class TestLockstepCrossValidation:
         plan = make_fold_plan(labels, config.folds, 17)
         counts = counts_for(docs, config)
         c_values = config.grid.c_values
-        first = pipeline._fold_problem(counts, labels, np.asarray(plan.assignment), 0, config)[0]
+        first = training._fold_problem(counts, labels, np.asarray(plan.assignment), 0, config)[0]
         budget = budget_in_folds * state_bytes([first], len(c_values))
         monkeypatch.setattr(svm, "LOCKSTEP_STATE_BYTES", budget)
         first_seen = {}     # fold -> problems pulled (plus the final empty pull) at its first model
-        solve_folds = pipeline.solve_folds
+        solve_folds = training.solve_folds
 
         def recording(problems, *rest):
             pulled = 0
@@ -365,9 +365,9 @@ class TestLockstepCrossValidation:
                 first_seen.setdefault(fold, pulled)
                 yield fold, cost, model
 
-        monkeypatch.setattr(pipeline, "solve_folds", recording)
+        monkeypatch.setattr(training, "solve_folds", recording)
 
-        [got] = pipeline._cross_validate([(counts, labels, plan)], config)
+        [got] = training._cross_validate([(counts, labels, plan)], config)
         expected = scalar_fold_scores(counts, labels, plan, c_values, config)
         # A group is solved once the fold after it has been pulled, so its
         # folds share one pull count; the last group's includes the empty pull.
@@ -595,7 +595,7 @@ class TestTrainAll:
         config = TrainConfig(**FAST)
         counts = counts_for(docs, config)
         emotions = ["joy", "surprise", "anger"]
-        models, failures = pipeline._train_run((docs, counts, emotions, emotions, config))
+        models, failures = training._train_run((docs, counts, emotions, emotions, config))
         assert list(failures) == ["surprise"] and list(models) == ["joy", "anger"]
         alone = train_all(docs, ["joy", "anger"], config)
         for emotion in ("joy", "anger"):
@@ -604,7 +604,7 @@ class TestTrainAll:
     def test_fold_problem_failure_is_reported_under_its_emotion(self, monkeypatch):
         docs = generate_planted_corpus(60, THREE_EMOTIONS, seed=4)
         config = TrainConfig(**FAST)
-        fold_problem = pipeline._fold_problem
+        fold_problem = training._fold_problem
         built = []
 
         class Broken(Exception):
@@ -616,7 +616,7 @@ class TestTrainAll:
                 raise Broken("fold problem")
             return fold_problem(*args)
 
-        monkeypatch.setattr(pipeline, "_fold_problem", breaking)
+        monkeypatch.setattr(training, "_fold_problem", breaking)
         with pytest.raises(PipelineError) as err:
             train_all(docs, ["joy", "anger", "fear"], config)
         assert list(err.value.failures) == ["anger"]
@@ -694,7 +694,7 @@ class TestTrainAll:
         ("abc", 1, ["abc"]),
     ])
     def test_runs_are_contiguous_and_near_equal(self, emotions, count, runs):
-        assert pipeline._runs(list(emotions), count) == [list(run) for run in runs]
+        assert training._runs(list(emotions), count) == [list(run) for run in runs]
 
     @pytest.mark.parametrize("jobs, shared_split", [(1, False), (2, False), (2, True)])
     def test_each_emotion_matches_training_it_alone(self, jobs, shared_split):
@@ -708,7 +708,7 @@ class TestTrainAll:
         counts = counts_for(docs, config)
         for emotion in emotions:
             em = bundle.models[emotion]
-            models, _ = pipeline._train_run((docs, counts, [emotion], emotions, config))
+            models, _ = training._train_run((docs, counts, [emotion], emotions, config))
             alone = models[emotion]
             assert_same_fold_scores(em.cv_folds, alone.cv_folds)
             assert (em.chosen_C, em.cv_accuracy) == (alone.chosen_C, alone.cv_accuracy)
@@ -722,7 +722,7 @@ class TestTrainAll:
         config = TrainConfig(**FAST)
         calls = []
         first_seen = {}     # problem index -> problems pulled at its first model
-        solve_folds = pipeline.solve_folds
+        solve_folds = training.solve_folds
 
         def recording(problems, *rest):
             calls.append(rest)
@@ -738,7 +738,7 @@ class TestTrainAll:
                 first_seen.setdefault(index, pulled)
                 yield index, cost, model
 
-        monkeypatch.setattr(pipeline, "solve_folds", recording)
+        monkeypatch.setattr(training, "solve_folds", recording)
         train_all(docs, ["joy", "anger"], config)
         assert len(calls) == 1
         # Problems 0-2 are joy's folds and 3-5 anger's; a group is solved
@@ -937,6 +937,44 @@ class TestBundlePersistence:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_bundle(tmp_path / "absent.emo")
+
+
+class TestHeldoutConfig:
+    """``evaluate_heldout`` takes a loaded bundle's split settings only as written."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        docs = small_corpus(n=60)
+        return docs, bundle_to_dict(train_all(docs, ["joy"], TrainConfig(**FAST)))
+
+    @staticmethod
+    def _edited(payload, **config):
+        """``payload`` with its config updated by ``config``; a value of ``...`` drops the key."""
+        edited = {k: v for k, v in {**payload["config"], **config}.items() if v is not ...}
+        return bundle_from_dict(dict(payload, config=edited))
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("train_fraction", ..., id="train_fraction-absent"),
+        ("train_fraction", "0.7"),
+        ("train_fraction", None),
+        ("train_fraction", True),
+        ("train_fraction", 1),
+        ("train_fraction", 1.5),
+        ("train_fraction", 0.0),
+        ("shared_split", "no"),
+        ("shared_split", 0),
+        ("shared_split", None),
+    ])
+    def test_a_bad_setting_is_refused_by_name(self, trained, key, value):
+        docs, payload = trained
+        bundle = self._edited(payload, **{key: value})
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            evaluate_heldout(bundle, docs)
+
+    def test_an_absent_shared_split_means_false(self, trained):
+        docs, payload = trained
+        expected = evaluate_heldout(bundle_from_dict(payload), docs)
+        assert evaluate_heldout(self._edited(payload, shared_split=...), docs) == expected
 
 
 class TestBundleLexiconLoading:
