@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -25,7 +26,7 @@ from .errors import (
     IncompatibleModel,
     ParseError,
 )
-from .lexicons import load_emoticons, load_lexicons
+from .lexicons import default_lexicons, load_emoticons, load_lexicons
 from .linear import L1_HINGE, L2_HINGE
 from .pipeline import (
     TUNE_METRICS,
@@ -161,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> TrainConfig:
     lexicons = load_lexicons(args.lexicon_dir) if args.lexicon_dir else None
-    emoticons = load_emoticons(args.emoticons) if args.emoticons else None
+    if args.emoticons:
+        lexicons = dataclasses.replace(lexicons or default_lexicons(),
+                                       emoticons=load_emoticons(args.emoticons))
     return TrainConfig(
         train_fraction=args.train_fraction,
         folds=args.folds,
@@ -176,7 +179,6 @@ def _config_from_args(args) -> TrainConfig:
         positive_cost=args.positive_cost,
         tune_metric=args.tune_metric,
         lexicons=lexicons,
-        emoticons=emoticons,
     )
 
 

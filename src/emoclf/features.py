@@ -33,12 +33,12 @@ one matrix whose columns are their feature spaces side by side.  It takes a
 prepared ``ExtractorStack``: a term table over the union of the extractors'
 vocabularies with each column's slot in every extractor, and the
 extractors' idf and scaling constants laid side by side.  The stack owns
-the text-work rule: extractors with equal lexicons and emoticon tables
-count any text alike, so one count serves them all.  It stacks only such
-extractors, and ``stacked_transform`` takes only counts made with the
-stack's pair.  A bundle is one such unit: ``pipeline.load_bundle`` loads
-its extractors with one lexicon set and emoticon table, and prediction
-stacks all of them (``pipeline.ModelBundle.stacks``).  Counting for
+the text-work rule: extractors with equal lexicons (a ``LexiconSet``,
+emoticon table included) count any text alike, so one count serves them
+all.  It stacks only such extractors, and ``stacked_transform`` takes only
+counts made with the stack's lexicons.  A bundle is one such unit:
+``pipeline.load_bundle`` loads its extractors with one lexicon set, and
+prediction stacks all of them (``pipeline.ModelBundle.stacks``).  Counting for
 fitting numbers the block's own terms as it sees them; prediction counts a
 block straight into its stack's table (``ExtractorStack.count_texts``),
 where an unknown n-gram is dropped at lookup, and its columns need no
@@ -67,7 +67,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DocumentTooLarge, EmptyCorpus
-from .lexicons import LexiconSet, default_emoticons
+from .lexicons import LexiconSet
 from .textprep import strip_noise, term_tokens
 
 # The longest text ``count_texts`` accepts.  It equals the csv module's
@@ -137,7 +137,6 @@ class FittedExtractor:
     category_df: tuple[int, ...]    # aligned with ``categories``
     aux_mean: tuple[float, ...]     # politeness, pos, neg, uncertainty
     aux_std: tuple[float, ...]
-    emoticons: frozenset[str]
 
     def __post_init__(self):
         n_docs = self.vocabulary.n_docs
@@ -152,10 +151,10 @@ class FittedExtractor:
         if min(self.aux_std) < 0.0:
             raise ContractViolation("aux_std must not be negative")
 
-    @cached_property
+    @property
     def categories(self) -> tuple[str, ...]:
-        """The lexicons' emotion categories, sorted: the category block's order."""
-        return tuple(sorted(self.lexicons.emotion_categories))
+        """The category block's order: ``lexicons.categories``."""
+        return self.lexicons.categories
 
     @property
     def dimension(self) -> int:
@@ -340,8 +339,8 @@ class CorpusCounts:
     so mapping them onto any (sorted) vocabulary keeps each row's slots
     increasing: the corpus's own terms (``count_texts``), or the term table
     of the stack that counted them (``ExtractorStack.count_texts``), which
-    may name terms no document holds.  Only the lexicons and emoticon table
-    recorded here may be used to fit or transform from these counts.
+    may name terms no document holds.  Only the lexicons recorded here may be
+    used to fit or transform from these counts.
     """
 
     terms: tuple[str, ...]
@@ -351,7 +350,6 @@ class CorpusCounts:
     category_counts: np.ndarray     # documents x sorted categories: member-word hits
     aux: np.ndarray                 # documents x AUX_FEATURES, raw cue scores
     lexicons: LexiconSet
-    emoticons: frozenset[str]
 
     @property
     def n_docs(self) -> int:
@@ -369,7 +367,6 @@ class CorpusCounts:
             category_counts=self.category_counts[rows],
             aux=self.aux[rows],
             lexicons=self.lexicons,
-            emoticons=self.emoticons,
         )
 
 
@@ -427,7 +424,6 @@ def _count_run(
 def _count(
     docs: Iterable[tuple[Sequence[str], Sequence[bool]]],
     lexicons: LexiconSet,
-    emoticons: frozenset[str],
     stack: "ExtractorStack | None" = None,
 ) -> CorpusCounts:
     """The one counting core: each document is its lowered tokens and their ``bears_term`` flags.
@@ -463,7 +459,6 @@ def _count(
         category_counts=categories,
         aux=aux,
         lexicons=lexicons,
-        emoticons=emoticons,
     )
 
 
@@ -498,25 +493,21 @@ def _known(table: Mapping, keys: Iterable) -> Iterable[int]:
     return map(table.get, keys, repeat(-1))
 
 
-def _term_streams(texts: Iterable[str], emoticons: frozenset[str]):
+def _term_streams(texts: Iterable[str], lexicons: LexiconSet):
     """Lowered tokens and term flags (``term_tokens``) of each stripped text, one at a time."""
     return (
-        term_tokens(strip_noise(_within_limit(position, text)), emoticons)
+        term_tokens(strip_noise(_within_limit(position, text)), lexicons.emoticons)
         for position, text in enumerate(texts)
     )
 
 
-def count_texts(
-    texts: Iterable[str],
-    lexicons: LexiconSet,
-    emoticons: frozenset[str] | None = None,
-) -> CorpusCounts:
-    """Strip, tokenize and count raw texts; each text is processed once.
+def count_texts(texts: Iterable[str], lexicons: LexiconSet) -> CorpusCounts:
+    """Strip, tokenize (with ``lexicons.emoticons``) and count raw texts; each
+    text is processed once.
 
     Raises ``DocumentTooLarge`` for a text longer than ``MAX_DOCUMENT_CHARS``.
     """
-    table = default_emoticons() if emoticons is None else emoticons
-    return _count(_term_streams(texts, table), lexicons, table)
+    return _count(_term_streams(texts, lexicons), lexicons)
 
 
 def _within_limit(position: int, text: str) -> str:
@@ -547,7 +538,6 @@ def fit_counts(counts: CorpusCounts, min_df: int = 2) -> FittedExtractor:
         category_df=tuple(category_df.tolist()),
         aux_mean=tuple(aux_mean.tolist()),
         aux_std=tuple(aux_std.tolist()),
-        emoticons=counts.emoticons,
     )
 
 
@@ -625,12 +615,11 @@ def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 class ExtractorStack:
     """What ``stacked_transform`` needs of a sequence of extractors, worked out once.
 
-    ``lexicons`` and ``emoticons`` are the first extractor's, and every
-    extractor's pair must equal them (``ContractViolation`` otherwise); this
-    is the one place that checks text work.  A bundle's extractors, fitted
-    from one count matrix or loaded from one bundle, hold the same objects,
-    so for them the check is an identity test, and one stack serves every
-    emotion of the bundle.
+    ``lexicons`` is the first extractor's, and every extractor's must equal
+    it (``ContractViolation`` otherwise); this is the one place that checks
+    text work.  A bundle's extractors, fitted from one count matrix or loaded
+    from one bundle, hold the same object, so for them the check is an
+    identity test, and one stack serves every emotion of the bundle.
 
     Its term table has one column per term of the extractors' vocabularies,
     in sorted order: ``terms`` names the columns and ``index``, built on
@@ -656,10 +645,9 @@ class ExtractorStack:
             raise ContractViolation("a stacked transform needs at least one extractor")
         self.extractors = tuple(extractors)
         head = self.extractors[0]
-        if any((fitted.lexicons, fitted.emoticons) != (head.lexicons, head.emoticons)
-               for fitted in self.extractors):
+        if any(fitted.lexicons != head.lexicons for fitted in self.extractors):
             raise ContractViolation(
-                "stacked extractors must share their lexicons and emoticon table")
+                "stacked extractors must share their lexicons, emoticon table included")
         vocabularies = [fitted.vocabulary for fitted in self.extractors]
         # Each vocabulary's new terms stay one sorted run, which sorted() merges.
         self.terms = tuple(sorted(dict.fromkeys(chain.from_iterable(
@@ -668,7 +656,7 @@ class ExtractorStack:
         for row, vocab in zip(slots, vocabularies):
             row[np.fromiter(map(self.index.__getitem__, vocab.terms), np.int64,
                             len(vocab))] = np.arange(len(vocab))
-        self._lay_out(head.lexicons, head.emoticons, slots, [
+        self._lay_out(head.lexicons, slots, [
             (fitted.ngram_idf, fitted.category_idf, fitted.aux_mean, fitted.aux_std)
             for fitted in self.extractors])
 
@@ -690,18 +678,17 @@ class ExtractorStack:
         stack.terms = counts.terms
         slots = np.full((1, len(keep) + 1), -1, dtype=np.int64)
         slots[0, :-1][keep] = np.arange(np.count_nonzero(keep))
-        stack._lay_out(counts.lexicons, counts.emoticons, slots, [(
+        stack._lay_out(counts.lexicons, slots, [(
             _idfs(df[keep], counts.n_docs), _idfs(category_df, counts.n_docs), aux_mean,
             aux_std)])
         return stack
 
-    def _lay_out(self, lexicons: LexiconSet, emoticons: frozenset[str], slots: np.ndarray,
-                 spaces: Sequence[tuple]) -> None:
+    def _lay_out(self, lexicons: LexiconSet, slots: np.ndarray, spaces: Sequence[tuple]) -> None:
         """The fields from ``slots`` and each extractor's space.
 
         A space is (n-gram idf, category idf, cue means, cue stddevs).
         """
-        self.lexicons, self.emoticons, self.slots = lexicons, emoticons, slots
+        self.lexicons, self.slots = lexicons, slots
         n_stack = len(spaces)
         ngram_idfs, category_idfs, means, stds = zip(*spaces)
         widths = [len(values) for values in ngram_idfs]
@@ -736,15 +723,15 @@ class ExtractorStack:
         The counts' ``terms`` are the stack's own, which ``stacked_transform``
         takes as its columns.
         """
-        return _count(_term_streams(texts, self.emoticons), self.lexicons, self.emoticons, self)
+        return _count(_term_streams(texts, self.lexicons), self.lexicons, self)
 
 
 def transform_counts(counts: CorpusCounts, fitted: FittedExtractor) -> FeatureMatrix:
     """One feature row per document of a counted corpus.
 
-    ``fitted`` must share the lexicons and emoticon table the counts were
-    made with (``ContractViolation`` otherwise).  Row i is document i's
-    n-gram block, category block and standardized cue scores, in that order.
+    ``fitted`` must share the lexicons the counts were made with
+    (``ContractViolation`` otherwise).  Row i is document i's n-gram block,
+    category block and standardized cue scores, in that order.
     Transform a subset with ``transform_counts(counts.take(rows), fitted)``.
     This is the one-extractor case of ``stacked_transform``, on ``fitted.stack``.
     """
@@ -761,14 +748,13 @@ def stacked_transform(counts: CorpusCounts, stack: ExtractorStack) -> FeatureMat
     The values are the same bits, because each comes from the same scalar
     operations and each block's L2 norm is summed in the same order.  The
     category and cue blocks are read from the counts, so they must have been
-    made with the stack's lexicons and emoticon table; ``ContractViolation``
-    otherwise.  A caller that transforms many blocks for the same extractors
-    builds their ``ExtractorStack`` once.
+    made with the stack's lexicons; ``ContractViolation`` otherwise.  A
+    caller that transforms many blocks for the same extractors builds their
+    ``ExtractorStack`` once.
     """
-    if (counts.lexicons, counts.emoticons) != (stack.lexicons, stack.emoticons):
+    if counts.lexicons != stack.lexicons:
         raise ContractViolation(
-            "the counts were made with other lexicons or another emoticon table "
-            "than the stacked extractors'")
+            "the counts were made with other lexicons than the stacked extractors'")
     n, k = counts.category_counts.shape
     n_stack = len(stack)
     offsets = stack.offsets

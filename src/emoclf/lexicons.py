@@ -14,6 +14,11 @@ emoticon table, all plain UTF-8 text and user-replaceable:
 Blank lines and "#" comments are skipped.  A malformed line, or a file that
 is missing or not UTF-8, fails as ``LexiconError`` naming the line or file.
 
+A ``LexiconSet`` holds all seven, the whole of a model's text work, and
+orders the category block (``categories``).  ``load_lexicons`` and
+``default_lexicons`` give the shipped emoticon table; swap in another with
+``dataclasses.replace(lexicons, emoticons=load_emoticons(path))``.
+
 The shipped defaults are small curated lists meant to be useful out of the
 box; swap in bigger inventories with the CLI lexicon flags.
 """
@@ -21,7 +26,7 @@ box; swap in bigger inventories with the CLI lexicon flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
@@ -49,7 +54,7 @@ LEXICON_FILES = (
 
 @dataclass(frozen=True)
 class LexiconSet:
-    """Frozen inventories consumed by the auxiliary feature scorers."""
+    """Frozen inventories of the cue scorers, and the tokenizer's emoticon table."""
 
     emotion_categories: Mapping[str, frozenset[str]]
     politeness_cues: Mapping[tuple[str, ...], float]
@@ -57,6 +62,7 @@ class LexiconSet:
     boosters: Mapping[str, int]
     negations: frozenset[str]
     modality_cues: Mapping[str, float]
+    emoticons: frozenset[str] = field(default_factory=lambda: default_emoticons())
 
     def __post_init__(self):
         for word, strength in self.sentiment.items():
@@ -85,10 +91,15 @@ class LexiconSet:
         return lengths
 
     @cached_property
+    def categories(self) -> tuple[str, ...]:
+        """The emotion categories, sorted: the category block's order."""
+        return tuple(sorted(self.emotion_categories))
+
+    @cached_property
     def category_slots(self) -> Mapping[str, tuple[int, ...]]:
-        """Word -> positions, among the sorted categories, of every category listing it."""
+        """Word -> positions, in ``categories``, of every category listing it."""
         slots: dict[str, tuple[int, ...]] = {}
-        for position, category in enumerate(sorted(self.emotion_categories)):
+        for position, category in enumerate(self.categories):
             for word in self.emotion_categories[category]:
                 slots[word] = slots.get(word, ()) + (position,)
         return slots

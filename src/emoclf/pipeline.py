@@ -10,14 +10,14 @@ served here too: the module ``__getattr__`` imports ``training`` on their
 first use.
 
 A bundle is one text-work unit: all of its emotions' extractors share one
-lexicon set and emoticon table (``train_all`` fits them all from one count
-matrix, ``bundle_from_dict`` refuses a payload whose emotions differ in
-either, and ``features.ExtractorStack`` checks it before any prediction or
-save).  So batch prediction counts each document once for all emotions and
-handles them together: it goes through the documents in blocks of at most
-``PREDICT_BLOCK_ROWS`` (emotion, document) rows, each counted straight into
-the bundle's term table, with one stacked transform and one scoring pass
-per block.  The stacks are prepared once per bundle
+``LexiconSet``, emoticon table included (``train_all`` fits them all from
+one count matrix, ``bundle_from_dict`` refuses a payload whose emotions
+differ in it, and ``features.ExtractorStack`` checks it before any
+prediction or save).  So batch prediction counts each document once for all
+emotions and handles them together: it goes through the documents in blocks
+of at most ``PREDICT_BLOCK_ROWS`` (emotion, document) rows, each counted
+straight into the bundle's term table, with one stacked transform and one
+scoring pass per block.  The stacks are prepared once per bundle
 (``ModelBundle.stacks``: an ``ExtractorStack``, which holds the term table,
 and a ``ModelStack``), on the bundle's first prediction or save, and every
 block of every later call reuses them; loading a bundle builds none, and
@@ -63,7 +63,7 @@ from .features import (
     Vocabulary,
     stacked_transform,
 )
-from .lexicons import LexiconSet, default_emoticons, default_lexicons
+from .lexicons import LexiconSet, default_lexicons
 from .linear import (
     L1_HINGE,
     L2_HINGE,
@@ -133,8 +133,7 @@ class TrainConfig:
     jobs: int = 1
     positive_cost: float = 1.0
     tune_metric: str = "accuracy"   # a key of TUNE_METRICS
-    lexicons: LexiconSet | None = None
-    emoticons: frozenset[str] | None = None
+    lexicons: LexiconSet | None = None    # None: default_lexicons()
     monitor: TrainingMonitor | None = None    # in-process only: needs one worker
 
     def __post_init__(self):
@@ -144,6 +143,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ContractViolation(f"{name} must be an integer, got {value!r}")
+            try:                # a bundle stores numbers as JSON, which load_bundle reads
+                float(value)    # only within a float's range
+            except OverflowError:
+                raise ContractViolation(f"{name} must lie within a float's range") from None
         if self.folds < 2:
             raise ContractViolation("need at least 2 folds")
         if not 0 < self.train_fraction < 1:
@@ -162,9 +165,6 @@ class TrainConfig:
 
     def resolved_lexicons(self) -> LexiconSet:
         return self.lexicons if self.lexicons is not None else default_lexicons()
-
-    def resolved_emoticons(self) -> frozenset[str]:
-        return self.emoticons if self.emoticons is not None else default_emoticons()
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class ModelBundle:
         Built on the first prediction or save and kept while the bundle lives;
         loading a bundle does not build them, and saving one does not write them.
         ``ExtractorStack`` raises ``ContractViolation`` unless every
-        extractor shares the first's lexicons and emoticon table.
+        extractor shares the first's lexicons.
         """
         return ExtractorStack([em.extractor for em in self]), ModelStack([em.model for em in self])
 
@@ -503,7 +503,7 @@ def _extractor_payload(fitted: FittedExtractor) -> dict:
         "category_df": list(fitted.category_df),
         "aux_mean": list(fitted.aux_mean),
         "aux_std": list(fitted.aux_std),
-        "emoticons": sorted(fitted.emoticons),
+        "emoticons": sorted(lex.emoticons),
         "lexicons": {
             "emotion_categories": {
                 category: sorted(words) for category, words in lex.emotion_categories.items()
@@ -517,12 +517,12 @@ def _extractor_payload(fitted: FittedExtractor) -> dict:
     }
 
 
-def _text_work(payload: dict) -> tuple[LexiconSet, frozenset[str]]:
-    """The lexicon set and emoticon table of an extractor payload; each lexicon is a map."""
+def _text_work(payload: dict) -> LexiconSet:
+    """An extractor payload's lexicon set, its ``"emoticons"`` included; each lexicon is a map."""
     with _malformed("extractor"):
         raw = payload["lexicons"]
         words, polite, modal = raw["emotion_categories"], raw["politeness"], raw["modality"]
-        lexicons = LexiconSet(
+        return LexiconSet(
             emotion_categories={c: _word_set(words, c) for c in words.keys()},
             politeness_cues={_phrase(phrase): _number(polite, phrase, int, float)
                              for phrase in polite.keys()},
@@ -530,13 +530,12 @@ def _text_work(payload: dict) -> tuple[LexiconSet, frozenset[str]]:
             boosters={w: _number(raw["boosters"], w, int) for w in raw["boosters"].keys()},
             negations=_word_set(raw, "negations"),
             modality_cues={w: _number(modal, w, int, float) for w in modal.keys()},
+            emoticons=_word_set(payload, "emoticons"),
         )
-        return lexicons, _word_set(payload, "emoticons")
 
 
-def _extractor_from_payload(payload: dict, lexicons: LexiconSet,
-                            emoticons: frozenset[str]) -> FittedExtractor:
-    """The extractor ``_extractor_payload`` wrote, with the given lexicons and emoticon table."""
+def _extractor_from_payload(payload: dict, lexicons: LexiconSet) -> FittedExtractor:
+    """The extractor ``_extractor_payload`` wrote, with the given lexicons."""
     with _malformed("extractor"):
         if payload.get("kind") != EXTRACTOR_KIND:
             raise ParseError("not an extractor payload")
@@ -557,7 +556,6 @@ def _extractor_from_payload(payload: dict, lexicons: LexiconSet,
             category_df=tuple(_items(payload, "category_df", int)),
             aux_mean=tuple(_items(payload, "aux_mean", int, float)),
             aux_std=tuple(_items(payload, "aux_std", int, float)),
-            emoticons=emoticons,
         )
         if payload["categories"] != list(fitted.categories):
             raise ContractViolation("categories must be the lexicons' emotion categories, sorted")
@@ -602,9 +600,10 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 def bundle_from_dict(payload: dict) -> ModelBundle:
     """The bundle ``bundle_to_dict`` wrote.
 
-    Every emotion's extractor takes the first emotion's lexicons and emoticon
-    table, read once.  A later emotion whose raw ones differ is refused; it
-    is read on its own first, so that a malformed one fails as it would alone.
+    Every emotion's extractor takes the first emotion's lexicons, read once.
+    A later emotion whose raw ``"lexicons"`` or ``"emoticons"`` differ is
+    refused; it is read on its own first, so that a malformed one fails as it
+    would alone.
     """
     with _malformed("bundle"):
         if payload.get("format") != BUNDLE_FORMAT:
@@ -629,10 +628,10 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
             own = raw["extractor"]
             if not (isinstance(own, dict)
                     and all(own.get(key) == head[key] for key in ("lexicons", "emoticons"))):
-                _extractor_from_payload(own, *_text_work(own))
+                _extractor_from_payload(own, _text_work(own))
                 raise ParseError(f"{emotion}: lexicons or emoticon table differ from "
                                  f"{emotions[0]}'s; the emotions of one bundle share both")
-            extractor = _extractor_from_payload(own, *shared)
+            extractor = _extractor_from_payload(own, shared)
             weights = np.asarray(_items(raw, "weights", int, float), dtype=np.float64)
             if weights.ndim != 1 or weights.shape[0] != extractor.dimension + 1:
                 raise IncompatibleModel(

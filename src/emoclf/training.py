@@ -26,8 +26,8 @@ and each fold's feature space comes straight from its rows of that count
 matrix (``features.ExtractorStack.fitted_on``), with no extractor object;
 only the final model's extractor, which the bundle keeps, is built by
 ``features.fit_counts``.  ``train_all`` fits every emotion's extractor from
-that one count matrix, so all of them share one lexicon set and emoticon
-table, as a bundle requires (see ``pipeline``).
+that one count matrix, so all of them share one lexicon set, as a bundle
+requires (see ``pipeline``).
 
 All randomness flows from one master seed; per-emotion streams are derived
 from it by hashing the emotion name, so adding or removing one emotion never
@@ -377,8 +377,7 @@ def train_all(
             "a training monitor counts in this process only; train with jobs=1 to use one"
         )
 
-    counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons(),
-                         config.resolved_emoticons())
+    counts = count_texts([d.doc.text for d in gold], config.resolved_lexicons())
     runs = _runs(emotions, workers)
     tasks = [(gold, counts, run, emotions, config) for run in runs]
     models: dict[str, EmotionModel] = {}

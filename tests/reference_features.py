@@ -11,7 +11,8 @@ independent oracle it must reproduce bit for bit, written with plain loops:
 * ``ngram_occurrences`` and ``ngram_terms`` list a stream's lowercased
   n-grams.
 * ``fit`` builds a ``FittedExtractor`` from token streams; ``fit_counts``
-  must give the same extractor from the corpus counts.
+  must give the same extractor from the corpus counts.  The streams should
+  have been tokenized with ``lexicons.emoticons``.
 * ``assemble`` builds one stream's row from ``ngram_block``,
   ``emotion_category_block`` and the standardized cue scores;
   ``transform_counts`` must give the same row.  ``reference_row`` runs the
@@ -114,19 +115,16 @@ def fit(
     train_docs: Sequence[TokenStream],
     lexicons: LexiconSet,
     min_df: int = 2,
-    emoticons: frozenset[str] | None = None,
 ) -> FittedExtractor:
     """Build the feature space from training documents only.
 
     Document frequencies count each document at most once per term; the
     auxiliary scalers are the per-feature mean/stddev over the same documents.
-    ``emoticons`` should be the table the streams were tokenized with, so the
-    extractor can reproduce the preprocessing later.
+    ``lexicons.emoticons`` should be the table the streams were tokenized
+    with, so the extractor can reproduce the preprocessing later.
     """
     if not train_docs:
         raise EmptyCorpus("cannot fit an extractor on zero documents")
-    if emoticons is None:
-        emoticons = default_emoticons()
 
     df_counts: Counter[str] = Counter()
     for stream in train_docs:
@@ -158,7 +156,6 @@ def fit(
         category_df=tuple(category_df),
         aux_mean=tuple(float(m) for m in aux_mean),
         aux_std=tuple(float(s) for s in aux_std),
-        emoticons=emoticons,
     )
 
 
@@ -232,18 +229,15 @@ def assemble(doc: TokenStream, fitted: FittedExtractor) -> FeatureMatrix:
 
 def reference_row(fitted: FittedExtractor, text: str) -> FeatureMatrix:
     """``text``'s one-row matrix through the reference path: strip, tokenize, assemble."""
-    return assemble(tokenize(strip_noise(text), fitted.emoticons), fitted)
+    return assemble(tokenize(strip_noise(text), fitted.lexicons.emoticons), fitted)
 
 
-def count_streams(
-    streams: Iterable[TokenStream],
-    lexicons: LexiconSet,
-    emoticons: frozenset[str] | None = None,
-) -> CorpusCounts:
+def count_streams(streams: Iterable[TokenStream], lexicons: LexiconSet) -> CorpusCounts:
     """Count n-grams, category hits and cue scores of tokenized documents.
 
-    ``emoticons`` should be the table the streams were tokenized with.
-    Streams are consumed one at a time, so a generator keeps only one alive.
+    ``lexicons.emoticons`` should be the table the streams were tokenized
+    with.  Streams are consumed one at a time, so a generator keeps only one
+    alive.
     """
     docs = ((stream.lowered, list(map(bears_term, stream.tokens))) for stream in streams)
-    return features._count(docs, lexicons, default_emoticons() if emoticons is None else emoticons)
+    return features._count(docs, lexicons)

@@ -10,6 +10,7 @@ from emoclf import cli, features
 from emoclf.cli import main
 from emoclf.corpus import Document, LabeledDocument, write_gold_corpus, write_input_corpus
 from emoclf.errors import ParseError
+from emoclf.linear import predict
 from emoclf.pipeline import TUNE_METRICS, TrainConfig, load_bundle
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
 
@@ -233,6 +234,16 @@ class TestTrain:
         assert "--grid" in result.stderr and message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("flag", ["--seed", "--min-df"])
+    def test_an_integer_no_float_holds_exits_2_before_training(self, tmp_path, gold_csv, flag,
+                                                               capsys):
+        # Such a bundle would be written, and then refused by classify.
+        out = tmp_path / "m.emo"
+        assert main(["train", "--gold", str(gold_csv), "--out", str(out), *FAST_FLAGS,
+                     flag, str(10**400)]) == 2
+        assert "must lie within a float's range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--min-df", "--max-iters"])
     def test_min_df_and_max_iters_below_one_exit_2(self, tmp_path, gold_csv, flag):
         out = tmp_path / "m.emo"
@@ -445,6 +456,38 @@ class TestLexiconOverrides:
             "--lexicon-dir", tmp_path / "nowhere", *FAST_FLAGS,
         )
         assert result.returncode == 2
+
+
+class TestEmoticonTable:
+    def test_a_replacement_table_reaches_the_bundle_and_comes_back(self, tmp_path, capsys):
+        # ";zyb" holds letters, so it is a term; the shipped table would split
+        # it into ";" and "zyb".
+        table = frozenset({";zyb", ":)", "<3"})
+        emoticons, gold = tmp_path / "emoticons.txt", tmp_path / "gold.csv"
+        emoticons.write_text("\n".join(sorted(table)) + "\n", encoding="utf-8")
+        docs = generate_planted_corpus(60, {"joy": (";zyb", "gleeful")}, seed=3)
+        assert sum(";zyb" in d.doc.text.split() for d in docs) >= 2
+        write_gold_corpus(gold, docs, ["joy"])
+        out = tmp_path / "m.emo"
+        assert main(["train", "--gold", str(gold), "--out", str(out), *FAST_FLAGS,
+                     "--emoticons", str(emoticons)]) == 0
+
+        saved = json.loads(out.read_text(encoding="utf-8"))["models"]["joy"]["extractor"]
+        assert ";zyb" in saved["vocabulary"]["terms"] and "zyb" not in saved["vocabulary"]["terms"]
+        bundle = load_bundle(out)
+        em = bundle.models["joy"]
+        assert em.extractor.lexicons.emoticons == table
+
+        texts = ["well ;zyb there", ";zyb", "plain words only"]
+        posts, predictions = tmp_path / "posts.csv", tmp_path / "out.csv"
+        write_input_corpus(posts, [Document(str(i), text) for i, text in enumerate(texts)])
+        assert main(["classify", "--model", str(out), "--input", str(posts),
+                     "--out", str(predictions)]) == 0
+        expected = [f"{i},{'JOY' if predict(em.model, em.extractor.vectorize(text)) else 'NO_JOY'}"
+                    for i, text in enumerate(texts)]
+        assert {line.split(",")[1] for line in expected} == {"JOY", "NO_JOY"}
+        assert predictions.read_text(encoding="utf-8").splitlines()[1:] == expected
+        capsys.readouterr()
 
 
 class TestPolitenessExtremes:

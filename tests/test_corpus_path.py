@@ -126,11 +126,11 @@ def _same_rows(matrix: FeatureMatrix, references) -> None:
 @settings(max_examples=150, deadline=None)
 def test_fold_matrix_rows_equal_reference_assemble(docs, min_df, data):
     streams = [TokenStream(tuple(doc)) for doc in docs]
-    lexicons, emoticons = default_lexicons(), default_emoticons()
-    counts = count_streams(streams, lexicons, emoticons)
+    lexicons = default_lexicons()
+    counts = count_streams(streams, lexicons)
     train = sorted(data.draw(st.sets(st.integers(0, len(docs) - 1), min_size=1)))
 
-    reference = fit([streams[i] for i in train], lexicons, min_df, emoticons)
+    reference = fit([streams[i] for i in train], lexicons, min_df)
     fitted = fit_counts(counts.take(train), min_df)
     assert _extractor_payload(fitted) == _extractor_payload(reference)
 
@@ -184,11 +184,11 @@ def _stack_equals_singles(block, extractors, models) -> None:
 )
 @settings(max_examples=150, deadline=None)
 def test_stacked_transform_and_scoring_equal_the_per_extractor_path(docs, data):
-    lexicons, emoticons = default_lexicons(), default_emoticons()
+    lexicons = default_lexicons()
     # An empty document and one with no term any extractor can know; neither
     # is ever fitted on.
     streams = [TokenStream(tuple(doc)) for doc in docs + [[], ["qqqq", "wwww", "qqqq"]]]
-    counts = count_streams(streams, lexicons, emoticons)
+    counts = count_streams(streams, lexicons)
     extractors, models = [], []
     for e in range(data.draw(st.integers(1, 4))):
         # The first extractor sees one document, so every cue feature has a
@@ -214,14 +214,14 @@ UNSEEN = ["qqqq", "wwww"]
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_one_prepared_stack_serves_every_block(data):
-    lexicons, emoticons = default_lexicons(), default_emoticons()
+    lexicons = default_lexicons()
     n_stack = data.draw(st.integers(1, 6))
     extractors, models = [], []
     for e in range(n_stack):
         words = OWN_WORDS[e] + (TOKENS if data.draw(st.booleans()) else [])
         docs = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=12),
                                   min_size=1, max_size=6))
-        counts = count_streams([TokenStream(tuple(doc)) for doc in docs], lexicons, emoticons)
+        counts = count_streams([TokenStream(tuple(doc)) for doc in docs], lexicons)
         # A min_df above every df leaves the vocabulary empty.
         extractors.append(fit_counts(counts, data.draw(st.sampled_from([1, 2, len(docs) + 1]))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -237,7 +237,7 @@ def test_one_prepared_stack_serves_every_block(data):
     ]
     stack, scoring = ExtractorStack(extractors), ModelStack(models)
     for docs in blocks:
-        block = count_streams([TokenStream(tuple(doc)) for doc in docs], lexicons, emoticons)
+        block = count_streams([TokenStream(tuple(doc)) for doc in docs], lexicons)
         stacked = stacked_transform(block, stack)
         n, offset, expected_values = block.n_docs, 0, []
         assert stacked.n_rows == n_stack * n
@@ -254,10 +254,10 @@ def test_one_prepared_stack_serves_every_block(data):
 
 
 def test_counting_raw_text_matches_the_reference_preprocessing():
-    lexicons, emoticons = default_lexicons(), default_emoticons()
-    streams = [tokenize(strip_noise(text), emoticons) for text in PROBE_TEXTS]
-    reference = fit(streams, lexicons, 1, emoticons)
-    counts = count_texts(PROBE_TEXTS, lexicons, emoticons)
+    lexicons = default_lexicons()
+    streams = [tokenize(strip_noise(text), lexicons.emoticons) for text in PROBE_TEXTS]
+    reference = fit(streams, lexicons, 1)
+    counts = count_texts(PROBE_TEXTS, lexicons)
     _same_rows(transform_counts(counts, reference),
                [assemble(stream, reference) for stream in streams])
 
@@ -294,9 +294,9 @@ def _same_counts(fused, reference):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-def _reference_counts(texts, lexicons, emoticons):
-    streams = (tokenize(strip_noise(text), emoticons) for text in texts)
-    return count_streams(streams, lexicons, emoticons)
+def _reference_counts(texts, lexicons):
+    streams = (tokenize(strip_noise(text), lexicons.emoticons) for text in texts)
+    return count_streams(streams, lexicons)
 
 
 @pytest.mark.parametrize("emoticons", [default_emoticons(), TOY_EMOTICONS],
@@ -304,15 +304,14 @@ def _reference_counts(texts, lexicons, emoticons):
 @given(texts=front_end_texts)
 @settings(max_examples=300, deadline=None)
 def test_fused_counting_equals_tokenize_then_count(emoticons, texts):
-    lexicons = default_lexicons()
+    lexicons = dataclasses.replace(default_lexicons(), emoticons=emoticons)
     for text in texts:
         stripped = strip_noise(text)
         reference = tokenize(stripped, emoticons)
         assert term_tokens(stripped, emoticons) == (
             list(reference.lowered), [bears_term(token) for token in reference.tokens]
         )
-    _same_counts(count_texts(texts, lexicons, emoticons),
-                 _reference_counts(texts, lexicons, emoticons))
+    _same_counts(count_texts(texts, lexicons), _reference_counts(texts, lexicons))
 
 
 UNKNOWN_ONLY = "qqqq wwww eeee"
@@ -324,7 +323,7 @@ def _vectorize_extractor(emoticons):
     texts = [text for text in PROBE_TEXTS if text != UNKNOWN_ONLY] + FRONT_END_PIECES
     texts.append(" ".join(FRONT_END_PIECES))
     streams = [tokenize(strip_noise(text), emoticons) for text in texts]
-    return fit(streams, default_lexicons(), 1, emoticons)
+    return fit(streams, dataclasses.replace(default_lexicons(), emoticons=emoticons), 1)
 
 
 @pytest.mark.parametrize("emoticons", [default_emoticons(), TOY_EMOTICONS],
@@ -355,7 +354,7 @@ def test_vectorize_and_transform_counts_build_one_stack(monkeypatch):
         got, want = fitted.vectorize(text), reference_row(fitted, text)
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (text, name)
-    counts = count_texts(PROBE_TEXTS, fitted.lexicons, fitted.emoticons)
+    counts = count_texts(PROBE_TEXTS, fitted.lexicons)
     assert transform_counts(counts, fitted).n_rows == len(PROBE_TEXTS)
     assert built == [(fitted,)] and fitted.stack.extractors == (fitted,)
 
@@ -385,12 +384,11 @@ def test_transform_adds_every_l2_norm_left_to_right(monkeypatch):
 
 def test_fused_counting_equals_tokenize_then_count_on_the_benchmark_texts():
     inputs = _perfbench_inputs()
-    lexicons, emoticons = default_lexicons(), default_emoticons()
+    lexicons = default_lexicons()
     for workload in inputs.WORKLOADS.values():
         for texts in ([text for _, text, _ in inputs.gold_corpus(workload, 1)],
                       [text for _, text in inputs.classify_stream(workload, 1)]):
-            _same_counts(count_texts(texts, lexicons, emoticons),
-                         _reference_counts(texts, lexicons, emoticons))
+            _same_counts(count_texts(texts, lexicons), _reference_counts(texts, lexicons))
 
 
 class TestDocumentSizeLimit:
@@ -528,10 +526,9 @@ def mixed_bundle(gold, bundles):
         boosters={"very": 1},
         negations=frozenset({"not"}),
         modality_cues={"maybe": -0.5},
+        emoticons=frozenset({":)", "<3"}),
     )
-    anger = train_all(gold, ["anger"], TrainConfig(
-        lexicons=toy_lexicons, emoticons=frozenset({":)", "<3"}), **FAST
-    ))
+    anger = train_all(gold, ["anger"], TrainConfig(lexicons=toy_lexicons, **FAST))
     joy = bundles["own_splits"]
     return ModelBundle(
         emotions=("joy", "anger"),
@@ -607,18 +604,18 @@ MOVED_NAMES = ("assemble", "ngram_block", "emotion_category_block", "_l2_normali
 def test_the_corpus_path_builds_no_token_stream(bundles, gold, tmp_path):
     # The corpus path makes its tokens with str.split and has no TokenStream
     # or any other part of the reference path to build.
-    lexicons, emoticons = default_lexicons(), default_emoticons()
+    lexicons = default_lexicons()
     texts, docs = [d.doc.text for d in gold], [d.doc for d in gold]
     bundle = bundles["shared_split"]
     stack = ExtractorStack([em.extractor for em in bundle])
-    expected_counts = _reference_counts(texts, lexicons, emoticons)
+    expected_counts = _reference_counts(texts, lexicons)
     expected_stacked = stack.count_texts(texts)
     expected_rows = _reference_rows(bundle, docs)
     save_bundle(bundle, tmp_path / "expected.emo")
 
     for module in (emoclf, features, textprep):
         assert [name for name in MOVED_NAMES if hasattr(module, name)] == [], module.__name__
-    _same_counts(count_texts(texts, lexicons, emoticons), expected_counts)
+    _same_counts(count_texts(texts, lexicons), expected_counts)
     _same_counts(stack.count_texts(texts), expected_stacked)
     trained = train_all(gold, ["joy", "anger"], TrainConfig(
         shared_split=True, folds=3, grid=TuningGrid((0.25, 1.0)), min_df=1))
@@ -676,11 +673,12 @@ def test_equal_but_distinct_text_work_shares_one_stack(gold):
     assert classify(bundle, docs) == _reference_rows(bundle, docs)
 
 
-# Lexicons and an emoticon table that count some texts differently from the defaults.
+# Lexicons, one with other negations and one with another emoticon table,
+# that count some texts differently from the defaults.
 def _other_text_work():
     lexicons = default_lexicons()
-    other = dataclasses.replace(lexicons, negations=lexicons.negations | {"zyblor"})
-    return [(other, default_emoticons()), (lexicons, frozenset({":)"}))]
+    return [dataclasses.replace(lexicons, negations=lexicons.negations | {"zyblor"}),
+            dataclasses.replace(lexicons, emoticons=frozenset({":)"}))]
 
 
 SHORT_TEXTS = ["zyblor good day :)", "not a bad day <3", ""]
@@ -688,8 +686,8 @@ SHORT_TEXTS = ["zyblor good day :)", "not a bad day <3", ""]
 
 def test_a_stack_refuses_extractors_that_do_not_share_text_work():
     own = fit_counts(count_texts(SHORT_TEXTS, default_lexicons()), 1)
-    for lexicons, emoticons in _other_text_work():
-        odd = fit_counts(count_texts(SHORT_TEXTS, lexicons, emoticons), 1)
+    for lexicons in _other_text_work():
+        odd = fit_counts(count_texts(SHORT_TEXTS, lexicons), 1)
         for extractors in ([own, odd], [odd, own], [own, own, odd]):
             with pytest.raises(ContractViolation, match="share their lexicons"):
                 ExtractorStack(extractors)
@@ -700,14 +698,14 @@ def test_counts_made_with_other_text_work_are_refused():
     fitted = fit_counts(count_texts(SHORT_TEXTS, lexicons), 1)
     stack = ExtractorStack([fitted])
     for other in _other_text_work():
-        counts = count_texts(SHORT_TEXTS, *other)
+        counts = count_texts(SHORT_TEXTS, other)
         with pytest.raises(ContractViolation, match="counts were made with other"):
             transform_counts(counts, fitted)
         with pytest.raises(ContractViolation, match="counts were made with other"):
             stacked_transform(counts, stack)
     # Equal copies are the same text work.
     emoticons = frozenset(list(default_emoticons()))
-    copied = count_texts(SHORT_TEXTS, dataclasses.replace(lexicons), emoticons)
+    copied = count_texts(SHORT_TEXTS, dataclasses.replace(lexicons, emoticons=emoticons))
     _same_rows(stacked_transform(copied, stack),
                [fitted.vectorize(text) for text in SHORT_TEXTS])
 

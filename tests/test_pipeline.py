@@ -68,8 +68,7 @@ def small_corpus(n=60, seed=5, noise=0.0, emotion="joy"):
 
 
 def counts_for(docs, config):
-    return count_texts([d.doc.text for d in docs], config.resolved_lexicons(),
-                       config.resolved_emoticons())
+    return count_texts([d.doc.text for d in docs], config.resolved_lexicons())
 
 
 def cross_validate(docs, seed, config, emotion="joy"):
@@ -168,6 +167,13 @@ class TestTrainConfig:
         # bundle as 1.5, so a save, load and save would change its bytes.
         with pytest.raises(ContractViolation, match=f"seed must be an integer, got {bad!r}"):
             TrainConfig(seed=bad)
+
+    @pytest.mark.parametrize("name", ["folds", "seed", "jobs", "min_df", "max_outer_iters"])
+    def test_rejects_an_integer_no_float_holds(self, name):
+        # Accepted, seed or min_df would be written into a bundle that
+        # load_bundle refuses, since a bundle's numbers are read as floats.
+        with pytest.raises(ContractViolation, match=f"{name} must lie within a float's range"):
+            TrainConfig(**{name: 10**400})
 
     @pytest.mark.parametrize("grid", [(0.5, 1.0), [1.0], 1.0])
     def test_rejects_a_grid_that_is_not_a_tuning_grid(self, grid):
@@ -1007,7 +1013,7 @@ class TestBundleLexiconLoading:
         bundle = bundle_from_dict(payload)
         assert len(built) == 1
         assert all(em.extractor.lexicons is built[0] for em in bundle)
-        assert len({id(em.extractor.emoticons) for em in bundle}) == 1
+        assert len({id(em.extractor.lexicons.emoticons) for em in bundle}) == 1
         extractors, models = bundle.stacks
         assert len(extractors) == len(models) == 6 and extractors.lexicons is built[0]
         assert bundle_to_dict(bundle) == payload

@@ -28,7 +28,7 @@ from emoclf.features import (
     stacked_transform,
     uncertainty_score,
 )
-from emoclf.lexicons import LexiconSet, default_emoticons, default_lexicons
+from emoclf.lexicons import LexiconSet, default_lexicons
 from emoclf.pipeline import TrainConfig, TuningGrid, classify, load_bundle, save_bundle, train_all
 from emoclf.svm import L2_HINGE, LinearModel, ModelStack, stacked_decision_values
 from emoclf.synth import DEFAULT_KEYWORDS, generate_planted_corpus
@@ -67,13 +67,13 @@ def _with_terms(fitted, extra):
 
 
 def _extractors(data, n_stack, hostile):
-    lexicons, emoticons = default_lexicons(), default_emoticons()
+    lexicons = default_lexicons()
     extractors, models = [], []
     for e in range(n_stack):
         own = st.lists(st.sampled_from(SHARED + OWN[e] + EXTRAS), max_size=10).map(" ".join)
         texts = data.draw(st.lists(own, min_size=1, max_size=6))
         min_df = data.draw(st.sampled_from([1, 2]))
-        fitted = fit_counts(count_texts(texts, lexicons, emoticons), min_df)
+        fitted = fit_counts(count_texts(texts, lexicons), min_df)
         if hostile:
             fitted = _with_terms(fitted, HOSTILE_TERMS)
         extractors.append(fitted)
@@ -91,7 +91,7 @@ def _check_block(stack, scoring, texts):
     table = stack.count_texts(texts)
     assert table.terms is stack.terms
     got = stacked_transform(table, stack)
-    want = stacked_transform(count_texts(texts, head.lexicons, head.emoticons), stack)
+    want = stacked_transform(count_texts(texts, head.lexicons), stack)
     assert _bytes(got) == _bytes(want)
     assert (stacked_decision_values(scoring, got).tobytes()
             == stacked_decision_values(scoring, want).tobytes())
@@ -187,11 +187,10 @@ CUE_TEXTS = st.lists(st.lists(st.sampled_from(
 @given(texts=CUE_TEXTS)
 @settings(max_examples=100, deadline=None)
 def test_cue_scores_and_category_hits_equal_the_scorers(lexicons, texts):
-    emoticons = default_emoticons()
-    counts = count_texts(texts, lexicons, emoticons)
+    counts = count_texts(texts, lexicons)
     categories = [lexicons.emotion_categories[c] for c in sorted(lexicons.emotion_categories)]
     for i, text in enumerate(texts):
-        stream = tokenize(strip_noise(text), emoticons)
+        stream = tokenize(strip_noise(text), lexicons.emoticons)
         scores = _aux_scores(stream.lowered, lexicons)
         assert counts.aux[i].tobytes() == np.array(scores).tobytes()
         if lexicons.cue_words.isdisjoint(stream.lowered):
