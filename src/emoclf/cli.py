@@ -204,13 +204,7 @@ def cmd_train(args) -> int:
                     log.write(f"{em.emotion},{score.fold},{score.C!r},{accuracy!r}\n")
 
     for em in bundle:
-        if em.model.converged is False:
-            print(
-                f"warning: {em.emotion}: the final solve stopped after {em.model.sweeps} "
-                f"sweeps without converging (violation {em.model.final_violation:.3g}, "
-                f"eps {args.eps:g}); raise --max-iters or --eps",
-                file=sys.stderr,
-            )
+        _warn_unconverged(em, args)
 
     save_bundle(bundle, args.out)
     report = evaluate_heldout(bundle, gold)
@@ -226,6 +220,21 @@ def cmd_train(args) -> int:
     print(f"bundle written to {args.out}")
     print(f"report written to {report_path}")
     return EXIT_OK
+
+
+def _warn_unconverged(em, args) -> None:
+    """One stderr line for an emotion whose final solve or CV solves stopped at ``--max-iters``."""
+    notes = []
+    if em.model.converged is False:
+        notes.append(f"the final solve stopped after {em.model.sweeps} sweeps without "
+                     f"converging (violation {em.model.final_violation:.3g}, eps {args.eps:g})")
+    capped = sum(not score.converged for score in em.cv_folds)
+    if capped:
+        notes.append(f"{capped} of {len(em.cv_folds)} cross-validation solves stopped at "
+                     f"--max-iters {args.max_iters} without converging")
+    if notes:
+        print(f"warning: {em.emotion}: {'; '.join(notes)}; raise --max-iters or --eps",
+              file=sys.stderr)
 
 
 def cmd_classify(args) -> int:

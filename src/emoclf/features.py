@@ -28,11 +28,14 @@ builds an extractor only for the bundle.  idf depends on df alone, so
 ``_idfs`` calls ``idf`` once per distinct df, for these spaces and for
 ``FittedExtractor.ngram_idf`` alike.
 
-``stacked_transform`` transforms the same rows for several extractors into
-one matrix whose columns are their feature spaces side by side.  It takes a
-prepared ``ExtractorStack``: a term table over the union of the extractors'
-vocabularies with each column's slot in every extractor, and the
-extractors' idf and scaling constants laid side by side.  The stack owns
+``stacked_grids`` lays out the same rows for several extractors, whose
+feature spaces sit side by side, as zero-padded (slot, document, extractor)
+grids; prediction scores those grids directly (``pipeline``), and
+``stacked_transform`` takes their nonzero entries, row by row, as one CSR
+matrix.  Both take a prepared ``ExtractorStack``: a term table over the
+union of the extractors' vocabularies with each column's slot and feature
+column in every extractor, and the extractors' idf and scaling constants
+laid side by side.  The stack owns
 the text-work rule: extractors with equal lexicons (a ``LexiconSet``,
 emoticon table included) count any text alike, so one count serves them
 all.  It stacks only such extractors, and ``stacked_transform`` takes only
@@ -50,9 +53,10 @@ once (``FittedExtractor.stack``).  The tests keep a single-document
 reference, a fit and a row built with plain loops over one token stream at
 a time, in ``tests/reference_features.py``; the corpus path reproduces it
 bit for bit, because every value comes from the same scalar formulas and
-every float sum is added left to right: the uncertainty mean by ``_added``
-and each row's squares for its L2 norms by ``row_sums``, which ``linear``
-scoring uses too.
+every float sum is added left to right: the uncertainty mean by ``_added``,
+and each row's squares for its L2 norms by ``slot_sums``, the one kernel
+that adds a padded grid over its slot axis, which prediction's scores and
+``row_sums`` (``linear`` scoring of CSR rows) add through too.
 """
 
 from __future__ import annotations
@@ -278,10 +282,6 @@ def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     np.cumsum(lengths, out=out_ptr[1:])
     source = np.repeat(starts - out_ptr[:-1], lengths) + np.arange(out_ptr[-1])
     return out_ptr, source
-
-
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def _indptr_of(row_ids: np.ndarray, n_rows: int) -> np.ndarray:
@@ -555,65 +555,90 @@ def _fit_statistics(counts: CorpusCounts, min_df: int):
             counts.aux.mean(axis=0), counts.aux.std(axis=0))
 
 
-# ``row_sums`` adds rows in zero-padded grids of at most this many cells; a
-# row wider than that gets a grid of its own.
+# Grids hold at most this many cells (``_grid_runs``); a row or document
+# that alone needs more gets a grid of its own.
 _GRID_CELLS = 2**16
+
+
+def slot_sums(grid: np.ndarray) -> np.ndarray:
+    """Each cell's values along axis 0 added left to right: ``acc = 0.0; acc += x``.
+
+    This is the library's one float-sum kernel: ``row_sums``, the L2 norms
+    of ``stacked_grids`` and prediction's decision values all add through
+    it, so a sum does not depend on the BLAS kernel or on the cell's place
+    in its grid.  ``np.add.reduce`` over axis 0 of a C-contiguous grid adds
+    slot after slot into every cell at once, from the ``initial`` +0.0.
+    Two grids it would sum in another order never reach it: a
+    non-contiguous view (numpy may run the slot axis innermost) is copied
+    first, and a grid of one cell per slot, whose slot axis is then the
+    contiguous one that numpy sums pairwise, gets a second, zero column.
+    """
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
+    shape = grid.shape[1:]
+    if math.prod(shape) == 1:
+        wide = np.zeros((len(grid), 2))
+        wide[:, 0] = grid.reshape(-1)
+        return np.add.reduce(wide, axis=0, initial=0.0)[:1].reshape(shape)
+    return np.add.reduce(grid, axis=0, initial=0.0)
+
+
+def _grid_runs(lengths: np.ndarray, tail: int, depth: int):
+    """Rows ``lengths`` describes, cut into grids of at most ``_GRID_CELLS`` cells.
+
+    A grid of rows ``rows`` is ``width = lengths[rows].max() + tail`` slots
+    deep, with ``depth`` cells per row in every slot; yields
+    ``(rows, width)`` per grid.  All rows go into one grid, in order, when
+    it fits; else they go shortest first, each grid taking rows while it
+    stays within the cap, so a long row costs its own entries only.
+    """
+    if not len(lengths):
+        return
+    width = int(lengths.max()) + tail
+    if len(lengths) * width * depth <= _GRID_CELLS:
+        yield np.arange(len(lengths)), width
+        return
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    start = 0
+    while start < len(order):
+        widths = ordered[start:start + _GRID_CELLS] + tail
+        fits = widths * depth * np.arange(1, len(widths) + 1) <= _GRID_CELLS
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        yield order[start:stop], int(widths[stop - start - 1])
+        start = stop
 
 
 def row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Each CSR row's values added left to right: ``acc = 0.0; acc += x`` in entry order.
 
-    The rows are added in grids of at most ``_GRID_CELLS`` cells
-    (``_grid_sums``): all of them in one grid when that fits, else shortest
-    first, each grid taking rows while it stays within the cap, so a long
-    row costs its own entries only.
+    The rows are laid out slot-major, in zero-padded grids of at most
+    ``_GRID_CELLS`` cells (``_grid_runs``), and added by ``slot_sums``; a
+    zero added to a sum that started from +0.0 leaves it as it is.
     """
     lengths = indptr[1:] - indptr[:-1]
+    sums = np.zeros(len(lengths))
     if not values.size:     # every row sums to 0.0, and a grid has nothing to read
-        return np.zeros(len(lengths))
-    width = int(lengths.max()) + 1
-    if len(lengths) * width <= _GRID_CELLS:
-        return _grid_sums(values, indptr[:-1], lengths, width)
-    sums = np.empty(len(lengths))
-    order = np.argsort(lengths, kind="stable")
-    ordered = lengths[order]
-    start = 0
-    while start < len(order):
-        widths = ordered[start:start + _GRID_CELLS] + 1
-        fits = widths * np.arange(1, len(widths) + 1) <= _GRID_CELLS
-        stop = start + max(1, int(np.count_nonzero(fits)))
-        rows = order[start:stop]
-        sums[rows] = _grid_sums(values, indptr[rows], ordered[start:stop],
-                                int(widths[stop - start - 1]))
-        start = stop
+        return sums
+    for rows, width in _grid_runs(lengths, 0, 1):
+        steps = np.arange(width)[:, None]
+        grid = values.take(indptr[rows] + steps, mode="clip")
+        grid[steps >= lengths[rows]] = 0.0
+        sums[rows] = slot_sums(grid)
     return sums
 
 
-def _grid_sums(values: np.ndarray, begin: np.ndarray, lengths: np.ndarray,
-               width: int) -> np.ndarray:
-    """Sums of the rows ``values[begin[i]:begin[i] + lengths[i]]``, through one grid.
+def _normalize(block: np.ndarray) -> None:
+    """Divide each (document, extractor) cell's values by their L2 norm, in place.
 
-    Grid row i holds row i's values and then zeros, up to ``width`` cells,
-    which exceeds every row's length.  ``np.add.accumulate`` adds along each
-    grid row from its first value, where the loop starts from 0.0.  The two
-    running sums can differ only as -0.0 against 0.0, and adding a trailing
-    zero turns -0.0 into 0.0, so every row ends on the loop's sum.
+    The squares are added slot after slot (``slot_sums``); a zero norm divides by 1.
     """
-    columns = np.arange(width)
-    grid = values.take(begin[:, None] + columns, mode="clip")
-    grid[columns >= lengths[:, None]] = 0.0
-    return np.add.accumulate(grid, axis=1)[:, -1]
-
-
-def _l2_normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # Each row's squares added left to right, in column order.
-    norms = np.sqrt(row_sums(indptr, values * values))
+    norms = np.sqrt(slot_sums(block * block))
     norms[norms == 0.0] = 1.0
-    return values / np.repeat(norms, np.diff(indptr))
+    block /= norms
 
 
 class ExtractorStack:
-    """What ``stacked_transform`` needs of a sequence of extractors, worked out once.
+    """What ``stacked_grids`` needs of a sequence of extractors, worked out once.
 
     ``lexicons`` is the first extractor's, and every extractor's must equal
     it (``ContractViolation`` otherwise); this is the one place that checks
@@ -630,10 +655,14 @@ class ExtractorStack:
     slots rise with the column.  ``count_texts`` counts texts straight into
     the table, looking unigrams and bigrams alike up in ``index``.
 
-    The other fields are the extractors' constants laid side by side: where
-    each feature space and each category block starts, the n-gram idf over
-    the whole stacked space, and the category idf and cue scalers of each
-    extractor, shaped (extractor, 1, slot) to broadcast over documents.
+    The other fields are the extractors' constants laid side by side, in
+    the grids' (slot, document, extractor) order.  ``offsets`` is where each
+    feature space starts.  ``term_columns`` and ``term_idf`` hold, for each
+    table column (row) and extractor, the term's feature column (its slot
+    plus the offset, which ``slots`` is read back from) and its idf (0
+    where the extractor lacks the term).  ``tail_columns`` holds the
+    feature columns of the category and cue slots, and the category idf and
+    cue scalers are shaped (slot, 1, extractor) to broadcast over documents.
 
     ``fitted_on`` builds the stack of one fit straight from a count matrix,
     with no ``FittedExtractor``: training builds every fold's rows, and the
@@ -688,25 +717,37 @@ class ExtractorStack:
 
         A space is (n-gram idf, category idf, cue means, cue stddevs).
         """
-        self.lexicons, self.slots = lexicons, slots
+        self.lexicons = lexicons
         n_stack = len(spaces)
         ngram_idfs, category_idfs, means, stds = zip(*spaces)
         widths = [len(values) for values in ngram_idfs]
         dimensions = [width + len(category) + len(AUX_FEATURES)
                       for width, category in zip(widths, category_idfs)]
         self.offsets = np.array([0, *accumulate(dimensions)])
-        self.category_offsets = self.offsets[:-1] + widths
-        self.ngram_idf = np.zeros(self.offsets[-1])
+        ngram_idf = np.zeros(self.offsets[-1])
         for start, width, values in zip(self.offsets.tolist(), widths, ngram_idfs):
-            self.ngram_idf[start:start + width] = values
-        self.category_idf = np.array(category_idfs).reshape(n_stack, 1, -1)
-        self.aux_mean = np.array(means).reshape(n_stack, 1, -1)
-        std = np.array(stds).reshape(n_stack, 1, -1)
+            ngram_idf[start:start + width] = values
+        # An out-of-vocabulary term (slot -1) points one column before its
+        # extractor's space, the first extractor's at the last column: a cue
+        # column, whose n-gram idf is 0.
+        self.term_columns = np.ascontiguousarray(slots.T + self.offsets[:-1])
+        self.term_idf = ngram_idf[self.term_columns]
+        n_tail = len(category_idfs[0]) + len(AUX_FEATURES)
+        self.tail_columns = (self.offsets[:-1] + widths
+                             + np.arange(n_tail)[:, None, None])
+        self.category_idf = np.array(category_idfs).T.reshape(-1, 1, n_stack)
+        self.aux_mean = np.array(means).T.reshape(-1, 1, n_stack)
+        std = np.array(stds).T.reshape(-1, 1, n_stack)
         self.aux_active = std > 0.0
         self.aux_std = np.where(self.aux_active, std, 1.0)
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return self.term_columns.shape[1]
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Row e: each table column's slot in extractor e's vocabulary, -1 where it lacks the term."""
+        return self.term_columns.T - self.offsets[:-1, None]
 
     @property
     def dimension(self) -> int:
@@ -745,67 +786,99 @@ def stacked_transform(counts: CorpusCounts, stack: ExtractorStack) -> FeatureMat
     its columns are the extractors' feature spaces laid side by side: row
     ``e * n + i`` is row i of ``transform_counts(counts, stack.extractors[e])``
     with every index shifted by the dimensions of the extractors before e.
-    The values are the same bits, because each comes from the same scalar
-    operations and each block's L2 norm is summed in the same order.  The
-    category and cue blocks are read from the counts, so they must have been
-    made with the stack's lexicons; ``ContractViolation`` otherwise.  A
-    caller that transforms many blocks for the same extractors builds their
-    ``ExtractorStack`` once.
+    Its entries are the nonzero cells of ``stacked_grids``, row by row, so
+    prediction, which scores those grids, and training, which takes this
+    matrix, see the same bits.  The category and cue blocks are read from
+    the counts, so they must have been made with the stack's lexicons;
+    ``ContractViolation`` otherwise.  A caller that transforms many blocks
+    for the same extractors builds their ``ExtractorStack`` once.
+    """
+    n, n_stack = counts.n_docs, len(stack)
+    lengths = np.zeros(n_stack * n, dtype=np.int64)
+    rows, indices, data = [], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for docs, columns, values in stacked_grids(counts, stack):
+        # Copied in (extractor, document, slot) order: row by row, each
+        # row's entries in slot order.
+        values = values.transpose(2, 1, 0).reshape(-1, len(values))
+        kept = values != 0.0
+        at = np.flatnonzero(kept)
+        data.append(values.reshape(-1)[at])
+        indices.append(columns.transpose(2, 1, 0).reshape(-1)[at])
+        rows.append((np.arange(n_stack)[:, None] * n + docs).reshape(-1))
+        lengths[rows[-1]] = np.count_nonzero(kept, axis=1)
+    indices, data = np.concatenate(indices), np.concatenate(data)
+    if len(rows) > 1:       # several grids, which took the documents shortest first
+        rows = np.concatenate(rows)
+        order = np.argsort(np.repeat(rows, lengths[rows]), kind="stable")
+        indices, data = indices[order], data[order]
+    indptr = np.zeros(n_stack * n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    # No value is zero, as FeatureMatrix requires.
+    return FeatureMatrix(indptr, indices, data, stack.dimension)
+
+
+def stacked_grids(counts: CorpusCounts, stack: ExtractorStack):
+    """The stacked rows of ``counts`` for every extractor of ``stack``, as padded grids.
+
+    Yields ``(docs, columns, values)`` per grid.  ``values[s, i, e]`` is slot
+    s of document ``docs[i]``'s row for extractor e and ``columns[s, i, e]``
+    its column in the stacked feature space; both are C-contiguous
+    (slot, document, extractor) arrays.  A document's n-gram entries come
+    first, left-aligned in the order of its counted columns, with zeros
+    where an extractor lacks the term and past the document's last entry;
+    its k category slots and 4 cue slots follow, at the same slots for
+    every document.  Each value comes from the scalar formulas of the
+    single-document reference: tf * idf, hits * idf, each block divided by
+    its L2 norm, whose squares ``slot_sums`` adds in column order (a zero
+    leaves a sum from +0.0 as it is), and the standardized cue scores.  A
+    category without training df has idf 0 and a zero stddev disables a cue
+    feature, so the nonzero cells are exactly the entries the extractors
+    keep, which ``stacked_transform`` takes row by row.
+
+    The documents go in grids of at most ``_GRID_CELLS`` cells
+    (``_grid_runs``): all of them in one, in order, when that fits, else
+    shortest first, and a document that alone needs more gets a grid of its
+    own.  The counts must have been made with the stack's lexicons
+    (``ContractViolation`` otherwise).
     """
     if counts.lexicons != stack.lexicons:
         raise ContractViolation(
             "the counts were made with other lexicons than the stacked extractors'")
-    n, k = counts.category_counts.shape
-    n_stack = len(stack)
-    offsets = stack.offsets
-
-    # n-gram block: tf * idf over in-vocabulary terms, L2 per row.
     if counts.terms is stack.terms:     # counted into the stack's term table
-        columns = counts.indices
-    else:
+        terms = counts.indices
+    else:                               # -1, the last column, for a term no extractor knows
         table = np.fromiter(map(stack.index.get, counts.terms, repeat(-1)), np.int64,
                             len(counts.terms))
-        columns = table[counts.indices]
-    slots = stack.slots.take(columns, axis=1)
-    known = slots >= 0
-    ngram_rows = (_row_ids(counts.indptr) + (n * np.arange(n_stack))[:, None])[known]
-    ngram_ptr = _indptr_of(ngram_rows, n_stack * n)
-    # An out-of-vocabulary term (slot -1) points one column before its
-    # extractor's space, the first extractor's at the last column; the mask
-    # drops its value.
-    columns = slots + offsets[:-1, None]
-    ngram_values = _l2_normalize_rows(ngram_ptr, (counts.counts * stack.ngram_idf[columns])[known])
-    columns = columns[known]
+        terms = table[counts.indices]
+    n_tail = len(stack.tail_columns)
+    for docs, width in _grid_runs(np.diff(counts.indptr), n_tail, len(stack)):
+        yield (docs, *_stacked_grid(counts, stack, terms, docs, width - n_tail))
 
-    # Category and cue blocks: hits * idf, L2 per row, then the standardized
-    # cue scores, built dense over (extractor, document, slot).  A category
-    # without training df has idf 0 and a zero stddev disables a cue
-    # feature, so the nonzero entries are exactly the ones the extractor keeps.
-    z = np.where(stack.aux_active, (counts.aux - stack.aux_mean) / stack.aux_std, 0.0)
-    category = counts.category_counts * stack.category_idf
-    tail = np.concatenate((category, z), axis=2).reshape(n_stack * n, k + len(AUX_FEATURES))
-    tail_rows, tail_slots = np.nonzero(tail)
-    tail_ptr = _indptr_of(tail_rows, n_stack * n)
-    tail_values = tail[tail_rows, tail_slots]
-    category = tail_slots < k
-    tail_values[category] = _l2_normalize_rows(
-        _indptr_of(tail_rows[category], n_stack * n), tail_values[category]
-    )
 
-    # Each row is its n-gram entries, then its category and cue entries:
-    # place every block's entries after the n-gram entries of the same row.
-    out_ptr = ngram_ptr + tail_ptr
-    indices = np.empty(out_ptr[-1], dtype=np.int64)
-    data = np.empty(out_ptr[-1], dtype=np.float64)
-    for block_rows, shift, block_indices, block_values in (
-        (ngram_rows, tail_ptr[:-1], columns, ngram_values),
-        (tail_rows, ngram_ptr[1:], np.repeat(stack.category_offsets, n)[tail_rows] + tail_slots,
-         tail_values),
-    ):
-        at = np.arange(len(block_rows)) + shift[block_rows]
-        indices[at] = block_indices
-        data[at] = block_values
-    # No value is zero, as FeatureMatrix requires: tf, idf >= 1 and cue
-    # entries are kept only when nonzero.
-    return FeatureMatrix(out_ptr, indices, data, stack.dimension)
-
+def _stacked_grid(counts: CorpusCounts, stack: ExtractorStack, terms: np.ndarray,
+                  docs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``stacked_grids``' columns and values of documents ``docs``, n-grams in ``width`` slots."""
+    k = counts.category_counts.shape[1]
+    slots = np.arange(width)[:, None]
+    starts = counts.indptr[docs]
+    at = starts + slots
+    # A slot past the document's last entry reads the last column (-1),
+    # which no extractor knows, so its idf is 0.
+    term = np.where(slots < counts.indptr[docs + 1] - starts, terms.take(at, mode="clip"), -1)
+    shape = (width + len(stack.tail_columns), len(docs), len(stack))
+    columns = np.empty(shape, dtype=np.int64)
+    stack.term_columns.take(term, axis=0, out=columns[:width], mode="wrap")
+    columns[width:] = stack.tail_columns
+    values = np.empty(shape)
+    ngrams, category, cues = values[:width], values[width:width + k], values[width + k:]
+    stack.term_idf.take(term, axis=0, out=ngrams, mode="wrap")
+    # Counts become floats before they meet an idf, as a mixed-type product
+    # would convert them: the same bits, without numpy's slow casting loop.
+    ngrams *= counts.counts.take(at, mode="clip").astype(np.float64)[:, :, None]
+    _normalize(ngrams)
+    hits = counts.category_counts[docs].T.astype(np.float64)
+    np.multiply(hits[:, :, None], stack.category_idf, out=category)
+    _normalize(category)
+    cues[:] = np.where(stack.aux_active,
+                       (counts.aux[docs].T[:, :, None] - stack.aux_mean) / stack.aux_std, 0.0)
+    return columns, values

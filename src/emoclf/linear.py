@@ -1,10 +1,13 @@
 """Linear models and scoring: what classifying with a trained model needs.
 
 A ``LinearModel`` holds dense weights with the bias in the last slot.
-Scoring adds each row's products left to right, with ``features.row_sums``,
-so a decision value does not depend on the BLAS kernel or on the row's
-place in its block.  ``stacked_decision_values`` scores the stacked rows of
-several models in one pass; ``decision_values`` is its one-model case.
+Scoring adds each CSR row's products left to right, with
+``features.row_sums`` (and so ``features.slot_sums``, the kernel that
+prediction's padded grids are added with too), so a decision value does not
+depend on the BLAS kernel, on the row's place in its block or on whether
+it was scored from a grid.  ``stacked_decision_values`` scores the stacked
+rows of several models in one pass; ``decision_values`` is its one-model
+case.
 It takes a prepared ``ModelStack``, the models' weights laid side by side
 and their biases, which a caller scoring many blocks with the same models
 builds once.

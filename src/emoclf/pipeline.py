@@ -16,12 +16,13 @@ differ in it, and ``features.ExtractorStack`` checks it before any
 prediction or save).  So batch prediction counts each document once for all
 emotions and handles them together: it goes through the documents in blocks
 of at most ``PREDICT_BLOCK_ROWS`` (emotion, document) rows, each counted
-straight into the bundle's term table, with one stacked transform and one
-scoring pass per block.  The stacks are prepared once per bundle
-(``ModelBundle.stacks``: an ``ExtractorStack``, which holds the term table,
-and a ``ModelStack``), on the bundle's first prediction or save, and every
-block of every later call reuses them; loading a bundle builds none, and
-none is saved.
+straight into the bundle's term table, laid out as padded grids for every
+emotion at once (``features.stacked_grids``) and scored from those grids
+(``features.slot_sums``), with no CSR row built.  The stacks are prepared
+once per bundle (``ModelBundle.stacks``: an ``ExtractorStack``, which holds
+the term table, and a ``ModelStack``), on the bundle's first prediction or
+save, and every block of every later call reuses them; loading a bundle
+builds none, and none is saved.
 
 ``evaluate_heldout`` recomputes each emotion's split from the seed the
 bundle records, so it scores exactly the documents training held out.
@@ -48,6 +49,7 @@ from .corpus import (
 )
 from .errors import (
     ContractViolation,
+    DimensionError,
     DocumentTooLarge,
     EmptyCorpus,
     IncompatibleModel,
@@ -61,7 +63,8 @@ from .features import (
     ExtractorStack,
     FittedExtractor,
     Vocabulary,
-    stacked_transform,
+    slot_sums,
+    stacked_grids,
 )
 from .lexicons import LexiconSet, default_lexicons
 from .linear import (
@@ -69,7 +72,6 @@ from .linear import (
     L2_HINGE,
     LinearModel,
     ModelStack,
-    stacked_decision_values,
 )
 
 if TYPE_CHECKING:
@@ -139,6 +141,9 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.grid, TuningGrid):
             raise ContractViolation(f"grid must be a TuningGrid, got {type(self.grid).__name__}")
+        if not isinstance(self.lexicons, (LexiconSet, type(None))):
+            raise ContractViolation(
+                f"lexicons must be a LexiconSet or None, got {type(self.lexicons).__name__}")
         for name in ("folds", "seed", "jobs", "min_df", "max_outer_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -197,9 +202,15 @@ class ModelBundle:
         Built on the first prediction or save and kept while the bundle lives;
         loading a bundle does not build them, and saving one does not write them.
         ``ExtractorStack`` raises ``ContractViolation`` unless every
-        extractor shares the first's lexicons.
+        extractor shares the first's lexicons, and ``DimensionError`` unless
+        the models' weights span the extractors' feature spaces.
         """
-        return ExtractorStack([em.extractor for em in self]), ModelStack([em.model for em in self])
+        extractors = ExtractorStack([em.extractor for em in self])
+        models = ModelStack([em.model for em in self])
+        if len(models.weights) != extractors.dimension:
+            raise DimensionError(f"model dimensions {len(models.weights)} do not match "
+                                 f"feature dimensions {extractors.dimension}")
+        return extractors, models
 
 
 @dataclass(frozen=True)
@@ -324,30 +335,43 @@ def _emotion_split(
 PREDICT_BLOCK_ROWS = 256
 
 
-def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndarray]:
-    """Each emotion's 0/1 prediction per text; each text is counted once.
+def _decision_values(bundle: ModelBundle, texts: Sequence[str]) -> np.ndarray:
+    """Each emotion's decision value per text, shaped (emotion, text); each text is counted once.
 
     The bundle's emotions go through the texts together, in blocks of at
     most ``PREDICT_BLOCK_ROWS`` stacked (emotion, text) rows.  Each block is
     counted once, straight into the bundle's term table
-    (``ExtractorStack.count_texts``), transformed once for every extractor
-    (``stacked_transform``) and scored once (``stacked_decision_values``),
-    on the bundle's prepared stacks (``ModelBundle.stacks``).  Equal, for
-    every model and text and whatever the block size, to ``predict`` of the
-    text's own row: ``em.extractor.vectorize(text)``, or the single-document
-    reference in ``tests/reference_features.py``.
+    (``ExtractorStack.count_texts``), laid out once for every extractor as
+    padded grids (``features.stacked_grids``) and scored from them: every
+    cell's weight times its value, added over the slots by
+    ``features.slot_sums``, plus the bias.  No CSR row is built.  The stacks
+    are the bundle's prepared ones (``ModelBundle.stacks``).  The values are
+    ``linear.stacked_decision_values`` of the block's ``stacked_transform``
+    rows, bit for bit, whatever the block size.
     """
     extractors, models = bundle.stacks
     step = max(1, PREDICT_BLOCK_ROWS // len(extractors))
-    decided = np.empty((len(extractors), len(texts)), dtype=np.int64)
+    scores = np.empty((len(extractors), len(texts)))
     for start in range(0, len(texts), step):
         try:
             counts = extractors.count_texts(texts[start:start + step])
         except DocumentTooLarge as exc:     # its position in ``texts``, not in the block
             raise DocumentTooLarge(start + exc.position, exc.length, exc.limit) from None
-        values = stacked_decision_values(models, stacked_transform(counts, extractors))
-        # predict_rows' rule: strictly positive is 1, ties go negative.
-        decided[:, start:start + step] = values.reshape(len(extractors), -1) > 0.0
+        for docs, columns, values in stacked_grids(counts, extractors):
+            sums = slot_sums(models.weights[columns] * values) + models.biases
+            scores[:, start + docs] = sums.T
+    return scores
+
+
+def _predictions(bundle: ModelBundle, texts: Sequence[str]) -> dict[str, np.ndarray]:
+    """Each emotion's 0/1 prediction per text, from ``_decision_values``.
+
+    Equal, for every model and text and whatever the block size, to
+    ``predict`` of the text's own row: ``em.extractor.vectorize(text)``, or
+    the single-document reference in ``tests/reference_features.py``.
+    """
+    # predict_rows' rule: strictly positive is 1, ties go negative.
+    decided = (_decision_values(bundle, texts) > 0.0).astype(np.int64)
     return dict(zip(bundle.emotions, decided))
 
 
@@ -592,9 +616,11 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     share text work raises ``ContractViolation`` and writes no file.
     """
     bundle.stacks       # ExtractorStack checks the text-work rule
+    # json.dumps takes the C encoder; json.dump on a handle would run the
+    # pure-Python one.  Both write the same text.
+    text = json.dumps(bundle_to_dict(bundle), sort_keys=True, separators=(",", ":"))
     with atomic_write(path) as handle:
-        json.dump(bundle_to_dict(bundle), handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def bundle_from_dict(payload: dict) -> ModelBundle:

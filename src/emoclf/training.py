@@ -103,7 +103,9 @@ class FoldPlan:
 class FoldScore:
     """Held-out confusion counts of one cross-validation solve: ``fold`` at cost ``C``.
 
-    ``sweeps`` and ``final_violation`` describe that solve, as on ``LinearModel``.
+    ``sweeps``, ``final_violation`` and ``converged`` describe that solve, as
+    on ``LinearModel``: a solve that did not converge stopped at
+    ``max_outer_iters`` sweeps.
     """
 
     fold: int
@@ -111,6 +113,7 @@ class FoldScore:
     confusion: Confusion
     sweeps: int
     final_violation: float
+    converged: bool
 
 
 # --- folds and cross-validation --------------------------------------------
@@ -220,7 +223,7 @@ def _cross_validate(
         scored = scores[task]
         confusion = Confusion.of(predict_rows(model, rows), golds)
         scored[fold, cost] = FoldScore(
-            fold, c_values[cost], confusion, model.sweeps, model.final_violation
+            fold, c_values[cost], confusion, model.sweeps, model.final_violation, model.converged
         )
         if all((fold, c) in scored for c in range(len(c_values))):
             del held_out[index]

@@ -175,6 +175,25 @@ class TestTrain:
         assert len(warnings) == 1
         assert "joy" in warnings[0] and "1 sweeps without converging" in warnings[0]
 
+    def test_capped_cross_validation_solves_are_counted_in_one_line_per_emotion(
+            self, tmp_path, gold_csv):
+        log = tmp_path / "tuning.csv"
+        result = run_cli(
+            "train", "--gold", gold_csv, "--out", tmp_path / "m.emo", "--log-tuning", log,
+            "--max-iters", "1", "--eps", "1e-9", *FAST_FLAGS,
+        )
+        assert result.returncode == 0, result.stderr
+        warnings = [l for l in result.stderr.splitlines() if l.startswith("warning:")]
+        assert [line.split(":")[1].strip() for line in warnings] == ["joy", "anger"]
+        for line in warnings:
+            # 3 folds x 2 costs, every one stopped after its one sweep.
+            assert "6 of 6 cross-validation solves stopped at --max-iters 1" in line
+            assert "the final solve stopped after 1 sweeps without converging" in line
+        # The tuning log records evaluations only, as for converged solves.
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "emotion,fold,C,accuracy"
+        assert [line.count(",") for line in lines] == [3] * (1 + 2 * 3 * 2)
+
     def test_tuning_log(self, tmp_path, gold_csv):
         log = tmp_path / "tuning.csv"
         result = run_cli(

@@ -37,7 +37,13 @@ from emoclf.corpus import (
     write_gold_corpus,
     write_input_corpus,
 )
-from emoclf.errors import ContractViolation, DocumentTooLarge, EmptyCorpus, ParseError
+from emoclf.errors import (
+    ContractViolation,
+    DimensionError,
+    DocumentTooLarge,
+    EmptyCorpus,
+    ParseError,
+)
 from emoclf.features import (
     MAX_DOCUMENT_CHARS,
     ExtractorStack,
@@ -251,6 +257,105 @@ def test_one_prepared_stack_serves_every_block(data):
             offset += fitted.dimension
         assert stacked.dimension == offset
         assert _bits(stacked_decision_values(scoring, stacked)) == expected_values
+
+
+# Words of the default lexicons (category words, politeness, sentiment with
+# a booster and a negation, modality) beside plain words, so that rows have
+# category hits and cue scores away from their training means.
+CUE_WORDS = ["angry", "afraid", "amused", "adore", "amazed", "depressed", "please", "thanks",
+             "thank", "you", "love", "awesome", "very", "not", "certainly", "sure", "always"]
+PLAIN_WORDS = ["code", "run", "data", "list", "fix", "the", "a", "test", "merge", "step"]
+
+
+def _cue_texts(rng, n, longest=12):
+    words = CUE_WORDS + PLAIN_WORDS
+    return [" ".join(rng.choice(words, size=int(rng.integers(0, longest + 1))))
+            for _ in range(n)]
+
+
+def _cue_bundle(seed):
+    """Three emotions fitted on different texts, with random weights, sharing the lexicons."""
+    rng = np.random.default_rng(seed)
+    lexicons = default_lexicons()
+    models = {}
+    for emotion in ("joy", "anger", "fear"):
+        fitted = fit_counts(count_texts(_cue_texts(rng, 40), lexicons), 1)
+        assert min(fitted.aux_std) > 0.0 and min(fitted.category_df) > 0
+        weights = rng.standard_normal(fitted.dimension + 1) * 10.0 ** rng.integers(-3, 3)
+        models[emotion] = pipeline.EmotionModel(
+            emotion, fitted, LinearModel(w=weights, loss=L2_HINGE), 1.0, 0.5, 0)
+    return ModelBundle(emotions=tuple(models), models=models, master_seed=seed, config={})
+
+
+def _csr_decision_values(bundle, texts):
+    """``stacked_decision_values`` of the texts' ``stacked_transform`` rows, (emotion, text)."""
+    extractors, models = bundle.stacks
+    rows = stacked_transform(extractors.count_texts(texts), extractors)
+    return stacked_decision_values(models, rows).reshape(len(extractors), len(texts))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_scoring_equals_the_csr_rows_bit_for_bit(monkeypatch, seed):
+    bundle = _cue_bundle(seed)
+    rng = np.random.default_rng(seed + 100)
+    # Empty documents, and one far longer than the rest, alone over the
+    # cell cap patched below.
+    long_text = " ".join(rng.choice(CUE_WORDS + PLAIN_WORDS, size=500))
+    texts = _cue_texts(rng, 45) + ["", "   ", long_text] + _cue_texts(rng, 5, longest=40)
+    counts = bundle.stacks[0].count_texts(texts)
+    assert counts.category_counts.any() and (counts.aux != (0.5, 1.0, -1.0, 1.0)).all(1).any()
+    assert (np.diff(counts.indptr)[47] + 6 + 4) * 3 > 400
+    expected = _csr_decision_values(bundle, texts)
+    assert _bits(pipeline._decision_values(bundle, texts)) == _bits(expected)
+    # One document per block.
+    monkeypatch.setattr(pipeline, "PREDICT_BLOCK_ROWS", 1)
+    assert _bits(pipeline._decision_values(bundle, texts)) == _bits(expected)
+    for text, values in zip(texts, expected.T):
+        assert _bits(_csr_decision_values(bundle, [text])[:, 0]) == _bits(values)
+    # Grids of a few documents each, and the long one alone over the cap.
+    monkeypatch.setattr(pipeline, "PREDICT_BLOCK_ROWS", 256)
+    monkeypatch.setattr(features, "_GRID_CELLS", 400)
+    assert _bits(pipeline._decision_values(bundle, texts)) == _bits(expected)
+
+
+def test_a_bundle_whose_weights_miss_its_feature_space_is_refused_before_scoring():
+    bundle = _cue_bundle(6)
+    em = bundle.models["anger"]
+    short = dataclasses.replace(em, model=LinearModel(w=em.model.w[1:], loss=L2_HINGE))
+    odd = dataclasses.replace(bundle, models={**bundle.models, "anger": short})
+    with pytest.raises(DimensionError, match="not match"):
+        classify(odd, [Document("d1", "angry and afraid")])
+
+
+@pytest.mark.parametrize("cap", [1, 150, 400, 2**16])
+def test_grids_stay_within_the_cell_cap(monkeypatch, cap):
+    bundle = _cue_bundle(4)
+    extractors = bundle.stacks[0]
+    rng = np.random.default_rng(5)
+    long_text = " ".join(rng.choice(CUE_WORDS + PLAIN_WORDS, size=500))
+    texts = _cue_texts(rng, 30, longest=30) + [long_text, ""] + _cue_texts(rng, 30)
+    counts = extractors.count_texts(texts)
+    assert (np.diff(counts.indptr)[30] + 6 + 4) * 3 > 400     # alone over two of the caps
+    expected = stacked_transform(counts, extractors)
+    monkeypatch.setattr(features, "_GRID_CELLS", cap)
+    seen, sizes = [], []
+    for docs, columns, values in features.stacked_grids(counts, extractors):
+        assert columns.shape == values.shape and values.shape[1:] == (len(docs), 3)
+        assert values.flags.c_contiguous and columns.flags.c_contiguous
+        # Only a document that alone needs more than the cap exceeds it.
+        assert values.size <= cap or len(docs) == 1
+        seen.extend(docs.tolist())
+        sizes.append(len(docs))
+    assert sorted(seen) == list(range(len(texts)))
+    if cap == 1:
+        assert sizes == [1] * len(texts)
+    elif cap == 2**16:
+        assert sizes == [len(texts)]
+    else:               # several grids, some of several documents
+        assert 1 < max(sizes) < len(texts)
+    got = stacked_transform(counts, extractors)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def test_counting_raw_text_matches_the_reference_preprocessing():
@@ -640,10 +745,10 @@ def test_the_stacks_are_prepared_once_per_bundle(bundles, gold, monkeypatch, kin
     bundle = dataclasses.replace(bundles[kind])     # a new bundle: nothing prepared yet
     docs = [d.doc for d in gold]
     built = _stack_builds(monkeypatch)
-    used = []           # the extractor stack of every transformed block
-    transform = pipeline.stacked_transform
-    monkeypatch.setattr(pipeline, "stacked_transform",
-                        lambda counts, stack: used.append(stack) or transform(counts, stack))
+    used = []           # the extractor stack of every laid-out block
+    grids = pipeline.stacked_grids
+    monkeypatch.setattr(pipeline, "stacked_grids",
+                        lambda counts, stack: used.append(stack) or grids(counts, stack))
     calls = _counting_text_passes(monkeypatch)
     first = classify(bundle, docs)
     assert classify(bundle, docs) == first

@@ -19,6 +19,7 @@ from emoclf.features import (
     politeness_score,
     row_sums,
     sentiment_scores,
+    slot_sums,
     stacked_transform,
     transform_counts,
     uncertainty_score,
@@ -447,6 +448,53 @@ def test_row_sums_add_each_row_left_to_right(monkeypatch, name):
     got = row_sums(indptr, values)
     assert got.dtype == np.float64
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+
+
+def _slot_sum_grids(name):
+    """Grids of one ``slot_sums`` case, with values 24 decades apart and some ±0.0."""
+    rng = np.random.default_rng(list(name.encode()))
+
+    def values(*shape):
+        n = math.prod(shape)
+        out = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        out[rng.random(n) < 0.1] = -0.0
+        out[rng.random(n) < 0.05] = 0.0
+        return out.reshape(shape)
+
+    def width():
+        return int(rng.integers(0, 300))
+
+    if name == "contiguous":
+        return [values(width(), int(rng.integers(1, 25)), int(rng.integers(1, 7)))
+                for _ in range(60)] + [values(width(), int(rng.integers(2, 25)))
+                                       for _ in range(20)]
+    if name == "transposed view":
+        # numpy may run a view's slot axis innermost, which it sums pairwise.
+        return [values(int(rng.integers(2, 25)), 9 + width()).T for _ in range(40)] + [
+            values(int(rng.integers(1, 7)), int(rng.integers(1, 25)), 9 + width()
+                   ).transpose(2, 1, 0) for _ in range(40)]
+    if name == "one cell per slot":
+        # One document and one extractor, as vectorize lays out a row: the
+        # slot axis is then the contiguous one, which numpy sums pairwise.
+        return ([values(9 + width(), 1, 1) for _ in range(40)]
+                + [values(9 + width(), 1) for _ in range(20)] + [values(9 + width())])
+    if name == "negative zero":
+        # The loop adds -0.0 to 0.0 and keeps 0.0.
+        return [np.full((w, 2, 3), -0.0) for w in (1, 2, 40)] + [np.full((1, 1, 1), -0.0)]
+    return [np.zeros((0, 4, 3)), np.zeros((0, 1, 1))]     # "no slots"
+
+
+@pytest.mark.parametrize("name", ["contiguous", "transposed view", "one cell per slot",
+                                  "negative zero", "no slots"])
+def test_slot_sums_add_each_cell_left_to_right(monkeypatch, name):
+    # Python 3.12's sum() compensates, as math.fsum does; nothing may use it.
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    for grid in _slot_sum_grids(name):
+        got = slot_sums(grid)
+        assert got.shape == grid.shape[1:] and got.dtype == np.float64
+        cells = grid.reshape(len(grid), math.prod(grid.shape[1:])).T.tolist()
+        expected = [_left_to_right(cell) for cell in cells] if len(grid) else [0.0] * len(cells)
+        assert [x.hex() for x in got.reshape(-1).tolist()] == [x.hex() for x in expected]
 
 
 # Category words: "glad" is planted, "dread" sometimes, "furious" never, so

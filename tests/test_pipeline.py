@@ -181,6 +181,15 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match=f"TuningGrid, got {type(grid).__name__}"):
             TrainConfig(grid=grid)
 
+    @pytest.mark.parametrize("lexicons", [frozenset({":)"}), {}, "lexicons"])
+    def test_rejects_lexicons_that_are_not_a_lexicon_set(self, lexicons):
+        # Accepted, a bare emoticon table (the type of the emoticon argument
+        # the lexicon set replaced) failed training with an AttributeError
+        # from counting.
+        with pytest.raises(ContractViolation,
+                           match=f"LexiconSet or None, got {type(lexicons).__name__}"):
+            TrainConfig(lexicons=lexicons)
+
 
 class TestFoldPlan:
     def test_balanced_two_class(self):
@@ -331,7 +340,7 @@ def scalar_fold_scores(counts, labels, plan, c_values, config):
         for c in c_values:
             model = train_dual_cd(problem, replace(params, C=float(c)))
             scores.append(FoldScore(fold, c, Confusion.of(predict_rows(model, held), y_held),
-                                    model.sweeps, model.final_violation))
+                                    model.sweeps, model.final_violation, model.converged))
     return scores
 
 
@@ -547,6 +556,17 @@ class TestTrainEmotionModel:
         # Every train-partition document is held out once, and scored once per cost.
         assert sum(s.confusion.tp + s.confusion.fp + s.confusion.fn + s.confusion.tn
                    for s in em.cv_folds) == len(train) * len(SMALL_GRID.c_values)
+
+    @pytest.mark.parametrize("max_outer_iters", [1, 2, 1000])
+    def test_cv_folds_record_whether_each_solve_converged(self, max_outer_iters):
+        config = TrainConfig(**FAST, max_outer_iters=max_outer_iters, eps=1e-3)
+        em = train_joy(small_corpus(n=48), config)
+        for score in em.cv_folds:
+            # A solve that did not converge used every sweep it was allowed.
+            assert score.converged is (score.final_violation < config.eps)
+            assert score.converged or score.sweeps == max_outer_iters
+        if max_outer_iters == 1:
+            assert not any(score.converged for score in em.cv_folds)
 
 
 class TestTrainAll:
